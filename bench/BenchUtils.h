@@ -38,14 +38,12 @@ struct KernelRun {
 };
 
 /// Analyzes every kernel in the corpus (skipping any that fail to lower,
-/// which only happens if a kernel uses unsupported syntax). One engine --
-/// and so one query cache -- serves the whole corpus. Timing benchmarks
-/// should keep the default serial, uncached request so their figures
-/// measure the solver, not the cache.
+/// which only happens if a kernel uses unsupported syntax). One serial
+/// engine with no reuse serves the whole corpus, so the figures measure
+/// the solver.
 inline std::vector<KernelRun> runCorpus(engine::AnalysisRequest Req = [] {
   engine::AnalysisRequest R;
   R.Jobs = 1;
-  R.UseQueryCache = false;
   return R;
 }()) {
   engine::DependenceEngine Engine(Req);
@@ -156,15 +154,6 @@ inline void writeStatsJson(JsonWriter &W, const char *K,
   W.field("gist_fast_drops", S.GistFastDrops);
   W.field("gist_fast_keeps", S.GistFastKeeps);
   W.field("gist_sat_tests", S.GistSatTests);
-  W.field("sat_cache_hits", S.SatCacheHits);
-  W.field("sat_cache_misses", S.SatCacheMisses);
-  W.field("gist_cache_hits", S.GistCacheHits);
-  W.field("gist_cache_misses", S.GistCacheMisses);
-  W.field("snapshot_builds", S.SnapshotBuilds);
-  W.field("snapshot_reuses", S.SnapshotReuses);
-  W.field("snapshot_fallbacks", S.SnapshotFallbacks);
-  W.field("snapshot_cache_hits", S.SnapshotCacheHits);
-  W.field("snapshot_cache_misses", S.SnapshotCacheMisses);
   W.field("quicktest_ziv", S.QuickTestZIV);
   W.field("quicktest_gcd", S.QuickTestGCD);
   W.field("quicktest_bounds", S.QuickTestBounds);

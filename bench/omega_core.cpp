@@ -211,8 +211,8 @@ double msSince(Clock::time_point Start) {
 }
 
 /// One rep of the pure-core workload: satisfiability, projection, and gist
-/// over the fixed problem suite. Everything runs through \p Ctx (no cache)
-/// so the counters record exactly the work done.
+/// over the fixed problem suite. Everything runs through \p Ctx so the
+/// counters record exactly the work done.
 void coreOpsRep(const std::vector<Problem> &SatSuite,
                 const Problem &ProjPaper, const Problem &ProjSplinter,
                 const Problem &Tri, const Problem &GistP,
@@ -229,8 +229,8 @@ void coreOpsRep(const std::vector<Problem> &SatSuite,
 }
 
 /// Deterministic rendering of every dependence an analysis produced, for
-/// the pair_solver equality check: the incremental tiers must be invisible
-/// in the results.
+/// the incremental section's equality check: baseline reuse must be
+/// invisible in the results.
 std::string renderDeps(const std::vector<deps::Dependence> &Deps) {
   std::string Out;
   for (const deps::Dependence &D : Deps) {
@@ -493,14 +493,14 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
   GistQ.addGEQ({{GX, -1}}, 40);
   GistQ.addGEQ({{GY, -1}}, 40);
 
-  OmegaContext CoreCtx; // no cache: measure the solver, not memoization
+  OmegaContext CoreCtx;
   Clock::time_point CoreStart = Clock::now();
   for (unsigned R = 0; R != CoreReps; ++R)
     coreOpsRep(SatSuite, ProjPaper, ProjSplinter, Tri, GistP, GistQ,
                CoreCtx);
   double CoreMs = msSince(CoreStart);
 
-  // -- corpus: the whole Section 4 pipeline, serial and uncached ---------
+  // -- corpus: the whole Section 4 pipeline, serial, no reuse -------------
   std::vector<std::unique_ptr<ir::AnalyzedProgram>> Programs;
   for (const kernels::Kernel &K : kernels::corpus()) {
     auto AP = std::make_unique<ir::AnalyzedProgram>(
@@ -510,7 +510,6 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
   }
   engine::AnalysisRequest Req;
   Req.Jobs = 1;
-  Req.UseQueryCache = false;
   OmegaStats CorpusStats;
   Clock::time_point CorpusStart = Clock::now();
   for (unsigned R = 0; R != CorpusReps; ++R) {
@@ -522,45 +521,14 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
   }
   double CorpusMs = msSince(CorpusStart);
 
-  // -- pair_solver: the incremental tiers against the from-scratch path --
-  // Same corpus pipeline twice: once with snapshots and quick tests off
-  // (every query builds and reduces its own pair system) and once with the
-  // defaults on. The rendered dependence sets must be identical; the
-  // speedup is what ISSUE/EXPERIMENTS report.
-  auto runLeg = [&](bool Incremental, bool QuickTests, OmegaStats &Stats,
-                    std::string &Render) {
-    engine::AnalysisRequest LegReq;
-    LegReq.Jobs = 1;
-    LegReq.UseQueryCache = false;
-    LegReq.Incremental = Incremental;
-    LegReq.PairQuickTests = QuickTests;
-    Clock::time_point Start = Clock::now();
-    for (unsigned R = 0; R != CorpusReps; ++R) {
-      engine::DependenceEngine Engine(LegReq);
-      for (const auto &AP : Programs) {
-        engine::AnalysisResult Result = Engine.analyze(*AP);
-        Stats.merge(Result.Stats);
-        if (R == 0)
-          Render += renderResult(Result);
-      }
-    }
-    return msSince(Start);
-  };
-  OmegaStats ScratchStats, IncStats;
-  std::string ScratchRender, IncRender;
-  double ScratchMs = runLeg(false, false, ScratchStats, ScratchRender);
-  double IncMs = runLeg(true, true, IncStats, IncRender);
-  bool Identical = ScratchRender == IncRender;
-
   // -- server: omega-serve closed-loop throughput over the corpus --------
-  // For each client count, a fresh daemon runs a cold pass (empty shared
-  // cache) and a warm pass (same requests again); every response's result
+  // For each client count, a fresh daemon runs a cold pass (empty result
+  // store) and a warm pass (same requests again); every response's result
   // section must match the one-shot renderer byte for byte.
   std::vector<std::string> ServeLines, ServeExpected;
   {
     engine::AnalysisRequest OneShot;
     OneShot.Jobs = 1;
-    OneShot.UseQueryCache = false;
     engine::DependenceEngine OneShotEngine(OneShot);
     for (const kernels::Kernel &K : kernels::corpus()) {
       ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
@@ -609,7 +577,7 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
       }
       api::Server Server(Cfg);
       ServerLegNumbers Cold =
-          runServerLeg(Server, 4, ServeLines, ServeExpected); // warm the cache
+          runServerLeg(Server, 4, ServeLines, ServeExpected); // warm the store
       TeleIdentical = TeleIdentical && Cold.Identical;
       // Best of three warm passes: the overhead gate compares a few
       // percent, which single runs of a sub-second leg cannot resolve.
@@ -657,7 +625,6 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
     {
       engine::AnalysisRequest OneShot;
       OneShot.Jobs = 1;
-      OneShot.UseQueryCache = false;
       OneShot.PairQuickTests = false;
       engine::DependenceEngine OneShotEngine(OneShot);
       ir::AnalyzedProgram AP = ir::analyzeSource(Gen2);
@@ -699,13 +666,14 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
   }
 
   // -- incremental: edit-corpus replay against a recorded baseline -------
-  // For each edited program, three legs re-analyze it EditReps times with
-  // the cache state a fresh edit would see: cold (no cache at all), warm
-  // (the PR 6 path: a query cache populated by analyzing the base
-  // program), and incremental (the same warm cache plus the baseline
-  // recorded on the base program). Every leg's rendered result must match
-  // the cold one; the single-statement edits carry the >=5x target of
-  // incremental over warm.
+  // For each edited program, three legs re-analyze it EditReps times: cold
+  // (one engine, no reuse at all), warm (a fresh engine that has just
+  // analyzed the base program, with no baseline), and incremental (the
+  // same, plus the baseline recorded on the base program). The solver
+  // keeps no state between runs, so warm measures the same work as cold
+  // on a fresh engine. Every leg's rendered result must match the cold
+  // one; the single-statement edits carry the >=5x target of incremental
+  // over warm.
   struct EditLeg {
     std::string Name;
     bool SingleStmt;
@@ -744,7 +712,6 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
 
       engine::AnalysisRequest ColdReq;
       ColdReq.Jobs = 1;
-      ColdReq.UseQueryCache = false;
       engine::DependenceEngine ColdEngine(ColdReq);
       std::string ColdRender;
       Clock::time_point Start = Clock::now();
@@ -755,11 +722,10 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
       }
       Leg.ColdMs = msSince(Start);
 
-      // Warm and incremental legs share a setup: a fresh engine whose
-      // query cache was populated by one analysis of the base program
-      // (the state a long-lived server is in when the edit arrives). The
-      // cache is reset each rep by rebuilding the engine, so rep N never
-      // rides on rep N-1's own queries.
+      // Warm and incremental legs share a setup: a fresh engine that has
+      // analyzed the base program once (the state a long-lived server is
+      // in when the edit arrives). The engine is rebuilt each rep, so rep
+      // N never rides on rep N-1's baseline.
       auto RunLeg = [&](bool UseBaseline, double &OutMs) {
         std::string Render;
         double Total = 0;
@@ -804,7 +770,7 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
   // -- transform.pipeline: statement PDGs + PS-DSWP stage partitioning ---
   // Planning runs over the kernel corpus plus the shipped pipeline4
   // showcase. The per-loop stage counts and parallel flags are exact,
-  // machine-independent gates; the schema-4 documents with the pipeline
+  // machine-independent gates; the schema-5 documents with the pipeline
   // block must be byte-identical for jobs 1 and jobs 4.
   struct PipelineLoopNumbers {
     std::string Key; ///< "<kernel>/<ordinal>:<loop var>@<depth>"
@@ -833,7 +799,6 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
 
     engine::AnalysisRequest P1;
     P1.Jobs = 1;
-    P1.UseQueryCache = false;
     engine::AnalysisRequest P4 = P1;
     P4.Jobs = 4;
     std::vector<engine::AnalysisResult> Analyses;
@@ -886,16 +851,6 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
   W.field("kernels", static_cast<uint64_t>(Programs.size()));
   W.field("wall_ms", CorpusMs);
   bench::writeStatsJson(W, "stats", CorpusStats);
-  W.endObject();
-  W.beginObject("pair_solver");
-  W.field("reps", static_cast<uint64_t>(CorpusReps));
-  W.field("kernels", static_cast<uint64_t>(Programs.size()));
-  W.field("scratch_wall_ms", ScratchMs);
-  W.field("incremental_wall_ms", IncMs);
-  W.field("speedup", IncMs > 0 ? ScratchMs / IncMs : 0.0);
-  W.field("results_identical", Identical);
-  bench::writeStatsJson(W, "scratch_stats", ScratchStats);
-  bench::writeStatsJson(W, "incremental_stats", IncStats);
   W.endObject();
   W.beginObject("server");
   W.field("requests_per_leg", static_cast<uint64_t>(ServeLines.size()));
@@ -962,15 +917,12 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
   }
   W.endObject();
   W.endObject();
-  W.field("total_wall_ms", CoreMs + CorpusMs + ScratchMs + IncMs);
+  W.field("total_wall_ms", CoreMs + CorpusMs);
   W.field("peak_rss_kb", bench::peakRSSKB());
   W.finish();
   std::fclose(Out);
-  std::printf("core_ops %.1f ms, corpus %.1f ms, pair_solver %.1f/%.1f ms "
-              "(%.2fx, results %s) -> %s\n",
-              CoreMs, CorpusMs, ScratchMs, IncMs,
-              IncMs > 0 ? ScratchMs / IncMs : 0.0,
-              Identical ? "identical" : "DIFFER", Path);
+  std::printf("core_ops %.1f ms, corpus %.1f ms -> %s\n", CoreMs, CorpusMs,
+              Path);
   std::printf("server: 1/4/16 clients warm %.0f/%.0f/%.0f req/s "
               "(results %s)\n",
               ServerWarm[0].Rps, ServerWarm[1].Rps, ServerWarm[2].Rps,

@@ -6,8 +6,9 @@ clients over every example program, and checks the serving contract:
 
  1. every response validates against schema/analysis_response.schema.json;
  2. every response's "result" section is byte-identical to a one-shot
-    `omega-analyze --json` run of the same program (warm cache, concurrent
-    clients, and request interleaving must be invisible in results);
+    `omega-analyze --json` run of the same program (warm result store,
+    concurrent clients, and request interleaving must be invisible in
+    results);
  3. in-flight coalescing: a burst of identical concurrent requests on an
     otherwise idle server performs exactly ONE engine solve -- the engine
     analyses counter moves by 1, the coalesced counter by K-1, and every

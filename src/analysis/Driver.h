@@ -75,7 +75,7 @@ struct AnalysisResult {
 
 /// Legacy serial entry point, implemented in the engine library on top of
 /// engine::DependenceEngine (link omega_engine to use it). Runs with one
-/// job and no query cache, and merges the run's Omega stats into the
+/// job and no reuse, and merges the run's Omega stats into the
 /// calling thread's current context. New code should construct a
 /// DependenceEngine and pass an engine::AnalysisRequest instead.
 AnalysisResult analyzeProgram(const ir::AnalyzedProgram &AP,

@@ -10,9 +10,7 @@
 #include "obs/Trace.h"
 #include "omega/OmegaContext.h"
 #include "omega/Projection.h"
-#include "omega/QueryCache.h"
 #include "omega/Satisfiability.h"
-#include "omega/Snapshot.h"
 
 #include <algorithm>
 #include <map>
@@ -35,13 +33,7 @@ std::vector<bool> keepAllBut(const Problem &P, const DepSpace &Space,
 /// vector), with distance variables attached so minima can be extracted.
 struct LevelProblem {
   unsigned Level = 0;
-  Problem P; ///< the full system; every range query runs against this
-  /// Snapshot-reduced form, sat-equivalent to P over the deltas. Used only
-  /// for satisfiability decisions (which are complete, hence identical on
-  /// equivalent forms); computeVarRange reads bounds off projected pieces
-  /// and is form-sensitive, so ranges must come from P to keep
-  /// --no-incremental result-identical.
-  std::optional<Problem> Reduced;
+  Problem P;
   std::vector<VarId> Deltas;
   bool Feasible = true;
 };
@@ -62,50 +54,7 @@ public:
       Space.addSubscriptsEqual(L.P, 0, 2);
       Space.addPrecedesAtLevel(L.P, 0, 2, Split.Level);
       L.Deltas = Space.addDistanceVars(L.P, 0, 2);
-      reduceToDeltas(L);
       Levels.push_back(std::move(L));
-    }
-  }
-
-  /// The satisfiability questions the passes ask about a level problem
-  /// concern only its distance variables, so the rest of the system can be
-  /// eliminated up front. Only exact (snapshot) eliminations are taken,
-  /// which preserves satisfiability over the deltas; the pins added later
-  /// touch only the (kept) deltas, so the reduced system stays
-  /// sat-equivalent. Range extraction deliberately keeps using the full
-  /// system (see LevelProblem::Reduced).
-  void reduceToDeltas(LevelProblem &L) {
-    OmegaContext &Ctx = OmegaContext::current();
-    if (!Ctx.IncrementalSnapshots)
-      return;
-    std::vector<bool> Keep(L.P.getNumVars(), false);
-    for (VarId D : L.Deltas)
-      Keep[D] = true;
-    // Same sharing policy as PairSolver::ensureSnapshot: a snapshot is a
-    // deterministic function of (system, keep mask), so adopting one a
-    // previous request already built is result-identical to rebuilding.
-    std::optional<EliminationSnapshot> Adopted;
-    if (Ctx.Cache && Ctx.SnapshotSharing) {
-      std::string Key = snapshotCacheKey(L.P, Keep);
-      Adopted = Ctx.Cache->lookupSnapshot(Key, &Ctx.Stats);
-      if (!Adopted) {
-        Adopted.emplace(L.P, Keep);
-        Ctx.Cache->storeSnapshot(Key, *Adopted);
-      }
-    } else {
-      Adopted.emplace(L.P, Keep);
-    }
-    EliminationSnapshot &Snap = *Adopted;
-    switch (Snap.state()) {
-    case EliminationSnapshot::State::ProvedUnsat:
-      L.Feasible = false;
-      break;
-    case EliminationSnapshot::State::Ready:
-      ++Ctx.Stats.SnapshotReuses;
-      L.Reduced = Snap.reduced();
-      break;
-    case EliminationSnapshot::State::Saturated:
-      break; // clamped rows are garbage: keep the full system
     }
   }
 
@@ -238,11 +187,6 @@ public:
         Constraint &Pin = Lvl.P.addRow(ConstraintKind::EQ);
         Pin.setCoeff(Lvl.Deltas[L], 1);
         Pin.setConstant(-Min);
-        if (Lvl.Reduced) { // pins touch only kept deltas: stays equivalent
-          Constraint &RPin = Lvl.Reduced->addRow(ConstraintKind::EQ);
-          RPin.setCoeff(Lvl.Deltas[L], 1);
-          RPin.setConstant(-Min);
-        }
       }
     }
     return Fixed.size();
@@ -253,8 +197,7 @@ public:
   bool rebuildSplits() {
     std::vector<deps::DepSplit> NewSplits;
     for (LevelProblem &Lvl : Levels) {
-      if (!Lvl.Feasible ||
-          !isSatisfiable(Lvl.Reduced ? *Lvl.Reduced : Lvl.P)) {
+      if (!Lvl.Feasible || !isSatisfiable(Lvl.P)) {
         Lvl.Feasible = false;
         continue;
       }

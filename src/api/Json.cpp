@@ -7,10 +7,26 @@
 #include "api/Json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace omega::api::json;
+
+std::optional<int64_t> Value::asIntIn(int64_t Lo, int64_t Hi) const {
+  // [-2^63, 2^63) is exactly the set of doubles that convert to int64_t.
+  if (K != Kind::Number || !(Num >= -0x1p63 && Num < 0x1p63) ||
+      std::trunc(Num) != Num)
+    return std::nullopt;
+  int64_t I = static_cast<int64_t>(Num);
+  if (I < Lo || I > Hi)
+    return std::nullopt;
+  return I;
+}
+
+int64_t Value::asInt() const {
+  return asIntIn(INT64_MIN, INT64_MAX).value_or(0);
+}
 
 const Value *Value::get(const std::string &Key) const {
   if (K != Kind::Object)

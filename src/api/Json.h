@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,15 @@ public:
 
   bool asBool() const { return B; }
   double asNumber() const { return Num; }
-  int64_t asInt() const { return static_cast<int64_t>(Num); }
+  /// The number as an integer when it is integral and lies in [Lo, Hi],
+  /// else nullopt. The range is checked on the double before any cast:
+  /// converting an out-of-range double (a client's 1e30) to an integer is
+  /// undefined behaviour.
+  std::optional<int64_t> asIntIn(int64_t Lo, int64_t Hi) const;
+  /// asIntIn over all of int64_t, 0 when the number is not such an
+  /// integer. For documents whose shape is already known; validate client
+  /// input with asIntIn.
+  int64_t asInt() const;
   const std::string &asString() const { return Str; }
   const std::vector<Value> &asArray() const { return Arr; }
   const std::vector<std::pair<std::string, Value>> &asObject() const {

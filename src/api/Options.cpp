@@ -9,6 +9,8 @@
 #include "api/Json.h"
 
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 using namespace omega;
@@ -22,10 +24,7 @@ engine::AnalysisRequest AnalysisOptions::toEngineRequest() const {
   R.QuickTests = QuickTests;
   R.Terminate = Terminate;
   R.PairQuickTests = PairQuickTests;
-  R.Incremental = Incremental;
-  R.ShareSnapshots = ShareSnapshots;
   R.Jobs = Jobs;
-  R.UseQueryCache = UseQueryCache;
   return R;
 }
 
@@ -40,7 +39,7 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "shard each analysis over N worker threads (0 = hardware); "
        "results are identical for every N"},
       {"--json", nullptr, ToolAnalyze, false, nullptr,
-       "machine-readable schema-4 output instead of tables"},
+       "machine-readable schema-5 output instead of tables"},
       {"--trace", nullptr, ToolAnalyze, true, "FILE",
        "record a Chrome trace_event JSON of the run"},
       {"--profile", "profile", AS, false, nullptr,
@@ -66,18 +65,6 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "enable the terminating-write extension"},
       {"--no-quicktests", "quicktests", ACS, false, nullptr,
        "disable the ZIV/GCD/bounds pair pre-filter (ablation)"},
-      {"--no-incremental", "incremental", ACS, false, nullptr,
-       "disable per-pair elimination snapshots (ablation)"},
-      {"--no-snapshot-sharing", "snapshotSharing", AS, false, nullptr,
-       "do not reuse elimination snapshots through the query cache"},
-      {"--no-cache", nullptr, AS, false, nullptr,
-       "disable the sat/gist query cache entirely"},
-      {"--cache-file", nullptr, AS, true, "PATH",
-       "warm-start: load the persisted query cache from PATH if it "
-       "exists, save it back on exit"},
-      {"--snapshot-cache-cap", nullptr, AS, true, "N",
-       "bound the cache's elimination-snapshot store to N entries, "
-       "evicting least-recently-used beyond that (0 = unbounded)"},
       {"--result-cache-file", nullptr, AS, true, "PATH",
        "warm-start the global pair-result store from PATH if it exists "
        "and save it back on exit (corrupt or version-skewed files are "
@@ -124,7 +111,7 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "exposition (on every metrics op, periodically, and at shutdown)"},
       {"--access-log", nullptr, ToolServe, true, "PATH",
        "append one JSONL record per analyzed request to PATH (latency "
-       "decomposition, cache traffic, response code)"},
+       "decomposition, sat calls, response code)"},
       {"--slow-ms", nullptr, ToolServe, true, "MS",
        "trace requests taking >= MS ms and flag them in the access log "
        "(0 = off); with --slow-trace-dir the Chrome trace is saved"},
@@ -145,13 +132,18 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
 
 namespace {
 
-bool parseUnsigned(const std::string &V, uint64_t &Out) {
+constexpr uint64_t MaxUnsigned = std::numeric_limits<unsigned>::max();
+
+/// Parses a decimal in [0, Max]; anything else (including a value that
+/// would silently truncate in a narrower field) is rejected.
+bool parseUnsigned(const std::string &V, uint64_t &Out,
+                   uint64_t Max = std::numeric_limits<uint64_t>::max()) {
   if (V.empty())
     return false;
   try {
     std::size_t End = 0;
     unsigned long long U = std::stoull(V, &End);
-    if (End != V.size())
+    if (End != V.size() || U > Max)
       return false;
     Out = U;
     return true;
@@ -170,7 +162,7 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
   };
   uint64_t U = 0;
   if (Flag == "--jobs") {
-    if (!parseUnsigned(Val, U))
+    if (!parseUnsigned(Val, U, MaxUnsigned))
       return BadNum();
     O.Jobs = static_cast<unsigned>(U);
   } else if (Flag == "--json")
@@ -200,19 +192,7 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
     O.Terminate = true;
   else if (Flag == "--no-quicktests")
     O.PairQuickTests = false;
-  else if (Flag == "--no-incremental")
-    O.Incremental = false;
-  else if (Flag == "--no-snapshot-sharing")
-    O.ShareSnapshots = false;
-  else if (Flag == "--no-cache")
-    O.UseQueryCache = false;
-  else if (Flag == "--cache-file")
-    O.CacheFile = Val;
-  else if (Flag == "--snapshot-cache-cap") {
-    if (!parseUnsigned(Val, U))
-      return BadNum();
-    O.SnapshotCacheCap = U;
-  } else if (Flag == "--result-cache-file")
+  else if (Flag == "--result-cache-file")
     O.ResultCacheFile = Val;
   else if (Flag == "--result-store-cap") {
     if (!parseUnsigned(Val, U))
@@ -235,19 +215,19 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
   else if (Flag == "--socket")
     O.SocketPath = Val;
   else if (Flag == "--workers") {
-    if (!parseUnsigned(Val, U) || U == 0)
+    if (!parseUnsigned(Val, U, MaxUnsigned) || U == 0)
       return BadNum();
     O.ServeWorkers = static_cast<unsigned>(U);
   } else if (Flag == "--max-queue") {
-    if (!parseUnsigned(Val, U) || U == 0)
+    if (!parseUnsigned(Val, U, MaxUnsigned) || U == 0)
       return BadNum();
     O.MaxQueue = static_cast<unsigned>(U);
   } else if (Flag == "--deadline-ms") {
-    if (!parseUnsigned(Val, U))
+    if (!parseUnsigned(Val, U, MaxDeadlineMs))
       return BadNum();
     O.DeadlineMs = U;
   } else if (Flag == "--max-sessions") {
-    if (!parseUnsigned(Val, U) || U == 0)
+    if (!parseUnsigned(Val, U, MaxUnsigned) || U == 0)
       return BadNum();
     O.MaxSessions = static_cast<unsigned>(U);
   } else if (Flag == "--no-coalesce")
@@ -306,12 +286,13 @@ bool applyJsonKey(AnalysisOptions &O, const std::string &Key,
     return true;
   };
   if (Key == "jobs") {
-    if (!V.isNumber() || V.asNumber() < 0 ||
-        V.asNumber() != static_cast<double>(V.asInt())) {
-      Err = "option 'jobs' expects a non-negative integer";
+    std::optional<int64_t> N = V.asIntIn(0, MaxUnsigned);
+    if (!N) {
+      Err = "option 'jobs' expects an integer in [0, " +
+            std::to_string(MaxUnsigned) + "]";
       return false;
     }
-    O.Jobs = static_cast<unsigned>(V.asInt());
+    O.Jobs = static_cast<unsigned>(*N);
     return true;
   }
   if (Key == "profile") {
@@ -343,10 +324,6 @@ bool applyJsonKey(AnalysisOptions &O, const std::string &Key,
     return Bool(O.Terminate);
   if (Key == "quicktests")
     return Bool(O.PairQuickTests);
-  if (Key == "incremental")
-    return Bool(O.Incremental);
-  if (Key == "snapshotSharing")
-    return Bool(O.ShareSnapshots);
   if (Key == "pipeline")
     return Bool(O.Pipeline);
   Err = "unknown option '" + Key + "'";

@@ -38,6 +38,11 @@ namespace json {
 class Value;
 } // namespace json
 
+/// The largest accepted per-request deadline (one year). Far beyond any
+/// real request, and small enough that admission time plus the deadline
+/// cannot overflow the steady clock.
+inline constexpr uint64_t MaxDeadlineMs = 365ull * 24 * 3600 * 1000;
+
 /// Which front ends an option applies to.
 enum ToolMask : unsigned {
   ToolAnalyze = 1u << 0,
@@ -57,21 +62,11 @@ struct AnalysisOptions {
   bool QuickTests = true; ///< --no-quick         / "quick": false
   bool Terminate = false; ///< --terminate        / "terminate": true
 
-  // -- solver tiers ------------------------------------------------------
+  // -- solver pre-filter -------------------------------------------------
   bool PairQuickTests = true; ///< --no-quicktests / "quicktests": false
-  bool Incremental = true;    ///< --no-incremental / "incremental": false
-  /// Snapshot reuse policy: share per-pair elimination snapshots through
-  /// the query cache so identical pairs (across requests, or across
-  /// repeated analyses) skip the reduction. Requires the cache.
-  bool ShareSnapshots = true; ///< --no-snapshot-sharing / "snapshotSharing"
 
   // -- execution ---------------------------------------------------------
-  unsigned Jobs = 1;         ///< --jobs N (0 = hardware)
-  bool UseQueryCache = true; ///< --no-cache
-  std::string CacheFile;     ///< --cache-file=PATH persistence
-  /// Snapshot-store bound: at most N elimination snapshots stay resident
-  /// in the query cache, LRU-evicted beyond that (0 = unbounded).
-  uint64_t SnapshotCacheCap = 0; ///< --snapshot-cache-cap N
+  unsigned Jobs = 1; ///< --jobs N (0 = hardware)
 
   // -- incremental re-analysis ------------------------------------------
   std::string BaselineFile;     ///< --baseline PATH (analyze-only)
@@ -89,7 +84,7 @@ struct AnalysisOptions {
   bool All = false;      ///< --all: also anti/output tables
   bool Compress = false; ///< --compress split rows
   bool Stats = false;    ///< --stats: per-pair cost classes
-  bool Json = false;     ///< --json: schema-4 machine output
+  bool Json = false;     ///< --json: schema-5 machine output
   enum ProfileMode : uint8_t { ProfileOff, ProfileText, ProfileJson };
   ProfileMode Profile = ProfileOff; ///< --profile[=json] / "profile": true
   bool Explain = false;             ///< --explain
@@ -104,7 +99,7 @@ struct AnalysisOptions {
   // -- pipeline partitioning --------------------------------------------
   /// Plan a PS-DSWP pipeline partition for every loop (stages over the
   /// SCC-DAG of the live dependence PDG) and report it: staged schedule
-  /// text for omega-analyze, the schema-4 "pipeline" result block for
+  /// text for omega-analyze, the schema-5 "pipeline" result block for
   /// JSON and serve responses.
   bool Pipeline = false; ///< --pipeline / "pipeline": true
 

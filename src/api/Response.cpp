@@ -61,7 +61,7 @@ const char *enablingReasonName(char R) {
   }
 }
 
-/// The schema-4 "pipeline" array: one deterministic entry per loop.
+/// The schema-5 "pipeline" array: one deterministic entry per loop.
 void appendPipeline(std::string &Out, const ir::AnalyzedProgram &AP,
                     const analysis::AnalysisResult &R) {
   Out += "[";
@@ -179,22 +179,11 @@ std::string api::renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
          ", \"gistFastDrops\": " + std::to_string(S.GistFastDrops) +
          ", \"gistFastKeeps\": " + std::to_string(S.GistFastKeeps) +
          ", \"gistSatTests\": " + std::to_string(S.GistSatTests) +
-         ", \"satCacheHits\": " + std::to_string(S.SatCacheHits) +
-         ", \"satCacheMisses\": " + std::to_string(S.SatCacheMisses) +
-         ", \"gistCacheHits\": " + std::to_string(S.GistCacheHits) +
-         ", \"gistCacheMisses\": " + std::to_string(S.GistCacheMisses) +
-         ", \"snapshotBuilds\": " + std::to_string(S.SnapshotBuilds) +
-         ", \"snapshotReuses\": " + std::to_string(S.SnapshotReuses) +
-         ", \"snapshotFallbacks\": " + std::to_string(S.SnapshotFallbacks) +
-         ", \"snapshotCacheHits\": " + std::to_string(S.SnapshotCacheHits) +
-         ", \"snapshotCacheMisses\": " +
-         std::to_string(S.SnapshotCacheMisses) +
          ", \"quicktestZiv\": " + std::to_string(S.QuickTestZIV) +
          ", \"quicktestGcd\": " + std::to_string(S.QuickTestGCD) +
          ", \"quicktestBounds\": " + std::to_string(S.QuickTestBounds) +
          ", \"quicktestTrivialDep\": " + std::to_string(S.QuickTestTrivialDep) +
          ", \"quicktestDecided\": " + std::to_string(S.QuickTestDecided) +
-         ", \"snapshotEvictions\": " + std::to_string(S.SnapshotEvictions) +
          ", \"deltaPairsReused\": " + std::to_string(S.DeltaPairsReused) +
          ", \"deltaPairsResolved\": " + std::to_string(S.DeltaPairsResolved) +
          ", \"deltaPairsNew\": " + std::to_string(S.DeltaPairsNew) +
@@ -203,11 +192,6 @@ std::string api::renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
          ", \"resultStoreEvictions\": " +
          std::to_string(S.ResultStoreEvictions) + "}";
 
-  Out += ", \"cache\": {\"satHits\": " + std::to_string(R.Cache.SatHits) +
-         ", \"satMisses\": " + std::to_string(R.Cache.SatMisses) +
-         ", \"gistHits\": " + std::to_string(R.Cache.GistHits) +
-         ", \"gistMisses\": " + std::to_string(R.Cache.GistMisses) +
-         ", \"entries\": " + std::to_string(R.CacheEntries) + "}";
   if (R.Delta.Active)
     Out += ", \"delta\": {\"pairsReused\": " +
            std::to_string(R.Delta.PairsReused) +

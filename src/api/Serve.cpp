@@ -10,7 +10,6 @@
 #include "api/Response.h"
 #include "ir/Sema.h"
 #include "obs/Trace.h"
-#include "omega/QueryCache.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -67,8 +66,7 @@ std::string msField(uint64_t Micros) {
 /// request -- and the accounting discipline mirrors the paper's Figure 6:
 /// every submit() increments requests_total and exactly one per-op
 /// counter, every response increments exactly one per-code counter, and
-/// the engine-fed counters accumulate each request's own attribution, so
-/// at quiescence they equal the shared cache's global totals.
+/// the engine-fed counters accumulate each request's own attribution.
 struct Server::Telemetry {
   obs::MetricsRegistry Registry;
   std::chrono::steady_clock::time_point Epoch =
@@ -93,13 +91,12 @@ struct Server::Telemetry {
   // requests never coalesce, so each is one analysis).
   obs::Counter *EngAnalyses;
   // Engine-fed: per-request attribution summed into process totals.
-  obs::Counter *EngSatCalls, *EngSatHits, *EngSatMisses, *EngGistHits,
-      *EngGistMisses, *EngSnapHits, *EngSnapMisses, *EngQuickDecided,
-      *EngDeltaReused, *EngDeltaResolved, *EngDeltaNew, *StoreHits,
-      *StoreMisses, *StoreEvictions;
+  obs::Counter *EngSatCalls, *EngQuickDecided, *EngDeltaReused,
+      *EngDeltaResolved, *EngDeltaNew, *StoreHits, *StoreMisses,
+      *StoreEvictions;
 
-  obs::Gauge *QueueDepth, *ActiveWorkers, *LiveSessions, *CacheEntries,
-      *SnapshotEntries, *ResultStoreEntries;
+  obs::Gauge *QueueDepth, *ActiveWorkers, *LiveSessions,
+      *ResultStoreEntries;
 
   obs::Histogram *QueueWaitUs, *ParseUs, *SolveUs, *SerializeUs, *RequestUs;
 
@@ -153,18 +150,6 @@ struct Server::Telemetry {
                     "Engine analysis runs actually performed");
     EngSatCalls = C("omega_engine_sat_calls_total",
                     "Satisfiability calls made by worker engines");
-    EngSatHits = C("omega_engine_sat_cache_hits_total",
-                   "Sat verdicts answered from the shared cache");
-    EngSatMisses = C("omega_engine_sat_cache_misses_total",
-                     "Sat queries the shared cache could not answer");
-    EngGistHits = C("omega_engine_gist_cache_hits_total",
-                    "Gists answered from the shared cache");
-    EngGistMisses = C("omega_engine_gist_cache_misses_total",
-                      "Gist queries the shared cache could not answer");
-    EngSnapHits = C("omega_engine_snapshot_cache_hits_total",
-                    "Elimination snapshots adopted from the shared cache");
-    EngSnapMisses = C("omega_engine_snapshot_cache_misses_total",
-                      "Snapshot lookups the shared cache could not answer");
     EngQuickDecided = C("omega_engine_quicktest_decided_total",
                         "Pair queries decided by the ZIV/GCD/bounds "
                         "pre-filter");
@@ -192,11 +177,6 @@ struct Server::Telemetry {
                       "Workers currently running a request");
     LiveSessions = G("omega_serve_live_sessions",
                      "Incremental sessions with a retained baseline");
-    CacheEntries = G("omega_serve_cache_entries",
-                     "Entries resident in the shared query cache");
-    SnapshotEntries = G("omega_serve_snapshot_store_entries",
-                        "Elimination snapshots resident in the shared "
-                        "cache's LRU store");
     ResultStoreEntries = G("omega_result_store_entries",
                            "Solved outcomes resident in the global "
                            "result store");
@@ -246,24 +226,6 @@ Server::Server(const Config &C) : Cfg(C), Store(C.ResultStoreCap) {
       StartupNote += "; ";
     StartupNote += S;
   };
-  if (Cfg.Defaults.UseQueryCache) {
-    Cache = std::make_unique<QueryCache>();
-    Cache->setSnapshotCapacity(Cfg.Defaults.SnapshotCacheCap);
-    if (!Cfg.CacheFile.empty()) {
-      std::ifstream In(Cfg.CacheFile, std::ios::binary);
-      std::string Err;
-      if (!In.is_open())
-        StartupNote = "cold start: no cache file at " + Cfg.CacheFile;
-      else if (Cache->load(In, Err))
-        StartupNote = "warm start: loaded " + std::to_string(Cache->size()) +
-                      " entries from " + Cfg.CacheFile;
-      else
-        StartupNote = "cold start: " + Err;
-    }
-  } else if (!Cfg.CacheFile.empty()) {
-    StartupNote = "cold start: caching disabled, ignoring " + Cfg.CacheFile;
-  }
-
   if (!Cfg.ResultCacheFile.empty()) {
     // A missing file is the normal first boot; anything else that fails
     // to load is corruption or version skew, warned and cold-started
@@ -295,8 +257,6 @@ Server::Server(const Config &C) : Cfg(C), Store(C.ResultStoreCap) {
   if (Cfg.Workers == 0)
     Cfg.Workers = 1;
   engine::AnalysisRequest Base = Cfg.Defaults.toEngineRequest();
-  Base.SharedCache = Cache.get();
-  Base.UseQueryCache = Cache != nullptr;
   Base.Store = &Store;
   for (unsigned I = 0; I != Cfg.Workers; ++I)
     Engines.push_back(std::make_unique<engine::DependenceEngine>(Base));
@@ -355,19 +315,9 @@ void Server::stop() {
   for (std::thread &T : Workers)
     T.join();
   Workers.clear();
-  if (Cache && !Cfg.CacheFile.empty()) {
-    std::string Tmp = Cfg.CacheFile + ".tmp";
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (Out.is_open() && Cache->save(Out)) {
-      Out.close();
-      std::rename(Tmp.c_str(), Cfg.CacheFile.c_str());
-    } else {
-      std::remove(Tmp.c_str());
-    }
-  }
   if (!Cfg.ResultCacheFile.empty()) {
-    // Same tmp+rename discipline as the cache file: a crash mid-save
-    // leaves the previous generation intact, never a torn file.
+    // tmp+rename: a crash mid-save leaves the previous generation intact,
+    // never a torn file.
     std::string Tmp = Cfg.ResultCacheFile + ".tmp";
     if (Store.saveFile(Tmp, nullptr))
       std::rename(Tmp.c_str(), Cfg.ResultCacheFile.c_str());
@@ -401,11 +351,13 @@ void Server::submit(std::string Line,
   bool HasId = false;
   uint64_t Id = 0;
   if (const json::Value *V = Doc.get("id")) {
-    if (!V->isNumber() || V->asNumber() < 0) {
+    // Range-check before the cast: a double beyond 2^64 has no uint64_t.
+    if (!V->isNumber() || !(V->asNumber() >= 0 && V->asNumber() < 0x1p64)) {
       Tele->ReqInvalid->add();
       Tele->RespBadRequest->add();
       Respond(renderServerError(false, 0, "bad_request",
-                                "\"id\" must be a non-negative number"));
+                                "\"id\" must be a non-negative number "
+                                "below 2^64"));
       return;
     }
     HasId = true;
@@ -498,9 +450,11 @@ void Server::submit(std::string Line,
 
   uint64_t DeadlineMs = Cfg.DeadlineMs;
   if (const json::Value *V = Doc.get("deadlineMs")) {
-    if (!V->isNumber() || V->asNumber() < 0)
-      return Fail("bad_request", "\"deadlineMs\" must be a non-negative number");
-    DeadlineMs = static_cast<uint64_t>(V->asNumber());
+    double Ms = V->isNumber() ? V->asNumber() : -1;
+    if (!(Ms >= 0 && Ms <= static_cast<double>(MaxDeadlineMs)))
+      return Fail("bad_request", "\"deadlineMs\" must be a number in [0, " +
+                                     std::to_string(MaxDeadlineMs) + "]");
+    DeadlineMs = static_cast<uint64_t>(Ms);
   }
   if (DeadlineMs != 0) {
     R.HasDeadline = true;
@@ -571,8 +525,6 @@ struct AccessRecord {
   unsigned Worker = 0;
   unsigned Jobs = 0;
   uint64_t SatCalls = 0;
-  uint64_t SatHits = 0;
-  uint64_t SatMisses = 0;
   bool Coalesced = false;
   bool Slow = false;
   std::string TraceFile;
@@ -599,14 +551,9 @@ std::string coalesceKey(const AnalysisOptions &O, const std::string &Source) {
   B(O.QuickTests);
   B(O.Terminate);
   B(O.PairQuickTests);
-  B(O.Incremental);
-  B(O.ShareSnapshots);
-  B(O.UseQueryCache);
   B(O.Pipeline);
   K += '|';
   K += std::to_string(O.Jobs);
-  K += '|';
-  K += std::to_string(O.SnapshotCacheCap);
   K += '\n';
   K += Source;
   return K;
@@ -642,8 +589,6 @@ void Server::runOne(Request &R, unsigned Index) {
     L += ", \"serializeMs\": " + msField(Tm.SerializeUs);
     L += ", \"totalMs\": " + msField(Tm.TotalUs);
     L += ", \"satCalls\": " + std::to_string(Rc.SatCalls);
-    L += ", \"satCacheHits\": " + std::to_string(Rc.SatHits);
-    L += ", \"satCacheMisses\": " + std::to_string(Rc.SatMisses);
     L += std::string(", \"coalesced\": ") + (Rc.Coalesced ? "true" : "false");
     L += std::string(", \"slow\": ") + (Rc.Slow ? "true" : "false");
     if (!Rc.TraceFile.empty())
@@ -782,16 +727,9 @@ void Server::runOne(Request &R, unsigned Index) {
   T.SerializeUs = elapsedUs(SerializeStart, Clock::now());
   T.TotalUs = elapsedUs(R.Admitted, Clock::now());
 
-  // Engine-fed attribution: this run's own counters (not global deltas),
-  // so at quiescence the registry totals equal the shared cache's global
-  // counters -- the PR 6 accounting discipline, CI-checked.
+  // Engine-fed attribution: this run's own counters, not global deltas
+  // (concurrent requests would otherwise charge each other).
   Tele->EngSatCalls->add(Result.Stats.SatisfiabilityCalls);
-  Tele->EngSatHits->add(Result.Cache.SatHits);
-  Tele->EngSatMisses->add(Result.Cache.SatMisses);
-  Tele->EngGistHits->add(Result.Cache.GistHits);
-  Tele->EngGistMisses->add(Result.Cache.GistMisses);
-  Tele->EngSnapHits->add(Result.Stats.SnapshotCacheHits);
-  Tele->EngSnapMisses->add(Result.Stats.SnapshotCacheMisses);
   Tele->EngQuickDecided->add(Result.Stats.QuickTestDecided);
   Tele->EngDeltaReused->add(Result.Stats.DeltaPairsReused);
   Tele->EngDeltaResolved->add(Result.Stats.DeltaPairsResolved);
@@ -810,8 +748,6 @@ void Server::runOne(Request &R, unsigned Index) {
 
   Rec.Jobs = Engine.jobs();
   Rec.SatCalls = Result.Stats.SatisfiabilityCalls;
-  Rec.SatHits = Result.Cache.SatHits;
-  Rec.SatMisses = Result.Cache.SatMisses;
   Rec.Slow = Cfg.SlowMs > 0 && T.TotalUs >= Cfg.SlowMs * 1000;
   if (Rec.Slow && Tracer && !Cfg.SlowTraceDir.empty()) {
     uint64_t Seq = Tele->SlowSeq.fetch_add(1, std::memory_order_relaxed);
@@ -830,8 +766,8 @@ void Server::runOne(Request &R, unsigned Index) {
   // Answer the coalesced followers from the shared solve. Each follower
   // gets the leader's byte-identical "result" section under its own id,
   // with a metrics block showing zero engine work (the leader already
-  // attributed the cache traffic; double-counting would break the
-  // registry-vs-cache accounting cross-check).
+  // attributed it; double-counting would break the analyses + coalesced
+  // == analyze_ok witness).
   for (Waiter &W : TakeFollowers()) {
     auto FSerializeStart = Clock::now();
     engine::AnalysisResult Blank;
@@ -927,13 +863,9 @@ void Server::retainSession(
 //===----------------------------------------------------------------------===//
 
 obs::MetricsSnapshot Server::metricsSnapshot() const {
-  // Sampled gauges: refreshed here rather than maintained inline, since
-  // cache occupancy only changes inside engine runs that don't know about
+  // Sampled gauge: refreshed here rather than maintained inline, since
+  // store occupancy only changes inside engine runs that don't know about
   // the server's registry.
-  obs::set(Tele->CacheEntries,
-           Cache ? static_cast<int64_t>(Cache->size()) : 0);
-  obs::set(Tele->SnapshotEntries,
-           Cache ? static_cast<int64_t>(Cache->snapshotCount()) : 0);
   obs::set(Tele->ResultStoreEntries, static_cast<int64_t>(Store.size()));
   return Tele->Registry.snapshot();
 }
@@ -944,20 +876,10 @@ std::string Server::metricsBody() const {
                       1000;
   // metricsJson renders {"counters": ..., "gauges": ..., "histograms":
   // ...}; splice its members into the op body alongside uptime and the
-  // shared cache's own global counters (the external accounting
-  // cross-check: at quiescence the omega_engine_* registry totals equal
-  // these).
+  // result store's own counters.
   std::string Inner = obs::metricsJson(S);
-  QueryCacheStats CS = Cache ? Cache->stats() : QueryCacheStats{};
   std::string Out = "{\"uptimeMs\": " + std::to_string(UptimeMs) + ", ";
   Out += Inner.substr(1, Inner.size() - 2);
-  Out += ", \"cache\": {\"satHits\": " + std::to_string(CS.SatHits) +
-         ", \"satMisses\": " + std::to_string(CS.SatMisses) +
-         ", \"gistHits\": " + std::to_string(CS.GistHits) +
-         ", \"gistMisses\": " + std::to_string(CS.GistMisses) +
-         ", \"entries\": " + std::to_string(Cache ? Cache->size() : 0) +
-         ", \"snapshots\": " +
-         std::to_string(Cache ? Cache->snapshotCount() : 0) + "}";
   // The store's own lifetime counters (lookup-level, unlike the
   // engine-attributed registry totals, which count materializations).
   engine::ResultStoreStats RS = Store.stats();
@@ -990,7 +912,6 @@ std::string Server::healthBody() const {
          std::to_string(Tele->RequestsTotal->value());
   Out += ", \"liveSessions\": " + std::to_string(Tele->LiveSessions->value());
   Out += ", \"sessionCapacity\": " + std::to_string(Cfg.MaxSessions);
-  Out += ", \"cacheEntries\": " + std::to_string(Cache ? Cache->size() : 0);
   Out += ", \"resultStoreEntries\": " + std::to_string(Store.size());
   Out += ", \"cacheNote\": \"" + json::escape(StartupNote) + "\"}";
   return Out;
@@ -1000,7 +921,7 @@ void Server::writeMetricsFile() {
   if (Cfg.MetricsFile.empty())
     return;
   std::string Text = obs::prometheusText(metricsSnapshot());
-  // Atomic rewrite, same pattern as the cache-file save: a scraper never
+  // Atomic rewrite, same pattern as the result-store save: a scraper never
   // sees a torn exposition.
   std::lock_guard<std::mutex> Lock(Tele->FileMu);
   std::string Tmp = Cfg.MetricsFile + ".tmp";

@@ -1,4 +1,4 @@
-//===- api/Serve.h - The warm-cache analysis server -----------------------===//
+//===- api/Serve.h - The analysis server ----------------------------------===//
 //
 // Part of the omega-deps project: a reproduction of Pugh & Wonnacott,
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
@@ -7,26 +7,22 @@
 ///
 /// \file
 /// omega-serve's core: a long-running analysis service that admits many
-/// programs concurrently and keeps the Omega memoization state warm across
-/// requests. The protocol is JSONL -- one request object per line, one
+/// programs concurrently and reuses solved pair outcomes across requests.
+/// The protocol is JSONL -- one request object per line, one
 /// response object per line -- over stdin/stdout or a Unix domain socket:
 ///
 ///   {"id": 1, "source": "for i = 1 to n { a[i] = a[i-1]; }",
 ///    "options": {"quicktests": false}, "deadlineMs": 500}
 ///
-/// Responses are schema-4 documents (api/Response.h) with the request id
+/// Responses are schema-5 documents (api/Response.h) with the request id
 /// spliced in; `{"id": 2, "op": "shutdown"}` stops the server. Because
 /// the engine's structural result is deterministic for every Jobs value
-/// and cache state, a server response's "result" section is byte-identical
+/// and reuse state, a server response's "result" section is byte-identical
 /// to a one-shot `omega-analyze --json` run of the same program -- warm
 /// or cold, interleaved with any other clients.
 ///
 /// Architecture: N worker threads, each owning a private DependenceEngine
-/// (an engine run is not reentrant), all engines pointing at ONE shared
-/// QueryCache. The cache is the warmth substrate -- sat verdicts, gists,
-/// and elimination snapshots computed for any request are reused by every
-/// later one -- and the unit of persistence (Config::CacheFile warm-starts
-/// it across server lifetimes). Admission control is a bounded queue:
+/// (an engine run is not reentrant). Admission control is a bounded queue:
 /// submissions beyond MaxQueue are shed immediately with an "overloaded"
 /// error, and a request whose deadline passed while queued is answered
 /// "deadline_exceeded" instead of being run.
@@ -37,7 +33,7 @@
 /// engine on the session's next request, so re-analyzing an edited
 /// program only solves the pairs the edit touched. Reuse is
 /// result-invisible -- the response's "result" section stays
-/// byte-identical to an uncached run -- and "metrics.delta" reports the
+/// byte-identical to a from-scratch run -- and "metrics.delta" reports the
 /// pair classification.
 ///
 /// Above the session tier sit two cross-request reuse tiers. A global
@@ -77,8 +73,6 @@
 
 namespace omega {
 
-class QueryCache;
-
 namespace api {
 
 class Server {
@@ -95,9 +89,6 @@ public:
     /// Default per-request deadline in milliseconds, measured from
     /// admission; 0 means none. A request's "deadlineMs" overrides it.
     std::uint64_t DeadlineMs = 0;
-    /// Warm-start file: loaded (if present and valid) at construction,
-    /// saved at stop(). Empty disables persistence.
-    std::string CacheFile;
     /// Incremental-session retention bound: baselines for the most
     /// recently used MaxSessions session ids stay resident; older ones
     /// are dropped (their next request runs from scratch, never wrong).
@@ -120,7 +111,7 @@ public:
     /// and at stop(). Empty disables the file.
     std::string MetricsFile;
     /// JSONL access log: one record per analyzed request (latency
-    /// decomposition, cache traffic, response code). Empty disables it.
+    /// decomposition, sat calls, response code). Empty disables it.
     std::string AccessLog;
     /// Slow-request threshold in milliseconds: requests at or above it
     /// are traced (a per-request obs::Tracer attached to the worker's
@@ -154,7 +145,7 @@ public:
   void submit(std::string Line, std::function<void(std::string)> Respond);
 
   /// Stops admission, drains queued requests, joins the workers, and (once)
-  /// saves the cache file. Idempotent; the destructor calls it.
+  /// saves the result-store file. Idempotent; the destructor calls it.
   void stop();
 
   /// Asks the IO loops (runStdin/runSocket) to wind down; the "shutdown"
@@ -162,19 +153,17 @@ public:
   void requestStop();
   bool stopRequested() const { return StopFlag.load(); }
 
-  /// What happened to Config::CacheFile at construction ("warm start:
-  /// ...", "cold start: ..."), empty when persistence is off.
+  /// What happened to Config::ResultCacheFile (and the access log) at
+  /// construction ("result store warm start: ...", "result store cold
+  /// start: ..."), empty when persistence is off.
   const std::string &startupNote() const { return StartupNote; }
-
-  /// The shared cache, or null when Defaults.UseQueryCache is false.
-  QueryCache *cache() { return Cache.get(); }
 
   /// The global cross-request result store (always present; every worker
   /// engine consults and feeds it). Public for in-process tests/bench.
   engine::ResultStore &resultStore() { return Store; }
 
   /// A deterministic snapshot of the server's metrics registry with the
-  /// sampled gauges (cache occupancy, live sessions) refreshed first.
+  /// sampled gauges (store occupancy, live sessions) refreshed first.
   /// What the metrics op, the health op, the exposition file, and the
   /// shutdown acknowledgment all render; public for in-process tests.
   obs::MetricsSnapshot metricsSnapshot() const;
@@ -230,8 +219,8 @@ private:
   /// Renders and atomically rewrites Config::MetricsFile (no-op when the
   /// path is empty). Serialized internally; safe from any thread.
   void writeMetricsFile();
-  /// The metrics-op response body (uptime + snapshot + shared-cache
-  /// attribution for the accounting cross-check).
+  /// The metrics-op response body (uptime + snapshot + the result store's
+  /// own counters).
   std::string metricsBody() const;
   /// The health-op response body.
   std::string healthBody() const;
@@ -246,7 +235,6 @@ private:
                      std::shared_ptr<const engine::BaselineResult> Baseline);
 
   Config Cfg;
-  std::unique_ptr<QueryCache> Cache;
   std::string StartupNote;
   std::unique_ptr<Telemetry> Tele;
 

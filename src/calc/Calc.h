@@ -34,7 +34,6 @@
 #include "obs/Trace.h"
 #include "omega/OmegaContext.h"
 #include "omega/Problem.h"
-#include "omega/QueryCache.h"
 
 #include <map>
 #include <memory>
@@ -53,17 +52,15 @@ struct NamedSet {
 
 class Calculator {
 public:
-  Calculator() : Ctx(&Cache) {}
-
   /// Executes a whole script; returns everything the commands printed
   /// (including error messages, which also set hadError()). Runs under
-  /// the calculator's own OmegaContext, so stats and memoized queries
-  /// accumulate per calculator and never touch the process default.
+  /// the calculator's own OmegaContext, so stats accumulate per calculator
+  /// and never touch the process default.
   std::string run(std::string_view Script);
 
   bool hadError() const { return HadError; }
 
-  /// The calculator's private context (stats sink + query cache).
+  /// The calculator's private context (stats sink and toggles).
   OmegaContext &context() { return Ctx; }
 
   /// Looks up a set defined by a previous run() call (tests use this).
@@ -97,7 +94,6 @@ public:
 
 private:
   std::map<std::string, NamedSet> Sets;
-  QueryCache Cache;
   OmegaContext Ctx;
   std::unique_ptr<obs::Tracer> Tracer;
   bool HadError = false;

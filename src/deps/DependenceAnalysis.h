@@ -28,8 +28,8 @@ namespace deps {
 
 class DependenceAnalysis {
 public:
-  /// Analyses run against \p Ctx: its stats record the work, its cache (if
-  /// any) memoizes the Omega queries. Defaults to the calling thread's
+  /// Analyses run against \p Ctx: its stats record the work and its
+  /// toggles steer the pair solver. Defaults to the calling thread's
   /// current context; the parallel engine passes each worker's own.
   explicit DependenceAnalysis(const ir::AnalyzedProgram &AP,
                               OmegaContext &Ctx = OmegaContext::current())

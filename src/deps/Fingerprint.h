@@ -25,8 +25,8 @@
 /// delta planner (src/engine/DeltaPlanner.h) relies on exactly this
 /// property to carry results across program versions.
 ///
-/// Following the QueryCache convention, the canonical string itself is
-/// the match key -- hashes are never used as keys, only for display.
+/// The canonical string itself is the match key -- hashes are never used
+/// as keys, only for display.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- deps/PairSolver.cpp - Incremental per-pair dependence solving ------===//
+//===- deps/PairSolver.cpp - Per-pair dependence solving ------------------===//
 //
 // Part of the omega-deps project.
 //
@@ -9,11 +9,8 @@
 #include "deps/DependenceAnalysis.h"
 #include "obs/Trace.h"
 #include "omega/Projection.h"
-#include "omega/QueryCache.h"
 #include "omega/Satisfiability.h"
 #include "support/MathUtils.h"
-
-#include <limits>
 
 using namespace omega;
 using namespace omega::deps;
@@ -26,38 +23,6 @@ const Problem &PairSolver::pairProblem() {
   if (!Pair)
     Pair = buildPairProblem(Space);
   return *Pair;
-}
-
-void PairSolver::ensureSnapshot() {
-  if (Snap)
-    return;
-  // Variables any ordering or distance row may mention: the iteration
-  // variables of the common loops, on both sides. Everything else --
-  // deeper iteration variables, symbolic constants, term variables, stride
-  // wildcards -- is private to the shared system and eliminable.
-  std::vector<bool> Keep(pairProblem().getNumVars(), false);
-  unsigned Common = Space.numCommonLoops(0, 1);
-  for (unsigned D = 0; D != Common; ++D) {
-    Keep[Space.iterVar(0, D)] = true;
-    Keep[Space.iterVar(1, D)] = true;
-  }
-  // With a cache and sharing on, adopt a previously built snapshot for the
-  // exact same (system, keep mask) -- typically left by an earlier request
-  // over the same program in the serving stack. A snapshot is a
-  // deterministic function of its key, so adoption is result-identical to
-  // rebuilding; only counters and wall time change.
-  if (Ctx.Cache && Ctx.SnapshotSharing) {
-    std::string Key = snapshotCacheKey(*Pair, Keep);
-    if (std::optional<EliminationSnapshot> Cached =
-            Ctx.Cache->lookupSnapshot(Key, &Ctx.Stats)) {
-      Snap.emplace(std::move(*Cached));
-      return;
-    }
-    Snap.emplace(*Pair, Keep, Ctx);
-    Ctx.Cache->storeSnapshot(Key, *Snap, &Ctx.Stats);
-    return;
-  }
-  Snap.emplace(*Pair, Keep, Ctx);
 }
 
 //===----------------------------------------------------------------------===//
@@ -283,65 +248,27 @@ std::optional<Dependence> PairSolver::solveOrdered(unsigned SI, unsigned DI,
                                                    const ir::Access &Dst,
                                                    DepKind Kind) {
   unsigned Common = Space.numCommonLoops(SI, DI);
-  bool UseSnap = Ctx.IncrementalSnapshots;
-  if (UseSnap)
-    ensureSnapshot();
 
   Dependence Dep;
   Dep.Src = &Src;
   Dep.Dst = &Dst;
   Dep.Kind = Kind;
 
-  auto summarize = [&](const Problem &Case) {
-    Problem WithDeltas = Case;
-    std::vector<VarId> Deltas = Space.addDistanceVars(WithDeltas, SI, DI);
-    DepSplit Split;
-    for (VarId Delta : Deltas) {
-      DirectionElem Elem;
-      Elem.Range = computeVarRange(WithDeltas, Delta, Ctx);
-      Split.Dir.push_back(Elem);
-    }
-    return Split;
-  };
-
-  // One (kind, level) case: either a replay of the ordering rows on a copy
-  // of the snapshot's reduced system, or the from-scratch pair problem.
+  // One (kind, level) case: the shared pair problem plus the ordering rows
+  // of the level, solved from scratch.
   auto solveCase = [&](unsigned Level) -> std::optional<DepSplit> {
-    if (UseSnap) {
-      if (Snap->state() == EliminationSnapshot::State::ProvedUnsat) {
-        // The shared system is already unsatisfiable; adding ordering rows
-        // cannot revive it. The snapshot answers the case outright.
-        ++Ctx.Stats.SnapshotReuses;
-        return std::nullopt;
-      }
-      if (Snap->state() == EliminationSnapshot::State::Ready) {
-        Problem Case = Snap->reduced();
-        Space.addPrecedesAtLevel(Case, SI, DI, Level);
-        if (Snap->deltasCompatible(Case)) {
-          ++Ctx.Stats.SnapshotReuses;
-          if (!isSatisfiable(Case, SatOptions(), Ctx))
-            return std::nullopt;
-          // The reduced system decides satisfiability exactly (it is
-          // sat-equivalent over the kept variables and the procedure is
-          // complete), but distance summaries read bounds off projected
-          // pieces, which is form-sensitive: residual stride wildcards in
-          // the reduced rows can hide bounds the scratch form exposes.
-          // Summarize from the scratch system so --no-incremental stays
-          // result-identical.
-          Problem Scratch = pairProblem();
-          Space.addPrecedesAtLevel(Scratch, SI, DI, Level);
-          return summarize(Scratch);
-        }
-      }
-      // Saturated snapshot or a delta over an eliminated column: this case
-      // must not trust the reduced system.
-      ++Ctx.Stats.SnapshotFallbacks;
-    }
     Problem Case = pairProblem();
     Space.addPrecedesAtLevel(Case, SI, DI, Level);
     if (!isSatisfiable(Case, SatOptions(), Ctx))
       return std::nullopt;
-    return summarize(Case);
+    std::vector<VarId> Deltas = Space.addDistanceVars(Case, SI, DI);
+    DepSplit Split;
+    for (VarId Delta : Deltas) {
+      DirectionElem Elem;
+      Elem.Range = computeVarRange(Case, Delta, Ctx);
+      Split.Dir.push_back(Elem);
+    }
+    return Split;
   };
 
   for (unsigned Level = 1; Level <= Common; ++Level) {

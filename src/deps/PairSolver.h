@@ -1,4 +1,4 @@
-//===- deps/PairSolver.h - Incremental per-pair dependence solving --------===//
+//===- deps/PairSolver.h - Per-pair dependence solving --------------------===//
 //
 // Part of the omega-deps project: a reproduction of Pugh & Wonnacott,
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
@@ -16,16 +16,14 @@
 ///     bounds) -- a sound pre-filter that answers *every* query of a
 ///     provably independent or trivially dependent pair with no Omega call
 ///     at all (per-class counters feed the Figure-6-style profile);
-///  2. otherwise builds the shared pair problem once, reduces it once into
-///     an EliminationSnapshot (omega/Snapshot.h), and answers each (kind,
-///     level) query by replaying only that query's ordering rows on a copy
-///     of the snapshot, falling back to the from-scratch path whenever a
-///     replay would touch an eliminated column (or the snapshot saturated).
+///  2. otherwise builds the shared pair problem once and answers each
+///     (kind, level) query with a fresh Omega test on a copy of it plus
+///     that query's ordering rows.
 ///
-/// Both tiers are result-identical to DependenceAnalysis::computeDependence
-/// by construction (PairSolverDifferentialTest pins this down over the
-/// corpus and the random-program generator); the OmegaContext toggles
-/// PairQuickTests / IncrementalSnapshots ablate each tier independently.
+/// The quick tests are result-identical to
+/// DependenceAnalysis::computeDependence by construction
+/// (PairSolverDifferentialTest pins this down over the corpus and the
+/// random-program generator); OmegaContext::PairQuickTests ablates them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +32,7 @@
 
 #include "deps/DepSpace.h"
 #include "deps/Dependence.h"
-#include "omega/Snapshot.h"
+#include "omega/Problem.h"
 
 #include <optional>
 
@@ -70,7 +68,6 @@ private:
   enum class QuickClass : uint8_t { None, ZIV, GCD, Bounds };
 
   void ensureQuickTests();
-  void ensureSnapshot();
   const Problem &pairProblem();
 
   std::optional<Dependence> solveOrdered(unsigned SI, unsigned DI,
@@ -80,8 +77,7 @@ private:
   DepSpace Space;
   OmegaContext &Ctx;
 
-  std::optional<Problem> Pair;                ///< shared pair problem
-  std::optional<EliminationSnapshot> Snap;    ///< reduction of *Pair
+  std::optional<Problem> Pair; ///< shared pair problem
 
   bool QuickDone = false;
   QuickVerdict Verdict = QuickVerdict::Unknown;

@@ -16,14 +16,14 @@ using namespace omega::engine;
 using namespace omega::engine::detail;
 
 //===----------------------------------------------------------------------===//
-// Persistence (mirrors QueryCache's on-disk conventions)
+// Persistence
 //===----------------------------------------------------------------------===//
 
 namespace omega {
 namespace engine {
 namespace detail {
 
-/// FNV-1a, the same checksum the query-cache file uses.
+/// FNV-1a over the payload bytes.
 uint64_t checksum64(const std::string &Bytes) {
   uint64_t H = 1469598103934665603ull;
   for (unsigned char C : Bytes) {

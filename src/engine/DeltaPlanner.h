@@ -127,9 +127,8 @@ struct KillGroupOutcome {
 //===----------------------------------------------------------------------===//
 
 /// The pipeline switches a stored outcome depends on. A baseline recorded
-/// under one signature is unusable under another (solver-tier toggles --
-/// quick pair tests, incremental snapshots, snapshot sharing -- are
-/// excluded: they are result-identical by construction).
+/// under one signature is unusable under another (the quick pair tests
+/// are excluded: they are result-identical by construction).
 struct PipelineSig {
   bool Refine = true;
   bool Cover = true;

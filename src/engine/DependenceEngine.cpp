@@ -99,15 +99,9 @@ std::string accessLabel(const ir::Access &A) {
 } // namespace
 
 DependenceEngine::DependenceEngine(const AnalysisRequest &Req) : Req(Req) {
-  if (Req.SharedCache)
-    Cache = Req.SharedCache;
-  else if (Req.UseQueryCache) {
-    OwnedCache = std::make_unique<QueryCache>();
-    Cache = OwnedCache.get();
-  }
-  Pool = std::make_unique<WorkerPool>(Req.Jobs, Cache, Req.Trace);
-  // The pair-solver tiers read their toggles off the worker's context, so
-  // deep call chains (and the calc/CLI ablations) all steer one switch.
+  Pool = std::make_unique<WorkerPool>(Req.Jobs, Req.Trace);
+  // The pair solver reads its quick-test toggle off the worker's context,
+  // so deep call chains (and the calc/CLI ablations) all steer one switch.
   applyOptions(Req);
 }
 
@@ -120,8 +114,6 @@ void DependenceEngine::applyOptions(const AnalysisRequest &O) {
   Req.Kill = O.Kill;
   Req.Terminate = O.Terminate;
   Req.PairQuickTests = O.PairQuickTests;
-  Req.Incremental = O.Incremental;
-  Req.ShareSnapshots = O.ShareSnapshots;
   Req.Baseline = O.Baseline;
   Req.BuildBaseline = O.BuildBaseline;
   Req.Store = O.Store;
@@ -131,8 +123,6 @@ void DependenceEngine::applyOptions(const AnalysisRequest &O) {
   Pool->setActiveWorkers(O.Jobs);
   Pool->forEachContext([&](OmegaContext &Ctx) {
     Ctx.PairQuickTests = Req.PairQuickTests;
-    Ctx.IncrementalSnapshots = Req.Incremental;
-    Ctx.SnapshotSharing = Req.ShareSnapshots;
   });
 }
 
@@ -153,8 +143,8 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   // flow computations phase 2 consumes -- scheduled per *pair* rather than
   // per query. Queries are enumerated exactly as the serial analysis does,
   // then grouped by unordered reference pair in first-appearance order:
-  // one task per group builds one PairSolver (quick tests once, one
-  // elimination snapshot living on one worker) and answers all of the
+  // one task per group builds one PairSolver (quick tests and the shared
+  // pair problem once, on one worker) and answers all of the
   // pair's kinds, directions and levels on it. Results still land in
   // index-addressed per-query slots and merge in enumeration order, so the
   // output is identical to per-query scheduling.
@@ -817,21 +807,10 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   }
   Result.Delta = Delta;
   Result.Baseline = std::move(NewBL);
-  if (Cache) {
-    // This run's cache traffic comes from the merged per-context counters,
-    // not global before/after deltas: several engines may share one cache
-    // (the serving stack does), and a delta would charge this request with
-    // every concurrent request's traffic.
-    Result.Cache.SatHits = Result.Stats.SatCacheHits;
-    Result.Cache.SatMisses = Result.Stats.SatCacheMisses;
-    Result.Cache.GistHits = Result.Stats.GistCacheHits;
-    Result.Cache.GistMisses = Result.Stats.GistCacheMisses;
-    Result.CacheEntries = Cache->size();
-  }
   return Result;
 }
 
-// Legacy entry point, preserved on top of the engine: serial, uncached,
+// Legacy entry point, preserved on top of the engine: serial, no reuse,
 // stats merged into the caller's current context so code (and tests) that
 // watch the old global counters keep seeing them advance.
 analysis::AnalysisResult
@@ -839,7 +818,6 @@ analysis::analyzeProgram(const ir::AnalyzedProgram &AP,
                          const DriverOptions &Opts) {
   AnalysisRequest Req = AnalysisRequest::fromDriverOptions(Opts);
   Req.Jobs = 1;
-  Req.UseQueryCache = false;
   DependenceEngine Engine(Req);
   engine::AnalysisResult R = Engine.analyze(AP);
   OmegaContext::current().Stats.merge(R.Stats);

@@ -1,4 +1,4 @@
-//===- engine/DependenceEngine.h - Parallel, cached analysis facade ------===//
+//===- engine/DependenceEngine.h - Parallel analysis facade --------------===//
 //
 // Part of the omega-deps project: a reproduction of Pugh & Wonnacott,
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
@@ -9,17 +9,16 @@
 /// The DependenceEngine is the public entry point for whole-program
 /// dependence analysis. It runs the paper's Section 4 pipeline --
 /// pairwise dependences, refinement, coverage, kill analysis -- sharded
-/// across a fixed worker pool, with Omega satisfiability and gist answers
-/// memoized in a shared QueryCache.
+/// across a fixed worker pool.
 ///
 /// Determinism guarantee: for a given program and AnalysisRequest flags,
 /// the structural content of the AnalysisResult (dependences, splits,
 /// pair/kill record fields other than timings) is identical for every
-/// Jobs value and cache setting. Work is enumerated in the serial
-/// driver's order into index-addressed slots and merged in index order;
-/// the cache only ever returns answers the solver would have computed.
-/// Timings, and stats counters when the cache elides work, are the only
-/// run-to-run variation.
+/// Jobs value and reuse state. Work is enumerated in the serial pipeline's
+/// order into index-addressed slots and merged in index order; baselines
+/// and the result store only ever return outcomes the solver would have
+/// computed. Timings, and stats counters when reuse elides work, are the
+/// only run-to-run variation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,7 @@
 
 #include "analysis/Driver.h"
 #include "engine/DeltaPlanner.h"
-#include "omega/QueryCache.h"
+#include "omega/OmegaStats.h"
 
 #include <cstdint>
 #include <memory>
@@ -55,26 +54,9 @@ struct AnalysisRequest {
   bool Terminate = false;
   /// Worker threads; 1 runs inline on the caller, 0 asks the hardware.
   unsigned Jobs = 1;
-  /// Memoize satisfiability and gist queries across the whole engine
-  /// lifetime (repeat analyses reuse earlier answers).
-  bool UseQueryCache = true;
   /// ZIV/GCD/bounds pre-filter: decide provably independent or trivially
   /// dependent pairs with no Omega call (ablation: --no-quicktests).
   bool PairQuickTests = true;
-  /// Per-pair elimination snapshots: reduce each pair's shared system once
-  /// and replay only the per-query ordering rows (--no-incremental).
-  bool Incremental = true;
-  /// Share elimination snapshots across pair solvers through the query
-  /// cache, so repeat analyses -- and concurrent server requests over the
-  /// same kernels -- adopt snapshots instead of rebuilding them
-  /// (--no-snapshot-sharing). Requires a cache; result-identical either
-  /// way.
-  bool ShareSnapshots = true;
-  /// Use this externally owned cache instead of constructing one. The
-  /// serving stack points every worker engine at one cache, which is what
-  /// makes warmth survive across requests and clients. Must outlive the
-  /// engine; overrides UseQueryCache when non-null.
-  QueryCache *SharedCache = nullptr;
   /// Optional tracer: each worker context gets a registered trace buffer
   /// and every work item is recorded as an engine-task span keyed by its
   /// serial enumeration order, so merged traces are identical for every
@@ -117,10 +99,6 @@ struct AnalysisRequest {
 struct AnalysisResult : analysis::AnalysisResult {
   /// Omega work done by this run, merged over the worker contexts.
   OmegaStats Stats;
-  /// Cache traffic of this run alone (all zero when the cache is off).
-  QueryCacheStats Cache;
-  /// Entries resident in the engine's cache after the run.
-  std::uint64_t CacheEntries = 0;
   /// Cross-version reuse accounting (Active only when a baseline was
   /// consulted or recorded).
   DeltaMetrics Delta;
@@ -138,18 +116,15 @@ public:
   DependenceEngine(const DependenceEngine &) = delete;
   DependenceEngine &operator=(const DependenceEngine &) = delete;
 
-  /// Runs the full pipeline over \p AP. May be called repeatedly; the
-  /// query cache persists across calls, so re-analyses hit it.
+  /// Runs the full pipeline over \p AP. May be called repeatedly.
   AnalysisResult analyze(const ir::AnalyzedProgram &AP);
 
   /// Re-points the pipeline and tier toggles (QuickTests, Refine, Cover,
-  /// Kill, Terminate, PairQuickTests, Incremental, ShareSnapshots), the
-  /// reuse fields (Baseline, BuildBaseline, Store), and the active worker
-  /// count (Jobs, clamped to the pool built at construction) at \p O's values
-  /// without rebuilding the pool or cache. The serving stack uses this
-  /// to honor per-request options on a long-lived engine; the remaining
-  /// structural fields (UseQueryCache, SharedCache, Trace) are fixed at
-  /// construction and ignored here.
+  /// Kill, Terminate, PairQuickTests), the reuse fields (Baseline,
+  /// BuildBaseline, Store), and the active worker count (Jobs, clamped to
+  /// the pool built at construction) at \p O's values without rebuilding
+  /// the pool. The serving stack uses this to honor per-request options on
+  /// a long-lived engine; Trace is fixed at construction and ignored here.
   void applyOptions(const AnalysisRequest &O);
 
   /// Attaches \p T (null detaches) for subsequent analyze() calls:
@@ -170,13 +145,8 @@ public:
 
   const AnalysisRequest &request() const { return Req; }
 
-  /// The engine's cache (owned or shared), or null when caching is off.
-  QueryCache *cache() { return Cache; }
-
 private:
   AnalysisRequest Req;
-  std::unique_ptr<QueryCache> OwnedCache;
-  QueryCache *Cache = nullptr;
   std::unique_ptr<WorkerPool> Pool;
 };
 

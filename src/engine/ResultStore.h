@@ -24,10 +24,9 @@
 ///
 /// The store is sharded (per-shard mutex + LRU list) so N worker
 /// engines can consult it concurrently, LRU-bounded with eviction
-/// accounting, and persists to a versioned checksummed file ('OMRS')
-/// with the same conventions as the query-cache file: corruption or
-/// version skew rejects the whole file (warned cold start, never a
-/// wrong answer), and save -> load -> save is bit-identical.
+/// accounting, and persists to a versioned checksummed file ('OMRS'):
+/// corruption or version skew rejects the whole file (warned cold start,
+/// never a wrong answer), and save -> load -> save is bit-identical.
 ///
 /// Entries hold the serialized wire form of the outcome (the same
 /// encoding BaselineResult persists with) rather than the structured

@@ -7,14 +7,13 @@
 #include "engine/WorkerPool.h"
 
 #include "obs/Trace.h"
-#include "omega/QueryCache.h"
 
 #include <string>
 
 using namespace omega;
 using namespace omega::engine;
 
-WorkerPool::WorkerPool(unsigned Jobs, QueryCache *Cache, obs::Tracer *Tracer) {
+WorkerPool::WorkerPool(unsigned Jobs, obs::Tracer *Tracer) {
   if (Jobs == 0) {
     Jobs = std::thread::hardware_concurrency();
     if (Jobs == 0)
@@ -24,7 +23,7 @@ WorkerPool::WorkerPool(unsigned Jobs, QueryCache *Cache, obs::Tracer *Tracer) {
   ActiveWorkers = Jobs;
   Contexts.reserve(NumWorkers);
   for (unsigned I = 0; I != NumWorkers; ++I) {
-    Contexts.push_back(std::make_unique<OmegaContext>(Cache));
+    Contexts.push_back(std::make_unique<OmegaContext>());
     if (Tracer)
       Contexts.back()->Trace = &Tracer->registerBuffer(
           "worker-" + std::to_string(I), &Contexts.back()->Stats);

@@ -7,10 +7,10 @@
 ///
 /// \file
 /// A fixed pool of worker threads for the dependence engine. Each worker
-/// owns a persistent OmegaContext (stats sink plus a handle on the shared
-/// QueryCache) and installs it as the thread's current context for its
-/// whole lifetime, so arbitrarily deep Omega call chains reached from a
-/// task default to the right context without explicit plumbing.
+/// owns a persistent OmegaContext (stats sink and trace buffer) and installs
+/// it as the thread's current context for its whole lifetime, so
+/// arbitrarily deep Omega call chains reached from a task default to the
+/// right context without explicit plumbing.
 ///
 /// Scheduling is dynamic (workers claim task indices from an atomic
 /// counter) but the engine stays deterministic because tasks write into
@@ -36,8 +36,6 @@
 
 namespace omega {
 
-class QueryCache;
-
 namespace obs {
 class Tracer;
 } // namespace obs
@@ -52,12 +50,11 @@ public:
 
   /// Spawns \p Jobs workers (0 means the hardware concurrency). Jobs <= 1
   /// spawns no thread at all: parallelFor then runs inline on the caller,
-  /// still under a pool-owned context. \p Cache (may be null) is shared by
-  /// every worker context. A non-null \p Tracer gets one "worker-N" trace
-  /// buffer registered per context, so recording is lock-free (one writer
-  /// per buffer) and the tracer merges deterministically afterwards.
-  explicit WorkerPool(unsigned Jobs, QueryCache *Cache = nullptr,
-                      obs::Tracer *Tracer = nullptr);
+  /// still under a pool-owned context. A non-null \p Tracer gets one
+  /// "worker-N" trace buffer registered per context, so recording is
+  /// lock-free (one writer per buffer) and the tracer merges
+  /// deterministically afterwards.
+  explicit WorkerPool(unsigned Jobs, obs::Tracer *Tracer = nullptr);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool &) = delete;

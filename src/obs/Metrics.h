@@ -11,7 +11,7 @@
 /// counters that sum exactly, not sampled estimates. Three instrument
 /// kinds:
 ///
-///  * Counter   -- monotonic, add-only (requests, cache hits);
+///  * Counter   -- monotonic, add-only (requests, store hits);
 ///  * Gauge     -- a signed level that moves both ways (queue depth);
 ///  * Histogram -- fixed boundaries chosen at registration, exact integer
 ///    bucket counts (no decay, no approximation), plus an exact sum.
@@ -263,8 +263,8 @@ public:
   /// them. Not a barrier: increments racing the reset land wholly before
   /// or after it. Backs {"op":"metrics","reset":true}, which is meant
   /// for per-window measurement on otherwise quiescent rigs; note that
-  /// cross-source invariants against non-registry totals (the shared
-  /// cache's global counters) only hold over a full process lifetime.
+  /// cross-source invariants against non-registry totals (the result
+  /// store's own lifetime counters) only hold over a full process lifetime.
   void reset();
 
 private:

@@ -34,8 +34,6 @@ const char *obs::spanKindName(SpanKind K) {
     return "cover";
   case SpanKind::Refine:
     return "refine";
-  case SpanKind::SnapshotBuild:
-    return "snapshot-build";
   case SpanKind::QuickTest:
     return "quick-test";
   case SpanKind::EngineTask:
@@ -165,9 +163,6 @@ std::string Tracer::chromeTraceJson() const {
       else
         appendF(Out, ",\"dur\":%.3f", E.DurNs / 1000.0);
       appendF(Out, ",\"args\":{\"vars\":%u,\"rows\":%u", E.Vars, E.Rows);
-      if (E.Cache != CacheTag::None)
-        appendF(Out, ",\"cache\":\"%s\"",
-                E.Cache == CacheTag::Hit ? "hit" : "miss");
       if (!Instant && !E.Label.empty()) {
         Out += ",\"label\":\"";
         appendJsonEscaped(Out, E.Label);
@@ -223,9 +218,7 @@ ProfileData Tracer::profile() const {
       if (E.Depth == 0)
         P.Stats.merge(E.Delta);
       if (E.Kind == SpanKind::Sat) {
-        if (E.Cache == CacheTag::Hit)
-          ++P.Classes.CacheHit;
-        else if (Own[I].SplintersExplored > 0)
+        if (Own[I].SplintersExplored > 0)
           ++P.Classes.Splintered;
         else if (Own[I].InexactEliminations > 0)
           ++P.Classes.General;
@@ -262,11 +255,11 @@ std::string Tracer::profileReport(bool Json, double WallMs,
     }
     Out += "\n  ]";
     appendF(Out,
-            ",\n  \"classes\": {\"cache_hit\": %" PRIu64 ", \"exact\": %" PRIu64
+            ",\n  \"classes\": {\"exact\": %" PRIu64
             ", \"general\": %" PRIu64 ", \"splintered\": %" PRIu64
             ", \"total\": %" PRIu64 "}",
-            P.Classes.CacheHit, P.Classes.Exact, P.Classes.General,
-            P.Classes.Splintered, P.Classes.total());
+            P.Classes.Exact, P.Classes.General, P.Classes.Splintered,
+            P.Classes.total());
     Out += ",\n  \"stats\": {";
     struct {
       const char *Name;
@@ -284,13 +277,6 @@ std::string Tracer::profileReport(bool Json, double WallMs,
         {"gist_fast_drops", S.GistFastDrops},
         {"gist_fast_keeps", S.GistFastKeeps},
         {"gist_sat_tests", S.GistSatTests},
-        {"sat_cache_hits", S.SatCacheHits},
-        {"sat_cache_misses", S.SatCacheMisses},
-        {"gist_cache_hits", S.GistCacheHits},
-        {"gist_cache_misses", S.GistCacheMisses},
-        {"snapshot_builds", S.SnapshotBuilds},
-        {"snapshot_reuses", S.SnapshotReuses},
-        {"snapshot_fallbacks", S.SnapshotFallbacks},
         {"quicktest_ziv", S.QuickTestZIV},
         {"quicktest_gcd", S.QuickTestGCD},
         {"quicktest_bounds", S.QuickTestBounds},
@@ -313,31 +299,17 @@ std::string Tracer::profileReport(bool Json, double WallMs,
     appendF(Out, "%-14s %10" PRIu64 " %12.3f %12.3f\n", spanKindName(R.Kind),
             R.Calls, R.SelfMs, R.InclMs);
 
-  uint64_t SatLookups = S.SatCacheHits + S.SatCacheMisses;
-  uint64_t GistLookups = S.GistCacheHits + S.GistCacheMisses;
-  appendF(Out, "cache: sat %" PRIu64 "/%" PRIu64 " hits", S.SatCacheHits,
-          SatLookups);
-  if (SatLookups)
-    appendF(Out, " (%.1f%%)", 100.0 * S.SatCacheHits / SatLookups);
-  appendF(Out, ", gist %" PRIu64 "/%" PRIu64 " hits", S.GistCacheHits,
-          GistLookups);
-  if (GistLookups)
-    appendF(Out, " (%.1f%%)", 100.0 * S.GistCacheHits / GistLookups);
-  Out += "\n";
   appendF(Out,
-          "query classes (Figure 6 style): cache-hit %" PRIu64
-          ", exact %" PRIu64 ", general %" PRIu64 ", splintered %" PRIu64
-          ", total %" PRIu64 " (sat_calls %" PRIu64 ")\n",
-          P.Classes.CacheHit, P.Classes.Exact, P.Classes.General,
-          P.Classes.Splintered, P.Classes.total(), S.SatisfiabilityCalls);
+          "query classes (Figure 6 style): exact %" PRIu64
+          ", general %" PRIu64 ", splintered %" PRIu64 ", total %" PRIu64
+          " (sat_calls %" PRIu64 ")\n",
+          P.Classes.Exact, P.Classes.General, P.Classes.Splintered,
+          P.Classes.total(), S.SatisfiabilityCalls);
   appendF(Out,
           "pair tiers: quick-test decided %" PRIu64 " (ziv %" PRIu64
-          ", gcd %" PRIu64 ", bounds %" PRIu64 ", trivial %" PRIu64
-          "), snapshot reuses %" PRIu64 " / builds %" PRIu64
-          " (fallbacks %" PRIu64 ")\n",
+          ", gcd %" PRIu64 ", bounds %" PRIu64 ", trivial %" PRIu64 ")\n",
           S.QuickTestDecided, S.QuickTestZIV, S.QuickTestGCD, S.QuickTestBounds,
-          S.QuickTestTrivialDep, S.SnapshotReuses, S.SnapshotBuilds,
-          S.SnapshotFallbacks);
+          S.QuickTestTrivialDep);
   return Out;
 }
 
@@ -368,16 +340,10 @@ std::string Tracer::explainLog() const {
     std::string Block;
     for (std::size_t J = I; J != End; ++J) {
       const TraceEvent &E = All[J];
-      if (E.Kind == SpanKind::Decision) {
-        Block += "  ";
-        Block += E.Label;
-      } else if (E.Cache == CacheTag::Hit) {
-        Block += "  ";
-        Block += spanKindName(E.Kind);
-        Block += ": cache hit";
-      } else {
+      if (E.Kind != SpanKind::Decision)
         continue;
-      }
+      Block += "  ";
+      Block += E.Label;
       if (E.Vars || E.Rows)
         appendF(Block, " (vars=%u rows=%u)", E.Vars, E.Rows);
       Block += "\n";

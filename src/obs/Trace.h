@@ -11,10 +11,9 @@
 /// Figure 6 classifies every dependence query by how hard the Omega test
 /// worked, and Section 6 reports where time goes -- here every decision
 /// procedure entry point records a *span* (monotonic-clock duration,
-/// nesting depth, the OmegaStats counter movement across the span, cache
-/// hit/miss tags and the constraint problem size at entry), and the
-/// Section 4 pipeline records *decision* events explaining which mechanism
-/// settled each array pair.
+/// nesting depth, the OmegaStats counter movement across the span and the
+/// constraint problem size at entry), and the Section 4 pipeline records
+/// *decision* events explaining which mechanism settled each array pair.
 ///
 /// Recording is context-scoped and lock-free: an OmegaContext optionally
 /// points at a TraceBuffer, and every buffer has exactly one writer (the
@@ -34,7 +33,7 @@
 ///  * chromeTraceJson(): Chrome trace_event JSON, loadable in
 ///    chrome://tracing or Perfetto, one track per registered buffer;
 ///  * profileReport(): per-phase wall time (self and inclusive), call
-///    counts, cache hit rates and a Figure-6-style query classification,
+///    counts, pair-tier counters and a Figure-6-style query classification,
 ///    as text or JSON;
 ///  * explainLog(): per work item, which mechanism decided the outcome
 ///    (dark shadow, real shadow, gist fast-check, kill/cover, refinement)
@@ -71,7 +70,6 @@ enum class SpanKind : uint8_t {
   Kill,       ///< Section 4.1/4.3 kill / terminate predicate
   Cover,      ///< Section 4.2 coverage predicate
   Refine,     ///< Section 4.4 refinement of one dependence
-  SnapshotBuild, ///< construction of one pair elimination snapshot
   QuickTest,  ///< ZIV/GCD/bounds pre-filter over one pair
   EngineTask, ///< one engine work item (pair / flow / kill group)
   Decision,   ///< instant event: a mechanism decided an outcome
@@ -80,13 +78,9 @@ enum class SpanKind : uint8_t {
 
 const char *spanKindName(SpanKind K);
 
-/// Whether a sat/gist span was answered from the QueryCache.
-enum class CacheTag : uint8_t { None, Hit, Miss };
-
 /// One recorded span (or instant decision event).
 struct TraceEvent {
   SpanKind Kind = SpanKind::Sat;
-  CacheTag Cache = CacheTag::None;
   uint16_t Depth = 0;    ///< nesting depth inside the buffer at begin
   uint32_t Vars = 0;     ///< problem size at entry: live variables ...
   uint32_t Rows = 0;     ///< ... and constraint rows
@@ -154,7 +148,6 @@ public:
       Events[Open.back().EventIdx].ChildNs += E.DurNs;
   }
 
-  void setCache(unsigned Idx, CacheTag T) { Events[Idx].Cache = T; }
   void setLabel(unsigned Idx, std::string L) {
     Events[Idx].Label = std::move(L);
   }
@@ -223,14 +216,13 @@ struct ProfilePhase {
 };
 
 /// Figure-6-style classification of the satisfiability queries, derived
-/// from the per-span counter deltas. CacheHit + Exact + General +
-/// Splintered always equals the merged SatisfiabilityCalls counter.
+/// from the per-span counter deltas. Exact + General + Splintered always
+/// equals the merged SatisfiabilityCalls counter.
 struct QueryClasses {
-  uint64_t CacheHit = 0;   ///< answered by the QueryCache
   uint64_t Exact = 0;      ///< only exact eliminations (no Omega "general test")
   uint64_t General = 0;    ///< inexact elimination, shadows decided
   uint64_t Splintered = 0; ///< had to explore splinters
-  uint64_t total() const { return CacheHit + Exact + General + Splintered; }
+  uint64_t total() const { return Exact + General + Splintered; }
 };
 
 struct ProfileData {
@@ -304,10 +296,6 @@ public:
   ScopedSpan(const ScopedSpan &) = delete;
   ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-  void cache(CacheTag T) {
-    if (B)
-      B->setCache(Idx, T);
-  }
   void label(const char *L) {
     if (B)
       B->setLabel(Idx, L);

@@ -18,8 +18,7 @@
 /// allocates. Each row also lazily maintains a structural signature -- a
 /// commutative hash of its orientation-canonical coefficient vector plus
 /// the active-variable count -- which normalize() uses to bucket rows in
-/// O(1) instead of O(vars) comparisons, and which the query cache reuses
-/// when sorting rows into canonical key order.
+/// O(1) instead of O(vars) comparisons.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,7 +9,6 @@
 #include "obs/Trace.h"
 #include "omega/OmegaContext.h"
 #include "omega/Projection.h"
-#include "omega/QueryCache.h"
 #include "omega/Satisfiability.h"
 
 #include <algorithm>
@@ -135,34 +134,13 @@ Problem omega::gist(const Problem &P, const Problem &Given,
                                              Given.constraints().size()));
   ++Ctx.Stats.GistCalls;
 
-  // Memoization: the result's rows are stored bare and re-hung on the
-  // caller's layout, so names never matter; the key serializes both row
-  // systems exactly.
-  QueryCache *Cache = Ctx.Cache;
-  std::string Key;
-  if (Cache) {
-    Key = gistCacheKey(P, Given, Opts.UseFastChecks);
-    if (std::optional<std::vector<Constraint>> Hit =
-            Cache->lookupGist(Key, &Ctx.Stats)) {
-      Span.cache(obs::CacheTag::Hit);
-      Problem Result = P.cloneLayout();
-      for (const Constraint &Row : *Hit)
-        Result.addConstraint(Row);
-      return Result;
-    }
-    Span.cache(obs::CacheTag::Miss);
-  }
-
   // Coefficient-overflow containment: if anything saturates while
   // computing the gist, fall back to P itself, which satisfies the gist
-  // equation trivially (it is just not minimal). Unreliable results are
-  // never memoized.
+  // equation trivially (it is just not minimal).
   OverflowScope Scope;
   Problem Result = gistImpl(P, Given, Opts, Ctx);
   if (Scope.overflowed())
     return P;
-  if (Cache)
-    Cache->storeGist(Key, Result.constraints());
   return Result;
 }
 

@@ -7,16 +7,16 @@
 ///
 /// \file
 /// An OmegaContext carries the per-computation state of the Omega core:
-/// the statistics counters and an optional handle to a shared QueryCache
-/// that memoizes satisfiability and gist answers. Every decision-procedure
-/// entry point (isSatisfiable, projectOnto*, gist, ...) takes a context
-/// parameter defaulted to the calling thread's *current* context, so
+/// the statistics counters, an optional trace buffer and the quick-test
+/// toggle. It holds no solver answers: every query runs the Omega test
+/// from scratch. Every decision-procedure entry point (isSatisfiable,
+/// projectOnto*, gist, ...) takes a context parameter defaulted to the
+/// calling thread's *current* context, so
 ///
 ///  * single-threaded code can ignore contexts entirely (the default
 ///    context behaves exactly like the old global state), and
-///  * concurrent analyses give each worker its own context -- stats never
-///    bleed between threads, while a cache may be shared (the cache is the
-///    only internally synchronized piece).
+///  * concurrent analyses give each worker its own context, so stats never
+///    bleed between threads.
 ///
 /// The thread-local current context is installed with OmegaContextScope;
 /// without a scope, current() is the process-wide default context. The
@@ -33,8 +33,6 @@
 
 namespace omega {
 
-class QueryCache;
-
 namespace obs {
 class TraceBuffer;
 } // namespace obs
@@ -45,31 +43,17 @@ public:
   /// must only be used from one thread at a time.
   OmegaStats Stats;
 
-  /// Optional memoization cache consulted by isSatisfiable() and gist().
-  /// The cache itself is concurrency-safe and may be shared by several
-  /// contexts; null disables memoization. Not owned.
-  QueryCache *Cache = nullptr;
-
   /// Optional trace buffer recording spans for this context's queries
   /// (see obs/Trace.h). Null disables tracing: instrumented sites guard
   /// every record with an inlined null check, so the disabled path costs
   /// one branch and never allocates. Single-writer like Stats. Not owned.
   obs::TraceBuffer *Trace = nullptr;
 
-  /// Ablation toggles for the incremental pair-solving layer (PR 4).
-  /// PairSolver consults these, so the engine, the CLI flags and the calc
-  /// directives all steer the same switch. Both tiers are sound and
-  /// result-identical; the toggles exist for benchmarking and attribution.
-  bool IncrementalSnapshots = true; ///< reuse per-pair elimination snapshots
-  bool PairQuickTests = true;       ///< ZIV/GCD/bounds pre-filter per pair
-  /// Share elimination snapshots across pair solvers through the cache
-  /// (the serving stack's cross-request warmth; see QueryCache::
-  /// lookupSnapshot). Only observable in counters and wall time: a cached
-  /// snapshot is bit-identical to a rebuilt one.
-  bool SnapshotSharing = true;
-
-  OmegaContext() = default;
-  explicit OmegaContext(QueryCache *Cache) : Cache(Cache) {}
+  /// Ablation toggle for PairSolver's ZIV/GCD/bounds pre-filter. The
+  /// engine, the CLI flag and the calc directive all steer this switch.
+  /// The pre-filter is sound and result-identical; the toggle exists for
+  /// benchmarking and attribution.
+  bool PairQuickTests = true;
 
   /// The process-wide default context, used by threads that never install
   /// a scope. Single-threaded legacy behavior: all counters land here.

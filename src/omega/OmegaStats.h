@@ -27,7 +27,7 @@ namespace omega {
 struct OmegaStats {
   uint64_t SatisfiabilityCalls = 0;
   uint64_t ProjectionCalls = 0;     // projectOntoMask entries
-  uint64_t GistCalls = 0;           // gist() entries (cache hits included)
+  uint64_t GistCalls = 0;           // gist() entries
   uint64_t ExactEliminations = 0;
   uint64_t InexactEliminations = 0;
   uint64_t SplintersExplored = 0;
@@ -37,22 +37,6 @@ struct OmegaStats {
   uint64_t GistFastDrops = 0;       // constraints dropped by fast checks
   uint64_t GistFastKeeps = 0;       // constraints kept by fast checks
   uint64_t GistSatTests = 0;        // satisfiability tests in gist loop
-  uint64_t SatCacheHits = 0;        // sat verdicts answered by QueryCache
-  uint64_t SatCacheMisses = 0;      // sat lookups that missed
-  uint64_t GistCacheHits = 0;       // gist results answered by QueryCache
-  uint64_t GistCacheMisses = 0;     // gist lookups that missed
-
-  // Incremental pair solving (deps/PairSolver.h). SnapshotReuses is the
-  // dedicated "answered on a snapshot" counter: snapshot-path queries go
-  // through isSatisfiable() exactly once like any other query (so the
-  // Figure-6 classes still sum to SatisfiabilityCalls) and bump this
-  // counter *instead of* a second cache-hit count.
-  uint64_t SnapshotBuilds = 0;      // pair snapshots constructed
-  uint64_t SnapshotReuses = 0;      // (kind, level) cases replayed on one
-  uint64_t SnapshotFallbacks = 0;   // cases sent back to the scratch path
-  uint64_t SnapshotCacheHits = 0;   // snapshots adopted from the QueryCache
-  uint64_t SnapshotCacheMisses = 0; // snapshot lookups that missed
-  uint64_t SnapshotEvictions = 0;   // snapshots dropped by the LRU cap
 
   // Edit-incremental re-analysis (engine/DeltaPlanner.h): how this run's
   // access pairs were classified against the baseline. Reused pairs adopt
@@ -105,16 +89,6 @@ private:
     GistFastDrops += Sign * O.GistFastDrops;
     GistFastKeeps += Sign * O.GistFastKeeps;
     GistSatTests += Sign * O.GistSatTests;
-    SatCacheHits += Sign * O.SatCacheHits;
-    SatCacheMisses += Sign * O.SatCacheMisses;
-    GistCacheHits += Sign * O.GistCacheHits;
-    GistCacheMisses += Sign * O.GistCacheMisses;
-    SnapshotBuilds += Sign * O.SnapshotBuilds;
-    SnapshotReuses += Sign * O.SnapshotReuses;
-    SnapshotFallbacks += Sign * O.SnapshotFallbacks;
-    SnapshotCacheHits += Sign * O.SnapshotCacheHits;
-    SnapshotCacheMisses += Sign * O.SnapshotCacheMisses;
-    SnapshotEvictions += Sign * O.SnapshotEvictions;
     DeltaPairsReused += Sign * O.DeltaPairsReused;
     DeltaPairsResolved += Sign * O.DeltaPairsResolved;
     DeltaPairsNew += Sign * O.DeltaPairsNew;

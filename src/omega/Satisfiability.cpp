@@ -10,7 +10,6 @@
 #include "omega/EqElimination.h"
 #include "omega/FourierMotzkin.h"
 #include "omega/Projection.h"
-#include "omega/QueryCache.h"
 
 #include <limits>
 #include <optional>
@@ -165,32 +164,13 @@ bool omega::isSatisfiable(Problem P, const SatOptions &Opts,
                        static_cast<uint32_t>(P.constraints().size()));
   ++Ctx.Stats.SatisfiabilityCalls;
 
-  QueryCache *Cache = Ctx.Cache;
-  std::string Key;
-  if (Cache) {
-    if (std::optional<std::string> K =
-            canonicalSatKey(P, static_cast<int>(Opts.Mode))) {
-      Key = std::move(*K);
-      if (std::optional<bool> Hit = Cache->lookupSat(Key, &Ctx.Stats)) {
-        Span.cache(obs::CacheTag::Hit);
-        return *Hit;
-      }
-      Span.cache(obs::CacheTag::Miss);
-    } else {
-      Cache = nullptr; // canonicalization saturated; don't memoize
-    }
-  }
-
   OverflowScope Scope;
   bool Result = isSatImpl(P, Opts, Ctx, 0);
   // Coefficient blowup: the computation is unreliable, so answer with the
   // conservative "maybe satisfiable" every client treats as the safe
-  // direction (dependences assumed, implications unproven). Unreliable
-  // answers are never memoized.
+  // direction (dependences assumed, implications unproven).
   if (Scope.overflowed())
     return true;
-  if (Cache)
-    Cache->storeSat(Key, Result);
   return Result;
 }
 

@@ -43,9 +43,7 @@ struct SatOptions {
 };
 
 /// Returns true iff \p P has an integer solution. \p P is taken by value;
-/// the search mutates its copy freely. Counters go to \p Ctx; when the
-/// context carries a QueryCache the answer is memoized under the canonical
-/// key of the normalized problem.
+/// the search mutates its copy freely. Counters go to \p Ctx.
 bool isSatisfiable(Problem P, const SatOptions &Opts = SatOptions(),
                    OmegaContext &Ctx = OmegaContext::current());
 

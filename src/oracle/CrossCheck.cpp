@@ -15,8 +15,7 @@ using namespace omega::oracle;
 
 const std::vector<AblationConfig> &oracle::defaultAblations() {
   static const std::vector<AblationConfig> Configs = {
-      {true, true, 1},  {true, false, 1}, {false, true, 1},
-      {false, false, 1}, {true, true, 4}, {false, false, 4},
+      {true, 1}, {false, 1}, {true, 4}, {false, 4},
   };
   return Configs;
 }
@@ -25,9 +24,7 @@ static engine::AnalysisResult runEngine(const ir::AnalyzedProgram &AP,
                                         const AblationConfig &A) {
   engine::AnalysisRequest Req;
   Req.PairQuickTests = A.QuickTests;
-  Req.Incremental = A.Incremental;
   Req.Jobs = A.Jobs;
-  Req.UseQueryCache = false;
   engine::DependenceEngine Engine(Req);
   return Engine.analyze(AP);
 }
@@ -53,7 +50,6 @@ oracle::crossCheckProgram(const std::string &Source,
     else if (Summary != Reference)
       Mismatches.push_back(
           "ablation divergence: quicktests=" + std::to_string(A.QuickTests) +
-          " incremental=" + std::to_string(A.Incremental) +
           " jobs=" + std::to_string(A.Jobs) +
           " produced structurally different dependences");
     TraceReport Trace = checkTraceWitnesses(AP, R, UnrefinedFlow, Opts);
@@ -61,7 +57,6 @@ oracle::crossCheckProgram(const std::string &Source,
       for (const std::string &M : Trace.Mismatches)
         Mismatches.push_back(
             "trace oracle (quicktests=" + std::to_string(A.QuickTests) +
-            " incremental=" + std::to_string(A.Incremental) +
             " jobs=" + std::to_string(A.Jobs) + "): " + M);
   }
 

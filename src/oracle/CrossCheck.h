@@ -8,7 +8,7 @@
 /// \file
 /// The full battery of checks run against one tiny-language program:
 /// the Section 4 engine under every ablation combination (pair quick
-/// tests on/off, incremental snapshots on/off, jobs 1 vs N) with
+/// tests on/off, jobs 1 vs N) with
 /// structural results required identical, the trace oracle on each run,
 /// and loop-bound-widening monotonicity. Shared by the omega-fuzz tool
 /// and the regression-replay test so a shrunk reproducer is replayed by
@@ -30,13 +30,12 @@ namespace oracle {
 /// One engine configuration for the ablation cross-product.
 struct AblationConfig {
   bool QuickTests;
-  bool Incremental;
   unsigned Jobs;
 };
 
-/// The configurations every program is checked under: all four
-/// quick-test x incremental toggles single-threaded, plus both extremes
-/// again at Jobs=4 to exercise the parallel scheduler.
+/// The configurations every program is checked under: quick tests on and
+/// off, each single-threaded and at Jobs=4 to exercise the parallel
+/// scheduler.
 const std::vector<AblationConfig> &defaultAblations();
 
 /// Runs the whole battery on \p Source: analyze, engine under every

@@ -74,9 +74,7 @@ std::string diffStates(const FinalState &Base, const FinalState &Staged) {
 }
 
 engine::AnalysisResult runFullEngine(const ir::AnalyzedProgram &AP) {
-  engine::AnalysisRequest Req;
-  Req.UseQueryCache = false;
-  engine::DependenceEngine Engine(Req);
+  engine::DependenceEngine Engine;
   return Engine.analyze(AP);
 }
 

@@ -7,11 +7,8 @@
 ///
 /// \file
 /// The one hashing scheme shared by every structural canonicalization in
-/// the Omega core: Problem::normalize()'s hash-bucketed row merging, the
-/// Constraint row signature it is built from, and QueryCache's
-/// variable-order-independent satisfiability keys. Keeping these on a
-/// single mixer guarantees the cache key and the normalizer agree on what
-/// "structurally equal" means.
+/// the Omega core: Problem::normalize()'s hash-bucketed row merging and
+/// the Constraint row signature it is built from.
 ///
 //===----------------------------------------------------------------------===//
 

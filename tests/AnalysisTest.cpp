@@ -352,13 +352,15 @@ TEST(Section4, LiveDeadTablesRender) {
 
 TEST(Section4, StridedNestRefinementKeepsBackwardFlow) {
   // Regression: both loops strided, write subscript with a negative outer
-  // coefficient, so the flow's distance vector is (+, -). The refinement
-  // snapshot used to drive mod-hat equality elimination into a cycle over
-  // the stride wildcards (they never reach a unit coefficient because the
-  // protected distance variables stay in the rows), saturate, and then
-  // read a bogus unsat off the clamped rows -- silently deleting the
-  // dependence. The trace oracle disagrees: b(0) written at (i=1,j=2) is
-  // read at (i=3,j=0).
+  // coefficient, so the flow's distance vector is (+, -). Found through
+  // the since-removed refinement snapshots: their reduction drove mod-hat
+  // equality elimination into a cycle over the stride wildcards (they
+  // never reach a unit coefficient because the protected distance
+  // variables stay in the rows), saturated, and read a bogus unsat off
+  // the clamped rows -- silently deleting the dependence. The equality
+  // solver now never trusts a normalize-False after overflow; this pins
+  // the from-scratch refinement path on the same system. The trace oracle
+  // agrees: b(0) written at (i=1,j=2) is read at (i=3,j=0).
   AnalyzedProgram AP = analyzeSource("for i := 1 to 5 step 2 do\n"
                                      "  for j := 0 to 6 step 2 do\n"
                                      "    b(-i+j-1) := 5;\n"

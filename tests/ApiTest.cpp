@@ -5,13 +5,14 @@
 //
 // The api layer's contract: one option table drives the CLI parser, the
 // JSON request parser, and the help text (spellings can never drift); the
-// response document is schema 4 with a deterministic "result" section.
+// response document is schema 5 with a deterministic "result" section.
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/Json.h"
 #include "api/Options.h"
 #include "api/Response.h"
+#include "engine/ResultStore.h"
 #include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
@@ -45,16 +46,11 @@ TEST(ApiOptions, DefaultsMatchStruct) {
   EXPECT_TRUE(O.QuickTests);
   EXPECT_FALSE(O.Terminate);
   EXPECT_TRUE(O.PairQuickTests);
-  EXPECT_TRUE(O.Incremental);
-  EXPECT_TRUE(O.ShareSnapshots);
   EXPECT_EQ(O.Jobs, 1u);
-  EXPECT_TRUE(O.UseQueryCache);
 
   engine::AnalysisRequest R = O.toEngineRequest();
   EXPECT_TRUE(R.Refine);
   EXPECT_TRUE(R.PairQuickTests);
-  EXPECT_TRUE(R.Incremental);
-  EXPECT_TRUE(R.ShareSnapshots);
   EXPECT_EQ(R.Jobs, 1u);
 }
 
@@ -71,18 +67,15 @@ TEST(ApiOptions, TableHasUniqueSpellings) {
 }
 
 TEST(ApiOptions, CliFlagsApply) {
-  ParsedArgs P = parsed({"--jobs", "8", "--no-quicktests", "--no-incremental",
-                         "--no-snapshot-sharing", "--no-cache", "--json",
-                         "--terminate", "--cache-file=/tmp/x.qc", "input.tiny"},
+  ParsedArgs P = parsed({"--jobs", "8", "--no-quicktests", "--json",
+                         "--terminate", "--result-cache-file=/tmp/x.rs",
+                         "input.tiny"},
                         ToolAnalyze);
   EXPECT_EQ(P.Options.Jobs, 8u);
   EXPECT_FALSE(P.Options.PairQuickTests);
-  EXPECT_FALSE(P.Options.Incremental);
-  EXPECT_FALSE(P.Options.ShareSnapshots);
-  EXPECT_FALSE(P.Options.UseQueryCache);
   EXPECT_TRUE(P.Options.Json);
   EXPECT_TRUE(P.Options.Terminate);
-  EXPECT_EQ(P.Options.CacheFile, "/tmp/x.qc");
+  EXPECT_EQ(P.Options.ResultCacheFile, "/tmp/x.rs");
   ASSERT_EQ(P.Rest.size(), 1u);
   EXPECT_EQ(P.Rest[0], "input.tiny");
 }
@@ -126,6 +119,29 @@ TEST(ApiOptions, MalformedValuesAreRejected) {
   EXPECT_FALSE(parseArgs({"--jobs"}, ToolAnalyze, Out, Err));
   EXPECT_FALSE(parseArgs({"--workers", "0"}, ToolServe, Out, Err));
   EXPECT_FALSE(parseArgs({"--all=yes"}, ToolAnalyze, Out, Err));
+  // Values that would silently truncate in a narrower field.
+  EXPECT_FALSE(parseArgs({"--jobs", "4294967297"}, ToolAnalyze, Out, Err));
+  EXPECT_FALSE(parseArgs({"--workers", "4294967297"}, ToolServe, Out, Err));
+  EXPECT_FALSE(
+      parseArgs({"--deadline-ms", "18446744073709551615"}, ToolServe, Out,
+                Err));
+
+  // The JSON spelling range-checks before converting: out-of-range or
+  // fractional numbers are rejected, never cast (1e30 has no integer).
+  for (const char *Bad : {"{\"jobs\": 1e30}", "{\"jobs\": 4294967297}",
+                          "{\"jobs\": -1e30}", "{\"jobs\": 2.5}",
+                          "{\"jobs\": 1e300}"}) {
+    json::Value Obj;
+    ASSERT_TRUE(json::parse(Bad, Obj, Err)) << Bad;
+    AnalysisOptions O;
+    EXPECT_FALSE(optionsFromJson(Obj, O, Err)) << Bad;
+    EXPECT_EQ(O.Jobs, 1u) << Bad;
+  }
+  json::Value Max;
+  ASSERT_TRUE(json::parse("{\"jobs\": 4294967295}", Max, Err));
+  AnalysisOptions O;
+  EXPECT_TRUE(optionsFromJson(Max, O, Err)) << Err;
+  EXPECT_EQ(O.Jobs, 4294967295u);
 }
 
 TEST(ApiOptions, PipelineFlagAndJsonKeyAgree) {
@@ -187,7 +203,7 @@ TEST(ApiOptions, JsonOptionsShareTheTable) {
   json::Value Obj;
   std::string Err;
   ASSERT_TRUE(json::parse("{\"jobs\": 6, \"refine\": false, "
-                          "\"quicktests\": false, \"snapshotSharing\": false}",
+                          "\"quicktests\": false, \"pipeline\": true}",
                           Obj, Err))
       << Err;
   AnalysisOptions O;
@@ -195,7 +211,14 @@ TEST(ApiOptions, JsonOptionsShareTheTable) {
   EXPECT_EQ(O.Jobs, 6u);
   EXPECT_FALSE(O.Refine);
   EXPECT_FALSE(O.PairQuickTests);
-  EXPECT_FALSE(O.ShareSnapshots);
+  EXPECT_TRUE(O.Pipeline);
+
+  // The old reuse-tier keys are gone with their tiers.
+  for (const char *Gone :
+       {"{\"incremental\": false}", "{\"snapshotSharing\": false}"}) {
+    ASSERT_TRUE(json::parse(Gone, Obj, Err));
+    EXPECT_FALSE(optionsFromJson(Obj, O, Err)) << Gone;
+  }
 
   // Unknown keys and mistyped values are hard errors, not silent noise.
   ASSERT_TRUE(json::parse("{\"refinement\": false}", Obj, Err));
@@ -265,7 +288,7 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   std::string Err;
   ASSERT_TRUE(json::parse(Doc, V, Err)) << Err;
   EXPECT_EQ(V.get("schema")->asInt(), SchemaVersion);
-  EXPECT_EQ(SchemaVersion, 4);
+  EXPECT_EQ(SchemaVersion, 5);
   EXPECT_TRUE(V.get("ok")->asBool());
   ASSERT_NE(V.get("result"), nullptr);
   ASSERT_NE(V.get("metrics"), nullptr);
@@ -274,13 +297,17 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   EXPECT_EQ(Doc.find("Secs"), std::string::npos);
   EXPECT_EQ(renderResult(R).find("wallMs"), std::string::npos);
 
-  // Metrics carry the run profile: jobs, wall clock, stats, cache.
+  // Metrics carry the run profile: jobs, wall clock, stats.
   const json::Value *M = V.get("metrics");
   EXPECT_EQ(M->get("jobs")->asInt(), 1);
   EXPECT_DOUBLE_EQ(M->get("wallMs")->asNumber(), 1.25);
   ASSERT_NE(M->get("stats"), nullptr);
-  ASSERT_NE(M->get("stats")->get("snapshotCacheHits"), nullptr);
-  ASSERT_NE(M->get("cache"), nullptr);
+  ASSERT_NE(M->get("stats")->get("quicktestDecided"), nullptr);
+  ASSERT_NE(M->get("stats")->get("resultStoreHits"), nullptr);
+  // Schema 5: no query cache, no snapshot counters.
+  EXPECT_EQ(M->get("cache"), nullptr);
+  EXPECT_EQ(M->get("stats")->get("satCacheHits"), nullptr);
+  EXPECT_EQ(M->get("stats")->get("snapshotBuilds"), nullptr);
 }
 
 TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
@@ -289,20 +316,25 @@ TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
   std::string Reference;
   for (unsigned Jobs : {1u, 4u})
     for (bool Cache : {false, true}) {
+      // With a result store, the second run materializes every group.
+      engine::ResultStore Store;
       engine::AnalysisRequest Req;
       Req.Jobs = Jobs;
-      Req.UseQueryCache = Cache;
+      Req.Store = Cache ? &Store : nullptr;
       engine::DependenceEngine Engine(Req);
-      std::string Bytes = renderResult(Engine.analyze(AP));
-      if (Reference.empty())
-        Reference = Bytes;
-      EXPECT_EQ(Bytes, Reference) << "jobs " << Jobs << " cache " << Cache;
+      for (int Run = 0; Run != 2; ++Run) {
+        std::string Bytes = renderResult(Engine.analyze(AP));
+        if (Reference.empty())
+          Reference = Bytes;
+        EXPECT_EQ(Bytes, Reference)
+            << "jobs " << Jobs << " store " << Cache << " run " << Run;
+      }
     }
 }
 
 TEST(ApiResponse, ServerVariantsCarryIdAndTypedErrors) {
   std::string Ok = renderServerOk(7, "{}", "{}");
-  EXPECT_NE(Ok.find("\"schema\": 4"), std::string::npos);
+  EXPECT_NE(Ok.find("\"schema\": 5"), std::string::npos);
   EXPECT_NE(Ok.find("\"id\": 7"), std::string::npos);
   EXPECT_NE(Ok.find("\"ok\": true"), std::string::npos);
 

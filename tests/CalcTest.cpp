@@ -167,18 +167,17 @@ TEST(Calc, RangeUnboundedEnds) {
 TEST(Calc, ToggleDirectives) {
   Calculator C;
   EXPECT_TRUE(C.context().PairQuickTests);
-  EXPECT_TRUE(C.context().IncrementalSnapshots);
-  std::string Out = C.run("quicktests off;\n"
-                          "incremental off;\n");
+  std::string Out = C.run("quicktests off;\n");
   EXPECT_FALSE(C.hadError());
   EXPECT_NE(Out.find("quicktests off"), std::string::npos);
-  EXPECT_NE(Out.find("incremental off"), std::string::npos);
   EXPECT_FALSE(C.context().PairQuickTests);
-  EXPECT_FALSE(C.context().IncrementalSnapshots);
-  C.run("quicktests on;\n"
-        "incremental on;\n");
+  C.run("quicktests on;\n");
   EXPECT_TRUE(C.context().PairQuickTests);
-  EXPECT_TRUE(C.context().IncrementalSnapshots);
+  // The solver has one path, so there is no `incremental` toggle.
+  Out = C.run("incremental off;\n");
+  EXPECT_TRUE(C.hadError());
+  EXPECT_NE(Out.find("unknown command 'incremental'"), std::string::npos)
+      << Out;
 }
 
 TEST(Calc, ToggleDirectiveBadArgRecovers) {

@@ -9,10 +9,10 @@
 // baseline renders byte-identical results while classifying every pair
 // group exactly once; the global result store answers structurally-seen
 // pairs across unrelated requests (LRU-bounded, sig-gated, thread-safe,
-// with checksummed persistence that rejects corruption whole); snapshot
-// stores evict LRU under a capacity bound; and the serving stack retains
-// per-session baselines, falls back to the global store after eviction,
-// and clamps per-request parallelism to the worker pool.
+// with checksummed persistence that rejects corruption whole); and the
+// serving stack retains per-session baselines, falls back to the global
+// store after eviction, and clamps per-request parallelism to the worker
+// pool.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +24,6 @@
 #include "engine/DependenceEngine.h"
 #include "engine/ResultStore.h"
 #include "ir/Sema.h"
-#include "omega/Problem.h"
-#include "omega/QueryCache.h"
-#include "omega/Snapshot.h"
 
 #include <gtest/gtest.h>
 
@@ -741,56 +738,6 @@ TEST(Delta, SignatureMismatchAndTerminateDisable) {
   engine::AnalysisResult TR = Terminating.analyze(AP);
   EXPECT_FALSE(TR.Delta.Active);
   EXPECT_EQ(TR.Baseline, nullptr);
-}
-
-//===----------------------------------------------------------------------===//
-// Snapshot-store capacity
-//===----------------------------------------------------------------------===//
-
-// A single-shard cache makes the budget exact: stores beyond the cap
-// evict in LRU order (lookups refresh recency), the evictions land on
-// both the cache's counter and the passed OmegaStats, and lowering the
-// cap evicts immediately.
-TEST(SnapshotStore, LRUEvictionAndCounters) {
-  Problem P;
-  VarId X = P.addVar("x");
-  P.addGEQ({{X, 1}}, 0);
-  std::vector<bool> Keep(16, true);
-  EliminationSnapshot Snap(P, Keep);
-
-  QueryCache Cache(1);
-  Cache.setSnapshotCapacity(2);
-  OmegaStats Stats;
-
-  Cache.storeSnapshot("k1", Snap, &Stats);
-  Cache.storeSnapshot("k2", Snap, &Stats);
-  EXPECT_EQ(Cache.snapshotEvictions(), 0u);
-
-  // Refresh k1, then overflow: k2 is now least recent and goes first.
-  EXPECT_TRUE(Cache.lookupSnapshot("k1", &Stats).has_value());
-  Cache.storeSnapshot("k3", Snap, &Stats);
-  EXPECT_EQ(Cache.snapshotEvictions(), 1u);
-  EXPECT_EQ(Stats.SnapshotEvictions, 1u);
-  EXPECT_FALSE(Cache.lookupSnapshot("k2", &Stats).has_value());
-  EXPECT_TRUE(Cache.lookupSnapshot("k1", &Stats).has_value());
-  EXPECT_TRUE(Cache.lookupSnapshot("k3", &Stats).has_value());
-
-  // Lowering the cap evicts down to the new bound right away; the
-  // most recently touched key survives.
-  Cache.setSnapshotCapacity(1);
-  EXPECT_EQ(Cache.snapshotEvictions(), 2u);
-  EXPECT_TRUE(Cache.lookupSnapshot("k3", &Stats).has_value());
-  EXPECT_FALSE(Cache.lookupSnapshot("k1", &Stats).has_value());
-
-  // Re-storing an existing key is an update, not an eviction.
-  Cache.storeSnapshot("k3", Snap, &Stats);
-  EXPECT_EQ(Cache.snapshotEvictions(), 2u);
-
-  // Capacity 0 is unbounded again.
-  Cache.setSnapshotCapacity(0);
-  Cache.storeSnapshot("k4", Snap, &Stats);
-  Cache.storeSnapshot("k5", Snap, &Stats);
-  EXPECT_EQ(Cache.snapshotEvictions(), 2u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,13 +3,15 @@
 // Part of the omega-deps project: a reproduction of Pugh & Wonnacott,
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
 //
-// The engine's contract: parallel, cached analysis returns structurally
-// identical results to the serial, uncached pipeline; repeat analyses hit
-// the query cache; and concurrent OmegaContexts never share counters.
+// The engine's contract: parallel analysis fed by a result store returns
+// structurally identical results to the serial pipeline with no reuse;
+// repeat analyses are answered from the store; and concurrent
+// OmegaContexts never share counters.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/DependenceEngine.h"
+#include "engine/ResultStore.h"
 #include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
@@ -65,22 +67,24 @@ std::string signatureOf(const analysis::AnalysisResult &R) {
   return Out;
 }
 
-engine::AnalysisRequest makeRequest(unsigned Jobs, bool Cache,
+engine::AnalysisRequest makeRequest(unsigned Jobs,
+                                    engine::ResultStore *Store = nullptr,
                                     bool Terminate = false) {
   engine::AnalysisRequest Req;
   Req.Jobs = Jobs;
-  Req.UseQueryCache = Cache;
+  Req.Store = Store;
   Req.Terminate = Terminate;
   return Req;
 }
 
 } // namespace
 
-// Four workers with a shared cache must be byte-identical (structurally)
-// to one worker with no cache, over the whole paper corpus.
+// Four workers with a result store must be byte-identical (structurally)
+// to one worker with no reuse, over the whole paper corpus.
 TEST(Engine, ParallelCachedMatchesSerialUncached) {
-  engine::DependenceEngine Serial(makeRequest(1, /*Cache=*/false));
-  engine::DependenceEngine Parallel(makeRequest(4, /*Cache=*/true));
+  engine::ResultStore Store;
+  engine::DependenceEngine Serial(makeRequest(1));
+  engine::DependenceEngine Parallel(makeRequest(4, &Store));
   EXPECT_EQ(Serial.jobs(), 1u);
   EXPECT_EQ(Parallel.jobs(), 4u);
 
@@ -97,15 +101,15 @@ TEST(Engine, ParallelCachedMatchesSerialUncached) {
     ++Analyzed;
   }
   EXPECT_GT(Analyzed, 0u);
-  // The uncached engine reports no cache traffic at all.
-  EXPECT_EQ(Serial.cache(), nullptr);
+  EXPECT_GT(Store.size(), 0u);
 }
 
 // The terminating extension must shard identically too (it is the one
 // phase that mutates dependences outside the per-read kill groups).
 TEST(Engine, TerminatePhaseIsDeterministic) {
-  engine::DependenceEngine Serial(makeRequest(1, false, /*Terminate=*/true));
-  engine::DependenceEngine Parallel(makeRequest(4, true, /*Terminate=*/true));
+  engine::DependenceEngine Serial(makeRequest(1, nullptr, /*Terminate=*/true));
+  engine::DependenceEngine Parallel(
+      makeRequest(4, nullptr, /*Terminate=*/true));
   for (const kernels::Kernel &K : kernels::corpus()) {
     ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
     if (!AP.ok())
@@ -116,34 +120,30 @@ TEST(Engine, TerminatePhaseIsDeterministic) {
   }
 }
 
-// Re-analyzing the same program must hit the memoized Omega answers and
-// still return the same result.
+// Re-analyzing the same program on an engine with a result store must be
+// answered entirely from the store -- no Omega call at all -- and still
+// return the same result.
 TEST(Engine, RepeatedAnalysisHitsCache) {
-  engine::DependenceEngine Engine(makeRequest(1, /*Cache=*/true));
+  engine::ResultStore Store;
+  engine::DependenceEngine Engine(makeRequest(1, &Store));
   ir::AnalyzedProgram AP = ir::analyzeSource(kernels::example1());
   ASSERT_TRUE(AP.ok());
 
   engine::AnalysisResult First = Engine.analyze(AP);
-  EXPECT_GT(First.Cache.SatMisses, 0u);
-  EXPECT_GT(First.CacheEntries, 0u);
+  EXPECT_EQ(First.Stats.ResultStoreHits, 0u);
+  EXPECT_GT(First.Stats.ResultStoreMisses, 0u);
+  EXPECT_GT(First.Stats.SatisfiabilityCalls, 0u);
+  std::size_t Entries = Store.size();
+  EXPECT_GT(Entries, 0u);
 
   engine::AnalysisResult Second = Engine.analyze(AP);
-  EXPECT_GT(Second.Cache.SatHits, 0u);
-  // Every satisfiability answer the second run needed was already
-  // memoized: no new entries appear.
-  EXPECT_EQ(Second.CacheEntries, First.CacheEntries);
+  EXPECT_EQ(Second.Stats.ResultStoreMisses, 0u);
+  EXPECT_EQ(Second.Stats.ResultStoreHits, First.Stats.ResultStoreMisses);
+  EXPECT_EQ(Second.Stats.SatisfiabilityCalls, 0u);
+  // Every outcome the second run needed was already stored: no new
+  // entries appear.
+  EXPECT_EQ(Store.size(), Entries);
   EXPECT_EQ(signatureOf(First), signatureOf(Second));
-}
-
-// The canonical cache key is variable-order independent, so even a single
-// analysis sees hits when structurally-equal problems recur across pairs
-// and levels (this is where the cache pays off on first contact).
-TEST(Engine, FirstAnalysisAlreadyHitsCache) {
-  engine::DependenceEngine Engine(makeRequest(1, /*Cache=*/true));
-  ir::AnalyzedProgram AP = ir::analyzeSource(kernels::example1());
-  ASSERT_TRUE(AP.ok());
-  engine::AnalysisResult R = Engine.analyze(AP);
-  EXPECT_GT(R.Cache.SatHits, 0u);
 }
 
 // Two concurrent contexts on different threads must not bleed counters
@@ -202,117 +202,10 @@ TEST(Engine, ConcurrentContextStatsAreIsolated) {
 
 // Jobs = 0 resolves to the hardware concurrency (at least one worker).
 TEST(Engine, AutoJobsResolves) {
-  engine::DependenceEngine Engine(makeRequest(0, false));
+  engine::DependenceEngine Engine(makeRequest(0));
   EXPECT_GE(Engine.jobs(), 1u);
   ir::AnalyzedProgram AP = ir::analyzeSource(kernels::example1());
   ASSERT_TRUE(AP.ok());
-  engine::DependenceEngine Serial(makeRequest(1, false));
+  engine::DependenceEngine Serial(makeRequest(1));
   EXPECT_EQ(signatureOf(Engine.analyze(AP)), signatureOf(Serial.analyze(AP)));
-}
-
-// Several engines sharing ONE QueryCache -- the omega-serve topology --
-// with interleaved concurrent clients: each request's reported cache
-// traffic must be exactly its own (the merged per-context counters), not
-// a smeared slice of the global movement, and the per-request numbers
-// must add up to the shared cache's global counters.
-TEST(Engine, SharedCacheStatsAreAttributedPerRequest) {
-  QueryCache Shared;
-  const std::vector<kernels::Kernel> &Corpus = kernels::corpus();
-  ASSERT_GE(Corpus.size(), 4u);
-
-  // Serial baselines for structural comparison.
-  std::vector<std::string> Baselines;
-  std::vector<ir::AnalyzedProgram> Programs;
-  for (const kernels::Kernel &K : Corpus) {
-    ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
-    if (!AP.ok())
-      continue;
-    engine::DependenceEngine Fresh(makeRequest(1, /*Cache=*/false));
-    Baselines.push_back(signatureOf(Fresh.analyze(AP)));
-    Programs.push_back(std::move(AP));
-    if (Programs.size() == 6)
-      break;
-  }
-  ASSERT_GE(Programs.size(), 4u);
-
-  constexpr unsigned Clients = 4;
-  constexpr unsigned Rounds = 3;
-  struct RequestRecord {
-    QueryCacheStats Cache;
-    OmegaStats Stats;
-    bool SignatureOk = false;
-  };
-  std::vector<std::vector<RequestRecord>> Records(Clients);
-  std::vector<std::thread> Threads;
-  for (unsigned C = 0; C != Clients; ++C) {
-    Threads.emplace_back([&, C] {
-      engine::AnalysisRequest Req;
-      Req.Jobs = 2;
-      Req.SharedCache = &Shared;
-      engine::DependenceEngine Engine(Req);
-      for (unsigned R = 0; R != Rounds; ++R)
-        for (std::size_t I = 0; I != Programs.size(); ++I) {
-          std::size_t Pick = (I + C) % Programs.size();
-          engine::AnalysisResult Result = Engine.analyze(Programs[Pick]);
-          RequestRecord Rec;
-          Rec.Cache = Result.Cache;
-          Rec.Stats = Result.Stats;
-          Rec.SignatureOk = signatureOf(Result) == Baselines[Pick];
-          Records[C].push_back(Rec);
-        }
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
-
-  QueryCacheStats Sum;
-  for (const std::vector<RequestRecord> &Client : Records)
-    for (const RequestRecord &Rec : Client) {
-      // Warm or cold, interleaved or not: structure never changes.
-      EXPECT_TRUE(Rec.SignatureOk);
-      // Per-request cache traffic IS the request's own counter movement.
-      EXPECT_EQ(Rec.Cache.SatHits, Rec.Stats.SatCacheHits);
-      EXPECT_EQ(Rec.Cache.SatMisses, Rec.Stats.SatCacheMisses);
-      EXPECT_EQ(Rec.Cache.GistHits, Rec.Stats.GistCacheHits);
-      EXPECT_EQ(Rec.Cache.GistMisses, Rec.Stats.GistCacheMisses);
-      Sum.SatHits += Rec.Cache.SatHits;
-      Sum.SatMisses += Rec.Cache.SatMisses;
-      Sum.GistHits += Rec.Cache.GistHits;
-      Sum.GistMisses += Rec.Cache.GistMisses;
-    }
-
-  // Every lookup any engine made is accounted to exactly one request.
-  QueryCacheStats Global = Shared.stats();
-  EXPECT_EQ(Sum.SatHits, Global.SatHits);
-  EXPECT_EQ(Sum.SatMisses, Global.SatMisses);
-  EXPECT_EQ(Sum.GistHits, Global.GistHits);
-  EXPECT_EQ(Sum.GistMisses, Global.GistMisses);
-  EXPECT_GT(Sum.SatHits, 0u);
-}
-
-// Snapshot sharing through the cache is an optimization, never a result
-// change; a warm engine adopts snapshots instead of rebuilding them.
-TEST(Engine, SnapshotSharingIsResultIdenticalAndWarms) {
-  engine::AnalysisRequest On = makeRequest(1, /*Cache=*/true);
-  engine::AnalysisRequest Off = makeRequest(1, /*Cache=*/true);
-  Off.ShareSnapshots = false;
-  engine::DependenceEngine Sharing(On), Isolated(Off);
-
-  uint64_t TotalAdoptions = 0;
-  for (const kernels::Kernel &K : kernels::corpus()) {
-    ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
-    if (!AP.ok())
-      continue;
-    engine::AnalysisResult First = Sharing.analyze(AP);
-    engine::AnalysisResult Warm = Sharing.analyze(AP);
-    engine::AnalysisResult Plain = Isolated.analyze(AP);
-    EXPECT_EQ(signatureOf(Warm), signatureOf(Plain)) << "kernel " << K.Name;
-    EXPECT_EQ(signatureOf(First), signatureOf(Warm)) << "kernel " << K.Name;
-    // A warm re-analysis adopts every snapshot it would have rebuilt.
-    EXPECT_EQ(Warm.Stats.SnapshotBuilds, 0u) << "kernel " << K.Name;
-    EXPECT_EQ(Plain.Stats.SnapshotCacheHits, 0u) << "kernel " << K.Name;
-    EXPECT_EQ(Plain.Stats.SnapshotCacheMisses, 0u) << "kernel " << K.Name;
-    TotalAdoptions += Warm.Stats.SnapshotCacheHits;
-  }
-  EXPECT_GT(TotalAdoptions, 0u);
 }

@@ -9,9 +9,8 @@
 // with a counting global operator new). And the serving stack's
 // accounting invariants, in the spirit of the paper's Figure 6: per-op
 // counters sum to requests_total, histogram counts match the request
-// counters that feed them, per-request engine attribution sums to the
-// shared cache's global counters, and none of it varies with the worker
-// count.
+// counters that feed them, engine analyses plus coalesced followers equal
+// the analyses answered, and none of it varies with the worker count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +18,6 @@
 #include "api/Serve.h"
 #include "kernels/Kernels.h"
 #include "obs/Metrics.h"
-#include "omega/QueryCache.h"
 
 #include <gtest/gtest.h>
 
@@ -249,8 +247,22 @@ histOf(const obs::MetricsSnapshot &S, const std::string &Name) {
   return H ? *H : Empty;
 }
 
+/// The server's snapshot once every worker is idle again. The response
+/// callback fires before the worker returns to its loop and decrements
+/// active_workers, so give the last worker a moment to get there.
+obs::MetricsSnapshot quiescedSnapshot(api::Server &Server) {
+  obs::MetricsSnapshot S = Server.metricsSnapshot();
+  for (int Spin = 0;
+       Spin != 200 && S.gauge("omega_serve_active_workers")->Value != 0;
+       ++Spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    S = Server.metricsSnapshot();
+  }
+  return S;
+}
+
 /// Runs a mixed workload -- analyses, a parse error, a bad request, ops --
-/// and returns the server's quiesced snapshot.
+/// on \p Server.
 void runMixedWorkload(api::Server &Server, uint64_t &AnalyzeOkWant,
                       uint64_t &AnalysisErrWant) {
   uint64_t Id = 1;
@@ -260,7 +272,7 @@ void runMixedWorkload(api::Server &Server, uint64_t &AnalyzeOkWant,
     ask(Server, analyzeLine(Id++, K.Source));
     ++AnalyzeOkWant;
   }
-  // Re-analyze the first kernel: warm-cache traffic for the attribution
+  // Re-analyze the first kernel: result-store hits for the attribution
   // invariant.
   ask(Server, analyzeLine(Id++, kernels::corpus().front().Source));
   ++AnalyzeOkWant;
@@ -278,7 +290,7 @@ TEST(ServeTelemetry, AccountingInvariantsHold) {
   api::Server Server(Cfg);
   uint64_t OkWant = 0, ErrWant = 0;
   runMixedWorkload(Server, OkWant, ErrWant);
-  obs::MetricsSnapshot S = Server.metricsSnapshot();
+  obs::MetricsSnapshot S = quiescedSnapshot(Server);
 
   uint64_t Total = counterOf(S, "omega_serve_requests_total");
   // Every submit dispatched to exactly one op bucket.
@@ -317,32 +329,19 @@ TEST(ServeTelemetry, AccountingInvariantsHold) {
     EXPECT_EQ(H.Buckets.size(), H.Bounds.size() + 1) << H.Name;
   }
 
-  // Engine attribution sums to the shared cache's global counters (all
-  // cache traffic in this process came from the server's own engines).
-  ASSERT_NE(Server.cache(), nullptr);
-  QueryCacheStats CS = Server.cache()->stats();
-  EXPECT_EQ(counterOf(S, "omega_engine_sat_cache_hits_total"), CS.SatHits);
-  EXPECT_EQ(counterOf(S, "omega_engine_sat_cache_misses_total"),
-            CS.SatMisses);
-  EXPECT_EQ(counterOf(S, "omega_engine_gist_cache_hits_total"), CS.GistHits);
-  EXPECT_EQ(counterOf(S, "omega_engine_gist_cache_misses_total"),
-            CS.GistMisses);
-  // The warm re-analysis must actually have hit.
-  EXPECT_GT(CS.SatHits + CS.GistHits, 0u);
+  // Every analysis ran on the server's own engines, each exactly once
+  // (sequential requests never coalesce), and the warm re-analysis was
+  // answered from the result store.
+  EXPECT_EQ(counterOf(S, "omega_engine_analyses_total") +
+                counterOf(S, "omega_serve_requests_coalesced_total"),
+            OkWant);
+  EXPECT_GT(counterOf(S, "omega_result_store_hits_total"), 0u);
 
-  // Quiesced gauges. The response callback fires before the worker
-  // returns to its loop and decrements active_workers, so give the
-  // worker a moment to get there.
-  for (int Spin = 0;
-       Spin != 200 && S.gauge("omega_serve_active_workers")->Value != 0;
-       ++Spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    S = Server.metricsSnapshot();
-  }
+  // Quiesced gauges.
   EXPECT_EQ(S.gauge("omega_serve_queue_depth")->Value, 0);
   EXPECT_EQ(S.gauge("omega_serve_active_workers")->Value, 0);
-  EXPECT_EQ(S.gauge("omega_serve_cache_entries")->Value,
-            static_cast<int64_t>(Server.cache()->size()));
+  EXPECT_EQ(S.gauge("omega_result_store_entries")->Value,
+            static_cast<int64_t>(Server.resultStore().size()));
 }
 
 TEST(ServeTelemetry, DeterministicCountersMatchAcrossWorkerCounts) {
@@ -352,7 +351,7 @@ TEST(ServeTelemetry, DeterministicCountersMatchAcrossWorkerCounts) {
     api::Server Server(Cfg);
     uint64_t OkWant = 0, ErrWant = 0;
     runMixedWorkload(Server, OkWant, ErrWant);
-    return Server.metricsSnapshot();
+    return quiescedSnapshot(Server);
   };
   obs::MetricsSnapshot S1 = Run(1);
   obs::MetricsSnapshot S4 = Run(4);
@@ -398,7 +397,8 @@ TEST(ServeTelemetry, HealthAndMetricsOpDocuments) {
   EXPECT_EQ(HB->get("workers")->asInt(), 1);
   EXPECT_EQ(HB->get("queueDepth")->asInt(), 0);
   EXPECT_GT(HB->get("requestsTotal")->asInt(), 0);
-  EXPECT_GT(HB->get("cacheEntries")->asInt(), 0);
+  EXPECT_GT(HB->get("resultStoreEntries")->asInt(), 0);
+  EXPECT_EQ(HB->get("cacheEntries"), nullptr);
 
   api::json::Value M;
   ASSERT_TRUE(
@@ -421,11 +421,10 @@ TEST(ServeTelemetry, HealthAndMetricsOpDocuments) {
       Counters->get("omega_serve_requests_shutdown_total")->asInt() +
       Counters->get("omega_serve_requests_invalid_total")->asInt();
   EXPECT_EQ(Total, PerOp);
-  ASSERT_NE(MB->get("cache"), nullptr);
-  EXPECT_EQ(MB->get("cache")->get("satHits")->asInt() +
-                MB->get("cache")->get("satMisses")->asInt(),
-            Counters->get("omega_engine_sat_cache_hits_total")->asInt() +
-                Counters->get("omega_engine_sat_cache_misses_total")->asInt());
+  EXPECT_EQ(MB->get("cache"), nullptr);
+  ASSERT_NE(MB->get("resultStore"), nullptr);
+  EXPECT_EQ(MB->get("resultStore")->get("entries")->asInt(),
+            HB->get("resultStoreEntries")->asInt());
 }
 
 TEST(ServeTelemetry, ShutdownAckCarriesFinalSnapshot) {

@@ -1,30 +1,34 @@
-//===- tests/PersistenceTest.cpp - QueryCache save/load contract ----------===//
+//===- tests/PersistenceTest.cpp - Result-store save/load contract --------===//
 //
 // Part of the omega-deps project: a reproduction of Pugh & Wonnacott,
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
 //
-// The warm-start file contract: save -> load -> save round-trips
-// bit-identically, canonical keys are stable across engine lifetimes (a
-// warm-started engine re-misses nothing), and a corrupted file is
-// rejected into a cold start -- never into wrong answers.
+// The warm-start file contract of the result store, fed by real engine
+// runs: save -> load -> save round-trips bit-identically, fingerprint keys
+// are stable across engine lifetimes (a warm-started engine re-misses
+// nothing), and a corrupted file is rejected into a cold start -- never
+// into wrong answers.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/DependenceEngine.h"
+#include "engine/ResultStore.h"
 #include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 using namespace omega;
 
 namespace {
 
-/// Analyzes the first few corpus kernels on \p Engine (warming its cache)
-/// and returns the number analyzed.
-unsigned warm(engine::DependenceEngine &Engine, unsigned MaxKernels = 5) {
+/// Analyzes the first few corpus kernels on a fresh engine feeding
+/// \p Store, and returns the number analyzed.
+unsigned warm(engine::ResultStore &Store, unsigned MaxKernels = 5) {
+  engine::AnalysisRequest Req;
+  Req.Store = &Store;
+  engine::DependenceEngine Engine(Req);
   unsigned Analyzed = 0;
   for (const kernels::Kernel &K : kernels::corpus()) {
     ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
@@ -37,17 +41,12 @@ unsigned warm(engine::DependenceEngine &Engine, unsigned MaxKernels = 5) {
   return Analyzed;
 }
 
-std::string saved(QueryCache &Cache) {
-  std::ostringstream Out(std::ios::binary);
-  EXPECT_TRUE(Cache.save(Out));
-  return Out.str();
-}
-
-engine::AnalysisRequest cachedSerialRequest() {
+engine::AnalysisResult analyzeWith(engine::ResultStore *Store,
+                                   const ir::AnalyzedProgram &AP) {
   engine::AnalysisRequest Req;
-  Req.Jobs = 1;
-  Req.UseQueryCache = true;
-  return Req;
+  Req.Store = Store;
+  engine::DependenceEngine Engine(Req);
+  return Engine.analyze(AP);
 }
 
 } // namespace
@@ -55,63 +54,62 @@ engine::AnalysisRequest cachedSerialRequest() {
 // save -> load -> save must be byte-identical: entries are emitted sorted
 // by key, so the file is independent of hash-map iteration order.
 TEST(Persistence, RoundTripIsBitIdentical) {
-  engine::DependenceEngine Engine(cachedSerialRequest());
-  ASSERT_GT(warm(Engine), 0u);
-  ASSERT_NE(Engine.cache(), nullptr);
-  ASSERT_GT(Engine.cache()->size(), 0u);
+  engine::ResultStore Store;
+  ASSERT_GT(warm(Store), 0u);
+  ASSERT_GT(Store.size(), 0u);
 
-  std::string First = saved(*Engine.cache());
+  std::string First = Store.serialize();
   ASSERT_FALSE(First.empty());
 
-  QueryCache Restored;
-  std::istringstream In(First, std::ios::binary);
+  engine::ResultStore Restored;
   std::string Err;
-  ASSERT_TRUE(Restored.load(In, Err)) << Err;
-  EXPECT_EQ(saved(Restored), First);
+  ASSERT_TRUE(Restored.deserialize(First, &Err)) << Err;
+  EXPECT_EQ(Restored.size(), Store.size());
+  EXPECT_EQ(Restored.serialize(), First);
 }
 
-// Cache keys are derived purely from the problems, so two fresh engines
-// given the same programs persist the same bytes -- which is what makes a
-// warm-start file from one server lifetime valid in the next.
+// Keys are canonical pair fingerprints, derived purely from the programs,
+// so two fresh engines given the same programs persist the same bytes --
+// which is what makes a warm-start file from one server lifetime valid in
+// the next.
 TEST(Persistence, KeysAreStableAcrossEngineLifetimes) {
-  engine::DependenceEngine A(cachedSerialRequest());
-  engine::DependenceEngine B(cachedSerialRequest());
+  engine::ResultStore A, B;
   ASSERT_GT(warm(A), 0u);
   ASSERT_GT(warm(B), 0u);
-  EXPECT_EQ(saved(*A.cache()), saved(*B.cache()));
+  EXPECT_EQ(A.serialize(), B.serialize());
 }
 
-// A warm-started engine answers repeat queries from the loaded entries
+// A warm-started engine materializes every group from the loaded entries
 // and returns the exact structural result a cold engine computes.
 TEST(Persistence, WarmStartHitsAndMatchesColdResults) {
-  engine::DependenceEngine Cold(cachedSerialRequest());
   ir::AnalyzedProgram AP = ir::analyzeSource(kernels::example1());
   ASSERT_TRUE(AP.ok());
-  engine::AnalysisResult ColdResult = Cold.analyze(AP);
-  std::string File = saved(*Cold.cache());
+  engine::ResultStore ColdStore;
+  engine::AnalysisResult ColdResult = analyzeWith(&ColdStore, AP);
+  std::string File = ColdStore.serialize();
 
-  engine::DependenceEngine Warm(cachedSerialRequest());
-  std::istringstream In(File, std::ios::binary);
+  engine::ResultStore WarmStore;
   std::string Err;
-  ASSERT_TRUE(Warm.cache()->load(In, Err)) << Err;
-  engine::AnalysisResult WarmResult = Warm.analyze(AP);
+  ASSERT_TRUE(WarmStore.deserialize(File, &Err)) << Err;
+  engine::AnalysisResult WarmResult = analyzeWith(&WarmStore, AP);
 
   EXPECT_EQ(ColdResult.liveFlowTable(), WarmResult.liveFlowTable());
   EXPECT_EQ(ColdResult.deadFlowTable(), WarmResult.deadFlowTable());
-  EXPECT_EQ(WarmResult.Cache.SatMisses, 0u)
+  EXPECT_EQ(WarmResult.Stats.ResultStoreMisses, 0u)
       << "a warm start must re-miss nothing example1 already answered";
-  EXPECT_GT(WarmResult.Cache.SatHits, 0u);
+  EXPECT_EQ(WarmResult.Stats.ResultStoreHits,
+            ColdResult.Stats.ResultStoreMisses);
 }
 
-// Corruption in any region -- magic, version, payload, checksum, length
-// fields, truncation -- must be rejected, leaving the cache empty (cold
-// start), and analysis afterwards still produces correct results.
+// Corruption in any region -- magic, version, payload, checksum,
+// truncation, trailing bytes -- must be rejected, leaving the store empty
+// (cold start), and analysis afterwards still produces correct results.
 TEST(Persistence, CorruptFilesAreRejectedToColdStart) {
-  engine::DependenceEngine Engine(cachedSerialRequest());
   ir::AnalyzedProgram AP = ir::analyzeSource(kernels::example1());
   ASSERT_TRUE(AP.ok());
-  engine::AnalysisResult Expect = Engine.analyze(AP);
-  std::string Good = saved(*Engine.cache());
+  engine::ResultStore Source;
+  engine::AnalysisResult Expect = analyzeWith(&Source, AP);
+  std::string Good = Source.serialize();
   ASSERT_GT(Good.size(), 24u);
 
   std::vector<std::pair<const char *, std::string>> Corruptions;
@@ -132,51 +130,21 @@ TEST(Persistence, CorruptFilesAreRejectedToColdStart) {
   Corruptions.push_back({"trailing garbage", Good + "zzzz"});
 
   for (const auto &[Name, Bytes] : Corruptions) {
-    QueryCache Victim;
-    std::istringstream In(Bytes, std::ios::binary);
+    engine::ResultStore Victim;
     std::string Err;
-    EXPECT_FALSE(Victim.load(In, Err)) << Name;
+    EXPECT_FALSE(Victim.deserialize(Bytes, &Err)) << Name;
     EXPECT_FALSE(Err.empty()) << Name;
     EXPECT_EQ(Victim.size(), 0u) << Name << ": must degrade to cold start";
 
     // Cold-started analysis is still correct.
-    engine::AnalysisRequest Req = cachedSerialRequest();
-    Req.SharedCache = &Victim;
-    engine::DependenceEngine Recovered(Req);
-    engine::AnalysisResult R = Recovered.analyze(AP);
+    engine::AnalysisResult R = analyzeWith(&Victim, AP);
     EXPECT_EQ(Expect.liveFlowTable(), R.liveFlowTable()) << Name;
     EXPECT_EQ(Expect.deadFlowTable(), R.deadFlowTable()) << Name;
   }
 
   // And the untouched file still loads.
-  QueryCache Fine;
-  std::istringstream In(Good, std::ios::binary);
+  engine::ResultStore Fine;
   std::string Err;
-  EXPECT_TRUE(Fine.load(In, Err)) << Err;
+  EXPECT_TRUE(Fine.deserialize(Good, &Err)) << Err;
   EXPECT_GT(Fine.size(), 0u);
-}
-
-// load() replaces earlier contents (the persisted set, nothing else) and
-// snapshots never persist: a loaded cache holds only sat/gist entries.
-TEST(Persistence, LoadReplacesAndSnapshotsStayInMemory) {
-  engine::DependenceEngine Engine(cachedSerialRequest());
-  ASSERT_GT(warm(Engine), 0u);
-  QueryCache &Cache = *Engine.cache();
-  std::size_t Live = Cache.size();
-  std::string File = saved(Cache);
-
-  QueryCache Other;
-  std::istringstream In1(File, std::ios::binary);
-  std::string Err;
-  ASSERT_TRUE(Other.load(In1, Err)) << Err;
-  std::size_t Persisted = Other.size();
-  // The engine's cache also holds shared snapshots; those are in-memory
-  // only, so the persisted entry count is strictly smaller.
-  EXPECT_LT(Persisted, Live);
-  EXPECT_GT(Persisted, 0u);
-
-  // Re-loading on top of existing contents replaces, not merges.
-  std::istringstream In2(File, std::ios::binary);
-  ASSERT_TRUE(Other.load(In2, Err)) << Err;
-  EXPECT_EQ(Other.size(), Persisted);
 }

@@ -6,12 +6,12 @@
 // omega-serve's core promises, exercised in-process: concurrent clients
 // over the whole corpus get responses whose "result" section is
 // byte-identical to a one-shot engine run (any jobs value, warm or cold
-// cache); admission control sheds with typed errors; per-request metrics
-// attribute cache traffic to the request that caused it; identical
-// concurrent sessionless requests coalesce onto one solve; the global
-// result store persists across server restarts (corruption degrades to
-// a cold start); metrics reset on request; the access log rotates by
-// size without tearing records.
+// result store); admission control sheds with typed errors; per-request
+// metrics attribute result-store traffic to the request that caused it;
+// identical concurrent sessionless requests coalesce onto one solve; the
+// global result store persists across server restarts (corruption
+// degrades to a cold start); metrics reset on request; the access log
+// rotates by size without tearing records.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 #include "api/Response.h"
 #include "api/Serve.h"
 #include "kernels/Kernels.h"
-#include "omega/QueryCache.h"
 
 #include <gtest/gtest.h>
 
@@ -103,12 +102,10 @@ std::string errorCode(const std::string &Response) {
 }
 
 /// One-shot reference: a fresh engine run rendered through the same
-/// schema-4 result renderer (what `omega-analyze --json` emits).
-std::string oneShotResult(const ir::AnalyzedProgram &AP, unsigned Jobs,
-                          bool Cache) {
+/// schema-5 result renderer (what `omega-analyze --json` emits).
+std::string oneShotResult(const ir::AnalyzedProgram &AP, unsigned Jobs) {
   engine::AnalysisRequest Req;
   Req.Jobs = Jobs;
-  Req.UseQueryCache = Cache;
   engine::DependenceEngine Engine(Req);
   return api::renderResult(Engine.analyze(AP));
 }
@@ -156,8 +153,8 @@ std::string readFileBytes(const std::string &Path) {
 } // namespace
 
 // The tentpole gate: concurrent clients hammering the full corpus receive
-// responses byte-identical (in "result") to one-shot runs -- cold cache,
-// warm cache, and different per-request jobs values all interleaved.
+// responses byte-identical (in "result") to one-shot runs -- cold store,
+// warm store, and different per-request jobs values all interleaved.
 TEST(Serve, ConcurrentClientsMatchOneShotByteForByte) {
   std::vector<std::string> Sources;
   std::vector<std::string> Expected;
@@ -166,7 +163,7 @@ TEST(Serve, ConcurrentClientsMatchOneShotByteForByte) {
     if (!AP.ok())
       continue;
     Sources.push_back(K.Source);
-    Expected.push_back(oneShotResult(AP, /*Jobs=*/1, /*Cache=*/false));
+    Expected.push_back(oneShotResult(AP, /*Jobs=*/1));
   }
   ASSERT_GE(Sources.size(), 10u);
 
@@ -195,15 +192,15 @@ TEST(Serve, ConcurrentClientsMatchOneShotByteForByte) {
   EXPECT_EQ(Mismatches.load(), 0u);
   EXPECT_EQ(Responses.load(), Clients * Rounds * Sources.size());
 
-  // The shared cache really was shared: the second round hit it.
-  ASSERT_NE(Server.cache(), nullptr);
-  EXPECT_GT(Server.cache()->stats().SatHits, 0u);
+  // The result store really was shared: the second round hit it.
+  EXPECT_GT(Server.resultStore().stats().Hits, 0u);
   Server.stop();
 }
 
-// Per-request metrics attribute cache traffic to the requesting client;
-// summed over every response they reconstruct the shared cache's global
-// counters exactly, even with interleaved concurrent clients.
+// Per-request metrics attribute result-store traffic to the requesting
+// client; summed over every response they reconstruct the server's
+// registry totals exactly, even with interleaved concurrent clients and
+// coalesced followers (which report zero work of their own).
 TEST(Serve, MetricsAttributeCacheTrafficPerRequest) {
   std::vector<std::string> Sources;
   for (const kernels::Kernel &K : kernels::corpus()) {
@@ -215,7 +212,7 @@ TEST(Serve, MetricsAttributeCacheTrafficPerRequest) {
   ASSERT_GE(Sources.size(), 4u);
 
   api::Server Server(basicConfig(4));
-  std::atomic<uint64_t> SatHits{0}, SatMisses{0}, GistHits{0}, GistMisses{0};
+  std::atomic<uint64_t> Hits{0}, Misses{0}, SatCalls{0};
   std::atomic<unsigned> BadResponses{0};
   std::vector<std::thread> Threads;
   for (unsigned C = 0; C != 4; ++C) {
@@ -226,18 +223,17 @@ TEST(Serve, MetricsAttributeCacheTrafficPerRequest) {
               Server, requestLine(1, Sources[(I + C) % Sources.size()]));
           api::json::Value Doc;
           std::string Err;
-          const api::json::Value *Cache = nullptr;
+          const api::json::Value *Stats = nullptr;
           if (api::json::parse(Resp, Doc, Err))
             if (const api::json::Value *M = Doc.get("metrics"))
-              Cache = M->get("cache");
-          if (!Cache) {
+              Stats = M->get("stats");
+          if (!Stats) {
             BadResponses.fetch_add(1);
             continue;
           }
-          SatHits += Cache->get("satHits")->asInt();
-          SatMisses += Cache->get("satMisses")->asInt();
-          GistHits += Cache->get("gistHits")->asInt();
-          GistMisses += Cache->get("gistMisses")->asInt();
+          Hits += Stats->get("resultStoreHits")->asInt();
+          Misses += Stats->get("resultStoreMisses")->asInt();
+          SatCalls += Stats->get("satisfiabilityCalls")->asInt();
         }
     });
   }
@@ -245,12 +241,13 @@ TEST(Serve, MetricsAttributeCacheTrafficPerRequest) {
     T.join();
   EXPECT_EQ(BadResponses.load(), 0u);
 
-  QueryCacheStats Global = Server.cache()->stats();
-  EXPECT_EQ(SatHits.load(), Global.SatHits);
-  EXPECT_EQ(SatMisses.load(), Global.SatMisses);
-  EXPECT_EQ(GistHits.load(), Global.GistHits);
-  EXPECT_EQ(GistMisses.load(), Global.GistMisses);
-  EXPECT_GT(SatHits.load(), 0u);
+  obs::MetricsSnapshot S = Server.metricsSnapshot();
+  EXPECT_EQ(Hits.load(), S.counter("omega_result_store_hits_total")->Value);
+  EXPECT_EQ(Misses.load(),
+            S.counter("omega_result_store_misses_total")->Value);
+  EXPECT_EQ(SatCalls.load(),
+            S.counter("omega_engine_sat_calls_total")->Value);
+  EXPECT_GT(Hits.load(), 0u);
   Server.stop();
 }
 
@@ -272,6 +269,15 @@ TEST(Serve, TypedErrorsForBadRequests) {
   EXPECT_EQ(errorCode(ask(Server,
                           "{\"id\": 1, \"source\": \"for broken {\"}")),
             "analysis_error");
+  // Out-of-range numbers are range-checked before any integer cast.
+  for (const char *Bad :
+       {"{\"id\": 1, \"source\": \"a := 1;\", \"deadlineMs\": 1e30}",
+        "{\"id\": 1, \"source\": \"a := 1;\", \"deadlineMs\": -1}",
+        "{\"id\": 1, \"source\": \"a := 1;\", \"options\": {\"jobs\": 1e30}}",
+        "{\"id\": 1, \"source\": \"a := 1;\", "
+        "\"options\": {\"jobs\": 4294967297}}",
+        "{\"id\": 1e30, \"source\": \"a := 1;\"}"})
+    EXPECT_EQ(errorCode(ask(Server, Bad)), "bad_request") << Bad;
 
   // Responses carry the request id back; unparseable ids become null.
   std::string WithId = ask(Server, "{\"id\": 42}");
@@ -369,12 +375,11 @@ TEST(Serve, PerRequestOptionsAreHonored) {
   const std::string Source = kernels::corpus().front().Source;
   ir::AnalyzedProgram AP = ir::analyzeSource(Source);
   ASSERT_TRUE(AP.ok());
-  std::string Expected = oneShotResult(AP, 1, false);
+  std::string Expected = oneShotResult(AP, 1);
 
   for (const char *Opts :
-       {"{\"quicktests\": false}", "{\"incremental\": false}",
-        "{\"snapshotSharing\": false}", "{\"jobs\": 3}",
-        "{\"quicktests\": false, \"incremental\": false}"}) {
+       {"{\"quicktests\": false}", "{\"jobs\": 3}",
+        "{\"quicktests\": false, \"jobs\": 2}"}) {
     std::string Resp = ask(Server, requestLine(7, Source, Opts));
     EXPECT_EQ(resultBytes(Resp), Expected) << Opts;
   }

@@ -125,7 +125,6 @@ TEST(Tracer, SpanNestingMatchesCallStructure) {
   // The Figure-6 classification partitions the satisfiability calls.
   obs::ProfileData PD = T.profile();
   EXPECT_EQ(PD.Classes.total(), Ctx.Stats.SatisfiabilityCalls);
-  EXPECT_EQ(PD.Classes.CacheHit, 0u) << "no cache attached";
   EXPECT_EQ(PD.Stats.SatisfiabilityCalls, Ctx.Stats.SatisfiabilityCalls)
       << "top-level span deltas sum to the context counters";
 }
@@ -141,7 +140,6 @@ std::string structuralSignature(const std::vector<obs::TraceEvent> &Events) {
     Out += std::to_string(E.TaskKey) + ":" + std::to_string(E.Seq);
     Out += " d" + std::to_string(E.Depth);
     Out += " v" + std::to_string(E.Vars) + "r" + std::to_string(E.Rows);
-    Out += " c" + std::to_string(static_cast<int>(E.Cache));
     Out += " " + E.Label + "\n";
   }
   return Out;
@@ -151,8 +149,7 @@ std::string structuralSignature(const std::vector<obs::TraceEvent> &Events) {
 
 // The merged trace of a 4-worker run is event-for-event identical to the
 // serial run's: task keys follow the serial enumeration order, not the
-// racing workers. (The query cache is off: hits depend on cross-worker
-// timing and are the one legitimately nondeterministic tag.)
+// racing workers.
 TEST(Tracer, MergedOrderIndependentOfJobs) {
   unsigned Compared = 0;
   for (const kernels::Kernel &K : kernels::corpus()) {
@@ -163,7 +160,6 @@ TEST(Tracer, MergedOrderIndependentOfJobs) {
     auto runWith = [&](unsigned Jobs, obs::Tracer &T) {
       engine::AnalysisRequest Req;
       Req.Jobs = Jobs;
-      Req.UseQueryCache = false;
       Req.Terminate = true; // cover the phase-4 task keys too
       Req.Trace = &T;
       engine::DependenceEngine Engine(Req);

@@ -15,9 +15,9 @@
 //    evaluation over the generated box guards.
 //  * Programs: the trace oracle (memory- and value-based witnesses from
 //    real execution) against the Section 4 engine, run under every
-//    ablation combination (pair quick tests on/off, incremental snapshots
-//    on/off, jobs 1 vs N) with structural results required identical;
-//    plus loop-bound-widening monotonicity.
+//    ablation combination (pair quick tests on/off, jobs 1 vs N) with
+//    structural results required identical; plus loop-bound-widening
+//    monotonicity.
 //
 // Any mismatch is delta-debugged to a minimal reproducer (a calc script
 // for Problems, tiny source for programs) written into --out, which the
@@ -176,7 +176,7 @@ void writeReproducer(const std::string &Dir, const std::string &Name,
 oracle::ModelReport checkOneProblem(const Problem &P, const Problem &Given,
                                     int64_t Box, std::mt19937 &Rng) {
   oracle::ModelReport Report;
-  OmegaContext Ctx; // fresh stats, no cache: each check independent
+  OmegaContext Ctx; // fresh stats: each check independent
   OmegaContextScope Scope(Ctx);
   oracle::checkSatisfiability(P, Box, Report, Ctx);
   if (P.getNumVars() > 1)

@@ -1,4 +1,4 @@
-//===- tools/omega_serve.cpp - Warm-cache analysis daemon -----------------===//
+//===- tools/omega_serve.cpp - Dependence-analysis daemon -----------------===//
 //
 // Part of the omega-deps project: a reproduction of Pugh & Wonnacott,
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
@@ -7,15 +7,15 @@
 // JSON object per line -- over stdin/stdout (the default) or a Unix
 // domain socket (--socket PATH):
 //
-//   $ omega-serve --workers 4 --cache-file /tmp/omega.qc
+//   $ omega-serve --workers 4 --result-cache-file /tmp/omega.rs
 //   {"id": 1, "source": "for i = 1 to n { a[i] = a[i-1]; }"}
-//   {"schema": 4, "id": 1, "ok": true, "result": {...}, "metrics": {...}}
+//   {"schema": 5, "id": 1, "ok": true, "result": {...}, "metrics": {...}}
 //
 // Every response's "result" section is byte-identical to a one-shot
 // `omega-analyze --json` run of the same program: the engine's structural
-// output is deterministic for every jobs value and cache state, so only
-// "metrics" (timings, cache traffic) varies between a cold and a warm
-// serve. See api/Serve.h for the protocol and architecture.
+// output is deterministic for every jobs value and reuse state, so only
+// "metrics" (timings, result-store traffic) varies between a cold and a
+// warm serve. See api/Serve.h for the protocol and architecture.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,7 +72,6 @@ int main(int Argc, char **Argv) {
   Cfg.Workers = Parsed.Options.ServeWorkers;
   Cfg.MaxQueue = Parsed.Options.MaxQueue;
   Cfg.DeadlineMs = Parsed.Options.DeadlineMs;
-  Cfg.CacheFile = Parsed.Options.CacheFile;
   Cfg.MaxSessions = Parsed.Options.MaxSessions;
   Cfg.ResultCacheFile = Parsed.Options.ResultCacheFile;
   Cfg.ResultStoreCap =
