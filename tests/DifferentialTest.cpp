@@ -34,6 +34,11 @@ struct DiffCase {
   std::map<std::string, int64_t> Symbols;
 };
 
+// Print a case as its kernel name. The default printer dumps the case's
+// bytes, pointers included, so the test names would change from build to
+// build.
+void PrintTo(const DiffCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
 class DifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 } // namespace
