@@ -36,8 +36,9 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
   // member initializers are the matching defaults.
   static const std::vector<OptionSpec> Specs = {
       {"--jobs", "jobs", AS, true, "N",
-       "shard each analysis over N worker threads (0 = hardware); "
-       "results are identical for every N"},
+       "use up to N cores, the caller plus shared helper threads "
+       "(N <= 1024; default 0 = every usable core, split evenly across "
+       "omega-serve's workers); results are identical for every N"},
       {"--json", nullptr, ToolAnalyze, false, nullptr,
        "machine-readable schema-5 output instead of tables"},
       {"--trace", nullptr, ToolAnalyze, true, "FILE",
@@ -162,7 +163,7 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
   };
   uint64_t U = 0;
   if (Flag == "--jobs") {
-    if (!parseUnsigned(Val, U, MaxUnsigned))
+    if (!parseUnsigned(Val, U, MaxJobs))
       return BadNum();
     O.Jobs = static_cast<unsigned>(U);
   } else if (Flag == "--json")
@@ -286,10 +287,10 @@ bool applyJsonKey(AnalysisOptions &O, const std::string &Key,
     return true;
   };
   if (Key == "jobs") {
-    std::optional<int64_t> N = V.asIntIn(0, MaxUnsigned);
+    std::optional<int64_t> N = V.asIntIn(0, MaxJobs);
     if (!N) {
       Err = "option 'jobs' expects an integer in [0, " +
-            std::to_string(MaxUnsigned) + "]";
+            std::to_string(MaxJobs) + "]";
       return false;
     }
     O.Jobs = static_cast<unsigned>(*N);

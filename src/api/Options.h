@@ -43,6 +43,10 @@ class Value;
 /// cannot overflow the steady clock.
 inline constexpr uint64_t MaxDeadlineMs = 365ull * 24 * 3600 * 1000;
 
+/// The largest accepted `jobs`. The engine caps every value at the usable
+/// cores anyway (engine::resolveJobs); the bound only rejects nonsense.
+inline constexpr unsigned MaxJobs = 1024;
+
 /// Which front ends an option applies to.
 enum ToolMask : unsigned {
   ToolAnalyze = 1u << 0,
@@ -66,7 +70,9 @@ struct AnalysisOptions {
   bool PairQuickTests = true; ///< --no-quicktests / "quicktests": false
 
   // -- execution ---------------------------------------------------------
-  unsigned Jobs = 1; ///< --jobs N (0 = hardware)
+  /// 0 means the usable cores; omega-serve splits them evenly across its
+  /// worker engines instead.
+  unsigned Jobs = 0; ///< --jobs N
 
   // -- incremental re-analysis ------------------------------------------
   std::string BaselineFile;     ///< --baseline PATH (analyze-only)

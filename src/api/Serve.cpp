@@ -8,6 +8,7 @@
 
 #include "api/Json.h"
 #include "api/Response.h"
+#include "engine/WorkerPool.h"
 #include "ir/Sema.h"
 #include "obs/Trace.h"
 
@@ -257,6 +258,9 @@ Server::Server(const Config &C) : Cfg(C), Store(C.ResultStoreCap) {
   if (Cfg.Workers == 0)
     Cfg.Workers = 1;
   engine::AnalysisRequest Base = Cfg.Defaults.toEngineRequest();
+  // The engines run side by side, so "every usable core" means an equal
+  // share of them each.
+  Base.Jobs = engine::resolveJobs(Base.Jobs, Cfg.Workers);
   Base.Store = &Store;
   for (unsigned I = 0; I != Cfg.Workers; ++I)
     Engines.push_back(std::make_unique<engine::DependenceEngine>(Base));

@@ -79,7 +79,8 @@ class Server {
 public:
   struct Config {
     /// Per-request option defaults (a request's "options" object overlays
-    /// these). Jobs is each worker engine's thread count.
+    /// these). Jobs is each worker engine's slot count; 0 gives each
+    /// engine max(1, usable cores / Workers).
     AnalysisOptions Defaults;
     /// Concurrent worker engines (= requests in flight).
     unsigned Workers = 4;

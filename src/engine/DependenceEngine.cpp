@@ -118,7 +118,7 @@ void DependenceEngine::applyOptions(const AnalysisRequest &O) {
   Req.BuildBaseline = O.BuildBaseline;
   Req.Store = O.Store;
   // Per-request parallelism: clamp to the pool built at construction (0
-  // asks for the full pool). Threads are reused, never respawned.
+  // asks for the full pool).
   Req.Jobs = O.Jobs;
   Pool->setActiveWorkers(O.Jobs);
   Pool->forEachContext([&](OmegaContext &Ctx) {
@@ -342,7 +342,8 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   // answers (post-refinement, post-cover) land in the same per-query
   // slots a solve would fill, so the merges below cannot tell the
   // difference. Trace decisions go to the first context from this
-  // coordinating thread (workers are idle between parallelFor calls).
+  // coordinating thread (no helper holds a context between parallelFor
+  // calls).
   std::vector<std::size_t> RunGroups;
   if (FPActive) {
     obs::TraceBuffer *TB = Req.Trace ? Pool->firstContext().Trace : nullptr;

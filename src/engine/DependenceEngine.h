@@ -9,7 +9,8 @@
 /// The DependenceEngine is the public entry point for whole-program
 /// dependence analysis. It runs the paper's Section 4 pipeline --
 /// pairwise dependences, refinement, coverage, kill analysis -- sharded
-/// across a fixed worker pool.
+/// across the engine's worker slots: the calling thread plus helper
+/// threads borrowed from one process-wide set.
 ///
 /// Determinism guarantee: for a given program and AnalysisRequest flags,
 /// the structural content of the AnalysisResult (dependences, splits,
@@ -52,7 +53,9 @@ struct AnalysisRequest {
   /// Section 4.3 terminating analysis (an extension the paper describes
   /// but its implementation did not enable).
   bool Terminate = false;
-  /// Worker threads; 1 runs inline on the caller, 0 asks the hardware.
+  /// Worker slots, the caller included (see engine/WorkerPool.h): 1 runs
+  /// inline on the caller, 0 means the usable cores, and larger values
+  /// are capped at the usable cores.
   unsigned Jobs = 1;
   /// ZIV/GCD/bounds pre-filter: decide provably independent or trivially
   /// dependent pairs with no Omega call (ablation: --no-quicktests).
@@ -136,7 +139,7 @@ public:
   /// Must not be called while analyze() is in flight.
   void setTracer(obs::Tracer *T);
 
-  /// Effective worker count: Jobs resolved against the hardware and
+  /// Effective worker count: Jobs resolved against the usable cores and
   /// clamped to the pool's capability.
   unsigned jobs() const;
 

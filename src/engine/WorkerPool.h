@@ -1,4 +1,4 @@
-//===- engine/WorkerPool.h - Fixed worker pool with Omega contexts -------===//
+//===- engine/WorkerPool.h - Worker contexts over shared helper threads --===//
 //
 // Part of the omega-deps project: a reproduction of Pugh & Wonnacott,
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
@@ -6,11 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed pool of worker threads for the dependence engine. Each worker
-/// owns a persistent OmegaContext (stats sink and trace buffer) and installs
-/// it as the thread's current context for its whole lifetime, so
-/// arbitrarily deep Omega call chains reached from a task default to the
-/// right context without explicit plumbing.
+/// The dependence engine's parallel loop. A pool owns one OmegaContext
+/// (stats sink and trace buffer) per worker slot but no threads: every
+/// pool in the process borrows from one shared set of helper threads,
+/// (usable cores - 1) of them, started by the first parallelFor that can
+/// use one. The calling thread joins its own loop as slot 0, and each
+/// borrowed helper runs under the borrowing pool's context for its slot,
+/// so deep Omega call chains reached from a task default to the right
+/// context without explicit plumbing.
+///
+/// A parallelFor borrows only helpers that are idle at that moment and
+/// never waits for a busy one: two engines analyzing at once split the
+/// helpers between them, and a loop that finds none runs on its caller.
+/// Fresh engines therefore cost no thread start-up, and the helpers never
+/// outnumber the cores.
 ///
 /// Scheduling is dynamic (workers claim task indices from an atomic
 /// counter) but the engine stays deterministic because tasks write into
@@ -24,14 +33,9 @@
 
 #include "omega/OmegaContext.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace omega {
@@ -42,46 +46,55 @@ class Tracer;
 
 namespace engine {
 
+/// The cores this process may run on: its CPU affinity mask, or the
+/// hardware concurrency where the mask cannot be read. At least 1.
+unsigned usableCores();
+
+/// The one place a requested job count becomes a worker count. 0 means
+/// "the usable cores", shared evenly among \p Sharers engines that run
+/// side by side (at least 1 each); any value is capped at usableCores(),
+/// so no pool ever holds more slots than can run at once.
+unsigned resolveJobs(unsigned Requested, unsigned Sharers = 1);
+
 class WorkerPool {
 public:
   /// A task body: called with the task index and the claiming worker's
   /// context. Bodies for distinct indices must touch disjoint state.
   using TaskFn = std::function<void(std::size_t, OmegaContext &)>;
 
-  /// Spawns \p Jobs workers (0 means the hardware concurrency). Jobs <= 1
-  /// spawns no thread at all: parallelFor then runs inline on the caller,
-  /// still under a pool-owned context. A non-null \p Tracer gets one
-  /// "worker-N" trace buffer registered per context, so recording is
-  /// lock-free (one writer per buffer) and the tracer merges
+  /// Builds resolveJobs(\p Jobs) worker contexts. A non-null \p Tracer
+  /// gets one "worker-N" trace buffer registered per context, so
+  /// recording is lock-free (one writer per buffer) and the tracer merges
   /// deterministically afterwards.
   explicit WorkerPool(unsigned Jobs, obs::Tracer *Tracer = nullptr);
-  ~WorkerPool();
 
   WorkerPool(const WorkerPool &) = delete;
   WorkerPool &operator=(const WorkerPool &) = delete;
 
-  /// Effective parallelism: the active worker count (1 for the inline
-  /// pool), after any setActiveWorkers clamp.
+  /// Effective parallelism: the active worker count, after any
+  /// setActiveWorkers clamp.
   unsigned jobs() const { return ActiveWorkers; }
 
-  /// The pool's capability: the worker count it was built with.
-  unsigned maxJobs() const { return NumWorkers; }
+  /// The pool's capability: the number of worker contexts.
+  unsigned maxJobs() const { return static_cast<unsigned>(Contexts.size()); }
 
   /// Limits how many workers participate in subsequent parallelFor calls
-  /// (0 restores the full pool; values clamp to [1, maxJobs()]). Threads
-  /// are never spawned or joined -- excess workers skip the generation --
-  /// so per-request `jobs` can shrink a long-lived pool cheaply. Only
+  /// (0 restores the full pool; values clamp to [1, maxJobs()]). Only
   /// call while no parallelFor is in flight.
   void setActiveWorkers(unsigned Wanted);
 
   /// Runs Fn(I, Ctx) for every I in [0, NumTasks) and returns when all
-  /// calls have finished. Not reentrant; call from one thread at a time.
+  /// calls have finished. The caller runs tasks under the first context;
+  /// up to min(jobs(), NumTasks) - 1 idle helpers run the rest under the
+  /// following ones. A single task, or a pool at one job, runs inline and
+  /// never touches the helpers. Not reentrant; call from one thread at a
+  /// time.
   void parallelFor(std::size_t NumTasks, const TaskFn &Fn);
 
-  /// The first worker context (the inline-execution context). For
-  /// single-threaded bookkeeping between parallelFor calls (e.g. trace
-  /// decisions recorded by the coordinating thread); never touch while a
-  /// parallelFor is in flight.
+  /// The first worker context (the caller's). For single-threaded
+  /// bookkeeping between parallelFor calls (e.g. trace decisions recorded
+  /// by the coordinating thread); never touch while a parallelFor is in
+  /// flight.
   OmegaContext &firstContext() { return *Contexts.front(); }
 
   /// Sum of every worker's stats, merged in worker-index order. Only
@@ -106,27 +119,13 @@ public:
   /// it after. Only call while no parallelFor is in flight.
   void setTracer(obs::Tracer *Tracer);
 
-private:
-  void workerMain(std::stop_token St, unsigned WorkerIdx);
+  /// Helper threads started so far in this process: 0 until the first
+  /// parallelFor that borrows one, then usableCores() - 1 for good.
+  static unsigned helperThreads();
 
-  unsigned NumWorkers = 1;
+private:
   unsigned ActiveWorkers = 1;
   std::vector<std::unique_ptr<OmegaContext>> Contexts;
-  std::vector<std::jthread> Threads;
-
-  // Work-dispatch protocol: parallelFor publishes {Task, TaskCount,
-  // GenWorkers} under the mutex and bumps Generation; workers wake on the
-  // bump, the first GenWorkers of them drain the atomic index (the rest
-  // skip the generation), and the last participant out signals DoneCV.
-  std::mutex M;
-  std::condition_variable_any WorkCV;
-  std::condition_variable DoneCV;
-  std::uint64_t Generation = 0;
-  std::size_t TaskCount = 0;
-  unsigned GenWorkers = 0;
-  const TaskFn *Task = nullptr;
-  std::atomic<std::size_t> Next{0};
-  std::atomic<unsigned> Active{0};
 };
 
 } // namespace engine

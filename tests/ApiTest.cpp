@@ -46,12 +46,14 @@ TEST(ApiOptions, DefaultsMatchStruct) {
   EXPECT_TRUE(O.QuickTests);
   EXPECT_FALSE(O.Terminate);
   EXPECT_TRUE(O.PairQuickTests);
-  EXPECT_EQ(O.Jobs, 1u);
+  EXPECT_EQ(O.Jobs, 0u); // every usable core
 
   engine::AnalysisRequest R = O.toEngineRequest();
   EXPECT_TRUE(R.Refine);
   EXPECT_TRUE(R.PairQuickTests);
-  EXPECT_EQ(R.Jobs, 1u);
+  EXPECT_EQ(R.Jobs, 0u);
+  // The engine's own request keeps its explicit serial default.
+  EXPECT_EQ(engine::AnalysisRequest().Jobs, 1u);
 }
 
 TEST(ApiOptions, TableHasUniqueSpellings) {
@@ -121,6 +123,10 @@ TEST(ApiOptions, MalformedValuesAreRejected) {
   EXPECT_FALSE(parseArgs({"--all=yes"}, ToolAnalyze, Out, Err));
   // Values that would silently truncate in a narrower field.
   EXPECT_FALSE(parseArgs({"--jobs", "4294967297"}, ToolAnalyze, Out, Err));
+  // jobs is bounded by MaxJobs, far below 32 bits.
+  EXPECT_FALSE(parseArgs({"--jobs", "4294967295"}, ToolAnalyze, Out, Err));
+  EXPECT_FALSE(parseArgs({"--jobs", "1025"}, ToolAnalyze, Out, Err));
+  EXPECT_EQ(parsed({"--jobs", "1024"}, ToolAnalyze).Options.Jobs, MaxJobs);
   EXPECT_FALSE(parseArgs({"--workers", "4294967297"}, ToolServe, Out, Err));
   EXPECT_FALSE(
       parseArgs({"--deadline-ms", "18446744073709551615"}, ToolServe, Out,
@@ -129,19 +135,20 @@ TEST(ApiOptions, MalformedValuesAreRejected) {
   // The JSON spelling range-checks before converting: out-of-range or
   // fractional numbers are rejected, never cast (1e30 has no integer).
   for (const char *Bad : {"{\"jobs\": 1e30}", "{\"jobs\": 4294967297}",
+                          "{\"jobs\": 4294967295}", "{\"jobs\": 1025}",
                           "{\"jobs\": -1e30}", "{\"jobs\": 2.5}",
                           "{\"jobs\": 1e300}"}) {
     json::Value Obj;
     ASSERT_TRUE(json::parse(Bad, Obj, Err)) << Bad;
     AnalysisOptions O;
     EXPECT_FALSE(optionsFromJson(Obj, O, Err)) << Bad;
-    EXPECT_EQ(O.Jobs, 1u) << Bad;
+    EXPECT_EQ(O.Jobs, 0u) << Bad;
   }
   json::Value Max;
-  ASSERT_TRUE(json::parse("{\"jobs\": 4294967295}", Max, Err));
+  ASSERT_TRUE(json::parse("{\"jobs\": 1024}", Max, Err));
   AnalysisOptions O;
   EXPECT_TRUE(optionsFromJson(Max, O, Err)) << Err;
-  EXPECT_EQ(O.Jobs, 4294967295u);
+  EXPECT_EQ(O.Jobs, MaxJobs);
 }
 
 TEST(ApiOptions, PipelineFlagAndJsonKeyAgree) {

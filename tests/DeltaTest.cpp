@@ -23,6 +23,7 @@
 #include "engine/DeltaPlanner.h"
 #include "engine/DependenceEngine.h"
 #include "engine/ResultStore.h"
+#include "engine/WorkerPool.h"
 #include "ir/Sema.h"
 
 #include <gtest/gtest.h>
@@ -747,24 +748,25 @@ TEST(Delta, SignatureMismatchAndTerminateDisable) {
 // applyOptions clamps the requested parallelism to the pool built at
 // construction; jobs() always reports the effective count.
 TEST(JobsClamp, RequestsClampToPool) {
+  const unsigned Two = std::min(2u, engine::usableCores());
   engine::AnalysisRequest Req;
   Req.Jobs = 2;
   engine::DependenceEngine Engine(Req);
-  ASSERT_EQ(Engine.maxJobs(), 2u);
-  EXPECT_EQ(Engine.jobs(), 2u);
+  ASSERT_EQ(Engine.maxJobs(), Two);
+  EXPECT_EQ(Engine.jobs(), Two);
 
   engine::AnalysisRequest O = Req;
   O.Jobs = 16;
   Engine.applyOptions(O);
-  EXPECT_EQ(Engine.jobs(), 2u);
+  EXPECT_EQ(Engine.jobs(), Two);
 
   O.Jobs = 1;
   Engine.applyOptions(O);
   EXPECT_EQ(Engine.jobs(), 1u);
 
-  O.Jobs = 0; // "ask the hardware" resolves to the pool's capability
+  O.Jobs = 0; // "every usable core" resolves to the pool's capability
   Engine.applyOptions(O);
-  EXPECT_EQ(Engine.jobs(), 2u);
+  EXPECT_EQ(Engine.jobs(), Two);
 }
 
 //===----------------------------------------------------------------------===//
@@ -936,4 +938,30 @@ TEST(ServeSessions, PerRequestJobsClamped) {
   EXPECT_EQ(jobsOf(""), 2);                  // defaults
   EXPECT_EQ(jobsOf("{\"jobs\": 16}"), 2);    // clamped to the pool
   EXPECT_EQ(jobsOf("{\"jobs\": 1}"), 1);     // lower requests honored
+}
+
+// With the default jobs (0), each worker engine gets an equal share of the
+// usable cores, at least one; "jobs": 0 in a request asks for that share.
+TEST(ServeSessions, DefaultJobsShareTheCores) {
+  const std::string Source = readEdit("base");
+  for (unsigned Workers : {1u, 4u, 16u}) {
+    api::Server::Config Cfg;
+    Cfg.Workers = Workers;
+    ASSERT_EQ(Cfg.Defaults.Jobs, 0u);
+    api::Server Server(Cfg);
+    const int64_t Share = engine::resolveJobs(0, Workers);
+    EXPECT_EQ(Share, std::max<int64_t>(1, engine::usableCores() / Workers));
+    for (const char *Options : {"", ", \"options\": {\"jobs\": 0}"}) {
+      std::string Response =
+          ask(Server, "{\"id\": 1, \"source\": \"" +
+                          api::json::escape(Source) + "\"" + Options + "}");
+      api::json::Value Doc;
+      std::string Err;
+      ASSERT_TRUE(api::json::parse(Response, Doc, Err)) << Err;
+      const api::json::Value *M = Doc.get("metrics");
+      ASSERT_NE(M, nullptr) << Response;
+      ASSERT_NE(M->get("jobs"), nullptr) << Response;
+      EXPECT_EQ(M->get("jobs")->asInt(), Share) << Workers << Options;
+    }
+  }
 }

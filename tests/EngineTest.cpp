@@ -12,6 +12,7 @@
 
 #include "engine/DependenceEngine.h"
 #include "engine/ResultStore.h"
+#include "engine/WorkerPool.h"
 #include "kernels/Kernels.h"
 
 #include <gtest/gtest.h>
@@ -200,10 +201,11 @@ TEST(Engine, ConcurrentContextStatsAreIsolated) {
             DefaultBefore);
 }
 
-// Jobs = 0 resolves to the hardware concurrency (at least one worker).
+// Jobs = 0 resolves to the usable cores (at least one worker).
 TEST(Engine, AutoJobsResolves) {
   engine::DependenceEngine Engine(makeRequest(0));
   EXPECT_GE(Engine.jobs(), 1u);
+  EXPECT_EQ(Engine.jobs(), engine::usableCores());
   ir::AnalyzedProgram AP = ir::analyzeSource(kernels::example1());
   ASSERT_TRUE(AP.ok());
   engine::DependenceEngine Serial(makeRequest(1));

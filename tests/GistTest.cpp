@@ -270,6 +270,13 @@ struct GistPropertyParam {
   unsigned Seed;
 };
 
+// Print a case as its seed, which is unique within each suite. The default
+// printer dumps the struct's bytes, padding included, so the test names
+// would change from build to build.
+void PrintTo(const GistPropertyParam &Param, std::ostream *OS) {
+  *OS << "seed" << Param.Seed;
+}
+
 class GistProperty : public ::testing::TestWithParam<GistPropertyParam> {};
 
 } // namespace

@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Options.h"
 #include "api/Response.h"
 #include "engine/DependenceEngine.h"
 #include "engine/ResultStore.h"
@@ -100,12 +101,30 @@ TEST(PipelineDifferential, RandomProgramsSchedulesExecuteEquivalently) {
   EXPECT_GT(Parallel, 0u) << "no random plan had a parallel stage";
 }
 
+// The default options (jobs 0: every usable core), 2 and 4 jobs all
+// render the --jobs 1 bytes over the corpus kernels, the edit corpus and
+// the examples.
 TEST(PipelineDifferential, ResponseBlockIdenticalAcrossJobs) {
-  for (const kernels::Kernel &K : kernels::corpus()) {
-    SCOPED_TRACE(K.Name);
-    ir::AnalyzedProgram AP = ir::analyzeSource(K.Source);
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const kernels::Kernel &K : kernels::corpus())
+    Programs.emplace_back(K.Name, K.Source);
+  for (const char *Dir : {OMEGA_EDITS_DIR, OMEGA_EXAMPLES_DIR}) {
+    ASSERT_TRUE(fs::is_directory(Dir)) << Dir;
+    for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+      if (E.is_regular_file() && E.path().extension() == ".tiny")
+        Programs.emplace_back(E.path().filename().string(),
+                              readFile(E.path()));
+  }
+  ASSERT_GE(Programs.size(), 44u);
+  const unsigned DefaultJobs = api::AnalysisOptions().Jobs;
+  ASSERT_EQ(DefaultJobs, 0u);
+  for (const auto &[Name, Source] : Programs) {
+    SCOPED_TRACE(Name);
+    ir::AnalyzedProgram AP = ir::analyzeSource(Source);
     ASSERT_TRUE(AP.ok());
-    EXPECT_EQ(renderWithPipeline(AP, 1), renderWithPipeline(AP, 4));
+    const std::string Serial = renderWithPipeline(AP, 1);
+    for (unsigned Jobs : {DefaultJobs, 2u, 4u})
+      EXPECT_EQ(renderWithPipeline(AP, Jobs), Serial) << "jobs " << Jobs;
   }
 }
 

@@ -201,6 +201,13 @@ struct ProjPropertyParam {
   unsigned Seed;
 };
 
+// Print a case as its seed, which is unique within each suite. The default
+// printer dumps the struct's bytes, padding included, so the test names
+// would change from build to build.
+void PrintTo(const ProjPropertyParam &Param, std::ostream *OS) {
+  *OS << "seed" << Param.Seed;
+}
+
 class ProjectionProperty : public ::testing::TestWithParam<ProjPropertyParam> {
 };
 
