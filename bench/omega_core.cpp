@@ -229,7 +229,7 @@ void coreOpsRep(const std::vector<Problem> &SatSuite,
 }
 
 /// Deterministic rendering of every dependence an analysis produced, for
-/// the incremental section's equality check: baseline reuse must be
+/// the incremental section's equality check: result-store reuse must be
 /// invisible in the results.
 std::string renderDeps(const std::vector<deps::Dependence> &Deps) {
   std::string Out;
@@ -600,11 +600,11 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
     TeleOn = RunTelemetryLeg(true);
   }
 
-  // -- server.cross_session: the global result store across "restarts" --
+  // -- server.cross_session: the result store across "restarts" ---------
   // Cold solves gen-2 on a fresh server (empty store); warm feeds gen-1
   // into a fresh server's store first, then gen-2 -- a rename of gen-1
-  // that reorders first mentions -- arrives sessionless and must
-  // materialize every pair and kill group from the store. The hit/miss
+  // that reorders first mentions -- must materialize every pair and kill
+  // group from the store. The hit/miss
   // counters come from the responses themselves and are exact,
   // machine-independent gates.
   struct CrossSessionNumbers {
@@ -665,20 +665,20 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
     }
   }
 
-  // -- incremental: edit-corpus replay against a recorded baseline -------
-  // For each edited program, three legs re-analyze it EditReps times: cold
-  // (one engine, no reuse at all), warm (a fresh engine that has just
-  // analyzed the base program, with no baseline), and incremental (the
-  // same, plus the baseline recorded on the base program). The solver
-  // keeps no state between runs, so warm measures the same work as cold
-  // on a fresh engine. Every leg's rendered result must match the cold
-  // one; the single-statement edits carry the >=5x target of incremental
-  // over warm.
+  // -- incremental: edit-corpus replay against a result store -----------
+  // For each edited program, two legs re-analyze it EditReps times: cold
+  // (one engine, no reuse at all) and incremental (a fresh engine on a
+  // fresh copy of a result store fed only by the base program -- the state
+  // a long-lived server is in when the edit arrives). Each rep gets its
+  // own store copy, so rep N never rides on rep N-1's entries. Every
+  // incremental result must match the cold one; the single-statement
+  // edits carry the >=5x target of incremental over cold. Store hits,
+  // misses and sat calls are exact, machine-independent counters.
   struct EditLeg {
     std::string Name;
     bool SingleStmt;
-    double ColdMs = 0, WarmMs = 0, IncMs = 0;
-    engine::DeltaMetrics Delta;
+    double ColdMs = 0, IncMs = 0;
+    uint64_t ColdSat = 0, IncSat = 0, StoreHits = 0, StoreMisses = 0;
   };
   std::vector<EditLeg> EditLegs;
   bool IncIdentical = true;
@@ -691,7 +691,18 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
       SS << In.rdbuf();
       return SS.str();
     };
-    ir::AnalyzedProgram BaseAP = ir::analyzeSource(ReadEdit("base"));
+    engine::AnalysisRequest Serial;
+    Serial.Jobs = 1;
+    std::string BaseStore;
+    {
+      ir::AnalyzedProgram BaseAP = ir::analyzeSource(ReadEdit("base"));
+      engine::ResultStore Store;
+      engine::AnalysisRequest Feed = Serial;
+      Feed.Store = &Store;
+      engine::DependenceEngine Feeder(Feed);
+      Feeder.analyze(BaseAP);
+      BaseStore = Store.serialize();
+    }
     const struct {
       const char *Name;
       bool SingleStmt;
@@ -704,55 +715,41 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
                  {"rename-reorder", false}};
     for (const auto &E : Edits) {
       ir::AnalyzedProgram EditAP = ir::analyzeSource(ReadEdit(E.Name));
-      if (!BaseAP.ok() || !EditAP.ok())
+      if (!EditAP.ok())
         continue;
       EditLeg Leg;
       Leg.Name = E.Name;
       Leg.SingleStmt = E.SingleStmt;
 
-      engine::AnalysisRequest ColdReq;
-      ColdReq.Jobs = 1;
-      engine::DependenceEngine ColdEngine(ColdReq);
+      engine::DependenceEngine ColdEngine(Serial);
       std::string ColdRender;
       Clock::time_point Start = Clock::now();
       for (unsigned R = 0; R != EditReps; ++R) {
         engine::AnalysisResult Result = ColdEngine.analyze(EditAP);
-        if (R == 0)
+        if (R == 0) {
           ColdRender = renderResult(Result);
+          Leg.ColdSat = Result.Stats.SatisfiabilityCalls;
+        }
       }
       Leg.ColdMs = msSince(Start);
 
-      // Warm and incremental legs share a setup: a fresh engine that has
-      // analyzed the base program once (the state a long-lived server is
-      // in when the edit arrives). The engine is rebuilt each rep, so rep
-      // N never rides on rep N-1's baseline.
-      auto RunLeg = [&](bool UseBaseline, double &OutMs) {
-        std::string Render;
-        double Total = 0;
-        for (unsigned R = 0; R != EditReps; ++R) {
-          engine::AnalysisRequest WReq;
-          WReq.Jobs = 1;
-          WReq.BuildBaseline = UseBaseline;
-          engine::DependenceEngine Engine(WReq);
-          engine::AnalysisResult BaseRes = Engine.analyze(BaseAP);
-          engine::AnalysisRequest EReq = WReq;
-          EReq.Baseline = UseBaseline ? BaseRes.Baseline.get() : nullptr;
-          Engine.applyOptions(EReq);
-          Clock::time_point LegStart = Clock::now();
-          engine::AnalysisResult Result = Engine.analyze(EditAP);
-          Total += msSince(LegStart);
-          if (R == 0) {
-            Render = renderResult(Result);
-            if (UseBaseline)
-              Leg.Delta = Result.Delta;
-          }
+      for (unsigned R = 0; R != EditReps; ++R) {
+        engine::ResultStore Store;
+        Store.deserialize(BaseStore, nullptr);
+        engine::AnalysisRequest Req = Serial;
+        Req.Store = &Store;
+        engine::DependenceEngine Engine(Req);
+        Clock::time_point LegStart = Clock::now();
+        engine::AnalysisResult Result = Engine.analyze(EditAP);
+        Leg.IncMs += msSince(LegStart);
+        if (R == 0) {
+          IncIdentical = IncIdentical && renderResult(Result) == ColdRender;
+          Leg.IncSat = Result.Stats.SatisfiabilityCalls;
+          Leg.StoreHits = Result.Stats.ResultStoreHits;
+          Leg.StoreMisses = Result.Stats.ResultStoreMisses;
         }
-        OutMs = Total;
-        IncIdentical = IncIdentical && Render == ColdRender;
-      };
-      RunLeg(/*UseBaseline=*/false, Leg.WarmMs);
-      RunLeg(/*UseBaseline=*/true, Leg.IncMs);
-      IncSectionMs += Leg.ColdMs + Leg.WarmMs + Leg.IncMs;
+      }
+      IncSectionMs += Leg.ColdMs + Leg.IncMs;
       EditLegs.push_back(std::move(Leg));
     }
   }
@@ -761,7 +758,7 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
     bool First = true;
     for (const EditLeg &L : EditLegs)
       if (L.SingleStmt && L.IncMs > 0) {
-        double S = L.WarmMs / L.IncMs;
+        double S = L.ColdMs / L.IncMs;
         SingleStmtSpeedup = First ? S : std::min(SingleStmtSpeedup, S);
         First = false;
       }
@@ -890,15 +887,12 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
     W.beginObject(L.Name.c_str());
     W.field("single_stmt", L.SingleStmt);
     W.field("cold_wall_ms", L.ColdMs);
-    W.field("warm_wall_ms", L.WarmMs);
     W.field("incremental_wall_ms", L.IncMs);
-    W.field("speedup_vs_warm", L.IncMs > 0 ? L.WarmMs / L.IncMs : 0.0);
-    W.field("pairs_reused", L.Delta.PairsReused);
-    W.field("pairs_resolved", L.Delta.PairsResolved);
-    W.field("pairs_new", L.Delta.PairsNew);
-    W.field("pairs_removed", L.Delta.PairsRemoved);
-    W.field("kill_groups_reused", L.Delta.KillGroupsReused);
-    W.field("kill_groups_total", L.Delta.KillGroupsTotal);
+    W.field("speedup_vs_cold", L.IncMs > 0 ? L.ColdMs / L.IncMs : 0.0);
+    W.field("cold_sat_calls", L.ColdSat);
+    W.field("incremental_sat_calls", L.IncSat);
+    W.field("store_hits", L.StoreHits);
+    W.field("store_misses", L.StoreMisses);
     W.endObject();
   }
   W.field("single_stmt_speedup", SingleStmtSpeedup);
@@ -941,7 +935,7 @@ int runJsonMode(const char *Path, unsigned CoreReps, unsigned CorpusReps) {
               static_cast<unsigned long long>(Cross.WarmMisses),
               Cross.Identical ? "identical" : "DIFFER");
   std::printf("incremental: %.1f ms over %zu edits, single-statement "
-              "speedup %.2fx vs warm (results %s)\n",
+              "speedup %.2fx vs cold (results %s)\n",
               IncSectionMs, EditLegs.size(), SingleStmtSpeedup,
               IncIdentical ? "identical" : "DIFFER");
   {

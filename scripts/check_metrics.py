@@ -20,7 +20,11 @@ sum exactly):
   * the result-store registry counters equal the store's own lifetime
     counters, and the omega_result_store_entries gauge equals the
     store's entry count (JSON document only);
-  * the JSON document validates against schema/metrics_response.schema.json.
+  * the JSON document validates against schema/metrics_response.schema.json,
+    and the Prometheus exposition declares exactly the counters, gauges
+    and histograms that schema enumerates (so a removed instrument, such
+    as the session-baseline gauge and delta counters schema 6 dropped,
+    cannot linger in the text format either).
 
 The metrics op's {"reset": true} variant is covered by the serve smoke
 test and tests/ServeTest.cpp. Snapshots taken AFTER a reset stay
@@ -73,6 +77,15 @@ CODE_COUNTERS = [
     "omega_serve_responses_deadline_exceeded_total",
     "omega_serve_responses_shutdown_total",
 ]
+
+
+def schema_instruments():
+    """Instrument name -> kind, as the metrics schema enumerates them."""
+    with open(METRICS_SCHEMA_PATH) as f:
+        defs = json.load(f)["definitions"]
+    return {name: kind
+            for kind in ("counter", "gauge", "histogram")
+            for name in defs[kind + "s"]["required"]}
 
 
 class Checker:
@@ -248,6 +261,13 @@ def parse_prometheus(c, path):
 
 def check_prometheus(c, path, expect_ok):
     samples, types = parse_prometheus(c, path)
+    want = schema_instruments()
+    kinds = sorted(n for n in types if n in want and types[n] != want[n])
+    c.check(types == want,
+            f"{path}: instruments differ from the metrics schema: "
+            f"extra {sorted(set(types) - set(want))}, "
+            f"missing {sorted(set(want) - set(types))}, "
+            f"kind mismatch {kinds}")
 
     counters = {}
     hist_counts = {}

@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
-"""End-to-end gate for edit-incremental re-analysis.
+"""End-to-end gate for edit-incremental re-analysis through the result store.
 
-Replays the edit corpus (tests/corpus/edits) through both incremental
-surfaces and checks the contract:
+Replays the edit corpus (tests/corpus/edits) through both surfaces of the
+one cross-run reuse path, the result store, and checks the contract:
 
- 1. `omega-analyze --baseline`: a baseline recorded on base.tiny is
-    replayed over every edited program; the response's "result" section
-    must be byte-identical to a from-scratch `omega-analyze --json` run
-    of the same program, and the delta classification must account for
-    every pair (pairsReused + pairsResolved + pairsNew == len(pairs)).
- 2. A live omega-serve session: the base program then every edit are
-    submitted with the same "session" id; each response must be
-    byte-identical to the from-scratch run, validate against the JSON
-    schema, and (after the base request) report pair reuse.
- 3. Baseline-file robustness: a truncated and a bit-flipped baseline
-    file must degrade to a from-scratch run (same bytes out), never to
-    an error or a different result.
+ 1. `omega-analyze --result-cache-file`: every edited program runs
+    against a fresh copy of a store file fed only by base.tiny. The
+    response's "result" section must be byte-identical to a from-scratch
+    `omega-analyze --json` run of the same program, validate against the
+    schema, and account for every pair and kill group exactly once:
+    resultStoreHits + resultStoreMisses == the resultStoreMisses of a run
+    against an empty store.
+ 2. A live omega-serve: the base program then every edit are submitted
+    with a "session" label, then all of them again without one. Every
+    response must be byte-identical to the from-scratch run, validate
+    against the schema and satisfy the same witness; the edits of the
+    labelled replay must hit the store, and the unlabelled replay must
+    miss nothing.
+ 3. Store-file robustness: a truncated and a bit-flipped store file must
+    each warn and degrade to a from-scratch run (same bytes out), never
+    to an error or a different result.
+ 4. The removed session-baseline option `--baseline` is rejected as an
+    unknown option.
 
 Usage:
     incremental_check.py --serve build/tools/omega-serve \
@@ -28,6 +34,7 @@ Exit status 0 on success, 1 on any violation.
 import argparse
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -51,19 +58,9 @@ def run_analyze(analyze, path, extra=()):
     return proc.stdout, proc.stderr
 
 
-def check_accounting(tag, doc, total, failures):
-    """pairsReused + pairsResolved + pairsNew must equal the program's
-    access-pair group count (measured by a baseline-less delta run, where
-    every group classifies "new")."""
-    delta = doc["metrics"].get("delta")
-    if delta is None:
-        print(f"{tag}: no metrics.delta in incremental response")
-        return failures + 1
-    got = delta["pairsReused"] + delta["pairsResolved"] + delta["pairsNew"]
-    if got != total:
-        print(f"{tag}: delta accounts for {got} pairs, program has {total}")
-        return failures + 1
-    return failures
+def store_stats(doc):
+    stats = doc["metrics"]["stats"]
+    return stats["resultStoreHits"], stats["resultStoreMisses"]
 
 
 def main():
@@ -83,69 +80,96 @@ def main():
     validator = Validator(json.load(open(SCHEMA_PATH)))
     failures = 0
 
-    # From-scratch expectations, schema validity of the CLI documents, and
-    # each program's pair-group total (a delta run with no baseline to
-    # consult classifies every group "new").
-    expected = {}
-    totals = {}
-    for path in [base] + edits:
-        out, _ = run_analyze(args.analyze, path)
-        doc = json.loads(out)
+    def check(tag, line, path, expect_hits=False, expect_no_misses=False):
+        """Schema, byte identity against scratch, and the hit/miss
+        witness for one response; returns the number of violations."""
+        bad = 0
+        doc = json.loads(line)
         errs = validator.validate(doc, validator.root)
         if errs:
-            print(f"scratch {path}: schema violation: {errs[0]}")
-            failures += 1
-        expected[path] = result_bytes(out)
-        out, _ = run_analyze(args.analyze, path,
-                             ["--save-baseline", os.devnull])
-        delta = json.loads(out)["metrics"].get("delta") or {}
-        totals[path] = delta.get("pairsNew", -1)
-        if totals[path] < 0 or delta.get("pairsReused") or \
-                delta.get("pairsResolved"):
-            print(f"{path}: baseline-less delta should be all-new, "
-                  f"got {delta}")
-            failures += 1
+            print(f"{tag}: schema violation: {errs[0]}")
+            bad += 1
+        if result_bytes(line) != expected[path]:
+            print(f"{tag}: result differs from scratch run")
+            bad += 1
+        hits, misses = store_stats(doc)
+        if hits + misses != groups[path]:
+            print(f"{tag}: {hits} hits + {misses} misses != "
+                  f"{groups[path]} cold misses")
+            bad += 1
+        if expect_hits and hits == 0:
+            print(f"{tag}: expected store hits, got none")
+            bad += 1
+        if expect_no_misses and misses != 0:
+            print(f"{tag}: expected no store misses, got {misses}")
+            bad += 1
+        return bad
 
     with tempfile.TemporaryDirectory() as tmp:
-        # -- CLI surface: --save-baseline then --baseline per edit --------
-        baseline = os.path.join(tmp, "base.baseline")
-        run_analyze(args.analyze, base, ["--save-baseline", baseline])
-        if not os.path.exists(baseline):
-            print("omega-analyze --save-baseline wrote no baseline file")
+        # From-scratch expectations, schema validity of the CLI documents,
+        # and each program's group total: the misses of a run against an
+        # empty store.
+        expected = {}
+        groups = {}
+        for path in [base] + edits:
+            out, _ = run_analyze(args.analyze, path)
+            errs = validator.validate(json.loads(out), validator.root)
+            if errs:
+                print(f"scratch {path}: schema violation: {errs[0]}")
+                failures += 1
+            expected[path] = result_bytes(out)
+            empty = os.path.join(tmp, "empty.omrs")
+            out, _ = run_analyze(args.analyze, path,
+                                 ["--result-cache-file", empty])
+            os.remove(empty)
+            hits, groups[path] = store_stats(json.loads(out))
+            if hits != 0 or groups[path] == 0:
+                print(f"{path}: an empty store should only miss, got "
+                      f"{hits} hits / {groups[path]} misses")
+                failures += 1
+
+        # -- CLI surface: a store file fed by base.tiny, copied per edit --
+        fed = os.path.join(tmp, "base.omrs")
+        run_analyze(args.analyze, base, ["--result-cache-file", fed])
+        if not os.path.exists(fed):
+            print("omega-analyze --result-cache-file wrote no store file")
             return 1
         for path in edits:
-            out, _ = run_analyze(args.analyze, path, ["--baseline", baseline])
-            doc = json.loads(out)
-            errs = validator.validate(doc, validator.root)
-            if errs:
-                print(f"incremental {path}: schema violation: {errs[0]}")
-                failures += 1
-            if result_bytes(out) != expected[path]:
-                print(f"incremental {path}: result differs from scratch run")
-                failures += 1
-            failures = check_accounting(f"incremental {path}", doc,
-                                        totals[path], failures)
+            copy = os.path.join(tmp, "edit.omrs")
+            shutil.copyfile(fed, copy)
+            out, _ = run_analyze(args.analyze, path,
+                                 ["--result-cache-file", copy])
+            failures += check(f"cli {path}", out, path, expect_hits=True)
 
-        # -- corrupt baselines must degrade to scratch, bit-identically ---
-        blob = open(baseline, "rb").read()
+        # -- corrupt store files must warn and degrade to scratch ---------
+        blob = open(fed, "rb").read()
         corrupt = {
-            "truncated.baseline": blob[: len(blob) // 2],
-            "bitflip.baseline": blob[:-1] + bytes([blob[-1] ^ 0x40]),
+            "truncated.omrs": blob[: len(blob) // 2],
+            "bitflip.omrs": blob[:-1] + bytes([blob[-1] ^ 0x40]),
         }
         for name, data in corrupt.items():
             bad = os.path.join(tmp, name)
             with open(bad, "wb") as f:
                 f.write(data)
             out, err = run_analyze(args.analyze, edits[0],
-                                   ["--baseline", bad])
+                                   ["--result-cache-file", bad])
             if "warning" not in err:
                 print(f"{name}: expected a load warning on stderr")
                 failures += 1
             if result_bytes(out) != expected[edits[0]]:
-                print(f"{name}: corrupt baseline changed the result")
+                print(f"{name}: corrupt store file changed the result")
                 failures += 1
 
-        # -- serve surface: one session across base + every edit ----------
+        # -- the session-baseline options are gone ------------------------
+        proc = subprocess.run(
+            [args.analyze, "--json", "--baseline", fed, base],
+            capture_output=True, text=True)
+        if proc.returncode == 0 or "unknown option" not in proc.stderr:
+            print("--baseline should be rejected as an unknown option, got "
+                  f"exit {proc.returncode}: {proc.stderr.strip()}")
+            failures += 1
+
+        # -- serve surface: base + every edit, labelled then unlabelled ---
         sock_path = os.path.join(tmp, "omega.sock")
         daemon = subprocess.Popen(
             [args.serve, "--socket", sock_path, "--workers", "2"],
@@ -167,10 +191,11 @@ def main():
             sock.connect(sock_path)
             buf = b""
 
-            def ask(rid, path):
+            def ask(rid, path, session):
                 nonlocal buf
-                req = {"id": rid, "source": open(path).read(),
-                       "session": "edit-corpus"}
+                req = {"id": rid, "source": open(path).read()}
+                if session:
+                    req["session"] = session
                 sock.sendall((json.dumps(req) + "\n").encode())
                 while b"\n" not in buf:
                     chunk = sock.recv(65536)
@@ -180,31 +205,16 @@ def main():
                 line, buf = buf.split(b"\n", 1)
                 return line.decode()
 
-            line = ask(1, base)
-            doc = json.loads(line)
-            errs = validator.validate(doc, validator.root)
-            if errs:
-                print(f"session base: schema violation: {errs[0]}")
-                failures += 1
-            if result_bytes(line) != expected[base]:
-                print("session base: result differs from scratch run")
-                failures += 1
-            for rid, path in enumerate(edits, start=2):
-                line = ask(rid, path)
-                doc = json.loads(line)
-                errs = validator.validate(doc, validator.root)
-                if errs:
-                    print(f"session {path}: schema violation: {errs[0]}")
-                    failures += 1
-                if result_bytes(line) != expected[path]:
-                    print(f"session {path}: result differs from scratch run")
-                    failures += 1
-                failures = check_accounting(f"session {path}", doc,
-                                            totals[path], failures)
-                delta = doc["metrics"].get("delta") or {}
-                if not delta.get("pairsReused"):
-                    print(f"session {path}: expected pair reuse, got {delta}")
-                    failures += 1
+            rid = 0
+            for session in ("edit-corpus", None):
+                label = "session" if session else "unlabelled"
+                for path in [base] + edits:
+                    rid += 1
+                    line = ask(rid, path, session)
+                    failures += check(
+                        f"{label} {path}", line, path,
+                        expect_hits=session is not None and path != base,
+                        expect_no_misses=session is None)
             sock.sendall(b'{"id": 99, "op": "shutdown"}\n')
             sock.close()
             try:
@@ -217,8 +227,9 @@ def main():
                 daemon.kill()
                 daemon.wait()
 
-    print(f"{len(edits)} edits via CLI baseline + serve session + corrupt "
-          f"baselines: {'OK' if not failures else f'{failures} FAILURES'}")
+    print(f"{len(edits)} edits via CLI store file + serve replay (labelled "
+          f"and unlabelled) + corrupt store files: "
+          f"{'OK' if not failures else f'{failures} FAILURES'}")
     return 1 if failures else 0
 
 

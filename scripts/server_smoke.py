@@ -10,9 +10,10 @@ clients over every example program, and checks the serving contract:
     concurrent clients, and request interleaving must be invisible in
     results);
  3. in-flight coalescing: a burst of identical concurrent requests on an
-    otherwise idle server performs exactly ONE engine solve -- the engine
-    analyses counter moves by 1, the coalesced counter by K-1, and every
-    client's result section is byte-identical to the one-shot run;
+    otherwise idle server, half of them carrying a "session" label,
+    performs exactly ONE engine solve -- the engine analyses counter
+    moves by 1, the coalesced counter by K-1, and every client's result
+    section is byte-identical to the one-shot run;
  4. the shutdown op stops the daemon cleanly.
 
 With --telemetry-dir DIR the daemon also runs with --metrics-file and
@@ -169,8 +170,13 @@ def check_coalescing(sock_path, analyze, tmp, k=8):
     errors = []
     threads = []
     for i in range(k):
-        req = (json.dumps({"id": 2000001 + i, "source": heavy,
-                           "options": {"quicktests": False}}) + "\n").encode()
+        # A session label is only a label: labelled and unlabelled
+        # requests share the leader's solve alike.
+        body = {"id": 2000001 + i, "source": heavy,
+                "options": {"quicktests": False}}
+        if i % 2:
+            body["session"] = "burst"
+        req = (json.dumps(body) + "\n").encode()
         threads.append(threading.Thread(
             target=burst_client,
             args=(sock_path, barrier, req, responses, errors, f"burst{i}")))

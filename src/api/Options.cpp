@@ -40,7 +40,7 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "(N <= 1024; default 0 = every usable core, split evenly across "
        "omega-serve's workers); results are identical for every N"},
       {"--json", nullptr, ToolAnalyze, false, nullptr,
-       "machine-readable schema-5 output instead of tables"},
+       "machine-readable schema-6 output instead of tables"},
       {"--trace", nullptr, ToolAnalyze, true, "FILE",
        "record a Chrome trace_event JSON of the run"},
       {"--profile", "profile", AS, false, nullptr,
@@ -73,13 +73,6 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
       {"--result-store-cap", nullptr, AS, true, "N",
        "bound the global pair-result store to N solved outcomes, "
        "evicting least-recently-used beyond that (0 = unbounded)"},
-      {"--baseline", nullptr, ToolAnalyze, true, "PATH",
-       "incremental re-analysis: reuse results from the baseline file "
-       "for pairs whose fingerprints are unchanged (byte-identical "
-       "output either way)"},
-      {"--save-baseline", nullptr, ToolAnalyze, true, "PATH",
-       "record this run's results as a baseline file for a future "
-       "--baseline run"},
       {"--transforms", nullptr, ToolAnalyze, false, nullptr,
        "report transformation opportunities"},
       {"--restraints", nullptr, ToolAnalyze, false, nullptr,
@@ -101,12 +94,9 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
       {"--deadline-ms", nullptr, ToolServe, true, "MS",
        "default per-request deadline; overdue queued requests are shed "
        "with 'deadline_exceeded' (0 = none)"},
-      {"--max-sessions", nullptr, ToolServe, true, "N",
-       "incremental sessions whose baselines stay retained, LRU-evicted "
-       "beyond N (requests opt in with a \"session\" key)"},
       {"--no-coalesce", nullptr, ToolServe, false, nullptr,
-       "do not coalesce concurrent identical sessionless requests onto "
-       "one engine solve"},
+       "do not coalesce concurrent identical requests onto one engine "
+       "solve"},
       {"--metrics-file", nullptr, ToolServe, true, "PATH",
        "rewrite PATH atomically with a Prometheus text-format metrics "
        "exposition (on every metrics op, periodically, and at shutdown)"},
@@ -199,11 +189,7 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
     if (!parseUnsigned(Val, U))
       return BadNum();
     O.ResultStoreCap = U;
-  } else if (Flag == "--baseline")
-    O.BaselineFile = Val;
-  else if (Flag == "--save-baseline")
-    O.SaveBaselineFile = Val;
-  else if (Flag == "--transforms")
+  } else if (Flag == "--transforms")
     O.Transforms = true;
   else if (Flag == "--restraints")
     O.Restraints = true;
@@ -227,10 +213,6 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
     if (!parseUnsigned(Val, U, MaxDeadlineMs))
       return BadNum();
     O.DeadlineMs = U;
-  } else if (Flag == "--max-sessions") {
-    if (!parseUnsigned(Val, U, MaxUnsigned) || U == 0)
-      return BadNum();
-    O.MaxSessions = static_cast<unsigned>(U);
   } else if (Flag == "--no-coalesce")
     O.Coalesce = false;
   else if (Flag == "--metrics-file")

@@ -74,13 +74,11 @@ struct AnalysisOptions {
   /// worker engines instead.
   unsigned Jobs = 0; ///< --jobs N
 
-  // -- incremental re-analysis ------------------------------------------
-  std::string BaselineFile;     ///< --baseline PATH (analyze-only)
-  std::string SaveBaselineFile; ///< --save-baseline PATH (analyze-only)
-
-  // -- global result store ----------------------------------------------
-  /// Persist the cross-request pair-result store: load from PATH at
-  /// startup (corruption -> warned cold start), save back on exit.
+  // -- result store (the one cross-run reuse path) -----------------------
+  /// Persist the pair-result store: load from PATH at startup
+  /// (corruption -> warned cold start), save back on exit. Re-analyzing
+  /// an edited program against the file solves only what the edit
+  /// touched.
   std::string ResultCacheFile; ///< --result-cache-file=PATH
   /// Result-store bound: at most N solved pair/kill-group outcomes stay
   /// resident, LRU-evicted beyond that (0 = unbounded).
@@ -90,7 +88,7 @@ struct AnalysisOptions {
   bool All = false;      ///< --all: also anti/output tables
   bool Compress = false; ///< --compress split rows
   bool Stats = false;    ///< --stats: per-pair cost classes
-  bool Json = false;     ///< --json: schema-5 machine output
+  bool Json = false;     ///< --json: schema-6 machine output
   enum ProfileMode : uint8_t { ProfileOff, ProfileText, ProfileJson };
   ProfileMode Profile = ProfileOff; ///< --profile[=json] / "profile": true
   bool Explain = false;             ///< --explain
@@ -105,7 +103,7 @@ struct AnalysisOptions {
   // -- pipeline partitioning --------------------------------------------
   /// Plan a PS-DSWP pipeline partition for every loop (stages over the
   /// SCC-DAG of the live dependence PDG) and report it: staged schedule
-  /// text for omega-analyze, the schema-5 "pipeline" result block for
+  /// text for omega-analyze, the schema-6 "pipeline" result block for
   /// JSON and serve responses.
   bool Pipeline = false; ///< --pipeline / "pipeline": true
 
@@ -114,10 +112,8 @@ struct AnalysisOptions {
   unsigned ServeWorkers = 4;     ///< --workers N concurrent requests
   unsigned MaxQueue = 64;        ///< --max-queue N admission bound
   uint64_t DeadlineMs = 0;       ///< --deadline-ms N (0 = none)
-  /// Incremental sessions whose baselines stay retained (LRU beyond N).
-  unsigned MaxSessions = 64;     ///< --max-sessions N
-  /// Singleflight: concurrent sessionless requests with identical source
-  /// and options share one solve and response document.
+  /// Singleflight: concurrent requests with identical source and options
+  /// share one solve and response document.
   bool Coalesce = true;          ///< --no-coalesce
 
   // -- serve-only telemetry ---------------------------------------------

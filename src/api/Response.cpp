@@ -61,7 +61,7 @@ const char *enablingReasonName(char R) {
   }
 }
 
-/// The schema-5 "pipeline" array: one deterministic entry per loop.
+/// The "pipeline" array (schema 4 on): one deterministic entry per loop.
 void appendPipeline(std::string &Out, const ir::AnalyzedProgram &AP,
                     const analysis::AnalysisResult &R) {
   Out += "[";
@@ -184,24 +184,11 @@ std::string api::renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
          ", \"quicktestBounds\": " + std::to_string(S.QuickTestBounds) +
          ", \"quicktestTrivialDep\": " + std::to_string(S.QuickTestTrivialDep) +
          ", \"quicktestDecided\": " + std::to_string(S.QuickTestDecided) +
-         ", \"deltaPairsReused\": " + std::to_string(S.DeltaPairsReused) +
-         ", \"deltaPairsResolved\": " + std::to_string(S.DeltaPairsResolved) +
-         ", \"deltaPairsNew\": " + std::to_string(S.DeltaPairsNew) +
          ", \"resultStoreHits\": " + std::to_string(S.ResultStoreHits) +
          ", \"resultStoreMisses\": " + std::to_string(S.ResultStoreMisses) +
          ", \"resultStoreEvictions\": " +
          std::to_string(S.ResultStoreEvictions) + "}";
 
-  if (R.Delta.Active)
-    Out += ", \"delta\": {\"pairsReused\": " +
-           std::to_string(R.Delta.PairsReused) +
-           ", \"pairsResolved\": " + std::to_string(R.Delta.PairsResolved) +
-           ", \"pairsNew\": " + std::to_string(R.Delta.PairsNew) +
-           ", \"pairsRemoved\": " + std::to_string(R.Delta.PairsRemoved) +
-           ", \"killGroupsReused\": " +
-           std::to_string(R.Delta.KillGroupsReused) +
-           ", \"killGroupsTotal\": " + std::to_string(R.Delta.KillGroupsTotal) +
-           "}";
   if (!ProfileJson.empty()) {
     std::string Profile = ProfileJson;
     // The tracer's JSON report is pretty-printed; the response document is

@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Schema 5 of the machine-readable analysis output, shared byte-for-byte
+/// Schema 6 of the machine-readable analysis output, shared byte-for-byte
 /// by `omega-analyze --json` and omega-serve responses (the checked-in
 /// JSON schema file schema/analysis_response.schema.json describes it and
 /// CI validates both producers against it).
 ///
 /// The document separates what is deterministic from what is not:
 ///
-///   {"schema": 5, "ok": true, "result": {...}, "metrics": {...}}
+///   {"schema": 6, "ok": true, "result": {...}, "metrics": {...}}
 ///
 ///  * "result" holds the structural analysis outcome -- dependences,
 ///    splits, pair and kill records without timings. The engine guarantees
@@ -21,8 +21,8 @@
 ///    stack's bit-identity gate (server response vs one-shot CLI, warm vs
 ///    cold result store) diffs this section as raw bytes.
 ///  * "metrics" holds per-run execution data -- jobs, wall time, solver
-///    counters, optional delta/profile/explain -- which may vary run to
-///    run (a warm result store legitimately reports hits where a cold one
+///    counters, optional profile/explain -- which may vary run to run (a
+///    warm result store legitimately reports hits where a cold one
 ///    reports misses).
 ///
 /// Schema 1 (the PR 1-5 format) interleaved timings with structure and
@@ -36,7 +36,10 @@
 /// of "result" it is fully deterministic. Schema 5 drops the solver query
 /// cache and elimination snapshots: ten "stats" entries (the sat/gist
 /// cache hit/miss and snapshot counters) and the "metrics.cache" object
-/// are gone; "result" is unchanged.
+/// are gone; "result" is unchanged. Schema 6 drops session baselines:
+/// the three deltaPairs* "stats" entries and the optional "metrics.delta"
+/// object are gone, leaving resultStoreHits/resultStoreMisses as the
+/// reuse accounting; "result" is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +59,7 @@ struct AnalyzedProgram;
 namespace api {
 
 /// The version stamped into every response document.
-constexpr int SchemaVersion = 5;
+constexpr int SchemaVersion = 6;
 
 /// Renders the deterministic structural section: flow/anti/output
 /// dependences with their splits, pair records (hasFlow, usedGeneralTest,
@@ -69,13 +72,13 @@ std::string renderResult(const analysis::AnalysisResult &R,
                          const ir::AnalyzedProgram *PipelineAP = nullptr);
 
 /// Renders the per-run metrics section: jobs, wall time, the full merged
-/// OmegaStats, the delta classification, and (when requested) the profile
-/// report and decision-explain log.
+/// OmegaStats (result-store hits and misses included), and (when
+/// requested) the profile report and decision-explain log.
 std::string renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
                           double WallMs, const std::string &ProfileJson,
                           const std::string &ExplainLog);
 
-/// The complete CLI document: {"schema": 5, "ok": true, "result": R,
+/// The complete CLI document: {"schema": 6, "ok": true, "result": R,
 /// "metrics": M} plus a trailing newline.
 std::string renderDocument(const std::string &Result,
                            const std::string &Metrics);
@@ -85,14 +88,14 @@ std::string renderDocument(const std::string &Result,
 std::string renderServerOk(uint64_t Id, const std::string &Result,
                            const std::string &Metrics);
 
-/// A typed error response line: {"schema": 5, "id": ..., "ok": false,
+/// A typed error response line: {"schema": 6, "id": ..., "ok": false,
 /// "error": {"code": ..., "message": ...}}. \p HasId distinguishes a
 /// request whose id never parsed (id becomes null).
 std::string renderServerError(bool HasId, uint64_t Id, const std::string &Code,
                               const std::string &Message);
 
 /// An operational response line (the telemetry ops: metrics, health, and
-/// the shutdown acknowledgment): {"schema": 5, "id": ..., "ok": true,
+/// the shutdown acknowledgment): {"schema": 6, "id": ..., "ok": true,
 /// "op": OP, BODYKEY: BODY}. \p Body is pre-rendered JSON
 /// (schema/metrics_response.schema.json describes the three documents).
 std::string renderServerOp(bool HasId, uint64_t Id, const std::string &Op,

@@ -88,16 +88,13 @@ struct Server::Telemetry {
   // their own engine run (a subset of AnalyzeOk).
   obs::Counter *ReqCoalesced;
   // Actual engine runs performed. The coalescing witness:
-  // analyses_total + coalesced_total == analyze_ok at quiescence (session
-  // requests never coalesce, so each is one analysis).
+  // analyses_total + coalesced_total == analyze_ok at quiescence.
   obs::Counter *EngAnalyses;
   // Engine-fed: per-request attribution summed into process totals.
-  obs::Counter *EngSatCalls, *EngQuickDecided, *EngDeltaReused,
-      *EngDeltaResolved, *EngDeltaNew, *StoreHits, *StoreMisses,
+  obs::Counter *EngSatCalls, *EngQuickDecided, *StoreHits, *StoreMisses,
       *StoreEvictions;
 
-  obs::Gauge *QueueDepth, *ActiveWorkers, *LiveSessions,
-      *ResultStoreEntries;
+  obs::Gauge *QueueDepth, *ActiveWorkers, *ResultStoreEntries;
 
   obs::Histogram *QueueWaitUs, *ParseUs, *SolveUs, *SerializeUs, *RequestUs;
 
@@ -154,16 +151,9 @@ struct Server::Telemetry {
     EngQuickDecided = C("omega_engine_quicktest_decided_total",
                         "Pair queries decided by the ZIV/GCD/bounds "
                         "pre-filter");
-    EngDeltaReused = C("omega_engine_delta_pairs_reused_total",
-                       "Pairs materialized from a session baseline");
-    EngDeltaResolved = C("omega_engine_delta_pairs_resolved_total",
-                         "Pairs re-solved because their fingerprint "
-                         "changed");
-    EngDeltaNew = C("omega_engine_delta_pairs_new_total",
-                    "Pairs with no baseline counterpart");
     StoreHits = C("omega_result_store_hits_total",
-                  "Pair/kill-group solves materialized from the global "
-                  "result store");
+                  "Pair/kill-group solves materialized from the result "
+                  "store");
     StoreMisses = C("omega_result_store_misses_total",
                     "Result-store consultations that had to solve");
     StoreEvictions = C("omega_result_store_evictions_total",
@@ -176,11 +166,9 @@ struct Server::Telemetry {
                    "Requests admitted but not yet claimed by a worker");
     ActiveWorkers = G("omega_serve_active_workers",
                       "Workers currently running a request");
-    LiveSessions = G("omega_serve_live_sessions",
-                     "Incremental sessions with a retained baseline");
     ResultStoreEntries = G("omega_result_store_entries",
-                           "Solved outcomes resident in the global "
-                           "result store");
+                           "Solved outcomes resident in the result "
+                           "store");
 
     auto H = [&](const char *Name, const char *Help) {
       return Registry.histogram(Name, Help, LatencyBoundsUs);
@@ -436,6 +424,7 @@ void Server::submit(std::string Line,
     return Fail("bad_request", "\"source\" must be a string");
   R.Source = Src->asString();
 
+  // "session" is a client label: validated and access-logged only.
   if (const json::Value *V = Doc.get("session")) {
     if (!V->isString())
       return Fail("bad_request", "\"session\" must be a string");
@@ -541,7 +530,7 @@ uint64_t elapsedUs(std::chrono::steady_clock::time_point From,
           .count());
 }
 
-/// The singleflight identity of a sessionless analyze request: every
+/// The singleflight identity of an analyze request: every
 /// option that flows into the engine run or the response document, plus
 /// the source. Two requests with equal keys produce byte-identical
 /// "result" sections (the engine's determinism guarantee), so they may
@@ -611,14 +600,13 @@ void Server::runOne(Request &R, unsigned Index) {
     return;
   }
 
-  // Singleflight: a sessionless analyze request that matches a solve
-  // already in flight parks on it as a follower and frees this worker
-  // slot immediately; the leader answers it (under the follower's own
-  // id) when the shared solve completes. Session requests never
-  // coalesce -- their baseline side effects are per-request.
+  // Singleflight: an analyze request that matches a solve already in
+  // flight parks on it as a follower and frees this worker slot
+  // immediately; the leader answers it (under the follower's own id) when
+  // the shared solve completes.
   bool Leader = false;
   std::string CKey;
-  if (Cfg.Coalesce && R.Session.empty()) {
+  if (Cfg.Coalesce) {
     CKey = coalesceKey(R.Opts, R.Source);
     std::lock_guard<std::mutex> Lock(CoalesceMu);
     auto It = Inflight.find(CKey);
@@ -687,18 +675,7 @@ void Server::runOne(Request &R, unsigned Index) {
 
   engine::DependenceEngine &Engine = *Engines[Index];
   engine::AnalysisRequest EReq = R.Opts.toEngineRequest();
-  // Session requests run in delta mode: consult the session's retained
-  // baseline (if any) and record a fresh one for the next request. The
-  // shared_ptr keeps the prior baseline alive for the whole run even if
-  // a concurrent request on the same session replaces it.
-  std::shared_ptr<const engine::BaselineResult> Prior;
-  if (!R.Session.empty()) {
-    Prior = sessionBaseline(R.Session);
-    EReq.Baseline = Prior.get();
-    EReq.BuildBaseline = true;
-  }
-  // Every run -- stateless or session -- consults and feeds the global
-  // result store; the engine checks its session baseline first.
+  // Every run consults and feeds the result store.
   EReq.Store = &Store;
   Engine.applyOptions(EReq);
 
@@ -718,8 +695,6 @@ void Server::runOne(Request &R, unsigned Index) {
   Tele->EngAnalyses->add();
   if (Tracer)
     Engine.setTracer(nullptr);
-  if (!R.Session.empty() && Result.Baseline)
-    retainSession(R.Session, Result.Baseline);
   double WallMs = static_cast<double>(T.SolveUs) / 1000.0;
 
   auto SerializeStart = Clock::now();
@@ -735,9 +710,6 @@ void Server::runOne(Request &R, unsigned Index) {
   // (concurrent requests would otherwise charge each other).
   Tele->EngSatCalls->add(Result.Stats.SatisfiabilityCalls);
   Tele->EngQuickDecided->add(Result.Stats.QuickTestDecided);
-  Tele->EngDeltaReused->add(Result.Stats.DeltaPairsReused);
-  Tele->EngDeltaResolved->add(Result.Stats.DeltaPairsResolved);
-  Tele->EngDeltaNew->add(Result.Stats.DeltaPairsNew);
   Tele->StoreHits->add(Result.Stats.ResultStoreHits);
   Tele->StoreMisses->add(Result.Stats.ResultStoreMisses);
   Tele->StoreEvictions->add(Result.Stats.ResultStoreEvictions);
@@ -827,42 +799,6 @@ void Server::logAccessLine(const std::string &Line) {
 }
 
 //===----------------------------------------------------------------------===//
-// Incremental sessions
-//===----------------------------------------------------------------------===//
-
-std::shared_ptr<const engine::BaselineResult>
-Server::sessionBaseline(const std::string &Session) {
-  std::lock_guard<std::mutex> Lock(SessionsMu);
-  auto It = Sessions.find(Session);
-  if (It == Sessions.end())
-    return nullptr;
-  SessionLRU.splice(SessionLRU.begin(), SessionLRU, It->second.Recency);
-  return It->second.Baseline;
-}
-
-void Server::retainSession(
-    const std::string &Session,
-    std::shared_ptr<const engine::BaselineResult> Baseline) {
-  std::lock_guard<std::mutex> Lock(SessionsMu);
-  auto It = Sessions.find(Session);
-  if (It != Sessions.end()) {
-    It->second.Baseline = std::move(Baseline);
-    SessionLRU.splice(SessionLRU.begin(), SessionLRU, It->second.Recency);
-    return;
-  }
-  SessionLRU.push_front(Session);
-  Sessions.emplace(Session, SessionEntry{std::move(Baseline),
-                                         SessionLRU.begin()});
-  std::size_t Cap = Cfg.MaxSessions ? Cfg.MaxSessions : 1;
-  while (Sessions.size() > Cap) {
-    Sessions.erase(SessionLRU.back());
-    SessionLRU.pop_back();
-  }
-  // Under SessionsMu, so set() never races another setter.
-  Tele->LiveSessions->set(static_cast<int64_t>(Sessions.size()));
-}
-
-//===----------------------------------------------------------------------===//
 // Telemetry exposition
 //===----------------------------------------------------------------------===//
 
@@ -914,8 +850,6 @@ std::string Server::healthBody() const {
   Out += ", \"uptimeMs\": " + std::to_string(UptimeMs);
   Out += ", \"requestsTotal\": " +
          std::to_string(Tele->RequestsTotal->value());
-  Out += ", \"liveSessions\": " + std::to_string(Tele->LiveSessions->value());
-  Out += ", \"sessionCapacity\": " + std::to_string(Cfg.MaxSessions);
   Out += ", \"resultStoreEntries\": " + std::to_string(Store.size());
   Out += ", \"cacheNote\": \"" + json::escape(StartupNote) + "\"}";
   return Out;

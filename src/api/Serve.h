@@ -14,7 +14,7 @@
 ///   {"id": 1, "source": "for i = 1 to n { a[i] = a[i-1]; }",
 ///    "options": {"quicktests": false}, "deadlineMs": 500}
 ///
-/// Responses are schema-5 documents (api/Response.h) with the request id
+/// Responses are schema-6 documents (api/Response.h) with the request id
 /// spliced in; `{"id": 2, "op": "shutdown"}` stops the server. Because
 /// the engine's structural result is deterministic for every Jobs value
 /// and reuse state, a server response's "result" section is byte-identical
@@ -27,25 +27,21 @@
 /// error, and a request whose deadline passed while queued is answered
 /// "deadline_exceeded" instead of being run.
 ///
-/// Edit-incremental sessions: a request may carry a "session" string.
-/// The server retains the last analysis baseline (engine/DeltaPlanner.h)
-/// per session, LRU-bounded at Config::MaxSessions, and hands it to the
-/// engine on the session's next request, so re-analyzing an edited
-/// program only solves the pairs the edit touched. Reuse is
-/// result-invisible -- the response's "result" section stays
-/// byte-identical to a from-scratch run -- and "metrics.delta" reports the
-/// pair classification.
+/// Reuse: one engine::ResultStore (fingerprint-keyed solved outcomes,
+/// shared by all workers, persisted via Config::ResultCacheFile) lets any
+/// request -- a first request, an edit of an earlier program, or one
+/// after a restart -- materialize the pair and kill groups a structurally
+/// identical program solved before, so re-analyzing an edit solves only
+/// what the edit touched. In-flight request coalescing (singleflight)
+/// merges concurrent requests with identical source and options: one
+/// leader solves, the followers' worker slots are freed immediately, and
+/// the leader answers every follower with the shared result document
+/// under each follower's own id. Both are result-invisible by the same
+/// byte-identity gate.
 ///
-/// Above the session tier sit two cross-request reuse tiers. A global
-/// engine::ResultStore (fingerprint-keyed solved outcomes, shared by all
-/// workers, persisted via Config::ResultCacheFile) lets ANY request --
-/// stateless, fresh session, or restarted server -- materialize pairs a
-/// structurally identical program solved before. And in-flight request
-/// coalescing (singleflight) merges concurrent sessionless requests with
-/// identical source and options: one leader solves, the followers' worker
-/// slots are freed immediately, and the leader answers every follower
-/// with the shared result document under each follower's own id. Both
-/// tiers are result-invisible by the same byte-identity gate.
+/// A request may carry a "session" string: a client label, validated
+/// (non-empty string) and written to the access log, with no effect on
+/// how the request runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +59,6 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -90,10 +85,6 @@ public:
     /// Default per-request deadline in milliseconds, measured from
     /// admission; 0 means none. A request's "deadlineMs" overrides it.
     std::uint64_t DeadlineMs = 0;
-    /// Incremental-session retention bound: baselines for the most
-    /// recently used MaxSessions session ids stay resident; older ones
-    /// are dropped (their next request runs from scratch, never wrong).
-    std::size_t MaxSessions = 64;
     /// Result-store persistence file: loaded (if present and valid) at
     /// construction -- corruption warns and cold-starts -- and saved
     /// atomically at stop(). Empty disables persistence (the in-memory
@@ -101,8 +92,8 @@ public:
     std::string ResultCacheFile;
     /// Result-store entry bound (0 = unbounded), LRU-evicted beyond it.
     std::size_t ResultStoreCap = engine::ResultStore::DefaultCapacity;
-    /// In-flight coalescing: concurrent sessionless analyze requests with
-    /// identical source and options share one engine solve.
+    /// In-flight coalescing: concurrent analyze requests with identical
+    /// source and options share one engine solve.
     bool Coalesce = true;
 
     // -- telemetry sinks (the registry itself is always on; recording is
@@ -159,12 +150,12 @@ public:
   /// start: ..."), empty when persistence is off.
   const std::string &startupNote() const { return StartupNote; }
 
-  /// The global cross-request result store (always present; every worker
-  /// engine consults and feeds it). Public for in-process tests/bench.
+  /// The result store (always present; every worker engine consults and
+  /// feeds it). Public for in-process tests/bench.
   engine::ResultStore &resultStore() { return Store; }
 
   /// A deterministic snapshot of the server's metrics registry with the
-  /// sampled gauges (store occupancy, live sessions) refreshed first.
+  /// sampled gauge (store occupancy) refreshed first.
   /// What the metrics op, the health op, the exposition file, and the
   /// shutdown acknowledgment all render; public for in-process tests.
   obs::MetricsSnapshot metricsSnapshot() const;
@@ -184,7 +175,7 @@ private:
     bool HasId = false;
     std::uint64_t Id = 0;
     std::string Source;
-    std::string Session; ///< incremental-session id, empty = stateless
+    std::string Session; ///< client label for the access log, may be empty
     AnalysisOptions Opts;
     std::chrono::steady_clock::time_point Deadline;
     bool HasDeadline = false;
@@ -203,7 +194,7 @@ private:
     Request R;
     std::uint64_t QueueWaitUs = 0;
   };
-  /// One in-flight sessionless solve, keyed by source + engine-relevant
+  /// One in-flight solve, keyed by source + engine-relevant
   /// options. Present in the map exactly while a leader is running.
   struct InflightEntry {
     std::vector<Waiter> Waiters;
@@ -226,15 +217,6 @@ private:
   /// The health-op response body.
   std::string healthBody() const;
 
-  /// The retained baseline for \p Session (null if none), bumped to
-  /// most-recently-used. Thread-safe.
-  std::shared_ptr<const engine::BaselineResult>
-  sessionBaseline(const std::string &Session);
-  /// Retains \p Baseline as \p Session's latest, evicting the least
-  /// recently used session beyond Config::MaxSessions. Thread-safe.
-  void retainSession(const std::string &Session,
-                     std::shared_ptr<const engine::BaselineResult> Baseline);
-
   Config Cfg;
   std::string StartupNote;
   std::unique_ptr<Telemetry> Tele;
@@ -244,15 +226,7 @@ private:
   std::deque<Request> Queue;
   bool Draining = false; ///< stop() begun: no admissions, workers drain
 
-  struct SessionEntry {
-    std::shared_ptr<const engine::BaselineResult> Baseline;
-    std::list<std::string>::iterator Recency; ///< position in SessionLRU
-  };
-  std::mutex SessionsMu;
-  std::unordered_map<std::string, SessionEntry> Sessions;
-  std::list<std::string> SessionLRU; ///< most recently used at the front
-
-  /// The global result store, shared by every worker engine.
+  /// The result store, shared by every worker engine.
   engine::ResultStore Store;
 
   std::mutex CoalesceMu;

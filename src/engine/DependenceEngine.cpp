@@ -114,8 +114,6 @@ void DependenceEngine::applyOptions(const AnalysisRequest &O) {
   Req.Kill = O.Kill;
   Req.Terminate = O.Terminate;
   Req.PairQuickTests = O.PairQuickTests;
-  Req.Baseline = O.Baseline;
-  Req.BuildBaseline = O.BuildBaseline;
   Req.Store = O.Store;
   // Per-request parallelism: clamp to the pool built at construction (0
   // asks for the full pool).
@@ -211,34 +209,22 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
     }
   }
 
-  // Delta planning (cross-version incrementality). Disabled entirely
-  // under Terminate: phase 4 kills across group boundaries, outside the
-  // per-group reuse model. A baseline recorded under other pipeline
-  // switches is ignored by the planner.
-  const bool DeltaActive =
-      (Req.Baseline != nullptr || Req.BuildBaseline) && !Req.Terminate;
-  const bool BuildBL = Req.BuildBaseline && !Req.Terminate;
-  // The global cross-request store is a second reuse tier below the
-  // session baseline: consulted for every group the baseline missed, fed
-  // every outcome this run produces. It never activates delta accounting
-  // by itself (stateless requests keep reporting no delta section); its
-  // traffic lands in the ResultStore* stats instead.
+  // Cross-run reuse through the result store. Disabled under Terminate:
+  // phase 4 kills across group boundaries, outside the per-group reuse
+  // model.
   ResultStore *Store = Req.Terminate ? nullptr : Req.Store;
-  const bool FPActive = DeltaActive || Store != nullptr;
   PipelineSig Sig;
   Sig.Refine = Req.Refine;
   Sig.Cover = Req.Cover;
   Sig.Kill = Req.Kill;
   Sig.QuickTests = Req.QuickTests;
-  DeltaPlanner Planner(DeltaActive ? Req.Baseline : nullptr, Sig);
-  DeltaMetrics Delta;
-  Delta.Active = DeltaActive;
   uint64_t StoreHits = 0, StoreMisses = 0, StoreEvictions = 0;
 
   std::optional<deps::FingerprintBuilder> FPB;
   std::vector<deps::PairFingerprint> GroupFP;
-  // Reused group -> its baseline outcome; per-query pointers into it.
-  std::vector<const PairOutcome *> GroupReuse(Groups.size(), nullptr);
+  // Group -> the stored outcome it materializes from (sized once, so the
+  // per-query pointers into it stay stable).
+  std::vector<std::optional<PairOutcome>> GroupReuse(Groups.size());
   std::vector<const PortableDep *> QueryReuse(Queries.size(), nullptr);
 
   // Role of an access within its group's canonical pair orientation:
@@ -253,36 +239,18 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
     return A == CanonFirst ? 0 : 1;
   };
 
-  // Store-materialized groups own their outcome copies here so the
-  // QueryReuse pointers stay stable (resized once, never reallocated).
-  std::vector<PairOutcome> StoreOutcomes;
-  std::vector<char> GroupFromStore;
-  if (FPActive) {
+  if (Store) {
     FPB.emplace(AP);
     GroupFP.resize(Groups.size());
-    StoreOutcomes.resize(Groups.size());
-    GroupFromStore.assign(Groups.size(), 0);
     // Pure string building; parallel and trace-silent.
     Pool->parallelFor(Groups.size(), [&](std::size_t GI, OmegaContext &) {
       const PairQuery &First = Queries[Groups[GI].front()];
       GroupFP[GI] = FPB->pair(*First.Src, *First.Dst);
     });
-    // Classification (serial: planner bookkeeping + reuse binding).
-    // Tier order per group: session baseline first (free, already
-    // validated against this program lineage), then the global store.
+    // One lookup per group (serial: binds the stored answers).
     for (std::size_t GI = 0; GI != Groups.size(); ++GI) {
-      const PairOutcome *O =
-          DeltaActive ? Planner.matchPair(GroupFP[GI].Key) : nullptr;
-      bool Consulted = false; // this group asked the global store
-      if (!O && Store) {
-        Consulted = true;
-        if (std::optional<PairOutcome> SO =
-                Store->lookupPair(GroupFP[GI].Key, Sig)) {
-          StoreOutcomes[GI] = std::move(*SO);
-          O = &StoreOutcomes[GI];
-          GroupFromStore[GI] = 1;
-        }
-      }
+      std::optional<PairOutcome> &O = GroupReuse[GI];
+      O = Store->lookupPair(GroupFP[GI].Key, Sig);
       bool Reusable = O && O->Queries.size() == Groups[GI].size();
       if (Reusable) {
         // Bind every query to a distinct stored answer by (kind, roles).
@@ -310,27 +278,14 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
         }
       }
       if (Reusable) {
-        GroupReuse[GI] = O;
-        if (GroupFromStore[GI])
-          ++StoreHits;
-        if (DeltaActive)
-          ++Delta.PairsReused;
+        ++StoreHits;
       } else {
-        // A fingerprint miss (or, defensively, a malformed match) is an
-        // edited pair when its array was in the baseline, new data
-        // otherwise. Metrics-only distinction; both solve from scratch.
-        GroupFromStore[GI] = 0;
-        if (Consulted)
-          ++StoreMisses;
+        // A fingerprint miss (or, defensively, a malformed match) solves
+        // from scratch.
+        ++StoreMisses;
+        O.reset();
         for (std::size_t QI : Groups[GI])
           QueryReuse[QI] = nullptr;
-        if (DeltaActive) {
-          const PairQuery &First = Queries[Groups[GI].front()];
-          if (O || Planner.knownArray(First.Src->Array))
-            ++Delta.PairsResolved;
-          else
-            ++Delta.PairsNew;
-        }
       }
     }
   }
@@ -345,33 +300,25 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   // coordinating thread (no helper holds a context between parallelFor
   // calls).
   std::vector<std::size_t> RunGroups;
-  if (FPActive) {
-    obs::TraceBuffer *TB = Req.Trace ? Pool->firstContext().Trace : nullptr;
-    for (std::size_t GI = 0; GI != Groups.size(); ++GI) {
-      if (!GroupReuse[GI]) {
-        RunGroups.push_back(GI);
-        continue;
-      }
-      for (std::size_t QI : Groups[GI]) {
-        const PairQuery &Q = Queries[QI];
-        const PortableDep &P = *QueryReuse[QI];
-        if (P.Present)
-          QueryDeps[QI] = materializeDep(P, Q.Src, Q.Dst);
-      }
-      if (TB) {
-        const PairQuery &First = Queries[Groups[GI].front()];
-        obs::TaskScope Task(TB, taskKey(1, GI),
-                            "pair " + accessLabel(*First.Src) + " <-> " +
-                                accessLabel(*First.Dst));
-        TB->decision(GroupFromStore[GI]
-                         ? "delta: pair reused from result store"
-                         : "delta: pair reused from baseline");
-      }
+  obs::TraceBuffer *TB = Req.Trace ? Pool->firstContext().Trace : nullptr;
+  for (std::size_t GI = 0; GI != Groups.size(); ++GI) {
+    if (!GroupReuse[GI]) {
+      RunGroups.push_back(GI);
+      continue;
     }
-  } else {
-    RunGroups.resize(Groups.size());
-    for (std::size_t GI = 0; GI != Groups.size(); ++GI)
-      RunGroups[GI] = GI;
+    for (std::size_t QI : Groups[GI]) {
+      const PairQuery &Q = Queries[QI];
+      const PortableDep &P = *QueryReuse[QI];
+      if (P.Present)
+        QueryDeps[QI] = materializeDep(P, Q.Src, Q.Dst);
+    }
+    if (TB) {
+      const PairQuery &First = Queries[Groups[GI].front()];
+      obs::TaskScope Task(TB, taskKey(1, GI),
+                          "pair " + accessLabel(*First.Src) + " <-> " +
+                              accessLabel(*First.Dst));
+      TB->decision("result store: pair reused");
+    }
   }
 
   Pool->parallelFor(RunGroups.size(), [&](std::size_t RI, OmegaContext &Ctx) {
@@ -390,7 +337,7 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
       QuerySecs[QI] = secondsSince(Start);
     }
   });
-  // Positions of each query's final record, for baseline capture: index
+  // Positions of each query's final record, for store capture: index
   // into Result.Output/Anti (ordered kinds) or Result.Flow, -1 if absent.
   std::vector<std::ptrdiff_t> QueryLoc(Queries.size(), -1);
   for (std::size_t I = 0; I != NumOrderedQueries; ++I)
@@ -423,16 +370,14 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
     Slot.Record.Write = Write;
     Slot.Record.Read = Read;
 
-    if (const PairOutcome *O = GroupReuse[QueryGroup[NumOrderedQueries + I]]) {
+    if (const std::optional<PairOutcome> &O =
+            GroupReuse[QueryGroup[NumOrderedQueries + I]]) {
       Slot.Dep = std::move(QueryDeps[NumOrderedQueries + I]);
       Slot.Record.HasFlow = O->RecHasFlow;
       Slot.Record.UsedGeneralTest = O->RecUsedGeneralTest;
       Slot.Record.SplitVectors = O->RecSplitVectors;
       if (Ctx.Trace)
-        Ctx.Trace->decision(
-            GroupFromStore[QueryGroup[NumOrderedQueries + I]]
-                ? "delta: flow record reused from result store"
-                : "delta: flow record reused from baseline");
+        Ctx.Trace->decision("result store: flow record reused");
       return;
     }
 
@@ -484,18 +429,14 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
     Result.Pairs.push_back(Slot.Record);
   }
 
-  // Baseline capture point: output/anti records are final here, and flow
+  // Store capture point: output/anti records are final here, and flow
   // records hold their post-refinement, post-cover, pre-kill state -- the
   // exact state a future reuse must restore before its own kill phase.
-  std::shared_ptr<BaselineResult> NewBL;
-  if (BuildBL || Store) {
-    if (BuildBL) {
-      NewBL = std::make_shared<BaselineResult>();
-      NewBL->Sig = Sig;
-      for (const ir::Access &A : AP.Accesses)
-        NewBL->Arrays.insert(A.Array);
-    }
+  // Groups the store answered are already in it.
+  if (Store) {
     for (std::size_t GI = 0; GI != Groups.size(); ++GI) {
+      if (GroupReuse[GI])
+        continue;
       PairOutcome O;
       for (std::size_t QI : Groups[GI]) {
         const PairQuery &Q = Queries[QI];
@@ -519,15 +460,7 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
           O.RecSplitVectors = Rec.SplitVectors;
         }
       }
-      // Feed the global store everything this run did not take from it
-      // (solves and baseline-reused groups alike; a re-insert of an
-      // equal key only refreshes recency).
-      if (Store && !GroupFromStore[GI])
-        StoreEvictions += Store->storePair(GroupFP[GI].Key, Sig, O);
-      // emplace: duplicate fingerprints keep the first outcome (equal
-      // keys imply equal outcomes, so either would do).
-      if (BuildBL)
-        NewBL->Pairs.emplace(GroupFP[GI].Key, std::move(O));
+      StoreEvictions += Store->storePair(GroupFP[GI].Key, Sig, O);
     }
   }
 
@@ -553,9 +486,7 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
     std::map<unsigned, uint32_t> WritePosOfId;
     std::vector<std::string> KillFP(KGroups.size());
     std::vector<char> KillReused(KGroups.size(), 0);
-    std::vector<KillGroupOutcome> KillStoreOutcomes(KGroups.size());
-    std::vector<char> KillFromStore(KGroups.size(), 0);
-    if (FPActive) {
+    if (Store) {
       for (const ir::Access *W : Writes) {
         std::vector<const ir::Access *> &V = WritesOf[W->Array];
         WritePosOfId[W->Id] = static_cast<uint32_t>(V.size());
@@ -566,8 +497,6 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
             Result.Flow[KGroups[GI].DepIndices->front()].Dst;
         KillFP[GI] = FPB->killGroup(*Read, WritesOf[Read->Array]);
       }
-      if (DeltaActive)
-        Delta.KillGroupsTotal = KGroups.size();
     }
 
     // Reuse pass (serial): a matching kill-group fingerprint covers the
@@ -575,43 +504,27 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
     // its array, which determines the whole group's pre-kill state and
     // therefore every phase-3 decision -- even for members that were
     // themselves re-solved this run. Validation failures fall back to
-    // running the group (correct either way; the KillGroupsReused
-    // counter is what would expose a fingerprint bug).
-    for (std::size_t GI = 0; GI != KGroups.size(); ++GI) {
-      const KillGroupOutcome *O =
-          DeltaActive ? Planner.matchKillGroup(KillFP[GI]) : nullptr;
-      bool Consulted = false;
-      if (!O && Store && FPActive) {
-        Consulted = true;
-        if (std::optional<KillGroupOutcome> SO =
-                Store->lookupKillGroup(KillFP[GI], Sig)) {
-          KillStoreOutcomes[GI] = std::move(*SO);
-          O = &KillStoreOutcomes[GI];
-          KillFromStore[GI] = 1;
-        }
-      }
-      if (!O) {
-        if (Consulted)
-          ++StoreMisses;
-        continue;
-      }
+    // running the group (correct either way; the hit counter is what
+    // would expose a fingerprint bug).
+    for (std::size_t GI = 0; Store && GI != KGroups.size(); ++GI) {
+      std::optional<KillGroupOutcome> O =
+          Store->lookupKillGroup(KillFP[GI], Sig);
       KillGroup &G = KGroups[GI];
       const std::vector<unsigned> &DepIndices = *G.DepIndices;
       const ir::Access *Read = Result.Flow[DepIndices.front()].Dst;
       const std::vector<const ir::Access *> &AW = WritesOf[Read->Array];
-      bool Valid = O->States.size() == DepIndices.size();
+      bool Valid = O && O->States.size() == DepIndices.size();
       for (std::size_t I = 0; Valid && I != DepIndices.size(); ++I) {
         const KillGroupOutcome::DepState &S = O->States[I];
         const Dependence &Dep = Result.Flow[DepIndices[I]];
         Valid = S.WritePos == WritePosOfId[Dep.Src->Id] &&
                 S.Splits.size() == Dep.Splits.size();
       }
-      for (const PortableKillRecord &KR : O->Records)
-        Valid = Valid && KR.VictimPos < AW.size() && KR.KillerPos < AW.size();
+      for (std::size_t I = 0; Valid && I != O->Records.size(); ++I)
+        Valid = O->Records[I].VictimPos < AW.size() &&
+                O->Records[I].KillerPos < AW.size();
       if (!Valid) {
-        KillFromStore[GI] = 0;
-        if (Consulted)
-          ++StoreMisses;
+        ++StoreMisses;
         continue;
       }
       for (std::size_t I = 0; I != DepIndices.size(); ++I) {
@@ -631,17 +544,11 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
         G.Records.push_back(KR);
       }
       KillReused[GI] = 1;
-      if (KillFromStore[GI])
-        ++StoreHits;
-      if (DeltaActive)
-        ++Delta.KillGroupsReused;
-      if (Req.Trace) {
-        obs::TraceBuffer *TB = Pool->firstContext().Trace;
+      ++StoreHits;
+      if (TB) {
         obs::TaskScope Task(TB, taskKey(3, GI),
                             "kills into " + accessLabel(*Read));
-        TB->decision(KillFromStore[GI]
-                         ? "delta: kill group reused from result store"
-                         : "delta: kill group reused from baseline");
+        TB->decision("result store: kill group reused");
       }
     }
 
@@ -724,35 +631,30 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
       for (analysis::KillRecord &KR : G.Records)
         Result.Kills.push_back(KR);
 
-    // Kill outcomes captured post-phase-3; the reused groups' rebound
-    // records re-serialize the same way, so a chained baseline (edit of
-    // an edit) is as complete as a cold one.
-    if (BuildBL || Store) {
-      for (std::size_t GI = 0; GI != KGroups.size(); ++GI) {
-        const KillGroup &G = KGroups[GI];
-        const std::vector<unsigned> &DepIndices = *G.DepIndices;
-        KillGroupOutcome KG;
-        for (const analysis::KillRecord &KR : G.Records) {
-          PortableKillRecord PKR;
-          PKR.VictimPos = WritePosOfId[KR.From->Id];
-          PKR.KillerPos = WritePosOfId[KR.Killer->Id];
-          PKR.UsedOmega = KR.UsedOmega;
-          PKR.Killed = KR.Killed;
-          KG.Records.push_back(PKR);
-        }
-        for (unsigned Idx : DepIndices) {
-          const Dependence &Dep = Result.Flow[Idx];
-          KillGroupOutcome::DepState S;
-          S.WritePos = WritePosOfId[Dep.Src->Id];
-          for (const DepSplit &Split : Dep.Splits)
-            S.Splits.emplace_back(Split.Dead, Split.DeadReason);
-          KG.States.push_back(std::move(S));
-        }
-        if (Store && !KillFromStore[GI])
-          StoreEvictions += Store->storeKillGroup(KillFP[GI], Sig, KG);
-        if (BuildBL)
-          NewBL->KillGroups.emplace(KillFP[GI], std::move(KG));
+    // Kill outcomes captured post-phase-3, for the groups the store did
+    // not answer.
+    for (std::size_t GI = 0; Store && GI != KGroups.size(); ++GI) {
+      if (KillReused[GI])
+        continue;
+      const KillGroup &G = KGroups[GI];
+      KillGroupOutcome KG;
+      for (const analysis::KillRecord &KR : G.Records) {
+        PortableKillRecord PKR;
+        PKR.VictimPos = WritePosOfId[KR.From->Id];
+        PKR.KillerPos = WritePosOfId[KR.Killer->Id];
+        PKR.UsedOmega = KR.UsedOmega;
+        PKR.Killed = KR.Killed;
+        KG.Records.push_back(PKR);
       }
+      for (unsigned Idx : *G.DepIndices) {
+        const Dependence &Dep = Result.Flow[Idx];
+        KillGroupOutcome::DepState S;
+        S.WritePos = WritePosOfId[Dep.Src->Id];
+        for (const DepSplit &Split : Dep.Splits)
+          S.Splits.emplace_back(Split.Dead, Split.DeadReason);
+        KG.States.push_back(std::move(S));
+      }
+      StoreEvictions += Store->storeKillGroup(KillFP[GI], Sig, KG);
     }
   }
 
@@ -795,19 +697,11 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   }
 
   Result.Stats = Pool->mergedStats();
-  if (DeltaActive) {
-    Delta.PairsRemoved = Planner.removedCount();
-    Result.Stats.DeltaPairsReused = Delta.PairsReused;
-    Result.Stats.DeltaPairsResolved = Delta.PairsResolved;
-    Result.Stats.DeltaPairsNew = Delta.PairsNew;
-  }
   if (Store) {
     Result.Stats.ResultStoreHits = StoreHits;
     Result.Stats.ResultStoreMisses = StoreMisses;
     Result.Stats.ResultStoreEvictions = StoreEvictions;
   }
-  Result.Delta = Delta;
-  Result.Baseline = std::move(NewBL);
   return Result;
 }
 

@@ -16,9 +16,8 @@
 /// the structural content of the AnalysisResult (dependences, splits,
 /// pair/kill record fields other than timings) is identical for every
 /// Jobs value and reuse state. Work is enumerated in the serial pipeline's
-/// order into index-addressed slots and merged in index order; baselines
-/// and the result store only ever return outcomes the solver would have
-/// computed. Timings, and stats counters when reuse elides work, are the
+/// order into index-addressed slots and merged in index order; the result
+/// store only ever returns outcomes the solver would have computed. Timings, and stats counters when reuse elides work, are the
 /// only run-to-run variation.
 ///
 //===----------------------------------------------------------------------===//
@@ -27,7 +26,6 @@
 #define OMEGA_ENGINE_DEPENDENCEENGINE_H
 
 #include "analysis/Driver.h"
-#include "engine/DeltaPlanner.h"
 #include "omega/OmegaStats.h"
 
 #include <cstdint>
@@ -66,25 +64,13 @@ struct AnalysisRequest {
   /// Jobs value. Null disables tracing (the zero-overhead path). Not
   /// owned; must outlive the engine.
   obs::Tracer *Trace = nullptr;
-  /// Prior-version results keyed by canonical pair fingerprint: groups
-  /// whose fingerprints match are materialized from the baseline instead
-  /// of solved. Result-identical by construction (equal fingerprints
-  /// imply equal solves). Not owned; must outlive the analyze() call.
-  /// Ignored when Terminate is set (phase 4 mutates across group
-  /// boundaries, outside the per-group reuse model).
-  const BaselineResult *Baseline = nullptr;
-  /// Record a BaselineResult for this run into AnalysisResult::Baseline,
-  /// for a future incremental run (or --save-baseline). Also ignored
-  /// under Terminate.
-  bool BuildBaseline = false;
-  /// Global cross-request result store (engine/ResultStore.h): consulted
-  /// for every pair and kill group the baseline above did not already
-  /// cover, and fed every outcome this run solves. Independent of
-  /// Baseline/BuildBaseline -- stateless requests benefit too -- and
-  /// gated identically (sig-qualified exact fingerprint match, shape
-  /// re-validation, byte-identical materialization). Not owned; must be
-  /// thread-safe (it is) and outlive the analyze() call. Ignored when
-  /// Terminate is set, for the same reason Baseline is.
+  /// The cross-run result store (engine/ResultStore.h): consulted for
+  /// every pair group and kill group, and fed every outcome this run
+  /// solves. Result-identical by construction (sig-qualified exact
+  /// fingerprint match, shape re-validation, byte-identical
+  /// materialization). Not owned; must be thread-safe (it is) and outlive
+  /// the analyze() call. Ignored when Terminate is set: phase 4 mutates
+  /// across group boundaries, outside the per-group reuse model.
   ResultStore *Store = nullptr;
 
   static AnalysisRequest fromDriverOptions(const analysis::DriverOptions &O) {
@@ -100,15 +86,9 @@ struct AnalysisRequest {
 
 /// The legacy result plus per-run execution metrics.
 struct AnalysisResult : analysis::AnalysisResult {
-  /// Omega work done by this run, merged over the worker contexts.
+  /// Omega work done by this run, merged over the worker contexts, plus
+  /// the result store's hit/miss/eviction accounting.
   OmegaStats Stats;
-  /// Cross-version reuse accounting (Active only when a baseline was
-  /// consulted or recorded).
-  DeltaMetrics Delta;
-  /// This run's recorded baseline (null unless BuildBaseline was set).
-  /// Shared so the serving stack can retain it per session while the
-  /// result itself is dropped.
-  std::shared_ptr<const BaselineResult> Baseline;
 };
 
 class DependenceEngine {
@@ -123,11 +103,11 @@ public:
   AnalysisResult analyze(const ir::AnalyzedProgram &AP);
 
   /// Re-points the pipeline and tier toggles (QuickTests, Refine, Cover,
-  /// Kill, Terminate, PairQuickTests), the reuse fields (Baseline,
-  /// BuildBaseline, Store), and the active worker count (Jobs, clamped to
-  /// the pool built at construction) at \p O's values without rebuilding
-  /// the pool. The serving stack uses this to honor per-request options on
-  /// a long-lived engine; Trace is fixed at construction and ignored here.
+  /// Kill, Terminate, PairQuickTests), the result store, and the active
+  /// worker count (Jobs, clamped to the pool built at construction) at
+  /// \p O's values without rebuilding the pool. The serving stack uses
+  /// this to honor per-request options on a long-lived engine; Trace is
+  /// fixed at construction and ignored here.
   void applyOptions(const AnalysisRequest &O);
 
   /// Attaches \p T (null detaches) for subsequent analyze() calls:

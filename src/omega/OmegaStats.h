@@ -38,20 +38,12 @@ struct OmegaStats {
   uint64_t GistFastKeeps = 0;       // constraints kept by fast checks
   uint64_t GistSatTests = 0;        // satisfiability tests in gist loop
 
-  // Edit-incremental re-analysis (engine/DeltaPlanner.h): how this run's
-  // access pairs were classified against the baseline. Reused pairs adopt
-  // recorded outcomes without solving; Resolved pairs re-ran because their
-  // fingerprint changed (or conservatively failed to match); New pairs
-  // touch an array the baseline never saw. The three always sum to the
-  // run's pair count when delta analysis is active.
-  uint64_t DeltaPairsReused = 0;
-  uint64_t DeltaPairsResolved = 0;
-  uint64_t DeltaPairsNew = 0;
-
-  // Global result store (engine/ResultStore.h): pair and kill groups this
-  // run materialized from the cross-request store (hits), looked up but
-  // had to solve (misses), and entries the store's LRU bound dropped while
-  // this run inserted (evictions). All zero when no store is attached.
+  // Result store (engine/ResultStore.h), the one cross-run reuse path:
+  // pair and kill groups this run materialized from the store (hits),
+  // looked up but had to solve (misses), and entries the store's LRU
+  // bound dropped while this run inserted (evictions). Hits plus misses
+  // equal the run's pair and kill groups; all zero when no store is
+  // attached.
   uint64_t ResultStoreHits = 0;
   uint64_t ResultStoreMisses = 0;
   uint64_t ResultStoreEvictions = 0;
@@ -89,9 +81,6 @@ private:
     GistFastDrops += Sign * O.GistFastDrops;
     GistFastKeeps += Sign * O.GistFastKeeps;
     GistSatTests += Sign * O.GistSatTests;
-    DeltaPairsReused += Sign * O.DeltaPairsReused;
-    DeltaPairsResolved += Sign * O.DeltaPairsResolved;
-    DeltaPairsNew += Sign * O.DeltaPairsNew;
     ResultStoreHits += Sign * O.ResultStoreHits;
     ResultStoreMisses += Sign * O.ResultStoreMisses;
     ResultStoreEvictions += Sign * O.ResultStoreEvictions;

@@ -5,7 +5,7 @@
 //
 // The api layer's contract: one option table drives the CLI parser, the
 // JSON request parser, and the help text (spellings can never drift); the
-// response document is schema 5 with a deterministic "result" section.
+// response document is schema 6 with a deterministic "result" section.
 //
 //===----------------------------------------------------------------------===//
 
@@ -111,6 +111,11 @@ TEST(ApiOptions, ToolScopingRoutesUnknownFlagsToRest) {
   ParsedArgs C = parsed({"--no-quicktests", "script.calc"}, ToolCalc);
   EXPECT_FALSE(C.Options.PairQuickTests);
   ASSERT_EQ(C.Rest.size(), 1u);
+
+  // The session-baseline options are gone from every tool.
+  for (const char *Gone : {"--baseline", "--save-baseline", "--max-sessions"})
+    for (unsigned Tool : {ToolAnalyze, ToolServe})
+      EXPECT_EQ(parsed({Gone, "x"}, Tool).Rest.front(), Gone);
 }
 
 TEST(ApiOptions, MalformedValuesAreRejected) {
@@ -295,7 +300,7 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   std::string Err;
   ASSERT_TRUE(json::parse(Doc, V, Err)) << Err;
   EXPECT_EQ(V.get("schema")->asInt(), SchemaVersion);
-  EXPECT_EQ(SchemaVersion, 5);
+  EXPECT_EQ(SchemaVersion, 6);
   EXPECT_TRUE(V.get("ok")->asBool());
   ASSERT_NE(V.get("result"), nullptr);
   ASSERT_NE(V.get("metrics"), nullptr);
@@ -315,6 +320,9 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   EXPECT_EQ(M->get("cache"), nullptr);
   EXPECT_EQ(M->get("stats")->get("satCacheHits"), nullptr);
   EXPECT_EQ(M->get("stats")->get("snapshotBuilds"), nullptr);
+  // Schema 6: no session-baseline delta section or counters.
+  EXPECT_EQ(M->get("delta"), nullptr);
+  EXPECT_EQ(M->get("stats")->get("deltaPairsReused"), nullptr);
 }
 
 TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
@@ -341,7 +349,7 @@ TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
 
 TEST(ApiResponse, ServerVariantsCarryIdAndTypedErrors) {
   std::string Ok = renderServerOk(7, "{}", "{}");
-  EXPECT_NE(Ok.find("\"schema\": 5"), std::string::npos);
+  EXPECT_NE(Ok.find("\"schema\": 6"), std::string::npos);
   EXPECT_NE(Ok.find("\"id\": 7"), std::string::npos);
   EXPECT_NE(Ok.find("\"ok\": true"), std::string::npos);
 

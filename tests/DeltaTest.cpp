@@ -4,15 +4,15 @@
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
 //
 // The incremental contract, end to end: canonical pair fingerprints are
-// name-free and semantics-sensitive; baselines round-trip through their
-// binary format and reject corruption; an analysis replayed against a
-// baseline renders byte-identical results while classifying every pair
-// group exactly once; the global result store answers structurally-seen
-// pairs across unrelated requests (LRU-bounded, sig-gated, thread-safe,
-// with checksummed persistence that rejects corruption whole); and the
-// serving stack retains per-session baselines, falls back to the global
-// store after eviction, and clamps per-request parallelism to the worker
-// pool.
+// name-free and semantics-sensitive; the result store -- the one
+// cross-run reuse path -- answers structurally-seen pair and kill groups
+// across program versions and unrelated requests (LRU-bounded,
+// sig-gated, thread-safe, with checksummed persistence that rejects
+// corruption whole); an edit analyzed against a store fed by the base
+// program renders byte-identical results while every group is either a
+// hit or a miss; and the serving stack reuses through the store whatever
+// session label a request carries, and clamps per-request parallelism to
+// the worker pool.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,6 @@
 #include "api/Response.h"
 #include "api/Serve.h"
 #include "deps/Fingerprint.h"
-#include "engine/DeltaPlanner.h"
 #include "engine/DependenceEngine.h"
 #include "engine/ResultStore.h"
 #include "engine/WorkerPool.h"
@@ -55,18 +54,33 @@ ir::AnalyzedProgram analyzeOk(const std::string &Source) {
   return AP;
 }
 
-/// The access-pair group count of \p AP, measured the way the planner
-/// counts: a delta run with no baseline to consult classifies every
-/// group "new".
-uint64_t groupTotal(const ir::AnalyzedProgram &AP) {
-  engine::AnalysisRequest Req;
-  Req.BuildBaseline = true;
+/// One run of \p AP against \p Store (consulted and fed).
+engine::AnalysisResult runWithStore(engine::ResultStore &Store,
+                                    const ir::AnalyzedProgram &AP,
+                                    engine::AnalysisRequest Req = {}) {
+  Req.Store = &Store;
   engine::DependenceEngine Engine(Req);
-  engine::AnalysisResult R = Engine.analyze(AP);
-  EXPECT_TRUE(R.Delta.Active);
-  EXPECT_EQ(R.Delta.PairsReused, 0u);
-  EXPECT_EQ(R.Delta.PairsResolved, 0u);
-  return R.Delta.PairsNew;
+  return Engine.analyze(AP);
+}
+
+/// The pair groups plus kill groups of \p AP: what a run against an
+/// empty store looks up, and misses.
+uint64_t groupTotal(const ir::AnalyzedProgram &AP) {
+  engine::ResultStore Empty;
+  engine::AnalysisResult R = runWithStore(Empty, AP);
+  EXPECT_EQ(R.Stats.ResultStoreHits, 0u);
+  return R.Stats.ResultStoreMisses;
+}
+
+/// Feeds \p Store with one run over \p Source.
+void feed(engine::ResultStore &Store, const std::string &Source) {
+  runWithStore(Store, analyzeOk(Source));
+}
+
+/// The from-scratch "result" bytes of \p AP.
+std::string scratchResult(const ir::AnalyzedProgram &AP) {
+  engine::DependenceEngine Scratch;
+  return api::renderResult(Scratch.analyze(AP));
 }
 
 /// First access of \p Array with the requested role.
@@ -79,17 +93,6 @@ const ir::Access &find(const ir::AnalyzedProgram &AP, const std::string &Array,
   return AP.Accesses.front();
 }
 
-/// One BuildBaseline run over \p Source; returns the recorded baseline.
-std::shared_ptr<const engine::BaselineResult>
-recordBaseline(const std::string &Source) {
-  engine::AnalysisRequest Req;
-  Req.BuildBaseline = true;
-  engine::DependenceEngine Engine(Req);
-  engine::AnalysisResult R = Engine.analyze(analyzeOk(Source));
-  EXPECT_NE(R.Baseline, nullptr);
-  return R.Baseline;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -97,29 +100,14 @@ recordBaseline(const std::string &Source) {
 //===----------------------------------------------------------------------===//
 
 // Renaming loop variables, arrays, and symbolic constants leaves every
-// pair and kill-group fingerprint unchanged: the two baselines carry
-// identical key sets.
+// pair and kill-group fingerprint -- and every portable outcome --
+// unchanged: stores fed by the two programs hold identical bytes.
 TEST(Fingerprint, NameFree) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  std::shared_ptr<const engine::BaselineResult> Renamed =
-      recordBaseline(readEdit("rename"));
-  ASSERT_NE(Base, nullptr);
-  ASSERT_NE(Renamed, nullptr);
-
-  std::vector<std::string> BaseKeys, RenamedKeys;
-  for (const auto &KV : Base->Pairs)
-    BaseKeys.push_back(KV.first);
-  for (const auto &KV : Renamed->Pairs)
-    RenamedKeys.push_back(KV.first);
-  EXPECT_EQ(BaseKeys, RenamedKeys);
-
-  std::vector<std::string> BaseKills, RenamedKills;
-  for (const auto &KV : Base->KillGroups)
-    BaseKills.push_back(KV.first);
-  for (const auto &KV : Renamed->KillGroups)
-    RenamedKills.push_back(KV.first);
-  EXPECT_EQ(BaseKills, RenamedKills);
+  engine::ResultStore Base(0), Renamed(0);
+  feed(Base, readEdit("base"));
+  feed(Renamed, readEdit("rename"));
+  EXPECT_GT(Base.size(), 0u);
+  EXPECT_EQ(Base.serialize(), Renamed.serialize());
 }
 
 // An array rename alone also preserves fingerprints (names never enter
@@ -188,79 +176,7 @@ TEST(Fingerprint, OrientationCanonical) {
 }
 
 //===----------------------------------------------------------------------===//
-// Baseline persistence
-//===----------------------------------------------------------------------===//
-
-TEST(Baseline, SerializeRoundTrip) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  ASSERT_NE(Base, nullptr);
-  EXPECT_FALSE(Base->Pairs.empty());
-  EXPECT_FALSE(Base->Arrays.empty());
-
-  std::string Bytes = Base->serialize();
-  engine::BaselineResult Loaded;
-  std::string Err;
-  ASSERT_TRUE(engine::BaselineResult::deserialize(Bytes, &Loaded, &Err))
-      << Err;
-  EXPECT_TRUE(Loaded.Sig == Base->Sig);
-  EXPECT_EQ(Loaded.Arrays, Base->Arrays);
-  ASSERT_EQ(Loaded.Pairs.size(), Base->Pairs.size());
-  ASSERT_EQ(Loaded.KillGroups.size(), Base->KillGroups.size());
-  // Deterministic serialization: a round-trip reproduces the bytes.
-  EXPECT_EQ(Loaded.serialize(), Bytes);
-}
-
-TEST(Baseline, CorruptionRejected) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  ASSERT_NE(Base, nullptr);
-  std::string Bytes = Base->serialize();
-
-  engine::BaselineResult Out;
-  std::string Err;
-  EXPECT_FALSE(engine::BaselineResult::deserialize(
-      Bytes.substr(0, Bytes.size() / 2), &Out, &Err));
-  EXPECT_FALSE(Err.empty());
-
-  std::string Flipped = Bytes;
-  Flipped.back() = static_cast<char>(Flipped.back() ^ 0x40);
-  Err.clear();
-  EXPECT_FALSE(engine::BaselineResult::deserialize(Flipped, &Out, &Err));
-  EXPECT_FALSE(Err.empty());
-
-  std::string BadMagic = Bytes;
-  BadMagic.front() = static_cast<char>(BadMagic.front() ^ 0x01);
-  Err.clear();
-  EXPECT_FALSE(engine::BaselineResult::deserialize(BadMagic, &Out, &Err));
-  EXPECT_FALSE(Err.empty());
-
-  Err.clear();
-  EXPECT_FALSE(engine::BaselineResult::deserialize(std::string(), &Out, &Err));
-  EXPECT_FALSE(Err.empty());
-}
-
-TEST(Baseline, SaveLoadFile) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  ASSERT_NE(Base, nullptr);
-
-  std::string Path = ::testing::TempDir() + "delta_test.baseline";
-  std::string Err;
-  ASSERT_TRUE(Base->saveFile(Path, &Err)) << Err;
-
-  engine::BaselineResult Loaded;
-  ASSERT_TRUE(engine::BaselineResult::loadFile(Path, &Loaded, &Err)) << Err;
-  EXPECT_EQ(Loaded.serialize(), Base->serialize());
-  std::remove(Path.c_str());
-
-  EXPECT_FALSE(engine::BaselineResult::loadFile(
-      ::testing::TempDir() + "delta_test_missing.baseline", &Loaded, &Err));
-  EXPECT_FALSE(Err.empty());
-}
-
-//===----------------------------------------------------------------------===//
-// Global result store
+// Result store
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -521,156 +437,120 @@ TEST(ResultStore, ConcurrentHammer) {
 // Incremental analysis over the edit corpus
 //===----------------------------------------------------------------------===//
 
-// The central gate: for every entry of the edit corpus, replaying the
-// base program's baseline renders a byte-identical result, reuses at
-// least one pair, and classifies every pair group exactly once.
+// The central gate: for every entry of the edit corpus, a run against a
+// store fed only by the base program renders a byte-identical result,
+// and every pair and kill group is exactly one hit or one miss. The hits
+// are exact per edit; edits the store covers completely make no
+// satisfiability call, and the rest make fewer than a cold run.
 TEST(Delta, CorpusByteIdentityAndAccounting) {
-  std::shared_ptr<const engine::BaselineResult> Base =
-      recordBaseline(readEdit("base"));
-  ASSERT_NE(Base, nullptr);
+  engine::ResultStore Fed(0);
+  feed(Fed, readEdit("base"));
+  const std::string FedBytes = Fed.serialize();
 
-  const char *Edits[] = {"rename",   "bound",       "stmt-new",
-                         "stmt-edit", "loop-del",   "interchange",
-                         "rename-reorder"};
-  for (const char *Name : Edits) {
-    SCOPED_TRACE(Name);
-    ir::AnalyzedProgram AP = analyzeOk(readEdit(Name));
+  struct Edit {
+    const char *Name;
+    uint64_t Hits, Misses;
+  } Edits[] = {{"rename", 23, 0},    {"bound", 11, 12},
+               {"stmt-new", 28, 0},  {"stmt-edit", 21, 2},
+               {"loop-del", 18, 0},  {"interchange", 11, 12},
+               {"rename-reorder", 23, 0}};
+  for (const Edit &E : Edits) {
+    SCOPED_TRACE(E.Name);
+    ir::AnalyzedProgram AP = analyzeOk(readEdit(E.Name));
+    engine::ResultStore Store(0);
+    std::string Err;
+    ASSERT_TRUE(Store.deserialize(FedBytes, &Err)) << Err;
+    engine::AnalysisResult R = runWithStore(Store, AP);
 
-    engine::DependenceEngine Scratch;
-    std::string Expected = api::renderResult(Scratch.analyze(AP));
-
-    engine::AnalysisRequest Req;
-    Req.Baseline = Base.get();
-    Req.BuildBaseline = true;
-    engine::DependenceEngine Engine(Req);
-    engine::AnalysisResult R = Engine.analyze(AP);
-
-    EXPECT_EQ(api::renderResult(R), Expected);
-    ASSERT_TRUE(R.Delta.Active);
-    EXPECT_GT(R.Delta.PairsReused, 0u);
-    EXPECT_EQ(R.Delta.PairsReused + R.Delta.PairsResolved + R.Delta.PairsNew,
+    EXPECT_EQ(api::renderResult(R), scratchResult(AP));
+    EXPECT_EQ(R.Stats.ResultStoreHits, E.Hits);
+    EXPECT_EQ(R.Stats.ResultStoreMisses, E.Misses);
+    EXPECT_EQ(R.Stats.ResultStoreHits + R.Stats.ResultStoreMisses,
               groupTotal(AP));
-    // The stats mirror carries the same tallies.
-    EXPECT_EQ(R.Stats.DeltaPairsReused, R.Delta.PairsReused);
-    EXPECT_EQ(R.Stats.DeltaPairsResolved, R.Delta.PairsResolved);
-    EXPECT_EQ(R.Stats.DeltaPairsNew, R.Delta.PairsNew);
+    engine::DependenceEngine Cold;
+    uint64_t ColdSat = Cold.analyze(AP).Stats.SatisfiabilityCalls;
+    if (E.Misses == 0)
+      EXPECT_EQ(R.Stats.SatisfiabilityCalls, 0u);
+    else
+      EXPECT_LT(R.Stats.SatisfiabilityCalls, ColdSat);
   }
 }
 
-// Every class has a witness. A structurally novel pair on an unknown
-// array is "new" (the corpus itself never produces one: its added pairs
-// all structurally match existing fingerprints); an edited pair on a
-// known array is "resolved"; its orphaned baseline key is "removed".
+// Hits and misses each have a witness. A second nest on a new array
+// misses exactly its own groups while every group of the original nest
+// hits; an edited subscript misses the edited pair and its kill group
+// but still hits the untouched write/write pair.
 TEST(Delta, ClassificationWitnesses) {
   const std::string Base = "symbolic n;\n"
                            "for i := 1 to n do\n"
                            "  a(i) := a(i-1) + 1;\n"
                            "endfor\n";
-  std::shared_ptr<const engine::BaselineResult> BP = recordBaseline(Base);
-  ASSERT_NE(BP, nullptr);
-
-  // A second nest on a new array, transposed 2-D subscripts: nothing in
-  // the baseline matches structurally, and "z" is not a known array.
-  const std::string AddsNewArray = Base +
-                                   "for i := 1 to n do\n"
-                                   "  for j := 1 to n do\n"
-                                   "    z(i,j) := z(j,i) + 1;\n"
-                                   "  endfor\n"
-                                   "endfor\n";
-  // Same arrays, different subscript: fingerprints miss on a known array.
+  // Transposed 2-D subscripts on a new array: nothing in the store
+  // matches it structurally.
+  const std::string NewNest = "symbolic n;\n"
+                              "for i := 1 to n do\n"
+                              "  for j := 1 to n do\n"
+                              "    z(i,j) := z(j,i) + 1;\n"
+                              "  endfor\n"
+                              "endfor\n";
+  const std::string AddsNewArray = Base + NewNest.substr(NewNest.find('\n') + 1);
+  // Same arrays, different subscript.
   const std::string EditsPair = "symbolic n;\n"
                                 "for i := 1 to n do\n"
                                 "  a(i) := a(i-2) + 1;\n"
                                 "endfor\n";
+  const uint64_t BaseGroups = groupTotal(analyzeOk(Base));
 
-  struct Case {
-    const char *Tag;
-    const std::string &Source;
-    bool WantNew, WantResolved, WantRemoved;
-  } Cases[] = {
-      {"new-array", AddsNewArray, true, false, false},
-      {"edited-pair", EditsPair, false, true, true},
-  };
-  for (const Case &C : Cases) {
-    SCOPED_TRACE(C.Tag);
-    ir::AnalyzedProgram AP = analyzeOk(C.Source);
-
-    engine::DependenceEngine Scratch;
-    std::string Expected = api::renderResult(Scratch.analyze(AP));
-
-    engine::AnalysisRequest Req;
-    Req.Baseline = BP.get();
-    Req.BuildBaseline = true;
-    engine::DependenceEngine Engine(Req);
-    engine::AnalysisResult R = Engine.analyze(AP);
-
-    EXPECT_EQ(api::renderResult(R), Expected);
-    ASSERT_TRUE(R.Delta.Active);
-    EXPECT_GT(R.Delta.PairsReused, 0u);
-    EXPECT_EQ(R.Delta.PairsNew > 0, C.WantNew);
-    EXPECT_EQ(R.Delta.PairsResolved > 0, C.WantResolved);
-    EXPECT_EQ(R.Delta.PairsRemoved > 0, C.WantRemoved);
-    EXPECT_EQ(R.Delta.PairsReused + R.Delta.PairsResolved + R.Delta.PairsNew,
+  {
+    SCOPED_TRACE("new-array");
+    engine::ResultStore Store(0);
+    feed(Store, Base);
+    ir::AnalyzedProgram AP = analyzeOk(AddsNewArray);
+    engine::AnalysisResult R = runWithStore(Store, AP);
+    EXPECT_EQ(api::renderResult(R), scratchResult(AP));
+    EXPECT_EQ(R.Stats.ResultStoreHits, BaseGroups);
+    EXPECT_EQ(R.Stats.ResultStoreMisses, groupTotal(analyzeOk(NewNest)));
+  }
+  {
+    SCOPED_TRACE("edited-pair");
+    engine::ResultStore Store(0);
+    feed(Store, Base);
+    ir::AnalyzedProgram AP = analyzeOk(EditsPair);
+    engine::AnalysisResult R = runWithStore(Store, AP);
+    EXPECT_EQ(api::renderResult(R), scratchResult(AP));
+    EXPECT_GT(R.Stats.ResultStoreHits, 0u);
+    EXPECT_GT(R.Stats.ResultStoreMisses, 0u);
+    EXPECT_EQ(R.Stats.ResultStoreHits + R.Stats.ResultStoreMisses,
               groupTotal(AP));
   }
 }
 
-// An identical replay reuses every pair and every kill group.
+// An identical replay reuses every pair and every kill group and makes
+// no satisfiability call.
 TEST(Delta, IdenticalReplayReusesEverything) {
   std::string Source = readEdit("base");
-  std::shared_ptr<const engine::BaselineResult> Base = recordBaseline(Source);
-  ASSERT_NE(Base, nullptr);
   ir::AnalyzedProgram AP = analyzeOk(Source);
+  engine::ResultStore Store;
+  feed(Store, Source);
 
-  engine::AnalysisRequest Req;
-  Req.Baseline = Base.get();
-  Req.BuildBaseline = true;
-  engine::DependenceEngine Engine(Req);
-  engine::AnalysisResult R = Engine.analyze(AP);
-
-  ASSERT_TRUE(R.Delta.Active);
-  EXPECT_EQ(R.Delta.PairsResolved, 0u);
-  EXPECT_EQ(R.Delta.PairsNew, 0u);
-  EXPECT_EQ(R.Delta.PairsRemoved, 0u);
-  EXPECT_EQ(R.Delta.PairsReused, groupTotal(AP));
-  EXPECT_GT(R.Delta.KillGroupsTotal, 0u);
-  EXPECT_EQ(R.Delta.KillGroupsReused, R.Delta.KillGroupsTotal);
+  engine::AnalysisResult R = runWithStore(Store, AP);
+  EXPECT_EQ(R.Stats.ResultStoreMisses, 0u);
+  EXPECT_EQ(R.Stats.ResultStoreHits, groupTotal(AP));
+  EXPECT_EQ(R.Stats.SatisfiabilityCalls, 0u);
+  EXPECT_EQ(api::renderResult(R), scratchResult(AP));
 }
 
-// The rename gate, both tiers: plain renames and renames that reorder
-// first mentions are 100% reused per-session (full baseline reuse) AND
-// via the global result store with no baseline or session at all.
+// The rename gate: plain renames and renames that reorder first mentions
+// materialize every pair and every kill group from a store fed by the
+// base program, byte-identical to a from-scratch run.
 TEST(Delta, RenameEditsFullyReusedViaStore) {
   std::string BaseSrc = readEdit("base");
   for (const char *Name : {"rename", "rename-reorder"}) {
     SCOPED_TRACE(Name);
     ir::AnalyzedProgram AP = analyzeOk(readEdit(Name));
-    uint64_t Pairs = groupTotal(AP);
 
-    // Per-session: replaying base's baseline reuses every pair and
-    // every kill group.
-    std::shared_ptr<const engine::BaselineResult> Base =
-        recordBaseline(BaseSrc);
-    ASSERT_NE(Base, nullptr);
-    engine::AnalysisRequest SReq;
-    SReq.Baseline = Base.get();
-    SReq.BuildBaseline = true;
-    engine::DependenceEngine Session(SReq);
-    engine::AnalysisResult SR = Session.analyze(AP);
-    ASSERT_TRUE(SR.Delta.Active);
-    EXPECT_EQ(SR.Delta.PairsResolved, 0u);
-    EXPECT_EQ(SR.Delta.PairsNew, 0u);
-    EXPECT_EQ(SR.Delta.PairsReused, Pairs);
-    EXPECT_GT(SR.Delta.KillGroupsTotal, 0u);
-    EXPECT_EQ(SR.Delta.KillGroupsReused, SR.Delta.KillGroupsTotal);
-
-    // Global store: feed it with a baseline-less, session-less run of
-    // the base program ...
     engine::ResultStore Store;
-    engine::AnalysisRequest Feed;
-    Feed.Store = &Store;
-    engine::DependenceEngine Feeder(Feed);
-    engine::AnalysisResult FR = Feeder.analyze(analyzeOk(BaseSrc));
+    engine::AnalysisResult FR = runWithStore(Store, analyzeOk(BaseSrc));
     EXPECT_EQ(FR.Stats.ResultStoreHits, 0u);
     EXPECT_GT(FR.Stats.ResultStoreMisses, 0u);
     // Structurally identical groups share one entry, so the population
@@ -678,17 +558,10 @@ TEST(Delta, RenameEditsFullyReusedViaStore) {
     EXPECT_GT(Store.size(), 0u);
     EXPECT_LE(Store.size(), FR.Stats.ResultStoreMisses);
 
-    // ... then a fresh engine on the renamed program materializes every
-    // pair and every kill group, byte-identical to a from-scratch run.
-    engine::AnalysisRequest Use;
-    Use.Store = &Store;
-    engine::DependenceEngine User(Use);
-    engine::AnalysisResult UR = User.analyze(AP);
+    engine::AnalysisResult UR = runWithStore(Store, AP);
     EXPECT_EQ(UR.Stats.ResultStoreMisses, 0u);
-    EXPECT_EQ(UR.Stats.ResultStoreHits, Pairs + SR.Delta.KillGroupsTotal);
-
-    engine::DependenceEngine Scratch;
-    EXPECT_EQ(api::renderResult(UR), api::renderResult(Scratch.analyze(AP)));
+    EXPECT_EQ(UR.Stats.ResultStoreHits, groupTotal(AP));
+    EXPECT_EQ(api::renderResult(UR), scratchResult(AP));
   }
 }
 
@@ -697,48 +570,36 @@ TEST(Delta, RenameEditsFullyReusedViaStore) {
 // from the store -- results still byte-identical to scratch.
 TEST(Delta, StorePartialReuseOnInterchange) {
   engine::ResultStore Store;
-  engine::AnalysisRequest Feed;
-  Feed.Store = &Store;
-  engine::DependenceEngine Feeder(Feed);
-  Feeder.analyze(analyzeOk(readEdit("base")));
+  feed(Store, readEdit("base"));
 
   ir::AnalyzedProgram AP = analyzeOk(readEdit("interchange"));
-  engine::AnalysisRequest Use;
-  Use.Store = &Store;
-  engine::DependenceEngine User(Use);
-  engine::AnalysisResult UR = User.analyze(AP);
+  engine::AnalysisResult UR = runWithStore(Store, AP);
   EXPECT_GT(UR.Stats.ResultStoreHits, 0u);
   EXPECT_GT(UR.Stats.ResultStoreMisses, 0u);
-
-  engine::DependenceEngine Scratch;
-  EXPECT_EQ(api::renderResult(UR), api::renderResult(Scratch.analyze(AP)));
+  EXPECT_EQ(api::renderResult(UR), scratchResult(AP));
 }
 
-// A baseline recorded under a different pipeline signature is unusable;
-// Terminate opts out of the delta model entirely.
+// Outcomes recorded under one pipeline signature are invisible under
+// another; Terminate opts out of store reuse entirely.
 TEST(Delta, SignatureMismatchAndTerminateDisable) {
   std::string Source = readEdit("base");
-  std::shared_ptr<const engine::BaselineResult> Base = recordBaseline(Source);
-  ASSERT_NE(Base, nullptr);
   ir::AnalyzedProgram AP = analyzeOk(Source);
+  engine::ResultStore Store(0);
+  feed(Store, Source);
 
   engine::AnalysisRequest Req;
-  Req.Baseline = Base.get();
-  Req.BuildBaseline = true;
-  Req.Refine = false; // signature mismatch: everything classifies new
-  engine::DependenceEngine Mismatch(Req);
-  engine::AnalysisResult R = Mismatch.analyze(AP);
-  ASSERT_TRUE(R.Delta.Active);
-  EXPECT_EQ(R.Delta.PairsReused, 0u);
+  Req.Refine = false; // signature mismatch: every lookup misses
+  engine::AnalysisResult R = runWithStore(Store, AP, Req);
+  EXPECT_EQ(R.Stats.ResultStoreHits, 0u);
+  EXPECT_EQ(R.Stats.ResultStoreMisses, groupTotal(AP));
 
   engine::AnalysisRequest TReq;
-  TReq.Baseline = Base.get();
-  TReq.BuildBaseline = true;
   TReq.Terminate = true;
-  engine::DependenceEngine Terminating(TReq);
-  engine::AnalysisResult TR = Terminating.analyze(AP);
-  EXPECT_FALSE(TR.Delta.Active);
-  EXPECT_EQ(TR.Baseline, nullptr);
+  std::size_t Before = Store.size();
+  engine::AnalysisResult TR = runWithStore(Store, AP, TReq);
+  EXPECT_EQ(TR.Stats.ResultStoreHits, 0u);
+  EXPECT_EQ(TR.Stats.ResultStoreMisses, 0u);
+  EXPECT_EQ(Store.size(), Before);
 }
 
 //===----------------------------------------------------------------------===//
@@ -770,7 +631,7 @@ TEST(JobsClamp, RequestsClampToPool) {
 }
 
 //===----------------------------------------------------------------------===//
-// Serving stack: sessions and per-request jobs
+// Serving stack: session labels and per-request jobs
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -796,19 +657,6 @@ std::string sessionRequest(uint64_t Id, const std::string &Session,
                            const std::string &Source) {
   return "{\"id\": " + std::to_string(Id) + ", \"session\": \"" + Session +
          "\", \"source\": \"" + api::json::escape(Source) + "\"}";
-}
-
-/// metrics.delta.<Field> of a response line, or -1 when absent.
-int64_t deltaField(const std::string &Response, const std::string &Field) {
-  api::json::Value Doc;
-  std::string Err;
-  if (!api::json::parse(Response, Doc, Err))
-    return -1;
-  if (const api::json::Value *M = Doc.get("metrics"))
-    if (const api::json::Value *D = M->get("delta"))
-      if (const api::json::Value *F = D->get(Field))
-        return F->asInt();
-  return -1;
 }
 
 /// metrics.stats.<Field> of a response line, or -1 when absent.
@@ -853,61 +701,65 @@ std::string resultBytes(const std::string &Response) {
 
 } // namespace
 
-// A session's second request reuses the baseline its first request
-// recorded, with the result still byte-identical to a one-shot run; the
-// session map holds MaxSessions baselines and evicts the least recently
-// used one, which then falls back to the global result store instead of
-// starting over; sessionless requests consult the store too.
-TEST(ServeSessions, RetainReuseAndEvict) {
+// Session-labelled requests reuse through the one result store: a
+// session's edit materializes what its first request solved, another
+// label -- or none -- reuses the same entries, every result stays
+// byte-identical to a one-shot run, and the label shows up only in the
+// access log.
+TEST(ServeSessions, LabelledRequestsReuseThroughTheStore) {
+  std::string Log = ::testing::TempDir() + "delta_test.access.log";
+  std::remove(Log.c_str());
   api::Server::Config Cfg;
   Cfg.Workers = 1;
   Cfg.Defaults.Jobs = 1;
-  Cfg.MaxSessions = 2;
+  Cfg.AccessLog = Log;
   api::Server Server(Cfg);
 
   std::string Base = readEdit("base");
   std::string Edit = readEdit("stmt-edit");
+  std::string Expected = resultBytes(
+      "{\"result\": " + scratchResult(analyzeOk(Edit)) + "}");
 
-  engine::DependenceEngine Reference;
-  std::string Expected =
-      api::renderResult(Reference.analyze(analyzeOk(Edit)));
-
-  // First request of a session: nothing to reuse, everything new.
+  // A session's first request: nothing stored yet, every group misses.
   std::string R1 = ask(Server, sessionRequest(1, "s1", Base));
-  EXPECT_EQ(deltaField(R1, "pairsReused"), 0);
-  int64_t BaseGroups = deltaField(R1, "pairsNew");
-  EXPECT_GT(BaseGroups, 0);
+  EXPECT_EQ(statsField(R1, "resultStoreHits"), 0);
+  EXPECT_EQ(statsField(R1, "resultStoreMisses"),
+            int64_t(groupTotal(analyzeOk(Base))));
 
-  // Second request: the edit reuses the retained baseline.
+  // Its edit re-solves only what the edit touched.
   std::string R2 = ask(Server, sessionRequest(2, "s1", Edit));
-  EXPECT_GT(deltaField(R2, "pairsReused"), 0);
-  EXPECT_EQ(resultBytes(R2), resultBytes(
-                                 "{\"result\": " + Expected + "}"));
+  EXPECT_GT(statsField(R2, "resultStoreHits"), 0);
+  EXPECT_GT(statsField(R2, "resultStoreMisses"), 0);
+  EXPECT_EQ(resultBytes(R2), Expected);
 
-  // Two more sessions overflow MaxSessions = 2 and evict s1 (least
-  // recently used). s1's baseline is gone, but every pair of the edit
-  // was already solved under this server, so the replay materializes
-  // entirely from the global result store: all-reused, nothing
-  // re-solved, and still byte-identical.
-  ask(Server, sessionRequest(3, "s2", Base));
-  ask(Server, sessionRequest(4, "s3", Base));
-  std::string R5 = ask(Server, sessionRequest(5, "s1", Edit));
-  EXPECT_EQ(deltaField(R5, "pairsReused"),
-            deltaField(R2, "pairsReused") + deltaField(R2, "pairsResolved") +
-                deltaField(R2, "pairsNew"));
-  EXPECT_EQ(deltaField(R5, "pairsResolved"), 0);
-  EXPECT_EQ(deltaField(R5, "pairsNew"), 0);
-  EXPECT_GT(statsField(R5, "resultStoreHits"), 0);
-  EXPECT_EQ(resultBytes(R5), resultBytes(R2));
-
-  // Sessionless requests never activate the delta layer, but they do
-  // consult the store: the whole program materializes without a solve.
-  std::string R6 = ask(Server, "{\"id\": 6, \"source\": \"" +
+  // The label partitions nothing: another session and a request with no
+  // label both materialize the whole edit from the store.
+  const int64_t Groups =
+      statsField(R2, "resultStoreHits") + statsField(R2, "resultStoreMisses");
+  std::string R3 = ask(Server, sessionRequest(3, "s2", Edit));
+  std::string R4 = ask(Server, "{\"id\": 4, \"source\": \"" +
                                    api::json::escape(Edit) + "\"}");
-  EXPECT_EQ(deltaField(R6, "pairsReused"), -1);
-  EXPECT_GT(statsField(R6, "resultStoreHits"), 0);
-  EXPECT_EQ(statsField(R6, "resultStoreMisses"), 0);
-  EXPECT_EQ(resultBytes(R6), resultBytes(R2));
+  for (const std::string *R : {&R3, &R4}) {
+    EXPECT_EQ(statsField(*R, "resultStoreHits"), Groups);
+    EXPECT_EQ(statsField(*R, "resultStoreMisses"), 0);
+    EXPECT_EQ(statsField(*R, "satisfiabilityCalls"), 0);
+    EXPECT_EQ(resultBytes(*R), Expected);
+  }
+  Server.stop();
+
+  std::vector<std::string> Sessions;
+  std::ifstream In(Log);
+  for (std::string Line; std::getline(In, Line);) {
+    api::json::Value Doc;
+    std::string Err;
+    ASSERT_TRUE(api::json::parse(Line, Doc, Err)) << Err;
+    const api::json::Value *S = Doc.get("session");
+    ASSERT_NE(S, nullptr);
+    Sessions.push_back(S->isNull() ? "null" : S->asString());
+  }
+  EXPECT_EQ(Sessions,
+            (std::vector<std::string>{"s1", "s1", "s2", "null"}));
+  std::remove(Log.c_str());
 }
 
 // Per-request jobs are honored but clamped to the worker's pool; the

@@ -197,6 +197,13 @@ struct SatPropertyParam {
   unsigned Seed;
 };
 
+// Print a case as its seed, which is unique within the suite. The default
+// printer dumps the struct's bytes, padding included, so the test names
+// would change from build to build.
+void PrintTo(const SatPropertyParam &Param, std::ostream *OS) {
+  *OS << "seed" << Param.Seed;
+}
+
 class SatisfiabilityProperty
     : public ::testing::TestWithParam<SatPropertyParam> {};
 

@@ -8,8 +8,8 @@
 // byte-identical to a one-shot engine run (any jobs value, warm or cold
 // result store); admission control sheds with typed errors; per-request
 // metrics attribute result-store traffic to the request that caused it;
-// identical concurrent sessionless requests coalesce onto one solve; the
-// global result store persists across server restarts (corruption
+// identical concurrent requests coalesce onto one solve, with or without
+// a session label; the result store persists across server restarts (corruption
 // degrades to a cold start); metrics reset on request; the access log
 // rotates by size without tearing records.
 //
@@ -102,7 +102,7 @@ std::string errorCode(const std::string &Response) {
 }
 
 /// One-shot reference: a fresh engine run rendered through the same
-/// schema-5 result renderer (what `omega-analyze --json` emits).
+/// schema-6 result renderer (what `omega-analyze --json` emits).
 std::string oneShotResult(const ir::AnalyzedProgram &AP, unsigned Jobs) {
   engine::AnalysisRequest Req;
   Req.Jobs = Jobs;
@@ -148,6 +148,32 @@ std::string readFileBytes(const std::string &Path) {
   std::ostringstream Buf;
   Buf << In.rdbuf();
   return Buf.str();
+}
+
+/// A deliberately expensive program (four 3-D nests; analyzed with quick
+/// tests disabled per-request): its solve takes tens of milliseconds, so
+/// identical requests submitted together are all in flight at once.
+std::string heavyProgram() {
+  std::string Heavy = "symbolic n, m, p;\n";
+  for (int K = 0; K != 4; ++K) {
+    std::string S = std::to_string(K);
+    Heavy += "for i := 2 to n do\n"
+             "  for j := 2 to m do\n"
+             "    for k := 2 to p do\n"
+             "      a" + S + "(i,j,k) := a" + S + "(i-1,j,k) + a" + S +
+             "(i,j-1,k) + b" + S + "(i-1,j-1,k) + c" + S + "(i,j,k-1);\n"
+             "      b" + S + "(i,j,k) := a" + S + "(i,j,k) + b" + S +
+             "(i-1,j,k-1) + c" + S + "(i,j-1,k);\n"
+             "      c" + S + "(i,j,k) := b" + S + "(i,j-1,k) + c" + S +
+             "(i-1,j,k) + a" + S + "(i-1,j,k-1);\n"
+             "      d" + S + "(i,j,k) := d" + S + "(i-1,j-1,k-1) + c" + S +
+             "(i,j,k) + b" + S + "(i,j,k);\n"
+             "    endfor\n"
+             "  endfor\n"
+             "endfor\n";
+  }
+  EXPECT_TRUE(ir::analyzeSource(Heavy).ok());
+  return Heavy;
 }
 
 } // namespace
@@ -399,58 +425,35 @@ TEST(Serve, PerRequestOptionsAreHonored) {
   Server.stop();
 }
 
-// In-flight coalescing: identical sessionless requests submitted while
-// the pool is wedged collapse onto one engine solve. Every client's
-// "result" bytes are identical, at least one follower coalesced, and
-// the accounting witness holds exactly: engine analyses performed plus
-// requests coalesced equals analyze_ok.
+// In-flight coalescing: identical requests submitted while the pool is
+// wedged collapse onto one engine solve. Every client's "result" bytes
+// are identical, at least one follower coalesced, and the accounting
+// witness holds exactly: engine analyses performed plus requests
+// coalesced equals analyze_ok.
 TEST(Serve, CoalescingSharesOneSolve) {
   api::Server::Config Cfg = basicConfig(2);
   Cfg.MaxQueue = 64;
   api::Server Server(Cfg);
 
-  // A deliberately expensive burst program (four 3-D nests, quick tests
-  // disabled per-request): its solve takes tens of milliseconds,
-  // dwarfing the cheap wedge below.
-  std::string Heavy = "symbolic n, m, p;\n";
-  for (int K = 0; K != 4; ++K) {
-    std::string S = std::to_string(K);
-    Heavy += "for i := 2 to n do\n"
-             "  for j := 2 to m do\n"
-             "    for k := 2 to p do\n"
-             "      a" + S + "(i,j,k) := a" + S + "(i-1,j,k) + a" + S +
-             "(i,j-1,k) + b" + S + "(i-1,j-1,k) + c" + S + "(i,j,k-1);\n"
-             "      b" + S + "(i,j,k) := a" + S + "(i,j,k) + b" + S +
-             "(i-1,j,k-1) + c" + S + "(i,j-1,k);\n"
-             "      c" + S + "(i,j,k) := b" + S + "(i,j-1,k) + c" + S +
-             "(i-1,j,k) + a" + S + "(i-1,j,k-1);\n"
-             "      d" + S + "(i,j,k) := d" + S + "(i-1,j-1,k-1) + c" + S +
-             "(i,j,k) + b" + S + "(i,j,k);\n"
-             "    endfor\n"
-             "  endfor\n"
-             "endfor\n";
-  }
-  ASSERT_TRUE(ir::analyzeSource(Heavy).ok());
+  const std::string Heavy = heavyProgram();
 
   std::mutex Mu;
   std::condition_variable CV;
   unsigned Done = 0;
-  // Wedge exactly one of the two workers with a trivial session request
-  // (sessions never coalesce). The other worker picks up the first
-  // heavy request and becomes its leader; the wedge clears in well
-  // under a millisecond, and its worker then dequeues the rest of the
-  // burst while the leader is deep in its tens-of-milliseconds solve,
+  // Wedge exactly one of the two workers with a trivial request (no other
+  // request shares its source, so it runs alone). The other worker picks
+  // up the first heavy request and becomes its leader; the wedge clears
+  // in well under a millisecond, and its worker then dequeues the rest of
+  // the burst while the leader is deep in its tens-of-milliseconds solve,
   // so every remaining request parks on the leader.
   const std::string Wedge =
       "for i := 1 to 8 do\n  t(i) := t(i-1) + 1;\nendfor\n";
   ASSERT_TRUE(ir::analyzeSource(Wedge).ok());
-  Server.submit("{\"id\": 100, \"session\": \"w\", \"source\": \"" +
-                    api::json::escape(Wedge) + "\"}",
-                [&](std::string) {
-                  std::lock_guard<std::mutex> Lock(Mu);
-                  ++Done;
-                  CV.notify_one();
-                });
+  Server.submit(requestLine(100, Wedge), [&](std::string) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    ++Done;
+    CV.notify_one();
+  });
 
   constexpr unsigned K = 8;
   std::vector<std::string> Resps(K);
@@ -479,6 +482,45 @@ TEST(Serve, CoalescingSharesOneSolve) {
   EXPECT_GT(Coalesced, 0);
   EXPECT_EQ(Analyses + Coalesced, Ok);
   EXPECT_EQ(Ok, int64_t(K + 1));
+  Server.stop();
+}
+
+// A "session" label is only a label: two identical session-labelled
+// requests in flight at once take the same leader/follower path as any
+// other pair, so one solves, the other coalesces onto it, and the
+// accounting witness holds.
+TEST(Serve, SessionRequestsCoalesce) {
+  api::Server Server(basicConfig(2));
+  const std::string Heavy = heavyProgram();
+
+  std::mutex Mu;
+  std::condition_variable CV;
+  std::vector<std::string> Resps(2);
+  unsigned Done = 0;
+  for (unsigned I = 0; I != 2; ++I)
+    Server.submit("{\"id\": " + std::to_string(I) +
+                      ", \"session\": \"editor\", \"source\": \"" +
+                      api::json::escape(Heavy) +
+                      "\", \"options\": {\"quicktests\": false}}",
+                  [&, I](std::string R) {
+                    std::lock_guard<std::mutex> Lock(Mu);
+                    Resps[I] = std::move(R);
+                    ++Done;
+                    CV.notify_one();
+                  });
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    CV.wait(Lock, [&] { return Done == 2; });
+  }
+  ASSERT_FALSE(resultBytes(Resps[0]).empty()) << Resps[0];
+  EXPECT_EQ(resultBytes(Resps[1]), resultBytes(Resps[0]));
+
+  std::string M = ask(Server, "{\"id\": 9, \"op\": \"metrics\"}");
+  int64_t Analyses = counterOf(M, "omega_engine_analyses_total");
+  int64_t Coalesced = counterOf(M, "omega_serve_requests_coalesced_total");
+  EXPECT_EQ(Coalesced, 1);
+  EXPECT_EQ(Analyses, 1);
+  EXPECT_EQ(Analyses + Coalesced, counterOf(M, "omega_serve_analyze_ok_total"));
   Server.stop();
 }
 

@@ -11,7 +11,7 @@
 // Options are the shared api::AnalysisOptions surface (see --help; the
 // same table drives omega-calc and omega-serve), plus two tool-specific
 // arguments: the input file positional and `--sym name=value` symbol
-// bindings for --run. Machine-readable output (--json) is the schema-5
+// bindings for --run. Machine-readable output (--json) is the schema-6
 // response document of api/Response.h, byte-identical in its "result"
 // section to an omega-serve response for the same program.
 //
@@ -173,24 +173,6 @@ int main(int Argc, char **Argv) {
     Req.Trace = Tracer.get();
   }
 
-  // --baseline replays the recorded pair outcomes of a previous run over
-  // this (possibly edited) program; --save-baseline records this run's.
-  // A missing or invalid baseline file degrades to a from-scratch run --
-  // the result is byte-identical either way, only the work differs.
-  engine::BaselineResult Baseline;
-  if (!Opts.BaselineFile.empty()) {
-    std::string LoadErr;
-    if (engine::BaselineResult::loadFile(Opts.BaselineFile, &Baseline,
-                                         &LoadErr)) {
-      Req.Baseline = &Baseline;
-    } else {
-      std::fprintf(stderr, "warning: ignoring baseline: %s\n",
-                   LoadErr.c_str());
-    }
-  }
-  if (!Opts.BaselineFile.empty() || !Opts.SaveBaselineFile.empty())
-    Req.BuildBaseline = true;
-
   // --result-cache-file attaches the cross-request result store the way
   // omega-serve does: load (missing or corrupt files cold-start with a
   // warning), consult and feed during the run, save back after. Reuse is
@@ -227,14 +209,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "warning: cannot write %s: %s\n",
                    Opts.ResultCacheFile.c_str(), SaveErr.c_str());
     }
-  }
-
-  if (!Opts.SaveBaselineFile.empty()) {
-    std::string SaveErr;
-    if (!R.Baseline || !R.Baseline->saveFile(Opts.SaveBaselineFile, &SaveErr))
-      std::fprintf(stderr, "warning: cannot write %s: %s\n",
-                   Opts.SaveBaselineFile.c_str(),
-                   SaveErr.empty() ? "no baseline recorded" : SaveErr.c_str());
   }
 
   if (!Opts.TraceFile.empty()) {
@@ -325,15 +299,6 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(R.Stats.QuickTestGCD),
                 static_cast<unsigned long long>(R.Stats.QuickTestBounds),
                 static_cast<unsigned long long>(R.Stats.QuickTestTrivialDep));
-    if (R.Delta.Active)
-      std::printf("incremental: %llu pairs reused, %llu re-solved, %llu "
-                  "new, %llu removed; %llu/%llu kill groups reused\n",
-                  static_cast<unsigned long long>(R.Delta.PairsReused),
-                  static_cast<unsigned long long>(R.Delta.PairsResolved),
-                  static_cast<unsigned long long>(R.Delta.PairsNew),
-                  static_cast<unsigned long long>(R.Delta.PairsRemoved),
-                  static_cast<unsigned long long>(R.Delta.KillGroupsReused),
-                  static_cast<unsigned long long>(R.Delta.KillGroupsTotal));
   }
 
   if (Opts.Profile != api::AnalysisOptions::ProfileOff) {

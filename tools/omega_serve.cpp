@@ -72,7 +72,6 @@ int main(int Argc, char **Argv) {
   Cfg.Workers = Parsed.Options.ServeWorkers;
   Cfg.MaxQueue = Parsed.Options.MaxQueue;
   Cfg.DeadlineMs = Parsed.Options.DeadlineMs;
-  Cfg.MaxSessions = Parsed.Options.MaxSessions;
   Cfg.ResultCacheFile = Parsed.Options.ResultCacheFile;
   Cfg.ResultStoreCap =
       static_cast<std::size_t>(Parsed.Options.ResultStoreCap);
