@@ -1,0 +1,462 @@
+//===- tests/CounterGoldenTest.cpp - Exact solver-counter gates -----------===//
+//
+// Part of the omega-deps project: a reproduction of Pugh & Wonnacott,
+// "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
+//
+// How hard the solver works, per program, pinned exactly. Every row holds
+// the OmegaStats counters of one cold, serial analysis, the program's
+// Figure 6 pair classes and kill split, and the stage plan of each of its
+// loops. These numbers do not depend on the machine, so any change in
+// them is a change in the algorithm: a cost model gets reviewed here,
+// while wall times live only in perfbench/.
+//
+// The rows cover the 30 kernels, examples/programs/pipeline4.tiny, one
+// repetition of a synthetic suite of core operations, and eleven
+// generated programs under tests/corpus/costly/ -- the only rows that pin
+// splinters, dark shadows and mod-hat steps in the dependence analyzer,
+// because the kernels run none of them.
+//
+// When a change deliberately moves a counter, the failure prints the
+// measured row; paste it in and explain the delta in the commit.
+//
+//===----------------------------------------------------------------------===//
+
+#include "engine/DependenceEngine.h"
+#include "kernels/Kernels.h"
+#include "omega/Gist.h"
+#include "omega/Projection.h"
+#include "omega/Satisfiability.h"
+#include "transform/Pipeline.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <string_view>
+
+using namespace omega;
+
+namespace {
+
+/// The table's columns: the OmegaStats counters in declaration order
+/// (result-store counters aside; a cold run has none), then the Figure 6
+/// pair classes and the kill candidates resolved quickly or by the Omega
+/// test.
+const char *const FieldNames[] = {
+    "sat_calls",          "projection_calls",    "gist_calls",
+    "exact_eliminations", "inexact_eliminations", "splinters_explored",
+    "dark_shadow_decided", "real_shadow_decided", "mod_hat_substitutions",
+    "gist_fast_drops",    "gist_fast_keeps",     "gist_sat_tests",
+    "quicktest_ziv",      "quicktest_gcd",       "quicktest_bounds",
+    "quicktest_trivial_dep", "quicktest_decided",
+    "pairs_fast",         "pairs_general",       "pairs_split",
+    "kills_quick",        "kills_omega"};
+constexpr unsigned NumFields = std::size(FieldNames);
+using Counts = std::array<uint64_t, NumFields>;
+
+unsigned column(std::string_view Name) {
+  return std::find(std::begin(FieldNames), std::end(FieldNames), Name) -
+         std::begin(FieldNames);
+}
+
+struct Row {
+  const char *Program;
+  Counts Expected;
+  /// One token per loop in analyzePipelines order: `<var>@<depth>`, then
+  /// `/<stages>` when the loop gets a pipeline plan, then `*` when a
+  /// stage of that plan is parallel.
+  const char *Loops;
+};
+
+// Counts in FieldNames order.
+// clang-format off
+const Row Rows[] = {
+    {"cholsky",
+     {1800, 503, 0, 3336, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 64, 47, 34, 0, 21, 15},
+     "J@1/2 I@2 JJ@3 L@4* L@3* L@2* JJ@2 L@3* L@2* I@1/2* K@2 L@3* JJ@3* "
+     "L@4* K@2 L@3* JJ@3* L@4*"},
+    {"example1",
+     {22, 3, 0, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 1, 1},
+     "L1@1* L1@1*"},
+    {"example2",
+     {274, 64, 0, 219, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 3, 1, 2, 4},
+     "L1@1/2 L2@2/2* L2@2*"},
+    {"example3",
+     {62, 20, 0, 66, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     "L1@1 L2@2"},
+    {"example4",
+     {62, 20, 0, 66, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     "L1@1 L2@2"},
+    {"example5",
+     {76, 28, 0, 86, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+     "L1@1 L2@2"},
+    {"example6",
+     {51, 17, 0, 45, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     "L1@1 L2@2*"},
+    {"example7",
+     {37, 12, 0, 66, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+     "L1@1 L2@2"},
+    {"example8",
+     {34, 9, 0, 23, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     "L1@1"},
+    {"example9",
+     {2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     "i@1* j@2*"},
+    {"example10",
+     {10, 4, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     "i@1 j@2"},
+    {"example11",
+     {335, 124, 0, 326, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0},
+     "i@1 j@2"},
+    {"lu",
+     {301, 87, 0, 262, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 6, 0, 1, 1},
+     "k@1 i@2* i@2* j@3*"},
+    {"wavefront",
+     {16, 4, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
+     "i@1 j@2"},
+    {"skewed_wavefront",
+     {16, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
+     "i@1 j@2*"},
+    {"cholesky_dense",
+     {385, 102, 0, 325, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 0, 3, 3},
+     "k@1 i@2* j@2* i@3*"},
+    {"privatizable",
+     {99, 27, 0, 56, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     "i@1/2*"},
+    {"inplace_stencil",
+     {115, 35, 0, 73, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     "t@1 i@2"},
+    {"reduction_chain",
+     {57, 15, 0, 25, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 4, 0, 2, 2},
+     "i@1"},
+    {"double_buffer",
+     {108, 24, 0, 77, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     "t@1 i@2* i@2*"},
+    {"triangles_strides",
+     {56, 19, 0, 44, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0},
+     "i@1 i@1* j@2"},
+    {"matmul",
+     {110, 45, 0, 178, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
+     "i@1/2* j@2/2* k@3"},
+    {"transpose_copy",
+     {22, 2, 0, 20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0},
+     "i@1* j@2* i@1* j@2*"},
+    {"gauss_seidel",
+     {334, 109, 0, 365, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0},
+     "t@1 i@2 j@3"},
+    {"jacobi_two_array",
+     {138, 31, 0, 97, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0},
+     "t@1 i@2* i@2*"},
+    {"prefix_sums",
+     {38, 6, 0, 21, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1, 5, 2, 4, 0, 4, 0},
+     "i@1 i@1*"},
+    {"banded_solve",
+     {83, 26, 0, 80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     "i@1 j@2"},
+    {"convolution",
+     {74, 26, 0, 91, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
+     "i@1/2* j@2"},
+    {"odd_even_phases",
+     {214, 53, 0, 130, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 0, 0},
+     "t@1 i@2* i@2*"},
+    {"diagonal_sweep",
+     {16, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
+     "d@1 i@2*"},
+    {"pipeline4",
+     {167, 47, 0, 91, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0},
+     "i@1/4*"},
+    {"seed2_502",
+     {77301, 362, 0, 21460, 0, 2128, 0, 0, 692, 0, 0, 0, 0, 0, 2, 0, 2, 2, 3, 3, 0, 4},
+     "i@1 j@2 k@3 i@1* j@2*"},
+    {"seed1_234",
+     {10973, 1884, 0, 8053, 56, 2536, 27, 22, 6643, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 30},
+     "i@1 j@2 k@3"},
+    {"seed1_125",
+     {7697, 238, 0, 3873, 737, 700, 377, 358, 1217, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2},
+     "i@1 j@2 k@3/2*"},
+    {"seed1_353",
+     {6046, 882, 0, 3363, 4, 1369, 4, 0, 1332, 0, 0, 0, 2, 0, 18, 0, 20, 12, 1, 7, 3, 10},
+     "i@1 j@2 k@3 i@1*"},
+    {"seed1_247",
+     {5608, 588, 0, 1726, 12, 1758, 4, 8, 1037, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7, 3, 3},
+     "i@1 j@2 k@3"},
+    {"seed1_211",
+     {5275, 286, 0, 407, 162, 4232, 140, 21, 1284, 0, 0, 0, 0, 0, 0, 0, 0, 4, 2, 6, 4, 10},
+     "i@1 j@2 k@3 i@1* j@2*"},
+    {"seed1_337",
+     {4358, 708, 0, 2469, 6, 1085, 0, 6, 586, 0, 0, 0, 0, 4, 0, 0, 4, 7, 3, 6, 6, 8},
+     "i@1 j@2 k@3 i@1*"},
+    {"seed1_201",
+     {3825, 575, 0, 1882, 122, 1223, 113, 7, 469, 0, 0, 0, 0, 0, 10, 0, 10, 8, 4, 6, 0, 8},
+     "i@1 j@2 k@3 i@1* j@2*"},
+    {"seed1_100",
+     {3721, 471, 0, 1871, 377, 1236, 339, 24, 613, 0, 0, 0, 0, 0, 4, 0, 4, 8, 4, 4, 0, 8},
+     "i@1/2 j@2/2* k@3/2* i@1*"},
+    {"seed1_395",
+     {3623, 213, 0, 417, 69, 2751, 54, 13, 1961, 0, 0, 0, 0, 0, 22, 0, 22, 13, 7, 4, 4, 6},
+     "i@1 j@2 k@3 i@1*"},
+    {"seed1_82",
+     {3530, 261, 0, 683, 491, 1370, 473, 13, 736, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 6},
+     "i@1 j@2 k@3"},
+    {"core_ops",
+     {36, 3, 1, 71, 3, 18, 2, 0, 50, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     ""},
+};
+// clang-format on
+
+/// The first kernels::corpus().size() rows are the kernels, in corpus
+/// order; pipeline4 follows them.
+constexpr unsigned NumKernels = 30;
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  EXPECT_TRUE(In.is_open()) << Path;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+std::string sourceOf(const std::string &Program) {
+  for (const kernels::Kernel &K : kernels::corpus())
+    if (Program == K.Name)
+      return K.Source;
+  if (Program == "pipeline4")
+    return readFile(std::string(OMEGA_EXAMPLES_DIR) + "/pipeline4.tiny");
+  return readFile(std::string(OMEGA_COSTLY_DIR) + "/" + Program + ".tiny");
+}
+
+void putStats(Counts &C, const OmegaStats &S) {
+  const uint64_t Stats[] = {
+      S.SatisfiabilityCalls, S.ProjectionCalls,     S.GistCalls,
+      S.ExactEliminations,   S.InexactEliminations, S.SplintersExplored,
+      S.DarkShadowDecided,   S.RealShadowDecided,   S.ModHatSubstitutions,
+      S.GistFastDrops,       S.GistFastKeeps,       S.GistSatTests,
+      S.QuickTestZIV,        S.QuickTestGCD,        S.QuickTestBounds,
+      S.QuickTestTrivialDep, S.QuickTestDecided};
+  std::copy(std::begin(Stats), std::end(Stats), C.begin());
+}
+
+struct Measured {
+  Counts Got{};
+  std::string Loops;
+};
+
+/// One cold analysis of \p Source on a fresh serial engine.
+Measured measureProgram(const std::string &Source) {
+  Measured M;
+  ir::AnalyzedProgram AP = ir::analyzeSource(Source);
+  EXPECT_TRUE(AP.ok());
+  engine::AnalysisRequest Req;
+  Req.Jobs = 1;
+  engine::DependenceEngine Engine(Req);
+  engine::AnalysisResult R = Engine.analyze(AP);
+  putStats(M.Got, R.Stats);
+  for (const analysis::PairRecord &P : R.Pairs)
+    ++M.Got[column(!P.UsedGeneralTest ? "pairs_fast"
+                   : P.SplitVectors  ? "pairs_split"
+                                     : "pairs_general")];
+  for (const analysis::KillRecord &K : R.Kills)
+    ++M.Got[column(K.UsedOmega ? "kills_omega" : "kills_quick")];
+  for (const transform::PipelineFacts &F :
+       transform::analyzePipelines(AP, R)) {
+    if (!M.Loops.empty())
+      M.Loops += ' ';
+    M.Loops += F.Loop->SourceVar + "@" + std::to_string(F.Loop->Depth + 1);
+    if (F.Plan.valid())
+      M.Loops += "/" + std::to_string(F.Plan.Stages.size());
+    if (F.Plan.hasParallelStage())
+      M.Loops += '*';
+  }
+  return M;
+}
+
+//===----------------------------------------------------------------------===//
+// core_ops: satisfiability on the exact, dark-shadow and mod-hat paths,
+// projection with and without splinters, and one gist
+//===----------------------------------------------------------------------===//
+
+Problem boxed4D() {
+  Problem P;
+  std::vector<VarId> V;
+  for (int I = 0; I != 4; ++I)
+    V.push_back(P.addVar("v" + std::to_string(I)));
+  for (VarId X : V) {
+    P.addGEQ({{X, 1}}, 100);
+    P.addGEQ({{X, -1}}, 100);
+  }
+  P.addGEQ({{V[0], 2}, {V[1], 3}, {V[2], -1}}, -7);
+  P.addGEQ({{V[1], -2}, {V[3], 5}}, 11);
+  P.addEQ({{V[0], 1}, {V[2], 1}, {V[3], -2}}, -1);
+  return P;
+}
+
+Problem darkShadowClassic() {
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId Y = P.addVar("y");
+  P.addGEQ({{X, 11}, {Y, 13}}, -27);
+  P.addGEQ({{X, -11}, {Y, -13}}, 45);
+  P.addGEQ({{X, 7}, {Y, -9}}, 10);
+  P.addGEQ({{X, -7}, {Y, 9}}, 4);
+  return P;
+}
+
+/// Two 4-deep triangular iteration spaces coupled by subscript
+/// equalities: the shape the engine feeds the core thousands of times.
+Problem triangularPair8D() {
+  Problem P;
+  std::vector<VarId> I, J;
+  for (int D = 0; D != 4; ++D)
+    I.push_back(P.addVar("i" + std::to_string(D)));
+  for (int D = 0; D != 4; ++D)
+    J.push_back(P.addVar("j" + std::to_string(D)));
+  for (int D = 0; D != 4; ++D) {
+    P.addGEQ({{I[D], 1}}, -1);
+    P.addGEQ({{I[D], -1}}, 40);
+    P.addGEQ({{J[D], 1}}, -1);
+    P.addGEQ({{J[D], -1}}, 40);
+    if (D) {
+      P.addGEQ({{I[D], 1}, {I[D - 1], -1}}, 0);
+      P.addGEQ({{J[D], 1}, {J[D - 1], -1}}, 0);
+    }
+  }
+  P.addEQ({{I[0], 1}, {J[0], -1}}, -1);
+  P.addEQ({{I[1], 1}, {J[2], -1}}, 0);
+  P.addGEQ({{J[3], 1}, {I[3], -1}}, -1);
+  return P;
+}
+
+Problem modHatChain() {
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId Y = P.addVar("y");
+  VarId Z = P.addVar("z");
+  P.addEQ({{X, 7}, {Y, 12}, {Z, 31}}, -17);
+  P.addGEQ({{X, 1}}, 100);
+  P.addGEQ({{X, -1}}, 100);
+  P.addGEQ({{Y, 1}}, 100);
+  P.addGEQ({{Z, -1}}, 100);
+  return P;
+}
+
+Measured measureCoreOps() {
+  OmegaContext Ctx;
+  for (const Problem &P :
+       {boxed4D(), darkShadowClassic(), triangularPair8D(), modHatChain()})
+    isSatisfiable(P, SatOptions(), Ctx);
+
+  Problem Paper;
+  VarId A = Paper.addVar("a");
+  VarId B = Paper.addVar("b");
+  Paper.addGEQ({{A, 1}}, 0);
+  Paper.addGEQ({{A, -1}}, 5);
+  Paper.addGEQ({{A, 1}, {B, -1}}, -1);
+  Paper.addGEQ({{A, -1}, {B, 5}}, 0);
+  projectOnto(Paper, {A}, ProjectOptions(), Ctx);
+
+  Problem Splinter;
+  VarId X = Splinter.addVar("x");
+  VarId Y = Splinter.addVar("y");
+  Splinter.addGEQ({{Y, 3}, {X, -1}}, -5);
+  Splinter.addGEQ({{Y, -3}, {X, 1}}, 6);
+  projectOnto(Splinter, {X}, ProjectOptions(), Ctx);
+  projectOnto(triangularPair8D(), {0, 1, 2, 3}, ProjectOptions(), Ctx);
+
+  Problem Layout;
+  VarId GX = Layout.addVar("x");
+  VarId GY = Layout.addVar("y");
+  Problem P = Layout.cloneLayout();
+  P.addGEQ({{GX, 1}}, 0);
+  P.addGEQ({{GX, 1}, {GY, 1}}, -2);
+  P.addGEQ({{GX, -1}, {GY, 2}}, 30);
+  Problem Given = Layout.cloneLayout();
+  Given.addGEQ({{GX, 1}}, -1);
+  Given.addGEQ({{GY, 1}}, -1);
+  Given.addGEQ({{GX, -1}}, 40);
+  Given.addGEQ({{GY, -1}}, 40);
+  gist(P, Given, GistOptions(), Ctx);
+
+  Measured M;
+  putStats(M.Got, Ctx.Stats);
+  return M;
+}
+
+std::string formatRow(const char *Program, const Measured &M) {
+  std::string Out = "{\"" + std::string(Program) + "\", {";
+  for (unsigned F = 0; F != NumFields; ++F)
+    Out += (F ? ", " : "") + std::to_string(M.Got[F]);
+  return Out + "}, \"" + M.Loops + "\"},";
+}
+
+/// Test logs name a row by its program, not by its bytes.
+void PrintTo(const Row &R, std::ostream *OS) { *OS << R.Program; }
+
+class CounterGolden : public ::testing::TestWithParam<Row> {};
+
+} // namespace
+
+TEST_P(CounterGolden, Counters) {
+  const Row &R = GetParam();
+  Measured M = std::string(R.Program) == "core_ops"
+                   ? measureCoreOps()
+                   : measureProgram(sourceOf(R.Program));
+  for (unsigned F = 0; F != NumFields; ++F)
+    EXPECT_EQ(M.Got[F], R.Expected[F]) << R.Program << " " << FieldNames[F];
+  EXPECT_EQ(M.Loops, R.Loops) << R.Program << " loops";
+  if (HasFailure())
+    ADD_FAILURE() << "measured row:\n    " << formatRow(R.Program, M);
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, CounterGolden, ::testing::ValuesIn(Rows),
+                         [](const ::testing::TestParamInfo<Row> &I) {
+                           return std::string(I.param.Program);
+                         });
+
+// The table's kernel rows add up to the corpus-wide figures: solver work
+// per cold pass, the Figure 6 classes (the paper: 417 pairs in classes
+// 264/81/72, 284 quick kill tests against 54 that consulted the Omega
+// test), and the pipeline plans over the kernels plus pipeline4.
+TEST(CounterGoldenTotals, CorpusFigures) {
+  const std::vector<kernels::Kernel> &Corpus = kernels::corpus();
+  ASSERT_EQ(Corpus.size(), NumKernels);
+  ASSERT_GT(std::size(Rows), NumKernels);
+  for (unsigned I = 0; I != NumKernels; ++I)
+    ASSERT_STREQ(Rows[I].Program, Corpus[I].Name);
+  auto Total = [](const char *Field) {
+    uint64_t Sum = 0;
+    for (unsigned I = 0; I != NumKernels; ++I)
+      Sum += Rows[I].Expected[column(Field)];
+    return Sum;
+  };
+  EXPECT_EQ(Total("sat_calls"), 4947u);
+  EXPECT_EQ(Total("projection_calls"), 1423u);
+  EXPECT_EQ(Total("exact_eliminations"), 6108u);
+  EXPECT_EQ(Total("quicktest_bounds"), 68u);
+  EXPECT_EQ(Total("quicktest_trivial_dep"), 7u);
+  EXPECT_EQ(Total("quicktest_decided"), 75u);
+  EXPECT_EQ(Total("pairs_fast") + Total("pairs_general") +
+                Total("pairs_split"),
+            173u);
+  EXPECT_EQ(Total("pairs_fast"), 74u);
+  EXPECT_EQ(Total("pairs_general"), 92u);
+  EXPECT_EQ(Total("pairs_split"), 7u);
+  EXPECT_EQ(Total("kills_quick"), 36u);
+  EXPECT_EQ(Total("kills_omega"), 28u);
+
+  ASSERT_STREQ(Rows[NumKernels].Program, "pipeline4");
+  unsigned Loops = 0, Planned = 0, Parallel = 0;
+  for (unsigned I = 0; I <= NumKernels; ++I) {
+    std::istringstream In(Rows[I].Loops);
+    for (std::string Tok; In >> Tok;) {
+      ++Loops;
+      Planned += Tok.find('/') != std::string::npos;
+      Parallel += Tok.back() == '*';
+    }
+  }
+  EXPECT_EQ(Loops, 87u);
+  EXPECT_EQ(Planned, 9u);
+  EXPECT_EQ(Parallel, 44u);
+}
