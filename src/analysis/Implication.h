@@ -28,7 +28,8 @@ namespace analysis {
 /// Does \p LHS imply the union of \p Pieces (over integer points, with
 /// unprotected variables existential on both sides)? Conservative: may
 /// return false when a piece's stride structure cannot be negated.
-bool checkImplication(const Problem &LHS, std::vector<Problem> Pieces);
+bool checkImplication(const Problem &LHS,
+                      const std::vector<Problem> &Pieces);
 
 } // namespace analysis
 } // namespace omega

@@ -83,7 +83,7 @@ bool analysis::covers(const ir::AnalyzedProgram &AP, const ir::Access &A,
   std::vector<Problem> Pieces =
       projectAwayInstance(std::move(Cases), Space, 0);
 
-  return checkImplication(LHS, std::move(Pieces));
+  return checkImplication(LHS, Pieces);
 }
 
 bool analysis::terminates(const ir::AnalyzedProgram &AP, const ir::Access &A,
@@ -107,22 +107,44 @@ bool analysis::terminates(const ir::AnalyzedProgram &AP, const ir::Access &A,
   std::vector<Problem> Pieces =
       projectAwayInstance(Space.precedesCases(RHS, 0, 1), Space, 1);
 
-  return checkImplication(LHS, std::move(Pieces));
+  return checkImplication(LHS, Pieces);
 }
 
-bool analysis::kills(const ir::AnalyzedProgram &AP, const ir::Access &A,
-                     const ir::Access &B, const ir::Access &C,
-                     unsigned Level) {
+analysis::KillCheck::KillCheck(const ir::AnalyzedProgram &AP,
+                               const ir::Access &A, const ir::Access &B,
+                               const ir::Access &C)
+    : Space(AP, {&A, &B, &C}),
+      // The killer must DEFINITELY overwrite what flows from A to C, which
+      // needs must-alias reasoning: rank-mismatched references only may
+      // alias, so they cannot kill.
+      RanksMatch(B.Subscripts.size() == C.Subscripts.size() &&
+                 A.Subscripts.size() == C.Subscripts.size()) {
   assert(B.IsWrite && B.Array == A.Array && A.Array == C.Array &&
          "killer must write the same array");
+}
+
+const std::vector<Problem> &analysis::KillCheck::rightHandSide() {
+  if (RHS)
+    return *RHS;
+  // Exists j in [B] with A(i) << B(j) << C(k) and B(j) =sub= C(k).
+  Problem Between = Space.base();
+  Space.addIterationSpace(Between, 1);
+  Space.addSubscriptsEqual(Between, 1, 2);
+  RHS.emplace();
+  for (const Problem &Mid : Space.precedesCases(Between, 0, 1)) {
+    std::vector<Problem> Full = Space.precedesCases(Mid, 1, 2);
+    std::vector<Problem> Projected =
+        projectAwayInstance(std::move(Full), Space, 1);
+    for (Problem &Piece : Projected)
+      RHS->push_back(std::move(Piece));
+  }
+  return *RHS;
+}
+
+bool analysis::KillCheck::kills(unsigned Level) {
   obs::ScopedSpan Span(OmegaContext::current().Trace, obs::SpanKind::Kill);
-  // The killer must DEFINITELY overwrite what flows from A to C, which
-  // needs must-alias reasoning: rank-mismatched references only may
-  // alias, so they cannot kill.
-  if (B.Subscripts.size() != C.Subscripts.size() ||
-      A.Subscripts.size() != C.Subscripts.size())
+  if (!RanksMatch)
     return false;
-  DepSpace Space(AP, {&A, &B, &C});
 
   // LHS: i in [A], k in [C], A(i) << C(k) at the split's level, equal
   // subscripts.
@@ -134,20 +156,7 @@ bool analysis::kills(const ir::AnalyzedProgram &AP, const ir::Access &A,
     return false; // no loop-independent dependence to kill
   Space.addPrecedesAtLevel(LHS, 0, 2, Level);
 
-  // RHS: exists j in [B] with A(i) << B(j) << C(k) and B(j) =sub= C(k).
-  Problem RHS = Space.base();
-  Space.addIterationSpace(RHS, 1);
-  Space.addSubscriptsEqual(RHS, 1, 2);
-  std::vector<Problem> Pieces;
-  for (const Problem &Mid : Space.precedesCases(RHS, 0, 1)) {
-    std::vector<Problem> Full = Space.precedesCases(Mid, 1, 2);
-    std::vector<Problem> Projected =
-        projectAwayInstance(std::move(Full), Space, 1);
-    for (Problem &Piece : Projected)
-      Pieces.push_back(std::move(Piece));
-  }
-
-  return checkImplication(LHS, std::move(Pieces));
+  return checkImplication(LHS, rightHandSide());
 }
 
 bool analysis::coverQuickTestPasses(const deps::Dependence &Dep) {

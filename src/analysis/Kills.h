@@ -13,9 +13,9 @@
 ///    accesses it (Section 4.2);
 ///  * terminates(A, B): write B overwrites every location A accessed
 ///    (Section 4.3);
-///  * kills(A, B, C, Level): every value flowing along the A -> C
-///    dependence split carried at Level is overwritten by B in between
-///    (Section 4.1).
+///  * KillCheck(A, B, C).kills(Level): every value flowing along the
+///    A -> C dependence split carried at Level is overwritten by B in
+///    between (Section 4.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,9 @@
 #define OMEGA_ANALYSIS_KILLS_H
 
 #include "deps/DependenceAnalysis.h"
+
+#include <optional>
+#include <vector>
 
 namespace omega {
 namespace analysis {
@@ -40,10 +43,26 @@ bool covers(const ir::AnalyzedProgram &AP, const ir::Access &A,
 bool terminates(const ir::AnalyzedProgram &AP, const ir::Access &A,
                 const ir::Access &B);
 
-/// Section 4.1: is the dependence split of A -> C carried at \p Level
-/// (0 == loop-independent) killed by intervening writes of \p B?
-bool kills(const ir::AnalyzedProgram &AP, const ir::Access &A,
-           const ir::Access &B, const ir::Access &C, unsigned Level);
+/// Section 4.1 for one (victim write A, killer B, read C) triple: is the
+/// dependence split of A -> C carried at a level (0 == loop-independent)
+/// killed by intervening writes of \p B? The implication's right-hand
+/// side -- the B instances between A and C -- does not depend on the
+/// level, so it is built once, on first use, and shared by every split
+/// checked through one KillCheck.
+class KillCheck {
+public:
+  KillCheck(const ir::AnalyzedProgram &AP, const ir::Access &A,
+            const ir::Access &B, const ir::Access &C);
+
+  bool kills(unsigned Level);
+
+private:
+  const std::vector<Problem> &rightHandSide();
+
+  deps::DepSpace Space;
+  bool RanksMatch;
+  std::optional<std::vector<Problem>> RHS;
+};
 
 /// Section 4.5 quick screen for coverage: a dependence whose distance in
 /// some common loop excludes 0 cannot cover the first trip of that loop.

@@ -19,12 +19,6 @@ PairSolver::PairSolver(const ir::AnalyzedProgram &AP, const ir::Access &A,
                        const ir::Access &B, OmegaContext &Ctx)
     : Space(AP, {&A, &B}), Ctx(Ctx) {}
 
-const Problem &PairSolver::pairProblem() {
-  if (!Pair)
-    Pair = buildPairProblem(Space);
-  return *Pair;
-}
-
 //===----------------------------------------------------------------------===//
 // Quick tests (ZIV / GCD / single-subscript bounds)
 //===----------------------------------------------------------------------===//
@@ -174,23 +168,22 @@ void PairSolver::ensureQuickTests() {
 }
 
 //===----------------------------------------------------------------------===//
-// Query entry point
+// Queries: plan, cases, assembly
 //===----------------------------------------------------------------------===//
 
-std::optional<Dependence> PairSolver::computeDependence(const ir::Access &Src,
-                                                        const ir::Access &Dst,
-                                                        DepKind Kind) {
+PairSolver::QueryPlan PairSolver::plan(const ir::Access &Src,
+                                       const ir::Access &Dst, DepKind Kind) {
+  QueryPlan Q;
+  Q.Src = &Src;
+  Q.Dst = &Dst;
+  Q.Kind = Kind;
   // Map the ordered query onto the solver's instances. Self-pairs always
   // use (0, 1): both instances reference the same access, so either
   // assignment produces the same (symmetric) problem.
-  unsigned SI, DI;
-  if (&Src == &Dst) {
-    SI = 0;
-    DI = 1;
-  } else {
-    SI = (&Src == &Space.access(0)) ? 0 : 1;
-    DI = 1 - SI;
-    assert(&Dst == &Space.access(DI) && "query about a different pair");
+  if (&Src != &Dst) {
+    Q.SI = (&Src == &Space.access(0)) ? 0 : 1;
+    Q.DI = 1 - Q.SI;
+    assert(&Dst == &Space.access(Q.DI) && "query about a different pair");
   }
 
   if (Ctx.PairQuickTests) {
@@ -217,15 +210,17 @@ std::optional<Dependence> PairSolver::computeDependence(const ir::Access &Src,
                                 : Class == QuickClass::GCD
                                       ? "quick-test (gcd): independent"
                                       : "quick-test (bounds): independent");
-      return std::nullopt;
+      Q.Decided = true;
+      return Q;
     }
     if (Verdict == QuickVerdict::TriviallyDependent) {
       ++Ctx.Stats.QuickTestTrivialDep;
       ++Ctx.Stats.QuickTestDecided;
-      if (!Space.textuallyBefore(SI, DI)) {
+      Q.Decided = true;
+      if (!Space.textuallyBefore(Q.SI, Q.DI)) {
         if (Ctx.Trace)
           Ctx.Trace->decision("quick-test (trivial): not textually ordered");
-        return std::nullopt;
+        return Q;
       }
       if (Ctx.Trace)
         Ctx.Trace->decision("quick-test (trivial): loop-independent dep");
@@ -236,55 +231,64 @@ std::optional<Dependence> PairSolver::computeDependence(const ir::Access &Src,
       DepSplit Split;
       Split.Level = 0; // no common loops => no distance vars, empty Dir
       Dep.Splits.push_back(std::move(Split));
-      return Dep;
+      Q.Answer = std::move(Dep);
+      return Q;
     }
   }
 
-  return solveOrdered(SI, DI, Src, Dst, Kind);
+  for (unsigned Level = 1, Common = Space.numCommonLoops(Q.SI, Q.DI);
+       Level <= Common; ++Level)
+    Q.Levels.push_back(Level);
+  if (Space.textuallyBefore(Q.SI, Q.DI))
+    Q.Levels.push_back(0);
+  if (!Q.Levels.empty() && !Pair)
+    Pair = buildPairProblem(Space);
+  return Q;
 }
 
-std::optional<Dependence> PairSolver::solveOrdered(unsigned SI, unsigned DI,
-                                                   const ir::Access &Src,
-                                                   const ir::Access &Dst,
-                                                   DepKind Kind) {
-  unsigned Common = Space.numCommonLoops(SI, DI);
+std::optional<DepSplit> PairSolver::solveCase(const QueryPlan &Q,
+                                              unsigned Level,
+                                              OmegaContext &Ctx) const {
+  assert(Pair && "plan() builds the pair problem before any case");
+  Problem Case = *Pair;
+  Space.addPrecedesAtLevel(Case, Q.SI, Q.DI, Level);
+  if (!isSatisfiable(Case, SatOptions(), Ctx))
+    return std::nullopt;
+  std::vector<VarId> Deltas = Space.addDistanceVars(Case, Q.SI, Q.DI);
+  DepSplit Split;
+  Split.Level = Level;
+  for (VarId Delta : Deltas) {
+    DirectionElem Elem;
+    Elem.Range = computeVarRange(Case, Delta, Ctx);
+    Split.Dir.push_back(Elem);
+  }
+  return Split;
+}
 
+std::optional<Dependence>
+PairSolver::assemble(const QueryPlan &Q,
+                     std::vector<std::optional<DepSplit>> Cases) {
+  if (Q.Decided)
+    return Q.Answer;
+  assert(Cases.size() == Q.Levels.size() && "one result per case");
   Dependence Dep;
-  Dep.Src = &Src;
-  Dep.Dst = &Dst;
-  Dep.Kind = Kind;
-
-  // One (kind, level) case: the shared pair problem plus the ordering rows
-  // of the level, solved from scratch.
-  auto solveCase = [&](unsigned Level) -> std::optional<DepSplit> {
-    Problem Case = pairProblem();
-    Space.addPrecedesAtLevel(Case, SI, DI, Level);
-    if (!isSatisfiable(Case, SatOptions(), Ctx))
-      return std::nullopt;
-    std::vector<VarId> Deltas = Space.addDistanceVars(Case, SI, DI);
-    DepSplit Split;
-    for (VarId Delta : Deltas) {
-      DirectionElem Elem;
-      Elem.Range = computeVarRange(Case, Delta, Ctx);
-      Split.Dir.push_back(Elem);
-    }
-    return Split;
-  };
-
-  for (unsigned Level = 1; Level <= Common; ++Level) {
-    if (std::optional<DepSplit> Split = solveCase(Level)) {
-      Split->Level = Level;
+  Dep.Src = Q.Src;
+  Dep.Dst = Q.Dst;
+  Dep.Kind = Q.Kind;
+  for (std::optional<DepSplit> &Split : Cases)
+    if (Split)
       Dep.Splits.push_back(std::move(*Split));
-    }
-  }
-  if (Space.textuallyBefore(SI, DI)) {
-    if (std::optional<DepSplit> Split = solveCase(0)) {
-      Split->Level = 0;
-      Dep.Splits.push_back(std::move(*Split));
-    }
-  }
-
   if (Dep.Splits.empty())
     return std::nullopt;
   return Dep;
+}
+
+std::optional<Dependence> PairSolver::computeDependence(const ir::Access &Src,
+                                                        const ir::Access &Dst,
+                                                        DepKind Kind) {
+  QueryPlan Q = plan(Src, Dst, Kind);
+  std::vector<std::optional<DepSplit>> Cases;
+  for (unsigned Level : Q.Levels)
+    Cases.push_back(solveCase(Q, Level, Ctx));
+  return assemble(Q, std::move(Cases));
 }

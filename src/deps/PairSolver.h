@@ -17,8 +17,14 @@
 ///     provably independent or trivially dependent pair with no Omega call
 ///     at all (per-class counters feed the Figure-6-style profile);
 ///  2. otherwise builds the shared pair problem once and answers each
-///     (kind, level) query with a fresh Omega test on a copy of it plus
-///     that query's ordering rows.
+///     (kind, level) case with a fresh Omega test on a copy of it plus
+///     that case's ordering rows.
+///
+/// A query is answered in three steps -- plan() (quick tests, the list of
+/// case levels, the shared pair problem), solveCase() per level and
+/// assemble() -- so a caller can spread one pair's cases over several
+/// workers: solveCase() only reads the solver and charges its work to the
+/// context it is handed. computeDependence() runs the three steps in turn.
 ///
 /// The quick tests are result-identical to
 /// DependenceAnalysis::computeDependence by construction
@@ -35,6 +41,7 @@
 #include "omega/Problem.h"
 
 #include <optional>
+#include <vector>
 
 namespace omega {
 namespace deps {
@@ -49,9 +56,41 @@ public:
              const ir::Access &B,
              OmegaContext &Ctx = OmegaContext::current());
 
+  /// How one query is answered: outright by the quick tests, or by one
+  /// Omega test per case level.
+  struct QueryPlan {
+    const ir::Access *Src = nullptr;
+    const ir::Access *Dst = nullptr;
+    DepKind Kind = DepKind::Flow;
+    unsigned SI = 0, DI = 1; ///< the DepSpace instances of Src and Dst
+    bool Decided = false;    ///< the quick tests answered ...
+    std::optional<Dependence> Answer; ///< ... with this
+    /// Otherwise the case levels, in split order: each carried level
+    /// outermost first, then 0 (loop-independent) if Src is textually
+    /// first.
+    std::vector<unsigned> Levels;
+  };
+
+  /// Plans the query of kind \p Kind from \p Src to \p Dst (the two
+  /// accesses this solver was built for, in either order). Runs the quick
+  /// tests on first use and, when the plan has cases, builds the shared
+  /// pair problem, so every solveCase() of the pair only reads the solver.
+  QueryPlan plan(const ir::Access &Src, const ir::Access &Dst, DepKind Kind);
+
+  /// Solves the case of \p Q at \p Level from scratch on a copy of the
+  /// shared pair problem, charging the work to \p Ctx; nullopt when the
+  /// case has no solution. Safe to call concurrently for one solver.
+  std::optional<DepSplit> solveCase(const QueryPlan &Q, unsigned Level,
+                                    OmegaContext &Ctx) const;
+
+  /// The query's dependence from its plan and the case results (one per
+  /// plan level, in plan order).
+  static std::optional<Dependence>
+  assemble(const QueryPlan &Q, std::vector<std::optional<DepSplit>> Cases);
+
   /// The dependence of kind \p Kind from \p Src to \p Dst, exactly as
-  /// DependenceAnalysis::computeDependence reports it. \p Src and \p Dst
-  /// must be the two accesses this solver was built for (in either order).
+  /// DependenceAnalysis::computeDependence reports it: plan, every case in
+  /// turn on this solver's context, assemble.
   std::optional<Dependence> computeDependence(const ir::Access &Src,
                                               const ir::Access &Dst,
                                               DepKind Kind);
@@ -68,11 +107,6 @@ private:
   enum class QuickClass : uint8_t { None, ZIV, GCD, Bounds };
 
   void ensureQuickTests();
-  const Problem &pairProblem();
-
-  std::optional<Dependence> solveOrdered(unsigned SI, unsigned DI,
-                                         const ir::Access &Src,
-                                         const ir::Access &Dst, DepKind Kind);
 
   DepSpace Space;
   OmegaContext &Ctx;

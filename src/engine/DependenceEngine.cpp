@@ -84,11 +84,15 @@ bool completelyPrecedesCover(const ir::Access &W, const Dependence &Cover) {
          CommonWA <= ir::AnalyzedProgram::numCommonLoops(A, *Cover.Dst);
 }
 
-/// Work-item keys: phase in the top byte below the non-task marker, serial
-/// enumeration index in the low bits. Identical for every Jobs value, so
+/// Task keys: phase in the top byte below the non-task marker, then the
+/// work item's serial enumeration index, then the part of the item the
+/// task runs (obs::TaskPartBits wide). Identical for every Jobs value, so
 /// the tracer's (key, seq) merge order is jobs-independent.
-uint64_t taskKey(unsigned Phase, std::size_t Index) {
-  return (static_cast<uint64_t>(Phase) << 48) | Index;
+uint64_t taskKey(unsigned Phase, std::size_t Index, std::size_t Part = 0) {
+  assert(Index < (uint64_t(1) << (48 - obs::TaskPartBits)) &&
+         Part < (uint64_t(1) << obs::TaskPartBits) && "task key overflow");
+  return (static_cast<uint64_t>(Phase) << 48) |
+         (static_cast<uint64_t>(Index) << obs::TaskPartBits) | Part;
 }
 
 /// "s3 A(I,J)": statement number plus the source rendering.
@@ -138,14 +142,15 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   Pool->resetStats();
 
   // Phase 1: every unrefined dependence query -- output, anti, and the
-  // flow computations phase 2 consumes -- scheduled per *pair* rather than
-  // per query. Queries are enumerated exactly as the serial analysis does,
-  // then grouped by unordered reference pair in first-appearance order:
-  // one task per group builds one PairSolver (quick tests and the shared
-  // pair problem once, on one worker) and answers all of the
-  // pair's kinds, directions and levels on it. Results still land in
-  // index-addressed per-query slots and merge in enumeration order, so the
-  // output is identical to per-query scheduling.
+  // flow computations phase 2 consumes. Queries are enumerated exactly as
+  // the serial analysis does, then grouped by unordered reference pair in
+  // first-appearance order. One task per group builds the pair's
+  // PairSolver and plans its queries (quick tests and the shared pair
+  // problem once); then one task per (query, level) case solves it from
+  // scratch on a copy of the pair problem, so a costly pair spreads over
+  // every worker. Results land in index-addressed slots and merge in
+  // enumeration and level order, so the output is identical to solving
+  // each query serially.
   struct PairQuery {
     const ir::Access *Src;
     const ir::Access *Dst;
@@ -299,6 +304,11 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   // difference. Trace decisions go to the first context from this
   // coordinating thread (no helper holds a context between parallelFor
   // calls).
+  auto pairLabel = [&](std::size_t GI) {
+    const PairQuery &First = Queries[Groups[GI].front()];
+    return "pair " + accessLabel(*First.Src) + " <-> " +
+           accessLabel(*First.Dst);
+  };
   std::vector<std::size_t> RunGroups;
   obs::TraceBuffer *TB = Req.Trace ? Pool->firstContext().Trace : nullptr;
   for (std::size_t GI = 0; GI != Groups.size(); ++GI) {
@@ -313,30 +323,76 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
         QueryDeps[QI] = materializeDep(P, Q.Src, Q.Dst);
     }
     if (TB) {
-      const PairQuery &First = Queries[Groups[GI].front()];
-      obs::TaskScope Task(TB, taskKey(1, GI),
-                          "pair " + accessLabel(*First.Src) + " <-> " +
-                              accessLabel(*First.Dst));
+      obs::TaskScope Task(TB, taskKey(1, GI), pairLabel(GI));
       TB->decision("result store: pair reused");
     }
   }
 
+  // A planned group. Its trace parts are each query's plan followed by
+  // that query's cases.
+  struct PairWork {
+    std::optional<deps::PairSolver> Solver;
+    std::vector<deps::PairSolver::QueryPlan> Plans; ///< one per query
+    std::vector<std::size_t> PlanPart;
+  };
+  std::vector<PairWork> Work(RunGroups.size());
   Pool->parallelFor(RunGroups.size(), [&](std::size_t RI, OmegaContext &Ctx) {
     std::size_t GI = RunGroups[RI];
-    const std::vector<std::size_t> &Group = Groups[GI];
-    const PairQuery &First = Queries[Group.front()];
-    obs::TaskScope Task(Ctx.Trace, taskKey(1, GI),
-                        Ctx.Trace ? "pair " + accessLabel(*First.Src) +
-                                        " <-> " + accessLabel(*First.Dst)
-                                  : std::string());
-    deps::PairSolver Solver(AP, *First.Src, *First.Dst, Ctx);
-    for (std::size_t QI : Group) {
+    PairWork &W = Work[RI];
+    std::size_t Part = 0;
+    for (std::size_t QI : Groups[GI]) {
       const PairQuery &Q = Queries[QI];
-      auto Start = std::chrono::steady_clock::now();
-      QueryDeps[QI] = Solver.computeDependence(*Q.Src, *Q.Dst, Q.Kind);
-      QuerySecs[QI] = secondsSince(Start);
+      obs::TaskScope Task(Ctx.Trace, taskKey(1, GI, Part),
+                          Ctx.Trace ? pairLabel(GI) : std::string());
+      if (!W.Solver)
+        W.Solver.emplace(AP, *Q.Src, *Q.Dst, Ctx);
+      W.PlanPart.push_back(Part);
+      W.Plans.push_back(W.Solver->plan(*Q.Src, *Q.Dst, Q.Kind));
+      Part += 1 + W.Plans.back().Levels.size();
     }
   });
+
+  struct CaseTask {
+    std::size_t RI;    ///< index into RunGroups / Work
+    std::size_t Plan;  ///< query within the group
+    std::size_t Level; ///< index into the plan's levels
+  };
+  std::vector<CaseTask> Cases;
+  for (std::size_t RI = 0; RI != Work.size(); ++RI)
+    for (std::size_t P = 0; P != Work[RI].Plans.size(); ++P)
+      for (std::size_t L = 0; L != Work[RI].Plans[P].Levels.size(); ++L)
+        Cases.push_back({RI, P, L});
+  std::vector<std::optional<DepSplit>> CaseSplits(Cases.size());
+  std::vector<double> CaseSecs(Cases.size(), 0.0);
+  Pool->parallelFor(Cases.size(), [&](std::size_t CI, OmegaContext &Ctx) {
+    const CaseTask &C = Cases[CI];
+    const PairWork &W = Work[C.RI];
+    std::size_t GI = RunGroups[C.RI];
+    obs::TaskScope Task(Ctx.Trace,
+                        taskKey(1, GI, W.PlanPart[C.Plan] + 1 + C.Level),
+                        Ctx.Trace ? pairLabel(GI) : std::string());
+    const deps::PairSolver::QueryPlan &Plan = W.Plans[C.Plan];
+    auto Start = std::chrono::steady_clock::now();
+    CaseSplits[CI] = W.Solver->solveCase(Plan, Plan.Levels[C.Level], Ctx);
+    CaseSecs[CI] = secondsSince(Start);
+  });
+
+  // Cases were enumerated group by group, query by query, in level order.
+  std::size_t NextCase = 0;
+  for (std::size_t RI = 0; RI != Work.size(); ++RI) {
+    const std::vector<std::size_t> &Group = Groups[RunGroups[RI]];
+    for (std::size_t P = 0; P != Group.size(); ++P) {
+      const deps::PairSolver::QueryPlan &Plan = Work[RI].Plans[P];
+      std::vector<std::optional<DepSplit>> Splits;
+      for (std::size_t L = 0; L != Plan.Levels.size(); ++L, ++NextCase) {
+        Splits.push_back(std::move(CaseSplits[NextCase]));
+        QuerySecs[Group[P]] += CaseSecs[NextCase];
+      }
+      QueryDeps[Group[P]] = deps::PairSolver::assemble(Plan, std::move(Splits));
+    }
+  }
+  Work.clear();
+
   // Positions of each query's final record, for store capture: index
   // into Result.Output/Anti (ordered kinds) or Result.Flow, -1 if absent.
   std::vector<std::ptrdiff_t> QueryLoc(Queries.size(), -1);
@@ -466,8 +522,8 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
 
   // Phase 3: covers kill dependences from writes that completely precede
   // them, then pairwise kill tests on what remains. Kill groups (one per
-  // read) touch disjoint Flow entries, so they shard cleanly; each
-  // group's records merge back in FlowByRead (read-id) order.
+  // read) touch disjoint Flow entries; each group's records merge back in
+  // FlowByRead (read-id) order.
   if (Req.Kill) {
     struct KillGroup {
       const std::vector<unsigned> *DepIndices;
@@ -479,6 +535,11 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
       (void)ReadId;
       KGroups.push_back({&DepIndices, {}});
     }
+
+    auto killLabel = [&](std::size_t GI) {
+      return "kills into " +
+             accessLabel(*Result.Flow[KGroups[GI].DepIndices->front()].Dst);
+    };
 
     // Write positions within each array's write list (enumeration
     // order): the portable identity kill records travel under.
@@ -546,8 +607,7 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
       KillReused[GI] = 1;
       ++StoreHits;
       if (TB) {
-        obs::TaskScope Task(TB, taskKey(3, GI),
-                            "kills into " + accessLabel(*Read));
+        obs::TaskScope Task(TB, taskKey(3, GI), killLabel(GI));
         TB->decision("result store: kill group reused");
       }
     }
@@ -557,16 +617,12 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
       if (!KillReused[GI])
         RunKills.push_back(GI);
 
-    Pool->parallelFor(RunKills.size(), [&](std::size_t RI, OmegaContext &Ctx) {
-      std::size_t GI = RunKills[RI];
-      KillGroup &G = KGroups[GI];
-      const std::vector<unsigned> &DepIndices = *G.DepIndices;
-      obs::TaskScope Task(
-          Ctx.Trace, taskKey(3, GI),
-          Ctx.Trace ? "kills into " +
-                          accessLabel(*Result.Flow[DepIndices.front()].Dst)
-                    : std::string());
-      // Kill by cover.
+    // Kill by cover: syntactic (no Omega call), so it runs here, on the
+    // coordinating thread, before any victim's pairwise tests.
+    for (std::size_t GI : RunKills) {
+      const std::vector<unsigned> &DepIndices = *KGroups[GI].DepIndices;
+      obs::TaskScope Task(TB, taskKey(3, GI),
+                          TB ? killLabel(GI) : std::string());
       for (unsigned CoverIdx : DepIndices) {
         const Dependence &Cover = Result.Flow[CoverIdx];
         if (!Cover.Covers)
@@ -582,51 +638,72 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
               S.Dead = true;
               S.DeadReason = 'c';
             }
-          if (Ctx.Trace)
-            Ctx.Trace->decision("killed by cover: " + accessLabel(*Cover.Src) +
-                                " supersedes " + accessLabel(*Victim.Src));
+          if (TB)
+            TB->decision("killed by cover: " + accessLabel(*Cover.Src) +
+                         " supersedes " + accessLabel(*Victim.Src));
         }
       }
-      // Pairwise killing.
-      for (unsigned VictimIdx : DepIndices) {
-        Dependence &Victim = Result.Flow[VictimIdx];
-        for (unsigned KillerIdx : DepIndices) {
-          if (KillerIdx == VictimIdx || Victim.allDead())
-            continue;
-          const Dependence &KillerDep = Result.Flow[KillerIdx];
-          const ir::Access &Killer = *KillerDep.Src;
-          if (&Killer == Victim.Src)
-            continue;
-          analysis::KillRecord KR;
-          KR.From = Victim.Src;
-          KR.Killer = &Killer;
-          KR.To = Victim.Dst;
-          auto Start = std::chrono::steady_clock::now();
-          // Quick test: the killer must overwrite what the victim wrote,
-          // i.e. there must be an output dependence victim -> killer.
-          bool Plausible =
-              !Req.QuickTests || OutInfo.outputDep(*Victim.Src, Killer);
-          if (Plausible) {
-            KR.UsedOmega = true;
-            for (DepSplit &S : Victim.Splits) {
-              if (S.Dead)
-                continue;
-              if (analysis::kills(AP, *Victim.Src, Killer, *Victim.Dst,
-                                  S.Level)) {
-                S.Dead = true;
-                S.DeadReason = 'k';
-                KR.Killed = true;
-              }
+    }
+
+    // Pairwise killing, one task per victim dependence: a victim's tests
+    // read only its own splits' state and each killer's access, never a
+    // killer's dead state, so victims are independent. Records merge in
+    // (read, victim) order.
+    struct VictimTask {
+      std::size_t GI;  ///< kill group (read)
+      std::size_t Pos; ///< victim within the group's dependences
+    };
+    std::vector<VictimTask> Victims;
+    for (std::size_t GI : RunKills)
+      for (std::size_t Pos = 0; Pos != KGroups[GI].DepIndices->size(); ++Pos)
+        Victims.push_back({GI, Pos});
+    std::vector<std::vector<analysis::KillRecord>> VictimRecords(
+        Victims.size());
+    Pool->parallelFor(Victims.size(), [&](std::size_t VI, OmegaContext &Ctx) {
+      const VictimTask &T = Victims[VI];
+      const std::vector<unsigned> &DepIndices = *KGroups[T.GI].DepIndices;
+      obs::TaskScope Task(Ctx.Trace, taskKey(3, T.GI, 1 + T.Pos),
+                          Ctx.Trace ? killLabel(T.GI) : std::string());
+      unsigned VictimIdx = DepIndices[T.Pos];
+      Dependence &Victim = Result.Flow[VictimIdx];
+      for (unsigned KillerIdx : DepIndices) {
+        if (KillerIdx == VictimIdx || Victim.allDead())
+          continue;
+        const ir::Access &Killer = *Result.Flow[KillerIdx].Src;
+        if (&Killer == Victim.Src)
+          continue;
+        analysis::KillRecord KR;
+        KR.From = Victim.Src;
+        KR.Killer = &Killer;
+        KR.To = Victim.Dst;
+        auto Start = std::chrono::steady_clock::now();
+        // Quick test: the killer must overwrite what the victim wrote,
+        // i.e. there must be an output dependence victim -> killer.
+        bool Plausible =
+            !Req.QuickTests || OutInfo.outputDep(*Victim.Src, Killer);
+        if (Plausible) {
+          KR.UsedOmega = true;
+          analysis::KillCheck Check(AP, *Victim.Src, Killer, *Victim.Dst);
+          for (DepSplit &S : Victim.Splits) {
+            if (S.Dead)
+              continue;
+            if (Check.kills(S.Level)) {
+              S.Dead = true;
+              S.DeadReason = 'k';
+              KR.Killed = true;
             }
           }
-          KR.Secs = secondsSince(Start);
-          if (Ctx.Trace && KR.Killed)
-            Ctx.Trace->decision("killed by write: " + accessLabel(Killer) +
-                                " overwrites " + accessLabel(*Victim.Src));
-          G.Records.push_back(KR);
         }
+        KR.Secs = secondsSince(Start);
+        if (Ctx.Trace && KR.Killed)
+          Ctx.Trace->decision("killed by write: " + accessLabel(Killer) +
+                              " overwrites " + accessLabel(*Victim.Src));
+        VictimRecords[VI].push_back(KR);
       }
     });
+    for (std::size_t VI = 0; VI != Victims.size(); ++VI)
+      for (analysis::KillRecord &KR : VictimRecords[VI])
+        KGroups[Victims[VI].GI].Records.push_back(KR);
     for (KillGroup &G : KGroups)
       for (analysis::KillRecord &KR : G.Records)
         Result.Kills.push_back(KR);

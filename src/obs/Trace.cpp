@@ -321,11 +321,16 @@ std::string Tracer::explainLog() const {
   std::vector<TraceEvent> All = mergedEvents();
   std::string Out;
 
+  // Events outside engine tasks keep their per-buffer keys; task keys
+  // group by work item, dropping the part bits.
+  auto itemOf = [](uint64_t Key) {
+    return (Key >> 56) == 0xFF ? Key : Key >> TaskPartBits;
+  };
   std::size_t I = 0;
   while (I != All.size()) {
     uint64_t Key = All[I].TaskKey;
     std::size_t End = I;
-    while (End != All.size() && All[End].TaskKey == Key)
+    while (End != All.size() && itemOf(All[End].TaskKey) == itemOf(Key))
       ++End;
 
     // Header: the work item's label (from its EngineTask span), or a

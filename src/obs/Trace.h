@@ -57,6 +57,12 @@
 namespace omega {
 namespace obs {
 
+/// Engine task keys end in TaskPartBits bits that number the parts of one
+/// work item run as separate tasks (a pair's query plans and cases, a kill
+/// group's cover pass and victims). The explain log prints one block per
+/// work item, whichever parts its decisions came from.
+constexpr unsigned TaskPartBits = 16;
+
 /// What a span measures. Scoped spans cover the decision-procedure entry
 /// points and the engine's work items; Decision is a zero-duration event
 /// recording *why* an outcome happened (the explain log's raw material).
@@ -265,8 +271,9 @@ public:
   std::string profileReport(bool Json, double WallMs = -1,
                             unsigned Jobs = 1) const;
 
-  /// Sink 3: the explain log -- one block per engine work item, listing
-  /// the deciding mechanisms and the problem sizes involved.
+  /// Sink 3: the explain log -- one block per engine work item (all of
+  /// its parts), listing the deciding mechanisms and the problem sizes
+  /// involved.
   std::string explainLog() const;
 
 private:

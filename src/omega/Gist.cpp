@@ -393,11 +393,14 @@ Problem conjoinBranch(const Problem &Acc, const Problem &Branch,
   return conjoinExtending(Acc, Branch, BaseVars);
 }
 
+/// Searches the product of the negation branches depth first for a point
+/// of \p Acc outside every disjunct. \p AccSatisfiable skips the
+/// satisfiability proof of \p Acc itself when the caller already has one.
 bool hasCounterexample(const Problem &Acc,
                        const std::vector<std::vector<Problem>> &NegatedQs,
-                       unsigned Index, unsigned BaseVars,
-                       OmegaContext &Ctx) {
-  if (!isSatisfiable(Acc, SatOptions(), Ctx))
+                       unsigned Index, unsigned BaseVars, OmegaContext &Ctx,
+                       bool AccSatisfiable = false) {
+  if (!AccSatisfiable && !isSatisfiable(Acc, SatOptions(), Ctx))
     return false;
   if (Index == NegatedQs.size())
     return true;
@@ -408,10 +411,36 @@ bool hasCounterexample(const Problem &Acc,
   return false;
 }
 
+/// The sat-free part of (gist Q given P) for one negation branch: does a
+/// single row of \p P contradict \p Branch? Only a branch over shared
+/// protected columns qualifies; it lands on the same columns of every
+/// accumulator of the search, so a branch this drops is one the search
+/// would have found infeasible on every path.
+bool contradictedByRow(const Problem &P, const Problem &Branch,
+                       unsigned BaseVars) {
+  assert(Branch.getNumConstraints() == 1 && "a branch is one negated row");
+  const Constraint &Row = Branch.constraints().front();
+  // not (v.x + c >= 0)  <=>  -v.x + ~c >= 0, where ~c == -c - 1 exactly.
+  Constraint Negated(ConstraintKind::GEQ, P.getNumVars());
+  for (VarId V = 0, E = Row.getNumVars(); V != static_cast<VarId>(E); ++V) {
+    int64_t C = Row.getCoeff(V);
+    if (C == 0)
+      continue;
+    if (static_cast<unsigned>(V) >= BaseVars || !Branch.isProtected(V))
+      return false;
+    Negated.setCoeff(V, -C);
+  }
+  Negated.setConstant(~Row.getConstant());
+  for (const Constraint &By : P.constraints())
+    if (impliedBySingle(Negated, By))
+      return true;
+  return false;
+}
+
 } // namespace
 
 bool omega::impliesUnion(const Problem &P, const std::vector<Problem> &Qs,
-                         OmegaContext &Ctx) {
+                         OmegaContext &Ctx, bool PSatisfiable) {
   // The shared base layout is the common prefix; any columns beyond it
   // (projection-minted wildcards on either side) are existential and get
   // remapped apart when branches are conjoined. Unprotected columns below
@@ -427,7 +456,23 @@ bool omega::impliesUnion(const Problem &P, const std::vector<Problem> &Qs,
       return false; // cannot negate: fail conservatively
     NegatedQs.push_back(std::move(*Neg));
   }
-  return !hasCounterexample(P, NegatedQs, 0, BaseVars, Ctx);
+  // Negate only what P does not already decide (Section 3.3): drop the
+  // branches a single row of P contradicts. A disjunct left with no branch
+  // is implied by P outright.
+  for (std::vector<Problem> &Branches : NegatedQs) {
+    std::erase_if(Branches, [&](const Problem &Branch) {
+      return contradictedByRow(P, Branch, BaseVars);
+    });
+    if (Branches.empty())
+      return true;
+  }
+  // Fewest branches first: the search fans out as late as possible.
+  std::stable_sort(NegatedQs.begin(), NegatedQs.end(),
+                   [](const std::vector<Problem> &A,
+                      const std::vector<Problem> &B) {
+                     return A.size() < B.size();
+                   });
+  return !hasCounterexample(P, NegatedQs, 0, BaseVars, Ctx, PSatisfiable);
 }
 
 RedGistResult omega::projectAndGist(const Problem &Combined,

@@ -57,8 +57,15 @@ bool implies(const Problem &Given, const Problem &P,
 /// negation machinery cannot express, the check conservatively returns
 /// false ("cannot prove the implication"), which is the sound direction
 /// for every analysis in Section 4.
+///
+/// Following Section 3.3, only what P does not already imply is negated:
+/// a negation branch that a single row of P contradicts is dropped before
+/// the search (no satisfiability call), and a disjunct left with no branch
+/// proves the implication outright. Pass \p PSatisfiable when P is already
+/// known to be satisfiable, so the search does not prove it again.
 bool impliesUnion(const Problem &P, const std::vector<Problem> &Qs,
-                  OmegaContext &Ctx = OmegaContext::current());
+                  OmegaContext &Ctx = OmegaContext::current(),
+                  bool PSatisfiable = false);
 
 /// The logical negation of \p P (with its unprotected variables read as
 /// existentials) as a union of problems over the same layout; each result

@@ -303,7 +303,7 @@ TEST(Section4, KillsPredicateDirect) {
   const Access *B = findAccess(AP, "a", true, 2);
   const Access *C = findAccess(AP, "a", false);
   ASSERT_TRUE(A && B && C);
-  EXPECT_TRUE(kills(AP, *A, *B, *C, /*Level=*/0));
+  EXPECT_TRUE(KillCheck(AP, *A, *B, *C).kills(/*Level=*/0));
 }
 
 TEST(Section4, QuickTestsDoNotChangeResults) {

@@ -4,19 +4,27 @@
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
 //
 // The engine's contract: parallel analysis fed by a result store returns
-// structurally identical results to the serial pipeline with no reuse;
+// structurally identical results to the serial pipeline with no reuse; the
+// worker count never shows in results, counters or the explain log;
 // repeat analyses are answered from the store; and concurrent
 // OmegaContexts never share counters.
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Response.h"
 #include "engine/DependenceEngine.h"
 #include "engine/ResultStore.h"
 #include "engine/WorkerPool.h"
 #include "kernels/Kernels.h"
+#include "obs/Trace.h"
+#include "oracle/Generate.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,6 +73,21 @@ std::string signatureOf(const analysis::AnalysisResult &R) {
            std::to_string(K.Killer->Id) + "," + std::to_string(K.To->Id) +
            (K.UsedOmega ? " omega" : "") + (K.Killed ? " killed" : "") + ")";
   }
+  return Out;
+}
+
+/// Every OmegaStats counter, in declaration order.
+std::string countersOf(const OmegaStats &S) {
+  std::string Out;
+  for (uint64_t V :
+       {S.SatisfiabilityCalls, S.ProjectionCalls, S.GistCalls,
+        S.ExactEliminations, S.InexactEliminations, S.SplintersExplored,
+        S.DarkShadowDecided, S.RealShadowDecided, S.ModHatSubstitutions,
+        S.GistFastDrops, S.GistFastKeeps, S.GistSatTests, S.ResultStoreHits,
+        S.ResultStoreMisses, S.ResultStoreEvictions, S.QuickTestZIV,
+        S.QuickTestGCD, S.QuickTestBounds, S.QuickTestTrivialDep,
+        S.QuickTestDecided})
+    Out += std::to_string(V) + " ";
   return Out;
 }
 
@@ -199,6 +222,52 @@ TEST(Engine, ConcurrentContextStatsAreIsolated) {
   // And none of it landed on the process-default context.
   EXPECT_EQ(OmegaContext::defaultContext().Stats.SatisfiabilityCalls,
             DefaultBefore);
+}
+
+// A parallel analysis runs one task per pair case and one per kill victim,
+// so its workers interleave the work differently from a serial run.
+// Nothing observable may move: the result bytes, every counter, the kill
+// records and the explain log match at one and at four workers, over the
+// costly corpus and the first 60 generated programs of seed 1.
+TEST(Engine, JobsInvisibleOnCostlyAndGeneratedPrograms) {
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(OMEGA_COSTLY_DIR)) {
+    if (Entry.path().extension() != ".tiny")
+      continue;
+    std::ifstream In(Entry.path());
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Programs.push_back({Entry.path().filename().string(), Buf.str()});
+  }
+  std::sort(Programs.begin(), Programs.end());
+  ASSERT_FALSE(Programs.empty());
+  oracle::ProgramGenerator Gen(1);
+  for (unsigned I = 0; I != 60; ++I)
+    Programs.push_back({"seed1 #" + std::to_string(I), Gen.generate()});
+
+  struct Observed {
+    std::string Result, Records, Counters, Explain;
+  };
+  for (const auto &[Name, Source] : Programs) {
+    SCOPED_TRACE(Name);
+    ir::AnalyzedProgram AP = ir::analyzeSource(Source);
+    ASSERT_TRUE(AP.ok());
+    auto run = [&](unsigned Jobs) {
+      obs::Tracer T;
+      engine::AnalysisRequest Req = makeRequest(Jobs);
+      Req.Trace = &T;
+      engine::DependenceEngine Engine(Req);
+      engine::AnalysisResult R = Engine.analyze(AP);
+      return Observed{api::renderResult(R, &AP), signatureOf(R),
+                      countersOf(R.Stats), T.explainLog()};
+    };
+    Observed Serial = run(1), Parallel = run(4);
+    EXPECT_EQ(Serial.Result, Parallel.Result);
+    EXPECT_EQ(Serial.Records, Parallel.Records);
+    EXPECT_EQ(Serial.Counters, Parallel.Counters);
+    EXPECT_EQ(Serial.Explain, Parallel.Explain);
+  }
 }
 
 // Jobs = 0 resolves to the usable cores (at least one worker).

@@ -91,6 +91,12 @@ TEST(NegateProblem, UnitWildcardEqualityIsVacuous) {
 
 namespace {
 
+/// Which kind of P's rows every disjunct copies. The negation branches of
+/// an exact or looser copy are contradicted by P itself, so the union
+/// check drops them before its search; a disjunct made only of such a
+/// copy is implied outright.
+enum class SharedRow { None, Inequality, Equality, Stride };
+
 struct UnionParam {
   unsigned Trials;
   unsigned Seed;
@@ -100,25 +106,84 @@ struct UnionParam {
 class UnionImplicationProperty
     : public ::testing::TestWithParam<UnionParam> {};
 
-} // namespace
+/// A sibling fixture rather than a field of UnionParam: the older cases'
+/// names print their parameter's bytes, so UnionParam keeps its layout.
+struct SharedRowParam {
+  UnionParam Base;
+  SharedRow Shared;
+};
 
-TEST_P(UnionImplicationProperty, AgreesWithBruteForce) {
-  const UnionParam &Param = GetParam();
+class UnionImplicationSharedRows
+    : public ::testing::TestWithParam<SharedRowParam> {};
+
+/// Membership of the point (x, y) in \p Q, enumerating any wildcard
+/// columns over a range wide enough for the strides built below.
+bool contains(const Problem &Q, int64_t X, int64_t Y) {
+  std::vector<int64_t> Pt(Q.getNumVars(), 0);
+  Pt[0] = X;
+  Pt[1] = Y;
+  std::vector<VarId> Wildcards;
+  for (VarId V = 2, E = Q.getNumVars(); V != static_cast<VarId>(E); ++V)
+    Wildcards.push_back(V);
+  return forEachPointFrom(Pt, Wildcards, -12, 12,
+                          [&](const std::vector<int64_t> &Full) {
+                            return evalProblem(Q, Full);
+                          });
+}
+
+/// Draws random P and unions Q1 v ... v Qn and checks impliesUnion against
+/// pointwise evaluation; with \p Shared, every disjunct copies a row of P.
+void checkAgainstBruteForce(const UnionParam &Param, SharedRow Shared) {
   std::mt19937 Rng(Param.Seed);
   RandomProblemConfig Cfg;
   Cfg.NumVars = 2;
-  Cfg.NumEQs = 0;
+  Cfg.NumEQs = Shared == SharedRow::Equality ? 1 : 0;
   Cfg.NumGEQs = 2;
   Cfg.Box = 5;
 
+  unsigned ImpliedOutright = 0; // trials the pre-pass alone decided
   for (unsigned T = 0; T != Param.Trials; ++T) {
     Problem P = randomProblem(Rng, Cfg);
+    if (Shared == SharedRow::Stride) {
+      // exists w: x + c == a*w, with a in {2, 3}.
+      VarId W = P.addWildcard();
+      int64_t A = 2 + static_cast<int64_t>(Rng() % 2);
+      P.addEQ({{0, 1}, {W, -A}}, static_cast<int64_t>(Rng() % 5) - 2);
+    }
+    // The rows of P a disjunct may copy for this parameter.
+    std::vector<const Constraint *> Copyable;
+    for (const Constraint &Row : P.constraints()) {
+      bool Strided = P.getNumVars() > 2 && Row.involves(2);
+      bool Wanted = Shared == SharedRow::Inequality
+                        ? Row.isInequality()
+                    : Shared == SharedRow::Equality
+                        ? Row.isEquality()
+                        : Strided;
+      if (Wanted)
+        Copyable.push_back(&Row);
+    }
+
     std::vector<Problem> Qs;
     for (unsigned I = 0; I != Param.NumDisjuncts; ++I) {
       // Build each disjunct in P's layout from random rows (without the
       // box bounds so the union is usually a strict subset).
       Problem Raw = randomProblem(Rng, Cfg);
       Problem Q = P.cloneLayout();
+      if (Shared != SharedRow::None) {
+        // The copy is one tighter, exact or one looser, so the pre-pass
+        // is checked on both sides of its boundary.
+        Constraint Copy = *Copyable[Rng() % Copyable.size()];
+        Copy.addToConstant(static_cast<int64_t>(Rng() % 3) - 1);
+        Q.addConstraint(Copy);
+        // Half the disjuncts are a copy alone: P implies them outright.
+        if (Rng() % 2) {
+          Constraint Row = Raw.constraints()[Cfg.NumEQs];
+          Row.resizeVars(Q.getNumVars());
+          Q.addConstraint(Row);
+        }
+        Qs.push_back(std::move(Q));
+        continue;
+      }
       unsigned Count = 0;
       for (const Constraint &Row : Raw.constraints())
         if (Count++ < Cfg.NumGEQs)
@@ -126,26 +191,78 @@ TEST_P(UnionImplicationProperty, AgreesWithBruteForce) {
       Qs.push_back(std::move(Q));
     }
 
-    bool Actual = impliesUnion(P, Qs);
+    OmegaContext Ctx;
+    bool Actual = impliesUnion(P, Qs, Ctx);
+    ImpliedOutright += Actual && Ctx.Stats.SatisfiabilityCalls == 0;
     bool Expected = true;
     for (int64_t X = -Cfg.Box; X <= Cfg.Box && Expected; ++X)
       for (int64_t Y = -Cfg.Box; Y <= Cfg.Box && Expected; ++Y) {
-        std::vector<int64_t> Pt = {X, Y};
-        if (!evalProblem(P, Pt))
+        if (!contains(P, X, Y))
           continue;
         bool InUnion = false;
         for (const Problem &Q : Qs)
-          InUnion |= evalProblem(Q, Pt);
+          InUnion |= contains(Q, X, Y);
         Expected = InUnion;
       }
     ASSERT_EQ(Actual, Expected) << "trial " << T << " p=" << P.toString();
   }
+  if (Shared != SharedRow::None && Shared != SharedRow::Stride) {
+    EXPECT_GT(ImpliedOutright, 0u) << "the pre-pass exit was never taken";
+  }
+}
+
+} // namespace
+
+TEST_P(UnionImplicationProperty, AgreesWithBruteForce) {
+  checkAgainstBruteForce(GetParam(), SharedRow::None);
+}
+
+TEST_P(UnionImplicationSharedRows, AgreesWithBruteForce) {
+  checkAgainstBruteForce(GetParam().Base, GetParam().Shared);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomUnions, UnionImplicationProperty,
                          ::testing::Values(UnionParam{120, 51, 1},
                                            UnionParam{120, 52, 2},
                                            UnionParam{80, 53, 3}));
+
+INSTANTIATE_TEST_SUITE_P(
+    SharedRows, UnionImplicationSharedRows,
+    ::testing::Values(SharedRowParam{{120, 61, 2}, SharedRow::Inequality},
+                      SharedRowParam{{120, 62, 2}, SharedRow::Equality},
+                      SharedRowParam{{80, 63, 2}, SharedRow::Stride}),
+    [](const ::testing::TestParamInfo<SharedRowParam> &I) {
+      switch (I.param.Shared) {
+      case SharedRow::Inequality:
+        return std::string("inequality");
+      case SharedRow::Equality:
+        return std::string("equality");
+      default:
+        return std::string("stride");
+      }
+    });
+
+// The sat-free pre-pass: every negation branch of a disjunct built from
+// P's own rows is contradicted by P, so the implication holds with no
+// satisfiability call at all.
+TEST(UnionImplication, ImpliedDisjunctMakesNoSatCall) {
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId Y = P.addVar("y");
+  P.addGEQ({{X, 1}}, -1);         // x >= 1
+  P.addGEQ({{X, -1}}, 9);         // x <= 9
+  P.addEQ({{X, 1}, {Y, -1}}, 2);  // y == x + 2
+  P.addGEQ({{X, 1}, {Y, 1}}, -3); // x + y >= 3
+  Problem Q = P.cloneLayout();
+  Q.addGEQ({{X, 1}}, 0);         // x >= 0: implied by x >= 1
+  Q.addEQ({{X, 1}, {Y, -1}}, 2); // P's equality
+  Problem Far = P.cloneLayout();
+  Far.addGEQ({{Y, 1}}, -50); // y >= 50: not implied, branch kept
+
+  OmegaContext Ctx;
+  EXPECT_TRUE(impliesUnion(P, {Far, Q}, Ctx));
+  EXPECT_EQ(Ctx.Stats.SatisfiabilityCalls, 0u);
+}
 
 //===----------------------------------------------------------------------===//
 // conjoinExtending
