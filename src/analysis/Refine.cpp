@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 using namespace omega;
 using namespace omega::analysis;
@@ -35,7 +36,37 @@ struct LevelProblem {
   unsigned Level = 0;
   Problem P;
   std::vector<VarId> Deltas;
+  /// The range of each distance variable over P as it stands, where
+  /// known: phase 1's exact ranges to begin with, then every range
+  /// computed here (P determines the answer, so a range computed once is
+  /// never computed again). A pin row changes P and forgets them all.
+  std::vector<std::optional<IntRange>> Known;
   bool Feasible = true;
+
+  /// The range of Delta_L over P.
+  IntRange range(unsigned L) {
+    if (!Known[L])
+      Known[L] = computeVarRange(P, Deltas[L]);
+    return *Known[L];
+  }
+
+  /// True when a known range is exact and non-empty, which shows that P
+  /// has an integer point. Before any pin this holds unless overflow left
+  /// every phase-1 range of the level inexact.
+  bool provenSatisfiable() const {
+    return std::any_of(Known.begin(), Known.end(),
+                       [](const std::optional<IntRange> &R) {
+                         return R && R->Exact && !R->Empty;
+                       });
+  }
+
+  /// Fixes Delta_L to \p Value.
+  void pin(unsigned L, int64_t Value) {
+    Constraint &Pin = P.addRow(ConstraintKind::EQ);
+    Pin.setCoeff(Deltas[L], 1);
+    Pin.setConstant(-Value);
+    Known.assign(Known.size(), std::nullopt);
+  }
 };
 
 /// Shared state for the refinement passes over one dependence.
@@ -54,6 +85,10 @@ public:
       Space.addSubscriptsEqual(L.P, 0, 2);
       Space.addPrecedesAtLevel(L.P, 0, 2, Split.Level);
       L.Deltas = Space.addDistanceVars(L.P, 0, 2);
+      assert(Split.Dir.size() == Common && "one range per common loop");
+      for (const deps::DirectionElem &Elem : Split.Dir)
+        L.Known.push_back(Elem.Range.Exact ? std::optional(Elem.Range)
+                                           : std::nullopt);
       Levels.push_back(std::move(L));
     }
   }
@@ -142,7 +177,6 @@ public:
       return 0;
 
     std::vector<int64_t> Fixed;
-    std::vector<std::vector<IntRange>> Pinned(Levels.size());
     for (unsigned L = 0; L != Common; ++L) {
       bool HasMin = false;
       int64_t Min = 0;
@@ -150,7 +184,7 @@ public:
         LevelProblem &Lvl = Levels[Idx];
         if (!Lvl.Feasible)
           continue;
-        IntRange R = computeVarRange(Lvl.P, Lvl.Deltas[L]);
+        IntRange R = Lvl.range(L);
         if (R.Empty) {
           Lvl.Feasible = false;
           continue;
@@ -180,14 +214,9 @@ public:
         Fixed.pop_back();
         break;
       }
-      for (unsigned Idx : MinSet) {
-        LevelProblem &Lvl = Levels[Idx];
-        if (!Lvl.Feasible)
-          continue;
-        Constraint &Pin = Lvl.P.addRow(ConstraintKind::EQ);
-        Pin.setCoeff(Lvl.Deltas[L], 1);
-        Pin.setConstant(-Min);
-      }
+      for (unsigned Idx : MinSet)
+        if (Levels[Idx].Feasible)
+          Levels[Idx].pin(L, Min);
     }
     return Fixed.size();
   }
@@ -197,7 +226,8 @@ public:
   bool rebuildSplits() {
     std::vector<deps::DepSplit> NewSplits;
     for (LevelProblem &Lvl : Levels) {
-      if (!Lvl.Feasible || !isSatisfiable(Lvl.P)) {
+      if (!Lvl.Feasible ||
+          (!Lvl.provenSatisfiable() && !isSatisfiable(Lvl.P))) {
         Lvl.Feasible = false;
         continue;
       }
@@ -205,7 +235,7 @@ public:
       S.Level = Lvl.Level;
       for (unsigned L = 0; L != Common; ++L) {
         deps::DirectionElem Elem;
-        Elem.Range = computeVarRange(Lvl.P, Lvl.Deltas[L]);
+        Elem.Range = Lvl.range(L);
         S.Dir.push_back(Elem);
       }
       S.Refined = true;

@@ -19,6 +19,13 @@
 /// trapezoidal, partial, and coupled cases (Examples 3-6) that [Bra88] and
 /// [Rib90] cannot handle all work here.
 ///
+/// Refinement starts from what phase 1 proved. The unrefined dependence's
+/// splits already hold each level's distance ranges, so a level is
+/// projected again only once a distance has been pinned in it, or where
+/// overflow left phase 1's range inexact (IntRange::Exact), and no range
+/// is computed twice for the same level problem. A level that was never
+/// pinned keeps its phase-1 split without another solver call.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMEGA_ANALYSIS_REFINE_H
@@ -36,7 +43,9 @@ struct RefineResult {
 };
 
 /// Attempts to refine \p Dep (a dependence from write \p A to access
-/// \p B), rewriting its splits in place on success.
+/// \p B), rewriting its splits in place on success. \p Dep must be the
+/// unrefined answer of the pair solver: its exact ranges are trusted as
+/// the exact distance ranges of each level.
 RefineResult refineDependence(const ir::AnalyzedProgram &AP,
                               const ir::Access &A, const ir::Access &B,
                               deps::Dependence &Dep);

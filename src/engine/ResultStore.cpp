@@ -559,6 +559,10 @@ deps::Dependence omega::engine::materializeDep(const PortableDep &P,
       E.Range.Min = R.Min;
       E.Range.Max = R.Max;
       E.Range.Empty = R.Empty;
+      // The store does not record exactness, so a range read back from
+      // it claims none. Nothing recomputes from it today: reused groups
+      // skip refinement, the one reader of the bit.
+      E.Range.Exact = false;
       S.Dir.push_back(E);
     }
     D.Splits.push_back(std::move(S));

@@ -376,10 +376,13 @@ void omega::removeRedundantConstraints(Problem &P, OmegaContext &Ctx) {
 }
 
 void IntRange::include(const IntRange &O) {
+  Exact = Exact && O.Exact;
   if (O.Empty)
     return;
   if (Empty) {
+    bool Both = Exact;
     *this = O;
+    Exact = Both;
     return;
   }
   if (!O.HasMin)
@@ -409,6 +412,7 @@ IntRange omega::computeVarRange(const Problem &P, VarId V,
     // Unreliable: the only sound range is the fully open one.
     Range.Empty = false;
     Range.HasMin = Range.HasMax = false;
+    Range.Exact = false;
   }
   return Range;
 }

@@ -90,13 +90,21 @@ struct IntRange {
   bool HasMin = false, HasMax = false;
   int64_t Min = 0, Max = 0;
   bool Empty = true; // no integer point at all
+  /// The bounds are the variable's exact extremes. False when overflow
+  /// forced the conservative fully open answer; such a range is sound but
+  /// may be looser than the truth, so a caller that wants the exact range
+  /// must compute it again. Not part of the rendered range.
+  bool Exact = true;
 
+  /// Widens this range to cover \p O too; the union is exact only when
+  /// both sides are.
   void include(const IntRange &O);
   std::string toString() const;
 };
 
 /// Computes the range of \p V over the integer solutions of \p P by
-/// projecting onto {V}.
+/// projecting onto {V}. When the projection overflows, the result is the
+/// fully open range with Exact cleared.
 IntRange computeVarRange(const Problem &P, VarId V,
                          OmegaContext &Ctx = OmegaContext::current());
 

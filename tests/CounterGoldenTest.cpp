@@ -13,7 +13,7 @@
 // match field for field.
 //
 // The rows cover the 30 kernels, examples/programs/pipeline4.tiny, one
-// repetition of a synthetic suite of core operations, and eleven
+// repetition of a synthetic suite of core operations, and thirteen
 // generated programs under tests/corpus/costly/ -- the only rows that pin
 // splinters, dark shadows and mod-hat steps in the dependence analyzer,
 // because the kernels run none of them.
@@ -77,32 +77,32 @@ struct Row {
 // clang-format off
 const Row Rows[] = {
     {"cholsky",
-     {1068, 503, 0, 2721, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 64, 47, 34, 0, 21, 15},
+     {1013, 473, 0, 2690, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 64, 47, 34, 0, 21, 15},
      "J@1/2 I@2 JJ@3 L@4* L@3* L@2* JJ@2 L@3* L@2* I@1/2* K@2 L@3* JJ@3* "
      "L@4* K@2 L@3* JJ@3* L@4*"},
     {"example1",
      {16, 3, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 1, 1},
      "L1@1* L1@1*"},
     {"example2",
-     {214, 64, 0, 189, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 3, 1, 2, 4},
+     {202, 60, 0, 189, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 3, 1, 2, 4},
      "L1@1/2 L2@2/2* L2@2*"},
     {"example3",
-     {42, 20, 0, 54, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     {38, 18, 0, 54, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
      "L1@1 L2@2"},
     {"example4",
-     {42, 20, 0, 54, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     {38, 18, 0, 54, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
      "L1@1 L2@2"},
     {"example5",
-     {54, 28, 0, 71, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+     {46, 24, 0, 71, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
      "L1@1 L2@2"},
     {"example6",
-     {41, 17, 0, 39, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     {38, 16, 0, 39, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
      "L1@1 L2@2*"},
     {"example7",
      {34, 12, 0, 57, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
      "L1@1 L2@2"},
     {"example8",
-     {32, 9, 0, 21, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     {22, 6, 0, 19, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
      "L1@1"},
     {"example9",
      {2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
@@ -111,10 +111,10 @@ const Row Rows[] = {
      {10, 4, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
      "i@1 j@2"},
     {"example11",
-     {281, 124, 0, 272, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0},
+     {233, 101, 0, 260, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0},
      "i@1 j@2"},
     {"lu",
-     {212, 87, 0, 209, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 6, 0, 1, 1},
+     {189, 80, 0, 203, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 6, 0, 1, 1},
      "k@1 i@2* i@2* j@3*"},
     {"wavefront",
      {16, 4, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
@@ -123,85 +123,91 @@ const Row Rows[] = {
      {16, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
      "i@1 j@2*"},
     {"cholesky_dense",
-     {282, 102, 0, 260, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 0, 3, 3},
+     {256, 94, 0, 254, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 0, 3, 3},
      "k@1 i@2* j@2* i@3*"},
     {"privatizable",
-     {73, 27, 0, 46, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     {65, 23, 0, 46, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
      "i@1/2*"},
     {"inplace_stencil",
-     {85, 35, 0, 61, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     {74, 32, 0, 61, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
      "t@1 i@2"},
     {"reduction_chain",
-     {51, 15, 0, 23, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 4, 0, 2, 2},
+     {48, 14, 0, 23, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 4, 0, 2, 2},
      "i@1"},
     {"double_buffer",
-     {80, 24, 0, 65, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     {69, 21, 0, 65, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
      "t@1 i@2* i@2*"},
     {"triangles_strides",
-     {46, 19, 0, 38, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0},
+     {45, 18, 0, 38, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0},
      "i@1 i@1* j@2"},
     {"matmul",
-     {78, 45, 0, 148, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
+     {77, 44, 0, 148, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
      "i@1/2* j@2/2* k@3"},
     {"transpose_copy",
      {12, 2, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0},
      "i@1* j@2* i@1* j@2*"},
     {"gauss_seidel",
-     {208, 109, 0, 293, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0},
+     {186, 103, 0, 293, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0},
      "t@1 i@2 j@3"},
     {"jacobi_two_array",
-     {105, 31, 0, 83, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0},
+     {89, 27, 0, 83, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0},
      "t@1 i@2* i@2*"},
     {"prefix_sums",
      {28, 6, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1, 5, 2, 4, 0, 4, 0},
      "i@1 i@1*"},
     {"banded_solve",
-     {67, 26, 0, 68, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     {53, 21, 0, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
      "i@1 j@2"},
     {"convolution",
-     {57, 26, 0, 76, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
+     {56, 25, 0, 76, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
      "i@1/2* j@2"},
     {"odd_even_phases",
-     {176, 53, 0, 110, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 0, 0},
+     {155, 48, 0, 110, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 0, 0},
      "t@1 i@2* i@2*"},
     {"diagonal_sweep",
      {16, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
      "d@1 i@2*"},
     {"pipeline4",
-     {129, 47, 0, 77, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0},
+     {115, 41, 0, 77, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0},
      "i@1/4*"},
     {"seed2_502",
-     {5460, 314, 0, 1566, 0, 2060, 0, 0, 692, 0, 0, 0, 0, 0, 2, 0, 2, 2, 3, 3, 0, 4},
+     {4590, 276, 0, 1532, 0, 1512, 0, 0, 501, 0, 0, 0, 0, 0, 2, 0, 2, 2, 3, 3, 0, 4},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_234",
-     {8647, 1257, 0, 4753, 81, 2226, 33, 39, 3801, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 30},
+     {7741, 1128, 0, 4662, 79, 2055, 31, 39, 3635, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 30},
      "i@1 j@2 k@3"},
     {"seed1_125",
-     {2328, 190, 0, 1253, 214, 672, 134, 70, 420, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2},
+     {2130, 169, 0, 1237, 214, 610, 134, 70, 394, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2},
      "i@1 j@2 k@3/2*"},
     {"seed1_353",
-     {4828, 666, 0, 2115, 4, 1251, 4, 0, 864, 0, 0, 0, 2, 0, 18, 0, 20, 12, 1, 7, 3, 10},
+     {4311, 610, 0, 2085, 4, 1078, 4, 0, 772, 0, 0, 0, 2, 0, 18, 0, 20, 12, 1, 7, 3, 10},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_247",
-     {4923, 504, 0, 1191, 12, 1744, 4, 8, 1022, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7, 3, 3},
+     {4106, 440, 0, 1129, 12, 1413, 4, 8, 833, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7, 3, 3},
      "i@1 j@2 k@3"},
     {"seed1_211",
-     {5058, 286, 0, 343, 147, 4232, 124, 22, 1277, 0, 0, 0, 0, 0, 0, 0, 0, 4, 2, 6, 4, 10},
+     {3436, 247, 0, 337, 124, 2729, 101, 22, 863, 0, 0, 0, 0, 0, 0, 0, 0, 4, 2, 6, 4, 10},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_337",
-     {3460, 576, 0, 1505, 6, 922, 0, 6, 553, 0, 0, 0, 0, 4, 0, 0, 4, 7, 3, 6, 6, 8},
+     {2853, 505, 0, 1465, 6, 708, 0, 6, 460, 0, 0, 0, 0, 4, 0, 0, 4, 7, 3, 6, 6, 8},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_201",
-     {2927, 455, 0, 1234, 98, 1159, 89, 7, 441, 0, 0, 0, 0, 0, 10, 0, 10, 8, 4, 6, 0, 8},
+     {2435, 393, 0, 1190, 94, 925, 85, 7, 347, 0, 0, 0, 0, 0, 10, 0, 10, 8, 4, 6, 0, 8},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_100",
-     {2921, 369, 0, 1178, 282, 1193, 255, 17, 577, 0, 0, 0, 0, 0, 4, 0, 4, 8, 4, 4, 0, 8},
+     {2598, 327, 0, 1152, 261, 908, 234, 17, 480, 0, 0, 0, 0, 0, 4, 0, 4, 8, 4, 4, 0, 8},
      "i@1/2 j@2/2* k@3/2* i@1*"},
     {"seed1_395",
-     {3544, 213, 0, 388, 63, 2751, 48, 13, 1957, 0, 0, 0, 0, 0, 22, 0, 22, 13, 7, 4, 4, 6},
+     {2646, 196, 0, 365, 57, 1976, 42, 13, 1470, 0, 0, 0, 0, 0, 22, 0, 22, 13, 7, 4, 4, 6},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_82",
-     {3290, 228, 0, 437, 361, 1338, 343, 14, 716, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 6},
+     {3065, 212, 0, 428, 355, 1201, 337, 14, 649, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 6},
+     "i@1 j@2 k@3"},
+    {"seed1_25",
+     {4732, 52, 0, 492, 4, 255, 4, 0, 86, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 0, 0},
+     "i@1 j@2 k@3 i@1* j@2*"},
+    {"seed2_268",
+     {21228, 789, 0, 5360, 545, 1729, 426, 110, 991, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 9, 0, 20},
      "i@1 j@2 k@3"},
     {"core_ops",
      {36, 3, 1, 71, 3, 18, 2, 0, 50, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
@@ -441,9 +447,9 @@ TEST(CounterGoldenTotals, CorpusFigures) {
       Sum += Rows[I].Expected[column(Field)];
     return Sum;
   };
-  EXPECT_EQ(Total("sat_calls"), 3444u);
-  EXPECT_EQ(Total("projection_calls"), 1423u);
-  EXPECT_EQ(Total("exact_eliminations"), 5019u);
+  EXPECT_EQ(Total("sat_calls"), 3142u);
+  EXPECT_EQ(Total("projection_calls"), 1305u);
+  EXPECT_EQ(Total("exact_eliminations"), 4958u);
   EXPECT_EQ(Total("quicktest_bounds"), 68u);
   EXPECT_EQ(Total("quicktest_trivial_dep"), 7u);
   EXPECT_EQ(Total("quicktest_decided"), 75u);

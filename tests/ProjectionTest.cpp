@@ -174,6 +174,67 @@ TEST(Projection, ComputeVarRangeEmpty) {
   EXPECT_TRUE(R.Empty);
 }
 
+// The one way a range becomes conservative: the projection overflows, and
+// computeVarRange answers with the fully open range and says it is not
+// exact. Eliminating y cross-multiplies two coprime coefficients near
+// 3 * 10^9, past the saturation cap.
+TEST(Projection, ComputeVarRangeOverflowIsNotExact) {
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId Y = P.addVar("y");
+  P.addGEQ({{Y, 3037000493}, {X, -3037000453}}, 0);
+  P.addGEQ({{Y, -3037000453}, {X, 3037000493}}, 5);
+  P.addGEQ({{X, 1}}, 0);
+  P.addGEQ({{X, -1}}, 1000);
+  ASSERT_TRUE(projectOnto(P, {X}).Poisoned);
+  IntRange R = computeVarRange(P, X);
+  EXPECT_FALSE(R.Empty);
+  EXPECT_FALSE(R.HasMin);
+  EXPECT_FALSE(R.HasMax);
+  EXPECT_FALSE(R.Exact);
+
+  Problem Box;
+  VarId B = Box.addVar("b");
+  Box.addGEQ({{B, 1}}, 0);
+  Box.addGEQ({{B, -1}}, 3);
+  IntRange Exact = computeVarRange(Box, B);
+  EXPECT_TRUE(Exact.Exact);
+  EXPECT_EQ(Exact.toString(), "[0, 3]");
+}
+
+// A union is exact only when both sides are, and an empty side does not
+// launder an inexact one.
+TEST(Projection, IntRangeIncludeAndsExactness) {
+  IntRange Exact;
+  Exact.Empty = false;
+  Exact.HasMin = Exact.HasMax = true;
+  Exact.Min = 0;
+  Exact.Max = 3;
+  IntRange Open;
+  Open.Empty = false;
+  Open.Exact = false;
+
+  IntRange U = Exact;
+  U.include(Exact);
+  EXPECT_TRUE(U.Exact);
+  U.include(Open);
+  EXPECT_FALSE(U.Exact);
+  EXPECT_FALSE(U.HasMin);
+
+  IntRange FromEmpty; // empty, exact
+  FromEmpty.include(Open);
+  EXPECT_FALSE(FromEmpty.Exact);
+  IntRange IntoEmpty = Open;
+  IntoEmpty.include(IntRange());
+  EXPECT_FALSE(IntoEmpty.Exact);
+  IntRange EmptyInexact;
+  EmptyInexact.Exact = false;
+  IntRange Both = Exact;
+  Both.include(EmptyInexact);
+  EXPECT_FALSE(Both.Exact);
+  EXPECT_EQ(Both.toString(), "[0, 3]");
+}
+
 TEST(Projection, RemoveRedundantConstraints) {
   Problem P;
   VarId X = P.addVar("x");
