@@ -40,7 +40,7 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "(N <= 1024; default 0 = every usable core, split evenly across "
        "omega-serve's workers); results are identical for every N"},
       {"--json", nullptr, ToolAnalyze, false, nullptr,
-       "machine-readable schema-6 output instead of tables"},
+       "machine-readable schema-7 output instead of tables"},
       {"--trace", nullptr, ToolAnalyze, true, "FILE",
        "record a Chrome trace_event JSON of the run"},
       {"--profile", "profile", AS, false, nullptr,

@@ -88,7 +88,7 @@ struct AnalysisOptions {
   bool All = false;      ///< --all: also anti/output tables
   bool Compress = false; ///< --compress split rows
   bool Stats = false;    ///< --stats: per-pair cost classes
-  bool Json = false;     ///< --json: schema-6 machine output
+  bool Json = false;     ///< --json: schema-7 machine output
   enum ProfileMode : uint8_t { ProfileOff, ProfileText, ProfileJson };
   ProfileMode Profile = ProfileOff; ///< --profile[=json] / "profile": true
   bool Explain = false;             ///< --explain
@@ -103,7 +103,7 @@ struct AnalysisOptions {
   // -- pipeline partitioning --------------------------------------------
   /// Plan a PS-DSWP pipeline partition for every loop (stages over the
   /// SCC-DAG of the live dependence PDG) and report it: staged schedule
-  /// text for omega-analyze, the schema-6 "pipeline" result block for
+  /// text for omega-analyze, the schema-7 "pipeline" result block for
   /// JSON and serve responses.
   bool Pipeline = false; ///< --pipeline / "pipeline": true
 

@@ -176,8 +176,6 @@ std::string api::renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
          ", \"darkShadowDecided\": " + std::to_string(S.DarkShadowDecided) +
          ", \"realShadowDecided\": " + std::to_string(S.RealShadowDecided) +
          ", \"modHatSubstitutions\": " + std::to_string(S.ModHatSubstitutions) +
-         ", \"gistFastDrops\": " + std::to_string(S.GistFastDrops) +
-         ", \"gistFastKeeps\": " + std::to_string(S.GistFastKeeps) +
          ", \"gistSatTests\": " + std::to_string(S.GistSatTests) +
          ", \"quicktestZiv\": " + std::to_string(S.QuickTestZIV) +
          ", \"quicktestGcd\": " + std::to_string(S.QuickTestGCD) +

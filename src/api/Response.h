@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Schema 6 of the machine-readable analysis output, shared byte-for-byte
+/// Schema 7 of the machine-readable analysis output, shared byte-for-byte
 /// by `omega-analyze --json` and omega-serve responses (the checked-in
 /// JSON schema file schema/analysis_response.schema.json describes it and
 /// CI validates both producers against it).
 ///
 /// The document separates what is deterministic from what is not:
 ///
-///   {"schema": 6, "ok": true, "result": {...}, "metrics": {...}}
+///   {"schema": 7, "ok": true, "result": {...}, "metrics": {...}}
 ///
 ///  * "result" holds the structural analysis outcome -- dependences,
 ///    splits, pair and kill records without timings. The engine guarantees
@@ -39,7 +39,9 @@
 /// are gone; "result" is unchanged. Schema 6 drops session baselines:
 /// the three deltaPairs* "stats" entries and the optional "metrics.delta"
 /// object are gone, leaving resultStoreHits/resultStoreMisses as the
-/// reuse accounting; "result" is unchanged.
+/// reuse accounting; "result" is unchanged. Schema 7 drops gist's fast
+/// checks: the gistFastDrops and gistFastKeeps "stats" entries are gone;
+/// "result" is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +61,7 @@ struct AnalyzedProgram;
 namespace api {
 
 /// The version stamped into every response document.
-constexpr int SchemaVersion = 6;
+constexpr int SchemaVersion = 7;
 
 /// Renders the deterministic structural section: flow/anti/output
 /// dependences with their splits, pair records (hasFlow, usedGeneralTest,
@@ -78,7 +80,7 @@ std::string renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
                           double WallMs, const std::string &ProfileJson,
                           const std::string &ExplainLog);
 
-/// The complete CLI document: {"schema": 6, "ok": true, "result": R,
+/// The complete CLI document: {"schema": 7, "ok": true, "result": R,
 /// "metrics": M} plus a trailing newline.
 std::string renderDocument(const std::string &Result,
                            const std::string &Metrics);
@@ -88,14 +90,14 @@ std::string renderDocument(const std::string &Result,
 std::string renderServerOk(uint64_t Id, const std::string &Result,
                            const std::string &Metrics);
 
-/// A typed error response line: {"schema": 6, "id": ..., "ok": false,
+/// A typed error response line: {"schema": 7, "id": ..., "ok": false,
 /// "error": {"code": ..., "message": ...}}. \p HasId distinguishes a
 /// request whose id never parsed (id becomes null).
 std::string renderServerError(bool HasId, uint64_t Id, const std::string &Code,
                               const std::string &Message);
 
 /// An operational response line (the telemetry ops: metrics, health, and
-/// the shutdown acknowledgment): {"schema": 6, "id": ..., "ok": true,
+/// the shutdown acknowledgment): {"schema": 7, "id": ..., "ok": true,
 /// "op": OP, BODYKEY: BODY}. \p Body is pre-rendered JSON
 /// (schema/metrics_response.schema.json describes the three documents).
 std::string renderServerOp(bool HasId, uint64_t Id, const std::string &Op,

@@ -274,8 +274,6 @@ std::string Tracer::profileReport(bool Json, double WallMs,
         {"dark_shadow_decided", S.DarkShadowDecided},
         {"real_shadow_decided", S.RealShadowDecided},
         {"mod_hat_substitutions", S.ModHatSubstitutions},
-        {"gist_fast_drops", S.GistFastDrops},
-        {"gist_fast_keeps", S.GistFastKeeps},
         {"gist_sat_tests", S.GistSatTests},
         {"quicktest_ziv", S.QuickTestZIV},
         {"quicktest_gcd", S.QuickTestGCD},

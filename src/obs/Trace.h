@@ -36,7 +36,7 @@
 ///    counts, pair-tier counters and a Figure-6-style query classification,
 ///    as text or JSON;
 ///  * explainLog(): per work item, which mechanism decided the outcome
-///    (dark shadow, real shadow, gist fast-check, kill/cover, refinement)
+///    (dark shadow, real shadow, union probe, kill/cover, refinement)
 ///    with the constraint problem sizes involved.
 ///
 //===----------------------------------------------------------------------===//

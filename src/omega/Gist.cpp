@@ -55,47 +55,8 @@ bool impliedBySingle(const Constraint &E, const Constraint &By) {
   return false;
 }
 
-/// Is E implied by the conjunction of E1 and E2 (each taken as an
-/// inequality form v.x + c >= 0)? Checks for rational multipliers
-/// lambda1, lambda2 >= 0 with lambda1*v1 + lambda2*v2 == vE and
-/// lambda1*c1 + lambda2*c2 <= cE, using exact cross-product arithmetic.
-bool impliedByPairForms(const Constraint &E, const Constraint &E1,
-                        const Constraint &E2) {
-  unsigned N = E.getNumVars();
-  // Find coordinates (i, j) where (v1, v2) are linearly independent.
-  for (unsigned I = 0; I != N; ++I) {
-    for (unsigned J = I + 1; J != N; ++J) {
-      __int128 Det = (__int128)E1.getCoeff(I) * E2.getCoeff(J) -
-                     (__int128)E1.getCoeff(J) * E2.getCoeff(I);
-      if (Det == 0)
-        continue;
-      // lambda1 = N1 / Det, lambda2 = N2 / Det.
-      __int128 N1 = (__int128)E.getCoeff(I) * E2.getCoeff(J) -
-                    (__int128)E.getCoeff(J) * E2.getCoeff(I);
-      __int128 N2 = (__int128)E1.getCoeff(I) * E.getCoeff(J) -
-                    (__int128)E1.getCoeff(J) * E.getCoeff(I);
-      if (Det < 0) {
-        Det = -Det;
-        N1 = -N1;
-        N2 = -N2;
-      }
-      if (N1 < 0 || N2 < 0)
-        return false;
-      // Verify every coordinate: N1*v1 + N2*v2 == Det*vE.
-      for (unsigned K = 0; K != N; ++K)
-        if (N1 * E1.getCoeff(K) + N2 * E2.getCoeff(K) !=
-            Det * (__int128)E.getCoeff(K))
-          return false;
-      // Constant condition: N1*c1 + N2*c2 <= Det*cE.
-      return N1 * E1.getConstant() + N2 * E2.getConstant() <=
-             Det * (__int128)E.getConstant();
-    }
-  }
-  return false; // parallel normals: single-constraint check covers this
-}
-
-/// Expands \p Row into the inequality forms it contributes for the
-/// inner-product and pair checks (equalities contribute both orientations).
+/// Expands \p Row into inequality forms: an equality becomes its matched
+/// pair of opposed inequalities.
 void appendForms(const Constraint &Row, std::vector<Constraint> &Out) {
   if (Row.isInequality()) {
     Out.push_back(Row);
@@ -109,21 +70,13 @@ void appendForms(const Constraint &Row, std::vector<Constraint> &Out) {
   Out.push_back(std::move(Neg));
 }
 
-/// Inner product of the normals of two rows.
-__int128 normalDot(const Constraint &A, const Constraint &B) {
-  __int128 Dot = 0;
-  for (unsigned I = 0, E = A.getNumVars(); I != E; ++I)
-    Dot += (__int128)A.getCoeff(I) * B.getCoeff(I);
-  return Dot;
-}
-
 } // namespace
 
 static Problem gistImpl(const Problem &P, const Problem &Given,
-                        const GistOptions &Opts, OmegaContext &Ctx);
+                        OmegaContext &Ctx);
 
 Problem omega::gist(const Problem &P, const Problem &Given,
-                    const GistOptions &Opts, OmegaContext &Ctx) {
+                    OmegaContext &Ctx) {
   assert(P.getNumVars() == Given.getNumVars() &&
          "gist arguments must share one variable layout");
   // Span first, counter second: the span's own delta must include this
@@ -138,14 +91,14 @@ Problem omega::gist(const Problem &P, const Problem &Given,
   // computing the gist, fall back to P itself, which satisfies the gist
   // equation trivially (it is just not minimal).
   OverflowScope Scope;
-  Problem Result = gistImpl(P, Given, Opts, Ctx);
+  Problem Result = gistImpl(P, Given, Ctx);
   if (Scope.overflowed())
     return P;
   return Result;
 }
 
 static Problem gistImpl(const Problem &P, const Problem &Given,
-                        const GistOptions &Opts, OmegaContext &Ctx) {
+                        OmegaContext &Ctx) {
 
   // The gist is defined relative to a consistent context: when p && q has
   // no solutions the new information in p is "False" (the naive loop would
@@ -169,119 +122,22 @@ static Problem gistImpl(const Problem &P, const Problem &Given,
   // Context starts as q; accepted candidates are appended as we go.
   Problem Context = Given;
 
-  // Inequality forms of the context for the fast checks.
-  std::vector<Constraint> ContextForms;
-  for (const Constraint &Row : Given.constraints())
-    appendForms(Row, ContextForms);
-
-  enum class State { Undecided, Keep, Drop };
-  std::vector<State> States(Candidates.size(), State::Undecided);
-
-  if (Opts.UseFastChecks) {
-    // Check 1: drop candidates implied by any single constraint of q or of
-    // the other candidates (checking others first keeps one of a duplicate
-    // pair).
-    for (unsigned I = 0; I != Candidates.size(); ++I) {
-      bool Implied = false;
-      for (const Constraint &Row : Given.constraints())
-        if (impliedBySingle(Candidates[I], Row)) {
-          Implied = true;
-          break;
-        }
-      for (unsigned J = 0; !Implied && J != Candidates.size(); ++J)
-        if (J != I && States[J] != State::Drop &&
-            Candidates[J].sameCoeffs(Candidates[I]) &&
-            (Candidates[I].getConstant() > Candidates[J].getConstant() ||
-             (Candidates[I].getConstant() == Candidates[J].getConstant() &&
-              J < I)))
-          Implied = true;
-      if (Implied) {
-        States[I] = State::Drop;
-        ++Ctx.Stats.GistFastDrops;
-      }
-    }
-
-    // Check 3: a candidate with no supporting constraint (positive inner
-    // product of normals among q's forms and the other live candidates)
-    // must be in the gist: nothing else can bound in its direction, so
-    // (not e) && p && q stays satisfiable whenever p && q is.
-    for (unsigned I = 0; I != Candidates.size(); ++I) {
-      if (States[I] != State::Undecided)
-        continue;
-      bool Supported = false;
-      for (const Constraint &Form : ContextForms)
-        if (normalDot(Candidates[I], Form) > 0) {
-          Supported = true;
-          break;
-        }
-      for (unsigned J = 0; !Supported && J != Candidates.size(); ++J)
-        if (J != I && States[J] != State::Drop &&
-            normalDot(Candidates[I], Candidates[J]) > 0)
-          Supported = true;
-      if (!Supported) {
-        States[I] = State::Keep;
-        ++Ctx.Stats.GistFastKeeps;
-      }
-    }
-
-    // Check 4: drop candidates implied by some pair of constraints drawn
-    // from q and the still-live candidates. The live set is recomputed per
-    // candidate so that sequential drops stay sound by transitivity (a
-    // dropped row is implied by rows that are themselves implied by what
-    // remains).
-    for (unsigned I = 0; I != Candidates.size(); ++I) {
-      if (States[I] != State::Undecided)
-        continue;
-      std::vector<Constraint> LiveForms = ContextForms;
-      for (unsigned J = 0; J != Candidates.size(); ++J)
-        if (J != I && States[J] != State::Drop)
-          LiveForms.push_back(Candidates[J]);
-      bool Implied = false;
-      for (unsigned A = 0; !Implied && A != LiveForms.size(); ++A)
-        for (unsigned B = A + 1; !Implied && B != LiveForms.size(); ++B)
-          Implied = impliedByPairForms(Candidates[I], LiveForms[A],
-                                       LiveForms[B]);
-      if (Implied) {
-        States[I] = State::Drop;
-        ++Ctx.Stats.GistFastDrops;
-      }
-    }
-  }
-
-  if (Ctx.Trace) {
-    unsigned Drops = 0, Keeps = 0;
-    for (State S : States) {
-      Drops += S == State::Drop;
-      Keeps += S == State::Keep;
-    }
-    if (Drops || Keeps)
-      Ctx.Trace->decision("gist fast-check: " + std::to_string(Drops) +
-                              " dropped, " + std::to_string(Keeps) + " kept",
-                          static_cast<uint32_t>(P.getNumVars()),
-                          static_cast<uint32_t>(Candidates.size()));
-  }
-
-  // Naive algorithm on whatever remains undecided:
+  // The naive algorithm, one satisfiability test per candidate:
   //   gist (e:p) q = e : gist p (e:q)   if (not e) && p && q is satisfiable
   //   gist (e:p) q = gist p q           otherwise
   Problem Result = P.cloneLayout();
   for (unsigned I = 0; I != Candidates.size(); ++I) {
-    if (States[I] == State::Drop)
-      continue;
-    if (States[I] == State::Undecided) {
-      Problem Test = Context;
-      // Rest of p: undecided or kept candidates after this one.
-      for (unsigned J = I + 1; J != Candidates.size(); ++J)
-        if (States[J] != State::Drop)
-          Test.addConstraint(Candidates[J]);
-      std::vector<Constraint> Neg;
-      appendNegationBranches(Candidates[I], Neg);
-      assert(Neg.size() == 1 && "candidates are inequalities");
-      Test.addConstraint(Neg[0]);
-      ++Ctx.Stats.GistSatTests;
-      if (!isSatisfiable(std::move(Test), SatOptions(), Ctx))
-        continue; // redundant given the rest
-    }
+    Problem Test = Context;
+    // Rest of p: the candidates after this one.
+    for (unsigned J = I + 1; J != Candidates.size(); ++J)
+      Test.addConstraint(Candidates[J]);
+    std::vector<Constraint> Neg;
+    appendNegationBranches(Candidates[I], Neg);
+    assert(Neg.size() == 1 && "candidates are inequalities");
+    Test.addConstraint(Neg[0]);
+    ++Ctx.Stats.GistSatTests;
+    if (!isSatisfiable(std::move(Test), SatOptions(), Ctx))
+      continue; // redundant given the rest
     Result.addConstraint(Candidates[I]);
     Context.addConstraint(Candidates[I]);
   }
@@ -386,30 +242,76 @@ Problem omega::conjoinExtending(const Problem &A, const Problem &B,
 
 namespace {
 
-/// Conjoins one negation piece (source layout plus at most one fresh
-/// wildcard column) onto the accumulator, remapping that extra column.
-Problem conjoinBranch(const Problem &Acc, const Problem &Branch,
-                      unsigned BaseVars) {
-  return conjoinExtending(Acc, Branch, BaseVars);
-}
-
 /// Searches the product of the negation branches depth first for a point
-/// of \p Acc outside every disjunct. \p AccSatisfiable skips the
-/// satisfiability proof of \p Acc itself when the caller already has one.
-bool hasCounterexample(const Problem &Acc,
+/// of P outside every disjunct. When the implication is false, the search
+/// order may reach its counterexample only after thousands of
+/// satisfiability calls, so a search that has spent a budget proportional
+/// to the cost of one witness probe runs that probe, once.
+class CounterexampleSearch {
+public:
+  CounterexampleSearch(const Problem &P, const std::vector<Problem> &Qs,
                        const std::vector<std::vector<Problem>> &NegatedQs,
-                       unsigned Index, unsigned BaseVars, OmegaContext &Ctx,
-                       bool AccSatisfiable = false) {
-  if (!AccSatisfiable && !isSatisfiable(Acc, SatOptions(), Ctx))
-    return false;
-  if (Index == NegatedQs.size())
-    return true;
-  for (const Problem &Branch : NegatedQs[Index])
-    if (hasCounterexample(conjoinBranch(Acc, Branch, BaseVars), NegatedQs,
-                          Index + 1, BaseVars, Ctx))
+                       unsigned BaseVars, OmegaContext &Ctx)
+      : P(P), Qs(Qs), NegatedQs(NegatedQs), BaseVars(BaseVars), Ctx(Ctx),
+        Budget(4 * (P.getNumVars() + Qs.size())) {}
+
+  /// Does some point of P lie outside every disjunct? \p PSatisfiable
+  /// skips the satisfiability proof of P itself.
+  bool found(bool PSatisfiable) { return search(P, 0, PSatisfiable); }
+
+private:
+  bool search(const Problem &Acc, unsigned Index, bool AccSatisfiable) {
+    if (!AccSatisfiable) {
+      // Counted in calls, not time, so the probe fires at the same point
+      // of the search on every run and at every job count.
+      if (SatCalls++ == Budget && probeFindsWitness())
+        return true;
+      if (!isSatisfiable(Acc, SatOptions(), Ctx))
+        return false;
+    }
+    if (Index == NegatedQs.size())
       return true;
-  return false;
-}
+    for (const Problem &Branch : NegatedQs[Index])
+      if (search(conjoinExtending(Acc, Branch, BaseVars), Index + 1,
+                 /*AccSatisfiable=*/false))
+        return true;
+    return false;
+  }
+
+  /// One point of P, tested against every disjunct: pinned to the point on
+  /// its shared protected columns, a disjunct with no integer solution does
+  /// not contain it. findSolution checks its point exactly against P's
+  /// rows, and satisfiability under overflow answers "maybe", so the probe
+  /// refutes only with a true counterexample and can never disagree with
+  /// the search.
+  bool probeFindsWitness() {
+    std::optional<std::vector<int64_t>> Point = findSolution(P, Ctx);
+    if (!Point)
+      return false;
+    for (const Problem &Q : Qs) {
+      Problem Pinned = Q;
+      for (VarId V = 0; V != static_cast<VarId>(BaseVars); ++V)
+        if (Q.isProtected(V) && Q.involves(V))
+          Pinned.addEQ({{V, -1}}, (*Point)[V]);
+      if (isSatisfiable(std::move(Pinned), SatOptions(), Ctx))
+        return false;
+    }
+    if (Ctx.Trace)
+      Ctx.Trace->decision("union probe: a point outside every disjunct",
+                          static_cast<uint32_t>(P.getNumVars()),
+                          static_cast<uint32_t>(Qs.size()));
+    return true;
+  }
+
+  const Problem &P;
+  const std::vector<Problem> &Qs;
+  const std::vector<std::vector<Problem>> &NegatedQs;
+  unsigned BaseVars;
+  OmegaContext &Ctx;
+  /// Satisfiability calls the search itself has made.
+  uint64_t SatCalls = 0;
+  const uint64_t Budget;
+};
 
 /// The sat-free part of (gist Q given P) for one negation branch: does a
 /// single row of \p P contradict \p Branch? Only a branch over shared
@@ -472,12 +374,12 @@ bool omega::impliesUnion(const Problem &P, const std::vector<Problem> &Qs,
                       const std::vector<Problem> &B) {
                      return A.size() < B.size();
                    });
-  return !hasCounterexample(P, NegatedQs, 0, BaseVars, Ctx, PSatisfiable);
+  return !CounterexampleSearch(P, Qs, NegatedQs, BaseVars, Ctx)
+              .found(PSatisfiable);
 }
 
 RedGistResult omega::projectAndGist(const Problem &Combined,
                                     const std::vector<bool> &Keep,
-                                    const GistOptions &Opts,
                                     OmegaContext &Ctx) {
   ProjectionResult Proj = projectOntoMask(Combined, Keep,
                                           ProjectOptions{/*RemoveRedundant=*/
@@ -501,6 +403,6 @@ RedGistResult omega::projectAndGist(const Problem &Combined,
   Problem Black = Piece->cloneLayout();
   for (const Constraint &Row : Piece->constraints())
     (Row.isRed() ? Red : Black).addConstraint(Row);
-  Result.Gist = gist(Red, Black, Opts, Ctx);
+  Result.Gist = gist(Red, Black, Ctx);
   return Result;
 }

@@ -30,18 +30,11 @@
 
 namespace omega {
 
-struct GistOptions {
-  /// Run the paper's fast special-case checks (single-constraint
-  /// implication, normal-direction screening, two-constraint implication)
-  /// before the naive satisfiability loop. Off only for the ablation
-  /// benchmark.
-  bool UseFastChecks = true;
-};
-
 /// Computes (gist P given Given). The result is a conjunction over the same
-/// variable layout; an empty result means Given => P ("True").
+/// variable layout; an empty result means Given => P ("True"). Each of P's
+/// rows (an equality as its two inequalities) costs one satisfiability
+/// test: the paper's naive algorithm.
 Problem gist(const Problem &P, const Problem &Given,
-             const GistOptions &Opts = GistOptions(),
              OmegaContext &Ctx = OmegaContext::current());
 
 /// Returns true iff Given => P is a tautology (over integer points).
@@ -63,6 +56,12 @@ bool implies(const Problem &Given, const Problem &P,
 /// the search (no satisfiability call), and a disjunct left with no branch
 /// proves the implication outright. Pass \p PSatisfiable when P is already
 /// known to be satisfiable, so the search does not prove it again.
+///
+/// A search that has made 4 * (P's variables + disjuncts) satisfiability
+/// calls tests one point of P (findSolution) against every disjunct, once;
+/// a point outside all of them answers false at once. The probe refutes
+/// only with an exact witness, so the answer is the search's, and the
+/// budget counts calls, not time, so it does not depend on the schedule.
 bool impliesUnion(const Problem &P, const std::vector<Problem> &Qs,
                   OmegaContext &Ctx = OmegaContext::current(),
                   bool PSatisfiable = false);
@@ -98,7 +97,6 @@ struct RedGistResult {
 };
 RedGistResult projectAndGist(const Problem &Combined,
                              const std::vector<bool> &Keep,
-                             const GistOptions &Opts = GistOptions(),
                              OmegaContext &Ctx = OmegaContext::current());
 
 } // namespace omega

@@ -34,8 +34,6 @@ struct OmegaStats {
   uint64_t DarkShadowDecided = 0;   // dark shadow satisfiable => sat
   uint64_t RealShadowDecided = 0;   // real shadow unsatisfiable => unsat
   uint64_t ModHatSubstitutions = 0;
-  uint64_t GistFastDrops = 0;       // constraints dropped by fast checks
-  uint64_t GistFastKeeps = 0;       // constraints kept by fast checks
   uint64_t GistSatTests = 0;        // satisfiability tests in gist loop
 
   // Result store (engine/ResultStore.h), the one cross-run reuse path:
@@ -78,8 +76,6 @@ private:
     DarkShadowDecided += Sign * O.DarkShadowDecided;
     RealShadowDecided += Sign * O.RealShadowDecided;
     ModHatSubstitutions += Sign * O.ModHatSubstitutions;
-    GistFastDrops += Sign * O.GistFastDrops;
-    GistFastKeeps += Sign * O.GistFastKeeps;
     GistSatTests += Sign * O.GistSatTests;
     ResultStoreHits += Sign * O.ResultStoreHits;
     ResultStoreMisses += Sign * O.ResultStoreMisses;

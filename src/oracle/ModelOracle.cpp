@@ -270,7 +270,7 @@ void oracle::checkGist(const Problem &P, const Problem &Given, int64_t Box,
                        ModelReport &Out, OmegaContext &Ctx) {
   ++Out.Checked;
   SaturationGuard Guard;
-  Problem G = gist(P, Given, GistOptions(), Ctx);
+  Problem G = gist(P, Given, Ctx);
   if (Guard.saturated())
     return;
 

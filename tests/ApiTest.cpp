@@ -5,7 +5,7 @@
 //
 // The api layer's contract: one option table drives the CLI parser, the
 // JSON request parser, and the help text (spellings can never drift); the
-// response document is schema 6 with a deterministic "result" section.
+// response document is schema 7 with a deterministic "result" section.
 //
 //===----------------------------------------------------------------------===//
 
@@ -300,7 +300,7 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   std::string Err;
   ASSERT_TRUE(json::parse(Doc, V, Err)) << Err;
   EXPECT_EQ(V.get("schema")->asInt(), SchemaVersion);
-  EXPECT_EQ(SchemaVersion, 6);
+  EXPECT_EQ(SchemaVersion, 7);
   EXPECT_TRUE(V.get("ok")->asBool());
   ASSERT_NE(V.get("result"), nullptr);
   ASSERT_NE(V.get("metrics"), nullptr);
@@ -323,6 +323,9 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   // Schema 6: no session-baseline delta section or counters.
   EXPECT_EQ(M->get("delta"), nullptr);
   EXPECT_EQ(M->get("stats")->get("deltaPairsReused"), nullptr);
+  // Schema 7: gist has no fast checks to count.
+  EXPECT_EQ(M->get("stats")->get("gistFastDrops"), nullptr);
+  EXPECT_EQ(M->get("stats")->get("gistFastKeeps"), nullptr);
 }
 
 TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
@@ -349,7 +352,7 @@ TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
 
 TEST(ApiResponse, ServerVariantsCarryIdAndTypedErrors) {
   std::string Ok = renderServerOk(7, "{}", "{}");
-  EXPECT_NE(Ok.find("\"schema\": 6"), std::string::npos);
+  EXPECT_NE(Ok.find("\"schema\": 7"), std::string::npos);
   EXPECT_NE(Ok.find("\"id\": 7"), std::string::npos);
   EXPECT_NE(Ok.find("\"ok\": true"), std::string::npos);
 

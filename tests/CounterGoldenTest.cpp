@@ -51,9 +51,8 @@ const char *const FieldNames[] = {
     "sat_calls",          "projection_calls",    "gist_calls",
     "exact_eliminations", "inexact_eliminations", "splinters_explored",
     "dark_shadow_decided", "real_shadow_decided", "mod_hat_substitutions",
-    "gist_fast_drops",    "gist_fast_keeps",     "gist_sat_tests",
-    "quicktest_ziv",      "quicktest_gcd",       "quicktest_bounds",
-    "quicktest_trivial_dep", "quicktest_decided",
+    "gist_sat_tests",     "quicktest_ziv",       "quicktest_gcd",
+    "quicktest_bounds",   "quicktest_trivial_dep", "quicktest_decided",
     "pairs_fast",         "pairs_general",       "pairs_split",
     "kills_quick",        "kills_omega"};
 constexpr unsigned NumFields = std::size(FieldNames);
@@ -77,140 +76,140 @@ struct Row {
 // clang-format off
 const Row Rows[] = {
     {"cholsky",
-     {1013, 473, 0, 2690, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 64, 47, 34, 0, 21, 15},
+     {1013, 473, 0, 2690, 0, 0, 0, 0, 0, 0, 0, 0, 64, 0, 64, 47, 34, 0, 21, 15},
      "J@1/2 I@2 JJ@3 L@4* L@3* L@2* JJ@2 L@3* L@2* I@1/2* K@2 L@3* JJ@3* "
      "L@4* K@2 L@3* JJ@3* L@4*"},
     {"example1",
-     {16, 3, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 1, 1},
+     {16, 3, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 1, 1},
      "L1@1* L1@1*"},
     {"example2",
-     {202, 60, 0, 189, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 3, 1, 2, 4},
+     {202, 60, 0, 189, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 3, 1, 2, 4},
      "L1@1/2 L2@2/2* L2@2*"},
     {"example3",
-     {38, 18, 0, 54, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     {38, 18, 0, 54, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
      "L1@1 L2@2"},
     {"example4",
-     {38, 18, 0, 54, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     {38, 18, 0, 54, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
      "L1@1 L2@2"},
     {"example5",
-     {46, 24, 0, 71, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+     {46, 24, 0, 71, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
      "L1@1 L2@2"},
     {"example6",
-     {38, 16, 0, 39, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     {38, 16, 0, 39, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
      "L1@1 L2@2*"},
     {"example7",
-     {34, 12, 0, 57, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+     {34, 12, 0, 57, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
      "L1@1 L2@2"},
     {"example8",
-     {22, 6, 0, 19, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
+     {22, 6, 0, 19, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0},
      "L1@1"},
     {"example9",
-     {2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
      "i@1* j@2*"},
     {"example10",
-     {10, 4, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {10, 4, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
      "i@1 j@2"},
     {"example11",
-     {233, 101, 0, 260, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0},
+     {233, 101, 0, 260, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0},
      "i@1 j@2"},
     {"lu",
-     {189, 80, 0, 203, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 6, 0, 1, 1},
+     {189, 80, 0, 203, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 6, 0, 1, 1},
      "k@1 i@2* i@2* j@3*"},
     {"wavefront",
-     {16, 4, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
+     {16, 4, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
      "i@1 j@2"},
     {"skewed_wavefront",
-     {16, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
+     {16, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
      "i@1 j@2*"},
     {"cholesky_dense",
-     {256, 94, 0, 254, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 0, 3, 3},
+     {256, 94, 0, 254, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 0, 3, 3},
      "k@1 i@2* j@2* i@3*"},
     {"privatizable",
-     {65, 23, 0, 46, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     {65, 23, 0, 46, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
      "i@1/2*"},
     {"inplace_stencil",
-     {74, 32, 0, 61, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     {74, 32, 0, 61, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
      "t@1 i@2"},
     {"reduction_chain",
-     {48, 14, 0, 23, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 4, 0, 2, 2},
+     {48, 14, 0, 23, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 4, 0, 2, 2},
      "i@1"},
     {"double_buffer",
-     {69, 21, 0, 65, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     {69, 21, 0, 65, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
      "t@1 i@2* i@2*"},
     {"triangles_strides",
-     {45, 18, 0, 38, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0},
+     {45, 18, 0, 38, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0},
      "i@1 i@1* j@2"},
     {"matmul",
-     {77, 44, 0, 148, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
+     {77, 44, 0, 148, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
      "i@1/2* j@2/2* k@3"},
     {"transpose_copy",
-     {12, 2, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0},
+     {12, 2, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0},
      "i@1* j@2* i@1* j@2*"},
     {"gauss_seidel",
-     {186, 103, 0, 293, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0},
+     {186, 103, 0, 293, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0},
      "t@1 i@2 j@3"},
     {"jacobi_two_array",
-     {89, 27, 0, 83, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0},
+     {89, 27, 0, 83, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0},
      "t@1 i@2* i@2*"},
     {"prefix_sums",
-     {28, 6, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1, 5, 2, 4, 0, 4, 0},
+     {28, 6, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 4, 1, 5, 2, 4, 0, 4, 0},
      "i@1 i@1*"},
     {"banded_solve",
-     {53, 21, 0, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
+     {53, 21, 0, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0},
      "i@1 j@2"},
     {"convolution",
-     {56, 25, 0, 76, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
+     {56, 25, 0, 76, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1},
      "i@1/2* j@2"},
     {"odd_even_phases",
-     {155, 48, 0, 110, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 0, 0},
+     {155, 48, 0, 110, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 0, 0, 0},
      "t@1 i@2* i@2*"},
     {"diagonal_sweep",
-     {16, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
+     {16, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0},
      "d@1 i@2*"},
     {"pipeline4",
-     {115, 41, 0, 77, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0},
+     {115, 41, 0, 77, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0},
      "i@1/4*"},
     {"seed2_502",
-     {4590, 276, 0, 1532, 0, 1512, 0, 0, 501, 0, 0, 0, 0, 0, 2, 0, 2, 2, 3, 3, 0, 4},
+     {4590, 276, 0, 1532, 0, 1512, 0, 0, 501, 0, 0, 0, 2, 0, 2, 2, 3, 3, 0, 4},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_234",
-     {7741, 1128, 0, 4662, 79, 2055, 31, 39, 3635, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 30},
+     {7741, 1128, 0, 4662, 79, 2055, 31, 39, 3635, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 30},
      "i@1 j@2 k@3"},
     {"seed1_125",
-     {2130, 169, 0, 1237, 214, 610, 134, 70, 394, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2},
+     {2199, 177, 0, 1247, 214, 614, 134, 70, 395, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2},
      "i@1 j@2 k@3/2*"},
     {"seed1_353",
-     {4311, 610, 0, 2085, 4, 1078, 4, 0, 772, 0, 0, 0, 2, 0, 18, 0, 20, 12, 1, 7, 3, 10},
+     {4405, 620, 0, 2094, 4, 1109, 4, 0, 784, 0, 2, 0, 18, 0, 20, 12, 1, 7, 3, 10},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_247",
-     {4106, 440, 0, 1129, 12, 1413, 4, 8, 833, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7, 3, 3},
+     {4106, 440, 0, 1129, 12, 1413, 4, 8, 833, 0, 0, 0, 0, 0, 0, 1, 0, 7, 3, 3},
      "i@1 j@2 k@3"},
     {"seed1_211",
-     {3436, 247, 0, 337, 124, 2729, 101, 22, 863, 0, 0, 0, 0, 0, 0, 0, 0, 4, 2, 6, 4, 10},
+     {3436, 247, 0, 337, 124, 2729, 101, 22, 863, 0, 0, 0, 0, 0, 0, 4, 2, 6, 4, 10},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_337",
-     {2853, 505, 0, 1465, 6, 708, 0, 6, 460, 0, 0, 0, 0, 4, 0, 0, 4, 7, 3, 6, 6, 8},
+     {2853, 505, 0, 1465, 6, 708, 0, 6, 460, 0, 0, 4, 0, 0, 4, 7, 3, 6, 6, 8},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_201",
-     {2435, 393, 0, 1190, 94, 925, 85, 7, 347, 0, 0, 0, 0, 0, 10, 0, 10, 8, 4, 6, 0, 8},
+     {2435, 393, 0, 1190, 94, 925, 85, 7, 347, 0, 0, 0, 10, 0, 10, 8, 4, 6, 0, 8},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_100",
-     {2598, 327, 0, 1152, 261, 908, 234, 17, 480, 0, 0, 0, 0, 0, 4, 0, 4, 8, 4, 4, 0, 8},
+     {2598, 327, 0, 1152, 261, 908, 234, 17, 480, 0, 0, 0, 4, 0, 4, 8, 4, 4, 0, 8},
      "i@1/2 j@2/2* k@3/2* i@1*"},
     {"seed1_395",
-     {2646, 196, 0, 365, 57, 1976, 42, 13, 1470, 0, 0, 0, 0, 0, 22, 0, 22, 13, 7, 4, 4, 6},
+     {2646, 196, 0, 365, 57, 1976, 42, 13, 1470, 0, 0, 0, 22, 0, 22, 13, 7, 4, 4, 6},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_82",
-     {3065, 212, 0, 428, 355, 1201, 337, 14, 649, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 6},
+     {3065, 212, 0, 428, 355, 1201, 337, 14, 649, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 6},
      "i@1 j@2 k@3"},
     {"seed1_25",
-     {4732, 52, 0, 492, 4, 255, 4, 0, 86, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 0, 0},
+     {947, 56, 0, 328, 4, 255, 4, 0, 86, 0, 0, 0, 0, 0, 0, 2, 1, 1, 0, 0},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed2_268",
-     {21228, 789, 0, 5360, 545, 1729, 426, 110, 991, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 9, 0, 20},
+     {6915, 801, 0, 4653, 545, 1730, 426, 110, 991, 0, 0, 0, 0, 0, 0, 1, 2, 9, 0, 20},
      "i@1 j@2 k@3"},
     {"core_ops",
-     {36, 3, 1, 71, 3, 18, 2, 0, 50, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {38, 3, 1, 72, 3, 18, 2, 0, 50, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
      ""},
 };
 // clang-format on
@@ -241,9 +240,8 @@ void putStats(Counts &C, const OmegaStats &S) {
       S.SatisfiabilityCalls, S.ProjectionCalls,     S.GistCalls,
       S.ExactEliminations,   S.InexactEliminations, S.SplintersExplored,
       S.DarkShadowDecided,   S.RealShadowDecided,   S.ModHatSubstitutions,
-      S.GistFastDrops,       S.GistFastKeeps,       S.GistSatTests,
-      S.QuickTestZIV,        S.QuickTestGCD,        S.QuickTestBounds,
-      S.QuickTestTrivialDep, S.QuickTestDecided};
+      S.GistSatTests,        S.QuickTestZIV,        S.QuickTestGCD,
+      S.QuickTestBounds,     S.QuickTestTrivialDep, S.QuickTestDecided};
   std::copy(std::begin(Stats), std::end(Stats), C.begin());
 }
 
@@ -385,7 +383,7 @@ Measured measureCoreOps() {
   Given.addGEQ({{GY, 1}}, -1);
   Given.addGEQ({{GX, -1}}, 40);
   Given.addGEQ({{GY, -1}}, 40);
-  gist(P, Given, GistOptions(), Ctx);
+  gist(P, Given, Ctx);
 
   Measured M;
   putStats(M.Got, Ctx.Stats);

@@ -83,10 +83,9 @@ std::string countersOf(const OmegaStats &S) {
        {S.SatisfiabilityCalls, S.ProjectionCalls, S.GistCalls,
         S.ExactEliminations, S.InexactEliminations, S.SplintersExplored,
         S.DarkShadowDecided, S.RealShadowDecided, S.ModHatSubstitutions,
-        S.GistFastDrops, S.GistFastKeeps, S.GistSatTests, S.ResultStoreHits,
-        S.ResultStoreMisses, S.ResultStoreEvictions, S.QuickTestZIV,
-        S.QuickTestGCD, S.QuickTestBounds, S.QuickTestTrivialDep,
-        S.QuickTestDecided})
+        S.GistSatTests, S.ResultStoreHits, S.ResultStoreMisses,
+        S.ResultStoreEvictions, S.QuickTestZIV, S.QuickTestGCD,
+        S.QuickTestBounds, S.QuickTestTrivialDep, S.QuickTestDecided})
     Out += std::to_string(V) + " ";
   return Out;
 }

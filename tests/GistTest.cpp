@@ -106,8 +106,10 @@ TEST(Gist, PairImpliedConstraintDropped) {
   EXPECT_EQ(G.getNumConstraints(), 0u) << G.toString();
 }
 
-TEST(Gist, FastChecksMatchNaive) {
-  // The fast checks are an optimization only: results must agree.
+TEST(Gist, NaiveGistIsExactAndMinimal) {
+  // Half of a random problem's rows given the other half: the gist keeps
+  // the gist equation on the box, and no row it keeps is implied by the
+  // context and its other rows.
   std::mt19937 Rng(77);
   RandomProblemConfig Cfg;
   Cfg.NumVars = 2;
@@ -116,29 +118,40 @@ TEST(Gist, FastChecksMatchNaive) {
   for (unsigned T = 0; T != 100; ++T) {
     Problem P = randomProblem(Rng, Cfg);
     Problem Q = P.cloneLayout();
-    // Reuse half of P's rows as q, the rest as p.
     Problem PPart = P.cloneLayout();
     unsigned I = 0;
     for (const Constraint &Row : P.constraints())
       ((I++ % 2) ? Q : PPart).addConstraint(Row);
 
-    GistOptions Fast, Slow;
-    Slow.UseFastChecks = false;
-    Problem GFast = gist(PPart, Q, Fast);
-    Problem GSlow = gist(PPart, Q, Slow);
-    // Both must satisfy the gist equation; sizes may differ only if both
-    // are minimal in different ways, so compare semantics, not syntax.
+    Problem G = gist(PPart, Q);
     for (int64_t X = -8; X <= 8; ++X)
       for (int64_t Y = -8; Y <= 8; ++Y) {
         std::vector<int64_t> Pt = {X, Y};
-        bool QV = evalProblem(Q, Pt);
-        if (!QV)
+        if (!evalProblem(Q, Pt))
           continue;
-        EXPECT_EQ(evalProblem(GFast, Pt), evalProblem(PPart, Pt))
-            << "fast gist broke the gist equation";
-        EXPECT_EQ(evalProblem(GSlow, Pt), evalProblem(PPart, Pt))
-            << "naive gist broke the gist equation";
+        EXPECT_EQ(evalProblem(G, Pt), evalProblem(PPart, Pt))
+            << "gist equation broken at trial " << T;
       }
+    // An inconsistent p && q has the gist False, which is not a row to
+    // test.
+    if (!isSatisfiable(P))
+      continue;
+    for (unsigned K = 0; K != G.getNumConstraints(); ++K) {
+      Problem Rest = Q;
+      for (unsigned J = 0; J != G.getNumConstraints(); ++J)
+        if (J != K)
+          Rest.addConstraint(G.constraints()[J]);
+      std::vector<Constraint> Neg;
+      appendNegationBranches(G.constraints()[K], Neg);
+      bool Needed = false;
+      for (const Constraint &Branch : Neg) {
+        Problem Test = Rest;
+        Test.addConstraint(Branch);
+        Needed |= isSatisfiable(std::move(Test));
+      }
+      EXPECT_TRUE(Needed) << "trial " << T << ": redundant row " << K
+                          << " in " << G.toString();
+    }
   }
 }
 

@@ -106,7 +106,7 @@ std::string errorCode(const std::string &Response) {
 }
 
 /// One-shot reference: a fresh engine run rendered through the same
-/// schema-6 result renderer (what `omega-analyze --json` emits).
+/// schema-7 result renderer (what `omega-analyze --json` emits).
 std::string oneShotResult(const ir::AnalyzedProgram &AP, unsigned Jobs) {
   engine::AnalysisRequest Req;
   Req.Jobs = Jobs;

@@ -78,7 +78,7 @@ TEST(Tracer, SpanNestingMatchesCallStructure) {
   Ctx.Trace = &T.registerBuffer("test", &Ctx.Stats);
 
   GistFixture F;
-  Problem G = gist(F.P, F.Given, GistOptions(), Ctx);
+  Problem G = gist(F.P, F.Given, Ctx);
   Ctx.Trace = nullptr;
   EXPECT_EQ(G.constraints().size(), 0u) << "Given implies P";
 

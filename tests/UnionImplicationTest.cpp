@@ -8,6 +8,7 @@
 
 #include "omega/Gist.h"
 
+#include "obs/Trace.h"
 #include "omega/Projection.h"
 #include "omega/Satisfiability.h"
 #include "TestUtils.h"
@@ -131,9 +132,23 @@ bool contains(const Problem &Q, int64_t X, int64_t Y) {
                           });
 }
 
+/// Trials whose union search spent more satisfiability calls than the
+/// budget after which impliesUnion probes for a witness, by verdict.
+struct PastBudget {
+  unsigned Implied = 0, Refuted = 0;
+};
+
+/// The satisfiability calls after which impliesUnion runs its witness
+/// probe: four per variable of P and per disjunct.
+uint64_t probeBudget(const Problem &P, size_t NumDisjuncts) {
+  return 4 * (P.getNumVars() + NumDisjuncts);
+}
+
 /// Draws random P and unions Q1 v ... v Qn and checks impliesUnion against
 /// pointwise evaluation; with \p Shared, every disjunct copies a row of P.
-void checkAgainstBruteForce(const UnionParam &Param, SharedRow Shared) {
+/// \p Tally, when given, counts the trials that passed the probe budget.
+void checkAgainstBruteForce(const UnionParam &Param, SharedRow Shared,
+                            PastBudget *Tally = nullptr) {
   std::mt19937 Rng(Param.Seed);
   RandomProblemConfig Cfg;
   Cfg.NumVars = 2;
@@ -205,6 +220,8 @@ void checkAgainstBruteForce(const UnionParam &Param, SharedRow Shared) {
         Expected = InUnion;
       }
     ASSERT_EQ(Actual, Expected) << "trial " << T << " p=" << P.toString();
+    if (Tally && Ctx.Stats.SatisfiabilityCalls > probeBudget(P, Qs.size()))
+      ++(Actual ? Tally->Implied : Tally->Refuted);
   }
   if (Shared != SharedRow::None && Shared != SharedRow::Stride) {
     EXPECT_GT(ImpliedOutright, 0u) << "the pre-pass exit was never taken";
@@ -263,6 +280,131 @@ TEST(UnionImplication, ImpliedDisjunctMakesNoSatCall) {
   EXPECT_TRUE(impliesUnion(P, {Far, Q}, Ctx));
   EXPECT_EQ(Ctx.Stats.SatisfiabilityCalls, 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// The witness probe: once the union search has spent its budget, one point
+// of P is tested against every disjunct.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A sibling fixture for unions of many disjuncts, named by seed and size.
+class UnionImplicationManyDisjuncts
+    : public ::testing::TestWithParam<UnionParam> {};
+
+/// 0 <= x, y <= 8 and the nine 3x3 cells that tile it. With \p Hole, the
+/// bottom left cell starts at y == 1, so the points (0..2, 0) are covered
+/// by no cell. Each cell lists its upper bounds first, so the search tries
+/// the top and the right of every cell first and reaches the hole last;
+/// findSolution pins each variable to its least value, so the probe's
+/// point is (0, 0).
+struct Grid {
+  Problem P;
+  std::vector<Problem> Cells;
+
+  explicit Grid(bool Hole) {
+    VarId X = P.addVar("x");
+    VarId Y = P.addVar("y");
+    P.addGEQ({{X, 1}}, 0);
+    P.addGEQ({{X, -1}}, 8);
+    P.addGEQ({{Y, 1}}, 0);
+    P.addGEQ({{Y, -1}}, 8);
+    for (int64_t Row = 0; Row != 3; ++Row)
+      for (int64_t Col = 0; Col != 3; ++Col) {
+        int64_t Bottom = 3 * Row + (Hole && Row == 0 && Col == 0);
+        Problem Q = P.cloneLayout();
+        Q.addGEQ({{X, -1}}, 3 * Col + 2);
+        Q.addGEQ({{Y, -1}}, 3 * Row + 2);
+        Q.addGEQ({{X, 1}}, -3 * Col);
+        Q.addGEQ({{Y, 1}}, -Bottom);
+        Cells.push_back(std::move(Q));
+      }
+  }
+
+  /// Brute force over the 9x9 box: is every point of P in some cell?
+  bool covered() const {
+    for (int64_t X = 0; X <= 8; ++X)
+      for (int64_t Y = 0; Y <= 8; ++Y) {
+        bool In = false;
+        for (const Problem &Q : Cells)
+          In |= evalProblem(Q, {X, Y});
+        if (!In)
+          return false;
+      }
+    return true;
+  }
+};
+
+} // namespace
+
+// A false implication over nine disjuncts: the search meets its
+// counterexample late, so the probe's point (0, 0) ends it.
+TEST(UnionProbe, LateCounterexampleIsRefutedWithinBound) {
+  Grid G(/*Hole=*/true);
+  ASSERT_FALSE(G.covered());
+  OmegaContext Ctx;
+  obs::Tracer T;
+  Ctx.Trace = &T.registerBuffer("test", &Ctx.Stats);
+  EXPECT_FALSE(impliesUnion(G.P, G.Cells, Ctx));
+  Ctx.Trace = nullptr;
+  EXPECT_GT(Ctx.Stats.SatisfiabilityCalls, probeBudget(G.P, G.Cells.size()));
+  // The search alone makes 359 calls before it reaches the hole; with the
+  // probe at call 45 it makes 66.
+  EXPECT_LE(Ctx.Stats.SatisfiabilityCalls, 100u);
+  EXPECT_NE(T.explainLog().find("union probe"), std::string::npos);
+}
+
+// The same grid without the hole: the search passes the budget, the
+// probe's point lies in a cell, and the search goes on to prove the union.
+TEST(UnionProbe, CoveredPointLetsTheSearchProve) {
+  Grid G(/*Hole=*/false);
+  ASSERT_TRUE(G.covered());
+  OmegaContext Ctx;
+  EXPECT_TRUE(impliesUnion(G.P, G.Cells, Ctx));
+  EXPECT_GT(Ctx.Stats.SatisfiabilityCalls, probeBudget(G.P, G.Cells.size()));
+}
+
+// Six strips 0..1, 2..3, ..., 10..11 cover 0 <= x <= 11. The search
+// settles that within its budget, so the probe never runs and the call
+// count is the search's own.
+TEST(UnionProbe, TrueImplicationUnderBudgetCostsTheSearchAlone) {
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId Y = P.addVar("y");
+  P.addGEQ({{X, 1}}, 0);
+  P.addGEQ({{X, -1}}, 11);
+  P.addGEQ({{Y, 1}}, 0);
+  P.addGEQ({{Y, -1}}, 5);
+  std::vector<Problem> Strips;
+  for (int64_t I = 0; I != 6; ++I) {
+    Problem Q = P.cloneLayout();
+    Q.addGEQ({{X, 1}}, -2 * I);
+    Q.addGEQ({{X, -1}}, 2 * I + 1);
+    Strips.push_back(std::move(Q));
+  }
+  OmegaContext Ctx;
+  EXPECT_TRUE(impliesUnion(P, Strips, Ctx));
+  EXPECT_EQ(Ctx.Stats.SatisfiabilityCalls, 11u);
+  EXPECT_LE(Ctx.Stats.SatisfiabilityCalls, probeBudget(P, Strips.size()));
+}
+
+TEST_P(UnionImplicationManyDisjuncts, AgreesWithBruteForce) {
+  PastBudget Tally;
+  checkAgainstBruteForce(GetParam(), SharedRow::None, &Tally);
+  // Both of the probe's outcomes are exercised: a refutation, and a point
+  // inside some disjunct after which the search proves the union.
+  EXPECT_GT(Tally.Refuted, 0u);
+  EXPECT_GT(Tally.Implied, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ManyDisjuncts, UnionImplicationManyDisjuncts,
+    ::testing::Values(UnionParam{200, 71, 6}, UnionParam{200, 72, 8},
+                      UnionParam{200, 73, 10}),
+    [](const ::testing::TestParamInfo<UnionParam> &I) {
+      return "seed" + std::to_string(I.param.Seed) + "_" +
+             std::to_string(I.param.NumDisjuncts) + "disjuncts";
+    });
 
 //===----------------------------------------------------------------------===//
 // conjoinExtending

@@ -11,7 +11,7 @@
 // Options are the shared api::AnalysisOptions surface (see --help; the
 // same table drives omega-calc and omega-serve), plus two tool-specific
 // arguments: the input file positional and `--sym name=value` symbol
-// bindings for --run. Machine-readable output (--json) is the schema-6
+// bindings for --run. Machine-readable output (--json) is the schema-7
 // response document of api/Response.h, byte-identical in its "result"
 // section to an omega-serve response for the same program.
 //
