@@ -159,6 +159,20 @@ bool analysis::KillCheck::kills(unsigned Level) {
   return checkImplication(LHS, rightHandSide());
 }
 
+std::vector<bool>
+analysis::KillCheck::killsEach(const std::vector<unsigned> &Levels) {
+  if (RanksMatch && !Levels.empty() && !RHS) {
+    obs::ScopedSpan Span(OmegaContext::current().Trace, obs::SpanKind::Kill);
+    rightHandSide();
+  }
+  std::vector<char> Killed(Levels.size(), 0);
+  OmegaContext::current().forEachIndependent(
+      Levels.size(), [&](std::size_t I, OmegaContext &) {
+        Killed[I] = kills(Levels[I]);
+      });
+  return std::vector<bool>(Killed.begin(), Killed.end());
+}
+
 bool analysis::coverQuickTestPasses(const deps::Dependence &Dep) {
   if (Dep.Splits.empty())
     return false;

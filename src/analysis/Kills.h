@@ -56,6 +56,11 @@ public:
 
   bool kills(unsigned Level);
 
+  /// kills() for each of \p Levels, in order. The shared right-hand side
+  /// is built first; the per-level checks then only read it, so they fan
+  /// out through OmegaContext::forEachIndependent.
+  std::vector<bool> killsEach(const std::vector<unsigned> &Levels);
+
 private:
   const std::vector<Problem> &rightHandSide();
 

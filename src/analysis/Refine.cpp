@@ -13,7 +13,6 @@
 #include "omega/Satisfiability.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 
 using namespace omega;
@@ -39,8 +38,9 @@ struct LevelProblem {
   /// The range of each distance variable over P as it stands, where
   /// known: phase 1's exact ranges to begin with, then every range
   /// computed here (P determines the answer, so a range computed once is
-  /// never computed again). A pin row changes P and forgets them all.
+  /// never computed again), and [c,c] for each pinned distance.
   std::vector<std::optional<IntRange>> Known;
+  unsigned NumPinned = 0; ///< Delta_0 .. Delta_{NumPinned-1} are pinned
   bool Feasible = true;
 
   /// The range of Delta_L over P.
@@ -52,7 +52,7 @@ struct LevelProblem {
 
   /// True when a known range is exact and non-empty, which shows that P
   /// has an integer point. Before any pin this holds unless overflow left
-  /// every phase-1 range of the level inexact.
+  /// every phase-1 range of the level inexact; after one it always holds.
   bool provenSatisfiable() const {
     return std::any_of(Known.begin(), Known.end(),
                        [](const std::optional<IntRange> &R) {
@@ -60,16 +60,52 @@ struct LevelProblem {
                        });
   }
 
-  /// Fixes Delta_L to \p Value.
+  /// Fixes Delta_L, the next unpinned distance, to \p Value, the least
+  /// minimum of Delta_L over the levels pinned together (its range here
+  /// must be known). Where this level's own exact minimum is \p Value the
+  /// minimum is attained, so the level keeps a point and Delta_L the range
+  /// [Value, Value]; where it is larger no point is left, and the level is
+  /// dropped without a solver call. Pinned distances keep their constant;
+  /// the other ranges are forgotten.
   void pin(unsigned L, int64_t Value) {
+    const IntRange &R = *Known[L];
+    assert(L == NumPinned && R.Exact && R.HasMin && R.Min >= Value &&
+           "pins go outermost-in at a known minimum");
+    if (R.Min != Value) {
+      Feasible = false;
+      return;
+    }
     Constraint &Pin = P.addRow(ConstraintKind::EQ);
     Pin.setCoeff(Deltas[L], 1);
     Pin.setConstant(-Value);
-    Known.assign(Known.size(), std::nullopt);
+    IntRange Fixed;
+    Fixed.Empty = false;
+    Fixed.HasMin = Fixed.HasMax = true;
+    Fixed.Min = Fixed.Max = Value;
+    Known[L] = Fixed;
+    for (unsigned K = L + 1; K != Known.size(); ++K)
+      Known[K].reset();
+    ++NumPinned;
   }
 };
 
-/// Shared state for the refinement passes over one dependence.
+/// Does every piece of \p LHS imply the union \p RHS? Stops at the first
+/// piece that does not.
+bool impliesAll(const std::vector<Problem> &LHS,
+                const std::vector<Problem> &RHS) {
+  for (const Problem &Piece : LHS)
+    if (!checkImplication(Piece, RHS))
+      return false;
+  return true;
+}
+
+/// Shared state for the refinement passes over one dependence. Wherever
+/// it holds projections that do not depend on each other -- the levels'
+/// left-hand sides, one step's ranges across levels, the precedes cases
+/// of a right-hand side, and pass 2 with each level's new split -- it
+/// runs them through OmegaContext::forEachIndependent, so idle helpers
+/// can take them. Each of those calls runs a fixed set of projections,
+/// whoever runs them, so the solver work is the same at every job count.
 class Refiner {
 public:
   Refiner(const ir::AnalyzedProgram &AP, const ir::Access &A,
@@ -94,153 +130,104 @@ public:
   }
 
   unsigned numCommonLoops() const { return Common; }
+  unsigned numLevels() const { return static_cast<unsigned>(Levels.size()); }
 
-  /// LHS pieces: exists i with A(i) << B(k) under the given restraints,
-  /// projected onto (k, Sym). The per-level pieces depend only on the
-  /// level (never on pins), so both passes share one projection per level.
-  const std::vector<Problem> *levelLHSPieces(unsigned Idx) {
-    auto It = LHSCache.find(Idx);
-    if (It != LHSCache.end())
-      return It->second.Poisoned ? nullptr : &It->second.Pieces;
-    Problem LHS = Space.base();
-    Space.addIterationSpace(LHS, 0);
-    Space.addIterationSpace(LHS, 2);
-    Space.addSubscriptsEqual(LHS, 0, 2);
-    Space.addPrecedesAtLevel(LHS, 0, 2, Levels[Idx].Level);
-    ProjectionResult R =
-        projectOntoMask(LHS, keepAllBut(LHS, Space, 0),
-                        ProjectOptions{/*RemoveRedundant=*/false,
-                                       /*DropEmptyPieces=*/true});
-    CachedPieces &Entry = LHSCache[Idx];
-    Entry.Poisoned = R.Poisoned;
-    for (Problem &Piece : R.Pieces)
-      Entry.Pieces.push_back(std::move(Piece));
-    return Entry.Poisoned ? nullptr : &Entry.Pieces;
-  }
-
-  std::vector<Problem> buildLHSPieces(const std::vector<unsigned> &Which) {
-    std::vector<Problem> Pieces;
-    for (unsigned Idx : Which) {
-      if (!Levels[Idx].Feasible)
-        continue;
-      const std::vector<Problem> *LevelPieces = levelLHSPieces(Idx);
-      if (!LevelPieces)
-        return {}; // conservative: refinement is skipped entirely
-      for (const Problem &Piece : *LevelPieces)
-        Pieces.push_back(Piece);
+  /// Pass 1 (the paper's candidate generator over the whole dependence):
+  /// fixes distances outermost-in to their least minimum over every
+  /// level, verifying each extension against every level's receivers,
+  /// and pins each accepted distance into every level. Returns the
+  /// number of loops fixed; they stay in Prefix for pass 2.
+  unsigned runWholePass(RefineResult &Out) {
+    buildLHSPieces();
+    std::vector<Problem> Receivers;
+    for (const CachedPieces &Entry : LHS) {
+      if (Entry.Poisoned)
+        return 0; // conservative: the whole-dependence pass is skipped
+      Receivers.insert(Receivers.end(), Entry.Pieces.begin(),
+                       Entry.Pieces.end());
     }
-    return Pieces;
-  }
-
-  /// RHS pieces: exists j in [A] at the fixed distances D from k, with
-  /// A(j) << B(k), projected onto (k, Sym). Pass 2 re-fixes the same
-  /// distance prefixes pass 1 tried, so results are memoized by D.
-  const std::vector<Problem> &buildRHSPieces(const std::vector<int64_t> &D) {
-    auto It = RHSCache.find(D);
-    if (It != RHSCache.end())
-      return It->second;
-    std::vector<Problem> Pieces;
-    Problem RHS0 = Space.base();
-    Space.addIterationSpace(RHS0, 1);
-    Space.addSubscriptsEqual(RHS0, 1, 2);
-    for (unsigned L = 0; L != D.size(); ++L) {
-      // k_L - j_L == D[L].
-      Constraint &Row = RHS0.addRow(ConstraintKind::EQ);
-      Row.setCoeff(Space.iterVar(2, L), 1);
-      Row.setCoeff(Space.iterVar(1, L), -1);
-      Row.setConstant(-D[L]);
-    }
-    for (const Problem &Case : Space.precedesCases(RHS0, 1, 2)) {
-      ProjectionResult R =
-          projectOntoMask(Case, keepAllBut(Case, Space, 1),
-                          ProjectOptions{/*RemoveRedundant=*/false,
-                                         /*DropEmptyPieces=*/true});
-      if (R.Poisoned) {
-        Pieces.clear(); // conservative: the candidate fails verification
-        break;
-      }
-      for (Problem &Piece : R.Pieces)
-        Pieces.push_back(std::move(Piece));
-    }
-    return RHSCache.emplace(D, std::move(Pieces)).first->second;
-  }
-
-  /// One refinement pass (the paper's candidate generator): fix distances
-  /// outermost-in to the minimum over the restraints in \p MinSet,
-  /// verifying each extension against the receivers in \p LHSSet. Pins
-  /// accepted distances into the \p MinSet problems. Returns the number
-  /// of loops fixed.
-  unsigned runPass(const std::vector<unsigned> &LHSSet,
-                   const std::vector<unsigned> &MinSet, RefineResult &Out) {
-    std::vector<Problem> LHSPieces = buildLHSPieces(LHSSet);
-    if (LHSPieces.empty())
+    if (Receivers.empty())
       return 0;
 
-    std::vector<int64_t> Fixed;
     for (unsigned L = 0; L != Common; ++L) {
-      bool HasMin = false;
-      int64_t Min = 0;
-      for (unsigned Idx : MinSet) {
-        LevelProblem &Lvl = Levels[Idx];
-        if (!Lvl.Feasible)
-          continue;
-        IntRange R = Lvl.range(L);
-        if (R.Empty) {
-          Lvl.Feasible = false;
-          continue;
-        }
-        if (!R.HasMin) {
-          HasMin = false;
-          break;
-        }
-        if (!HasMin || R.Min < Min) {
-          HasMin = true;
-          Min = R.Min;
-        }
-      }
-      if (!HasMin)
+      computeRanges(L);
+      std::optional<int64_t> Min = leastMinimum(L);
+      if (!Min)
         break;
-
-      Fixed.push_back(Min);
+      std::vector<int64_t> Fixed = Prefix;
+      Fixed.push_back(*Min);
       Out.UsedGeneralTest = true;
-      const std::vector<Problem> &RHSPieces = buildRHSPieces(Fixed);
-      bool OK = true;
-      for (const Problem &LHS : LHSPieces)
-        if (!checkImplication(LHS, RHSPieces)) {
-          OK = false;
-          break;
-        }
-      if (!OK) {
-        Fixed.pop_back();
+      std::vector<Problem> RHS = buildRHSPieces(Fixed);
+      if (!impliesAll(Receivers, RHS)) {
+        Unproved = std::move(Fixed);
+        UnprovedRHS = std::move(RHS);
         break;
       }
-      for (unsigned Idx : MinSet)
-        if (Levels[Idx].Feasible)
-          Levels[Idx].pin(L, Min);
+      for (LevelProblem &Lvl : Levels)
+        if (Lvl.Feasible)
+          Lvl.pin(L, *Min);
+      Prefix.push_back(*Min);
     }
-    return Fixed.size();
+    return static_cast<unsigned>(Prefix.size());
   }
 
-  /// Rewrites the dependence's splits from the (possibly pinned) level
-  /// problems. Returns true if anything changed.
-  bool rebuildSplits() {
-    std::vector<deps::DepSplit> NewSplits;
-    for (LevelProblem &Lvl : Levels) {
-      if (!Lvl.Feasible ||
-          (!Lvl.provenSatisfiable() && !isSatisfiable(Lvl.P))) {
+  /// Pass 2 for one level (the generator within its own restraint),
+  /// resuming after pass 1's proven prefix. Touches only that level, and
+  /// reads what pass 1 left. Returns true if it consulted the Omega test.
+  bool refineLevel(unsigned Idx) {
+    LevelProblem &Lvl = Levels[Idx];
+    const CachedPieces &Receivers = LHS[Idx];
+    if (!Lvl.Feasible || Receivers.Poisoned || Receivers.Pieces.empty())
+      return false;
+    bool Used = false;
+    std::vector<int64_t> Fixed = Prefix;
+    for (unsigned L = Lvl.NumPinned; L != Common; ++L) {
+      IntRange R = Lvl.range(L);
+      if (R.Empty) {
         Lvl.Feasible = false;
-        continue;
+        break;
       }
-      deps::DepSplit S;
-      S.Level = Lvl.Level;
-      for (unsigned L = 0; L != Common; ++L) {
-        deps::DirectionElem Elem;
-        Elem.Range = Lvl.range(L);
-        S.Dir.push_back(Elem);
-      }
-      S.Refined = true;
-      NewSplits.push_back(std::move(S));
+      if (!R.HasMin)
+        break;
+      Fixed.push_back(R.Min);
+      Used = true;
+      bool Implied = Fixed == Unproved
+                         ? impliesAll(Receivers.Pieces, UnprovedRHS)
+                         : impliesAll(Receivers.Pieces, buildRHSPieces(Fixed));
+      if (!Implied)
+        break;
+      Lvl.pin(L, R.Min);
     }
+    return Used;
+  }
+
+  /// The level's split as it now stands: every distance range, projected
+  /// only where it is not known, or nothing when the level is empty.
+  std::optional<deps::DepSplit> levelSplit(unsigned Idx) {
+    LevelProblem &Lvl = Levels[Idx];
+    if (!Lvl.Feasible ||
+        (!Lvl.provenSatisfiable() && !isSatisfiable(Lvl.P))) {
+      Lvl.Feasible = false;
+      return std::nullopt;
+    }
+    deps::DepSplit S;
+    S.Level = Lvl.Level;
+    for (unsigned L = 0; L != Common; ++L) {
+      deps::DirectionElem Elem;
+      Elem.Range = Lvl.range(L);
+      S.Dir.push_back(Elem);
+    }
+    S.Refined = true;
+    return S;
+  }
+
+  /// Rewrites the dependence's splits from the levels' new splits.
+  /// Returns true if anything changed.
+  bool replaceSplits(std::vector<std::optional<deps::DepSplit>> Splits) {
+    std::vector<deps::DepSplit> NewSplits;
+    for (std::optional<deps::DepSplit> &S : Splits)
+      if (S)
+        NewSplits.push_back(std::move(*S));
 
     bool Same = NewSplits.size() == Dep.Splits.size();
     for (unsigned I = 0; Same && I != NewSplits.size(); ++I) {
@@ -259,24 +246,109 @@ public:
     return true;
   }
 
-  std::vector<unsigned> allIndices() const {
-    std::vector<unsigned> Out;
-    for (unsigned I = 0; I != Levels.size(); ++I)
-      Out.push_back(I);
-    return Out;
+private:
+  struct CachedPieces {
+    std::vector<Problem> Pieces;
+    bool Poisoned = false;
+  };
+
+  /// LHS pieces of every level: exists i with A(i) << B(k) under the
+  /// level's restraint, projected onto (k, Sym). They depend only on the
+  /// level (never on pins), so both passes share them.
+  void buildLHSPieces() {
+    LHS.resize(Levels.size());
+    OmegaContext::current().forEachIndependent(
+        Levels.size(), [&](std::size_t Idx, OmegaContext &Ctx) {
+          Problem P = Space.base();
+          Space.addIterationSpace(P, 0);
+          Space.addIterationSpace(P, 2);
+          Space.addSubscriptsEqual(P, 0, 2);
+          Space.addPrecedesAtLevel(P, 0, 2, Levels[Idx].Level);
+          ProjectionResult R =
+              projectOntoMask(P, keepAllBut(P, Space, 0),
+                              ProjectOptions{/*RemoveRedundant=*/false,
+                                             /*DropEmptyPieces=*/true},
+                              Ctx);
+          LHS[Idx].Poisoned = R.Poisoned;
+          LHS[Idx].Pieces = std::move(R.Pieces);
+        });
+  }
+
+  /// Computes Delta_L's range in every feasible level that does not know
+  /// it yet.
+  void computeRanges(unsigned L) {
+    std::vector<LevelProblem *> Todo;
+    for (LevelProblem &Lvl : Levels)
+      if (Lvl.Feasible && !Lvl.Known[L])
+        Todo.push_back(&Lvl);
+    OmegaContext::current().forEachIndependent(
+        Todo.size(), [&](std::size_t T, OmegaContext &) { Todo[T]->range(L); });
+  }
+
+  /// The least minimum of Delta_L over the feasible levels, whose ranges
+  /// are known; none when some level has no minimum. Empty levels are
+  /// dropped.
+  std::optional<int64_t> leastMinimum(unsigned L) {
+    std::optional<int64_t> Min;
+    for (LevelProblem &Lvl : Levels) {
+      if (!Lvl.Feasible)
+        continue;
+      const IntRange &R = *Lvl.Known[L];
+      if (R.Empty) {
+        Lvl.Feasible = false;
+        continue;
+      }
+      if (!R.HasMin)
+        return std::nullopt;
+      if (!Min || R.Min < *Min)
+        Min = R.Min;
+    }
+    return Min;
+  }
+
+  /// RHS pieces: exists j in [A] at the fixed distances D from k, with
+  /// A(j) << B(k), projected onto (k, Sym), one precedes case at a time.
+  std::vector<Problem> buildRHSPieces(const std::vector<int64_t> &D) const {
+    Problem RHS0 = Space.base();
+    Space.addIterationSpace(RHS0, 1);
+    Space.addSubscriptsEqual(RHS0, 1, 2);
+    for (unsigned L = 0; L != D.size(); ++L) {
+      // k_L - j_L == D[L].
+      Constraint &Row = RHS0.addRow(ConstraintKind::EQ);
+      Row.setCoeff(Space.iterVar(2, L), 1);
+      Row.setCoeff(Space.iterVar(1, L), -1);
+      Row.setConstant(-D[L]);
+    }
+    std::vector<Problem> Cases = Space.precedesCases(RHS0, 1, 2);
+    std::vector<ProjectionResult> Projected(Cases.size());
+    OmegaContext::current().forEachIndependent(
+        Cases.size(), [&](std::size_t I, OmegaContext &Ctx) {
+          Projected[I] =
+              projectOntoMask(Cases[I], keepAllBut(Cases[I], Space, 1),
+                              ProjectOptions{/*RemoveRedundant=*/false,
+                                             /*DropEmptyPieces=*/true},
+                              Ctx);
+        });
+    std::vector<Problem> Pieces;
+    for (ProjectionResult &R : Projected) {
+      if (R.Poisoned)
+        return {}; // conservative: the candidate fails verification
+      for (Problem &Piece : R.Pieces)
+        Pieces.push_back(std::move(Piece));
+    }
+    return Pieces;
   }
 
   DepSpace Space;
   deps::Dependence &Dep;
   unsigned Common = 0;
   std::vector<LevelProblem> Levels;
-
-  struct CachedPieces {
-    std::vector<Problem> Pieces;
-    bool Poisoned = false;
-  };
-  std::map<unsigned, CachedPieces> LHSCache;
-  std::map<std::vector<int64_t>, std::vector<Problem>> RHSCache;
+  std::vector<CachedPieces> LHS; ///< per level, built once by pass 1
+  std::vector<int64_t> Prefix;   ///< the distances pass 1 pinned
+  /// The extension pass 1 could not prove and its right-hand side; pass 2
+  /// tries the same distances again for a single level's receivers.
+  std::vector<int64_t> Unproved;
+  std::vector<Problem> UnprovedRHS;
 };
 
 } // namespace
@@ -302,19 +374,26 @@ RefineResult analysis::refineDependence(const ir::AnalyzedProgram &AP,
 
   // Pass 1 (Section 4.4's generator over the whole dependence): a refined
   // vector may kill entire splits, e.g. Example 4's (0+,1) -> (0,1).
-  unsigned WholeFixed = R.runPass(R.allIndices(), R.allIndices(), Result);
+  unsigned WholeFixed = R.runWholePass(Result);
   Result.LoopsFixed = WholeFixed;
 
   // Pass 2 (per restraint vector): when the whole-dependence pass stalls,
   // each split can still be refined within its own restraint -- Example
   // 5's L1-carried split tightens to (1,1) while the L2 split keeps
-  // (0,1), i.e. the paper's partial result (0:1,1).
-  if (WholeFixed < R.numCommonLoops())
-    for (unsigned I = 0; I != R.Levels.size(); ++I)
-      if (R.Levels[I].Feasible)
-        R.runPass({I}, {I}, Result);
+  // (0,1), i.e. the paper's partial result (0:1,1). From here on the
+  // levels are independent, so each runs its pass 2 and builds its new
+  // split as one sub-task.
+  bool Stalled = WholeFixed < R.numCommonLoops();
+  std::vector<std::optional<deps::DepSplit>> Splits(R.numLevels());
+  std::vector<char> Used(R.numLevels(), 0);
+  OmegaContext::current().forEachIndependent(
+      R.numLevels(), [&](std::size_t I, OmegaContext &) {
+        Used[I] = Stalled && R.refineLevel(static_cast<unsigned>(I));
+        Splits[I] = R.levelSplit(static_cast<unsigned>(I));
+      });
+  Result.UsedGeneralTest |= std::count(Used.begin(), Used.end(), 1) != 0;
 
-  if (R.rebuildSplits())
+  if (R.replaceSplits(std::move(Splits)))
     Result.Refined = true;
   return Result;
 }

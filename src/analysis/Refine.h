@@ -26,6 +26,19 @@
 /// is computed twice for the same level problem. A level that was never
 /// pinned keeps its phase-1 split without another solver call.
 ///
+/// Refinement keeps what it pins. Pinning Delta_L to c, the least exact
+/// minimum over the levels, leaves the range [c,c] in a level whose own
+/// minimum is c (it is attained, so the level keeps a point) and drops,
+/// without a solver call, a level whose minimum is above c. The
+/// per-split pass resumes after the whole-dependence pass's proven
+/// prefix, and a level's new split projects only its unpinned distances.
+///
+/// The independent projections -- the levels' left-hand sides, one step's
+/// ranges across levels, a right-hand side's precedes cases, and per
+/// level the per-split pass with the new split -- fan out through
+/// OmegaContext::forEachIndependent, so idle helpers can take them; the
+/// solver work and the explain log are the same at every job count.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMEGA_ANALYSIS_REFINE_H

@@ -257,11 +257,11 @@ std::optional<DepSplit> PairSolver::solveCase(const QueryPlan &Q,
   std::vector<VarId> Deltas = Space.addDistanceVars(Case, Q.SI, Q.DI);
   DepSplit Split;
   Split.Level = Level;
-  for (VarId Delta : Deltas) {
-    DirectionElem Elem;
-    Elem.Range = computeVarRange(Case, Delta, Ctx);
-    Split.Dir.push_back(Elem);
-  }
+  Split.Dir.resize(Deltas.size());
+  // One projection per distance, each independent of the others.
+  Ctx.forEachIndependent(Deltas.size(), [&](std::size_t L, OmegaContext &Sub) {
+    Split.Dir[L].Range = computeVarRange(Case, Deltas[L], Sub);
+  });
   return Split;
 }
 

@@ -79,7 +79,9 @@ public:
 
   /// Solves the case of \p Q at \p Level from scratch on a copy of the
   /// shared pair problem, charging the work to \p Ctx; nullopt when the
-  /// case has no solution. Safe to call concurrently for one solver.
+  /// case has no solution. The distances' ranges are independent
+  /// projections and fan out through Ctx.forEachIndependent. Safe to call
+  /// concurrently for one solver.
   std::optional<DepSplit> solveCase(const QueryPlan &Q, unsigned Level,
                                     OmegaContext &Ctx) const;
 

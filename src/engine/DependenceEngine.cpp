@@ -684,15 +684,20 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
         if (Plausible) {
           KR.UsedOmega = true;
           analysis::KillCheck Check(AP, *Victim.Src, Killer, *Victim.Dst);
-          for (DepSplit &S : Victim.Splits) {
-            if (S.Dead)
-              continue;
-            if (Check.kills(S.Level)) {
-              S.Dead = true;
-              S.DeadReason = 'k';
+          std::vector<DepSplit *> Live;
+          std::vector<unsigned> Levels;
+          for (DepSplit &S : Victim.Splits)
+            if (!S.Dead) {
+              Live.push_back(&S);
+              Levels.push_back(S.Level);
+            }
+          std::vector<bool> Killed = Check.killsEach(Levels);
+          for (std::size_t I = 0; I != Live.size(); ++I)
+            if (Killed[I]) {
+              Live[I]->Dead = true;
+              Live[I]->DeadReason = 'k';
               KR.Killed = true;
             }
-          }
         }
         KR.Secs = secondsSince(Start);
         if (Ctx.Trace && KR.Killed)

@@ -7,6 +7,7 @@
 #include "engine/WorkerPool.h"
 
 #include "obs/Trace.h"
+#include "support/MathUtils.h"
 
 #include <algorithm>
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #ifdef __linux__
 #include <sched.h>
@@ -44,27 +46,63 @@ unsigned omega::engine::resolveJobs(unsigned Requested, unsigned Sharers) {
 
 namespace {
 
+/// The pool whose batch the calling thread is draining, if any. A
+/// parallelFor from inside one of its tasks is a fan-out of that task.
+thread_local const WorkerPool *DrainingPool = nullptr;
+
+/// One sub-task of a fanned-out task. It runs under a context of its own
+/// (whichever thread runs it), so its counters, trace records and
+/// overflow flag can be handed to the caller in index order afterwards.
+struct SubTask {
+  SubTask() = default;
+  SubTask(const SubTask &) = delete; // helpers hold its address
+  SubTask &operator=(const SubTask &) = delete;
+
+  OmegaContext Ctx;
+  std::unique_ptr<obs::TraceBuffer> Trace;
+  bool Overflowed = false;
+};
+
 /// One parallelFor's shared state. It lives on the caller's stack, so the
 /// caller returns only after every helper that took it has let go.
 struct Batch {
-  Batch(const WorkerPool::TaskFn &Fn, std::size_t N) : Fn(Fn), N(N) {}
+  Batch(const WorkerPool &Pool, std::atomic<unsigned> &Lent,
+        const WorkerPool::TaskFn &Fn, std::size_t N, SubTask *Subs = nullptr)
+      : Pool(Pool), Lent(Lent), Fn(Fn), N(N), Subs(Subs) {}
 
+  const WorkerPool &Pool;
+  std::atomic<unsigned> &Lent; ///< the pool's helpers at work right now
   const WorkerPool::TaskFn &Fn;
   const std::size_t N;
+  SubTask *const Subs; ///< per-index contexts of a fan-out, else null
   std::atomic<std::size_t> Next{0};
   std::mutex M;
   std::condition_variable Done;
   unsigned Finished = 0; ///< helpers through with this batch (under M)
 
-  /// Claims and runs tasks under \p Ctx until none are left. A task that
-  /// throws ends the process, on the caller as on a helper: the batch must
-  /// outlive every helper that holds it.
-  void drain(OmegaContext &Ctx) noexcept {
-    OmegaContextScope Scope(Ctx);
-    for (std::size_t I = Next.fetch_add(1, std::memory_order_relaxed); I < N;
-         I = Next.fetch_add(1, std::memory_order_relaxed))
-      Fn(I, Ctx);
+  /// Claims and runs tasks until none are left: under \p Ctx, or under
+  /// each sub-task's own context in a fan-out. A task that throws ends the
+  /// process, on the caller as on a helper: the batch must outlive every
+  /// helper that holds it.
+  void drain(OmegaContext *Ctx) noexcept {
+    const WorkerPool *Outer = std::exchange(DrainingPool, &Pool);
+    if (!Subs) {
+      OmegaContextScope Scope(*Ctx);
+      for (std::size_t I = claim(); I < N; I = claim())
+        Fn(I, *Ctx);
+    } else {
+      for (std::size_t I = claim(); I < N; I = claim()) {
+        SubTask &T = Subs[I];
+        OmegaContextScope Scope(T.Ctx);
+        bool Saved = std::exchange(arithOverflowFlag(), false);
+        Fn(I, T.Ctx);
+        T.Overflowed = std::exchange(arithOverflowFlag(), Saved);
+      }
+    }
+    DrainingPool = Outer;
   }
+
+  std::size_t claim() { return Next.fetch_add(1, std::memory_order_relaxed); }
 
   /// A helper's last touch. The notify happens under M, so the caller's
   /// wait cannot return (and free the batch) before the unlock.
@@ -80,7 +118,7 @@ struct Batch {
 /// withdrawn() if the helper has not picked it up yet.
 struct Helper {
   std::atomic<Batch *> Offer{nullptr};
-  OmegaContext *Ctx = nullptr; ///< the lender's context for this batch
+  OmegaContext *Ctx = nullptr; ///< the lender's context (top-level batch)
   std::thread Thread;
 };
 
@@ -124,8 +162,9 @@ public:
     return static_cast<unsigned>(All.size());
   }
 
-  /// Lends \p B to up to \p Want idle helpers, the I-th under Ctxs[I], and
-  /// wakes them; \p Lent lists them.
+  /// Lends \p B to up to \p Want idle helpers, the I-th under Ctxs[I]
+  /// (none for a fan-out, whose sub-tasks bring their own), and wakes
+  /// them; \p Lent lists them.
   void lend(Batch &B, const std::unique_ptr<OmegaContext> *Ctxs,
             std::size_t Want, std::vector<Helper *> &Lent) {
     {
@@ -135,7 +174,7 @@ public:
       while (Lent.size() != Want && !Idle.empty()) {
         Helper *H = Idle.back();
         Idle.pop_back();
-        H->Ctx = Ctxs[Lent.size()].get();
+        H->Ctx = Ctxs ? Ctxs[Lent.size()].get() : nullptr;
         Lent.push_back(H);
       }
     }
@@ -189,8 +228,10 @@ private:
       Batch *B = take(H);
       if (B == stopping())
         return;
-      if (B != withdrawn())
-        B->drain(*H.Ctx);
+      if (B != withdrawn()) {
+        B->drain(H.Ctx);
+        --B->Lent;
+      }
       {
         std::lock_guard<std::mutex> G(M);
         Idle.push_back(&H);
@@ -210,8 +251,10 @@ private:
 WorkerPool::WorkerPool(unsigned Jobs, obs::Tracer *Tracer) {
   unsigned N = resolveJobs(Jobs);
   Contexts.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
+  for (unsigned I = 0; I != N; ++I) {
     Contexts.push_back(std::make_unique<OmegaContext>());
+    Contexts.back()->SubTasks = this;
+  }
   ActiveWorkers = N;
   if (Tracer)
     setTracer(Tracer);
@@ -223,22 +266,86 @@ void WorkerPool::setActiveWorkers(unsigned Wanted) {
   ActiveWorkers = Wanted;
 }
 
-void WorkerPool::parallelFor(std::size_t NumTasks, const TaskFn &Fn) {
-  std::size_t Workers = std::min<std::size_t>(ActiveWorkers, NumTasks);
-  Batch B(Fn, NumTasks);
-  if (Workers <= 1) {
-    B.drain(*Contexts[0]);
-    return;
-  }
+std::size_t WorkerPool::reserveHelpers(std::size_t Want) {
+  unsigned Cap = ActiveWorkers - 1;
+  unsigned Cur = LentHelpers.load();
+  unsigned Take;
+  do {
+    if (Cur >= Cap || Want == 0)
+      return 0;
+    Take = static_cast<unsigned>(std::min<std::size_t>(Want, Cap - Cur));
+  } while (!LentHelpers.compare_exchange_weak(Cur, Cur + Take));
+  return Take;
+}
+
+namespace {
+
+/// Drains \p B on the calling thread under \p Ctx, with up to
+/// \p Reserved helpers (already counted in the pool's lent helpers) under
+/// \p HelperCtxs, and returns once every helper that took it is through.
+void runBatch(Batch &B, std::size_t Reserved,
+              const std::unique_ptr<OmegaContext> *HelperCtxs,
+              OmegaContext *Ctx) {
   std::vector<Helper *> Lent;
-  Lent.reserve(Workers - 1);
-  Helpers::get().lend(B, Contexts.data() + 1, Workers - 1, Lent);
-  B.drain(*Contexts[0]);
+  if (Reserved) {
+    Lent.reserve(Reserved);
+    Helpers::get().lend(B, HelperCtxs, Reserved, Lent);
+    B.Lent -= static_cast<unsigned>(Reserved - Lent.size());
+  }
+  B.drain(Ctx);
+  if (Lent.empty())
+    return;
   unsigned Holding = Helpers::withdraw(B, Lent);
+  B.Lent -= static_cast<unsigned>(Lent.size() - Holding);
   // The acquire of M pairs with each helper's finish(), so every task's
   // writes happen-before the merge that follows this return.
   std::unique_lock<std::mutex> L(B.M);
   B.Done.wait(L, [&] { return B.Finished == Holding; });
+}
+
+} // namespace
+
+void WorkerPool::parallelFor(std::size_t NumTasks, const TaskFn &Fn) {
+  if (DrainingPool == this) {
+    runSubTasks(OmegaContext::current(), NumTasks, Fn);
+    return;
+  }
+  Batch B(*this, LentHelpers, Fn, NumTasks);
+  std::size_t Workers = std::min<std::size_t>(ActiveWorkers, NumTasks);
+  runBatch(B, Workers > 1 ? reserveHelpers(Workers - 1) : 0,
+           Contexts.data() + 1, Contexts[0].get());
+}
+
+void WorkerPool::runSubTasks(OmegaContext &Caller, std::size_t N,
+                             const TaskFn &Fn) {
+  std::size_t Reserved = N > 1 ? reserveHelpers(N - 1) : 0;
+  if (Reserved == 0) {
+    // The pool already has jobs() threads at work: the caller runs every
+    // sub-task itself, in order, under its own context.
+    OmegaContextScope Scope(Caller);
+    for (std::size_t I = 0; I != N; ++I)
+      Fn(I, Caller);
+    return;
+  }
+  std::vector<SubTask> Subs(N);
+  for (SubTask &T : Subs) {
+    T.Ctx.PairQuickTests = Caller.PairQuickTests;
+    T.Ctx.SubTasks = Caller.SubTasks;
+    if (Caller.Trace) {
+      T.Trace = Caller.Trace->fork(&T.Ctx.Stats);
+      T.Ctx.Trace = T.Trace.get();
+    }
+  }
+  Batch B(*this, LentHelpers, Fn, N, Subs.data());
+  runBatch(B, Reserved, nullptr, nullptr);
+  // Hand everything back in index order, as an inline run records it.
+  for (SubTask &T : Subs) {
+    Caller.Stats.merge(T.Ctx.Stats);
+    if (T.Trace)
+      Caller.Trace->splice(*T.Trace);
+    if (T.Overflowed)
+      arithOverflowFlag() = true;
+  }
 }
 
 unsigned WorkerPool::helperThreads() { return Helpers::get().started(); }

@@ -21,6 +21,18 @@
 /// Fresh engines therefore cost no thread start-up, and the helpers never
 /// outnumber the cores.
 ///
+/// A task may fan out too: a parallelFor from inside one of the pool's
+/// tasks, or OmegaContext::forEachIndependent on a pool context, which is
+/// how analysis/ and deps/ reach it. A fan-out borrows only helpers idle
+/// at that moment, and only while the pool runs fewer than jobs() threads,
+/// so a pool at one job (omega-serve's engines, --jobs 1) runs every
+/// fan-out inline and never touches a helper. When it does borrow, each
+/// sub-task runs under a context of its own; afterwards the caller's
+/// context takes, in index order, every sub-task's counters, trace
+/// records (spliced into the calling task) and overflow flag. So the
+/// counters, the explain log and every result are what an inline run
+/// gives, at every job count and however many helpers were idle.
+///
 /// Scheduling is dynamic (workers claim task indices from an atomic
 /// counter) but the engine stays deterministic because tasks write into
 /// pre-sized, index-addressed result slots that the caller merges in task
@@ -33,6 +45,7 @@
 
 #include "omega/OmegaContext.h"
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -56,11 +69,11 @@ unsigned usableCores();
 /// so no pool ever holds more slots than can run at once.
 unsigned resolveJobs(unsigned Requested, unsigned Sharers = 1);
 
-class WorkerPool {
+class WorkerPool : private SubTaskRunner {
 public:
   /// A task body: called with the task index and the claiming worker's
   /// context. Bodies for distinct indices must touch disjoint state.
-  using TaskFn = std::function<void(std::size_t, OmegaContext &)>;
+  using TaskFn = omega::TaskFn;
 
   /// Builds resolveJobs(\p Jobs) worker contexts. A non-null \p Tracer
   /// gets one "worker-N" trace buffer registered per context, so
@@ -87,8 +100,9 @@ public:
   /// calls have finished. The caller runs tasks under the first context;
   /// up to min(jobs(), NumTasks) - 1 idle helpers run the rest under the
   /// following ones. A single task, or a pool at one job, runs inline and
-  /// never touches the helpers. Not reentrant; call from one thread at a
-  /// time.
+  /// never touches the helpers. Call from one thread at a time, or from
+  /// inside one of this pool's tasks: that call is a fan-out of the task
+  /// (see the file comment) and returns as an inline loop would.
   void parallelFor(std::size_t NumTasks, const TaskFn &Fn);
 
   /// The first worker context (the caller's). For single-threaded
@@ -124,8 +138,17 @@ public:
   static unsigned helperThreads();
 
 private:
+  /// A fan-out of the task running under \p Caller.
+  void runSubTasks(OmegaContext &Caller, std::size_t N,
+                   const TaskFn &Fn) override;
+
+  /// Counts up to \p Want more helpers as lent to this pool, within
+  /// jobs() - 1 at once, and returns how many it counted.
+  std::size_t reserveHelpers(std::size_t Want);
+
   unsigned ActiveWorkers = 1;
   std::vector<std::unique_ptr<OmegaContext>> Contexts;
+  std::atomic<unsigned> LentHelpers{0}; ///< helpers at work for this pool
 };
 
 } // namespace engine

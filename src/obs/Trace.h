@@ -188,6 +188,32 @@ public:
     NextSeq = Prev.second;
   }
 
+  /// A private buffer for one sub-task of the current task (see
+  /// OmegaContext::forEachIndependent): same clock and track name, spans
+  /// snapshotting \p SubStats. Its one writer is the thread running the
+  /// sub-task; splice() takes the events back once it has finished.
+  std::unique_ptr<TraceBuffer> fork(const OmegaStats *SubStats) const {
+    return std::make_unique<TraceBuffer>(Name, SubStats, CurTask, Epoch);
+  }
+
+  /// Appends \p Sub's events as if this buffer had recorded them itself
+  /// just now: under the current task, sequence numbers continuing, nested
+  /// below the spans open here. Splicing sub-tasks in index order gives
+  /// the records an inline run would have made.
+  void splice(TraceBuffer &Sub) {
+    assert(Sub.Open.empty() && "a sub-task left a span open");
+    uint16_t Base = static_cast<uint16_t>(Open.size());
+    for (TraceEvent &E : Sub.Events) {
+      if (E.Depth == 0 && !Open.empty())
+        Events[Open.back().EventIdx].ChildNs += E.DurNs;
+      E.Depth = static_cast<uint16_t>(E.Depth + Base);
+      E.TaskKey = CurTask;
+      E.Seq = NextSeq++;
+      Events.push_back(std::move(E));
+    }
+    Sub.Events.clear();
+  }
+
 private:
   friend class Tracer;
 

@@ -24,6 +24,12 @@
 /// deep call chains (refinement, kills, dep spaces) pick up the worker's
 /// context without every intermediate function naming it.
 ///
+/// A context also says where the task running under it may fan out
+/// independent sub-tasks (forEachIndependent): the engine's worker pool
+/// sets SubTasks on its contexts, so a heavy task in analysis/ or deps/
+/// lends its projections to idle helpers without naming the engine.
+/// Without a runner, sub-tasks run inline, in index order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OMEGA_OMEGA_OMEGACONTEXT_H
@@ -31,11 +37,33 @@
 
 #include "omega/OmegaStats.h"
 
+#include <cstddef>
+#include <functional>
+
 namespace omega {
 
 namespace obs {
 class TraceBuffer;
 } // namespace obs
+
+class OmegaContext;
+
+/// A task or sub-task body: called with its index and the context it runs
+/// under. Bodies for distinct indices must touch disjoint state.
+using TaskFn = std::function<void(std::size_t, OmegaContext &)>;
+
+/// Runs the independent sub-tasks of a task. Whoever runs them, the
+/// caller's context must end up as if it had run Fn(0), ..., Fn(N-1)
+/// itself, in that order: the same counters, the same trace records and
+/// the same overflow flag.
+class SubTaskRunner {
+public:
+  virtual void runSubTasks(OmegaContext &Caller, std::size_t N,
+                           const TaskFn &Fn) = 0;
+
+protected:
+  ~SubTaskRunner() = default;
+};
 
 class OmegaContext {
 public:
@@ -54,6 +82,17 @@ public:
   /// The pre-filter is sound and result-identical; the toggle exists for
   /// benchmarking and attribution.
   bool PairQuickTests = true;
+
+  /// Where forEachIndependent sends sub-tasks; null runs them inline.
+  /// Not owned.
+  SubTaskRunner *SubTasks = nullptr;
+
+  /// Runs Fn(I, Ctx) for every I in [0, N), possibly on other threads
+  /// under other contexts, and returns when all have finished. Counters,
+  /// trace records and overflow land in this context exactly as if the
+  /// calls had run inline in index order, so a caller's results, stats
+  /// and explain log do not depend on how many helpers were idle.
+  void forEachIndependent(std::size_t N, const TaskFn &Fn);
 
   /// The process-wide default context, used by threads that never install
   /// a scope. Single-threaded legacy behavior: all counters land here.

@@ -10,6 +10,9 @@
 // deadlock nor oversubscribe the cores, and that jobs never builds more
 // slots than can run. PipelineDifferential.ResponseBlockIdenticalAcrossJobs
 // checks that the default jobs render the serial result byte for byte.
+// The fan-out tests pin a task's own parallel loop: inline at one job and
+// when every helper is busy, its counters, trace records and overflow
+// flag handed to the caller, and never more than jobs() threads at work.
 //
 // The first test must see a process with no helpers yet, so it stays
 // first in this file (ctest runs every test in a process of its own).
@@ -21,13 +24,19 @@
 #include "engine/WorkerPool.h"
 #include "ir/Sema.h"
 #include "kernels/Kernels.h"
+#include "obs/Trace.h"
+#include "support/MathUtils.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,6 +68,40 @@ std::set<std::thread::id> threadsOf(const std::vector<TaskRun> &Runs) {
     Out.insert(R.Thread);
   return Out;
 }
+
+/// Counts the threads inside a region and remembers the most at once.
+struct Occupancy {
+  std::atomic<unsigned> Now{0}, Max{0};
+
+  void enter() {
+    unsigned N = Now.fetch_add(1) + 1;
+    unsigned M = Max.load();
+    while (N > M && !Max.compare_exchange_weak(M, N))
+      ;
+  }
+  void leave() { Now.fetch_sub(1); }
+};
+
+/// Holds every arriving thread until \p Parties have arrived. Returns
+/// false if that took longer than ten seconds.
+class Rendezvous {
+public:
+  explicit Rendezvous(unsigned Parties) : Parties(Parties) {}
+
+  bool arrive() {
+    std::unique_lock<std::mutex> L(M);
+    if (++Arrived == Parties)
+      All.notify_all();
+    return All.wait_for(L, std::chrono::seconds(10),
+                        [&] { return Arrived >= Parties; });
+  }
+
+private:
+  const unsigned Parties;
+  std::mutex M;
+  std::condition_variable All;
+  unsigned Arrived = 0;
+};
 
 } // namespace
 
@@ -194,4 +237,131 @@ TEST(WorkerPool, ConcurrentCallersShareTheHelpers) {
   EXPECT_LE(WorkerPool::helperThreads(), engine::usableCores() - 1);
   // Both callers plus every helper is the most that can ever run at once.
   EXPECT_LE(MaxRunning.load(), engine::usableCores() + 1);
+}
+
+// A pool at one job never lends: a task's fan-out, through parallelFor or
+// through its context, runs inline on the task's thread and context, in
+// index order, and starts no helper.
+TEST(WorkerPool, FanOutAtOneJobRunsInline) {
+  const unsigned Before = WorkerPool::helperThreads();
+  WorkerPool Narrow(1);
+  const std::thread::id Caller = std::this_thread::get_id();
+  Narrow.parallelFor(4, [&](std::size_t, OmegaContext &Ctx) {
+    std::vector<std::size_t> Order;
+    Narrow.parallelFor(8, [&](std::size_t J, OmegaContext &Sub) {
+      EXPECT_EQ(std::this_thread::get_id(), Caller);
+      EXPECT_EQ(&Sub, &Ctx);
+      Order.push_back(J);
+    });
+    Ctx.forEachIndependent(8, [&](std::size_t J, OmegaContext &Sub) {
+      EXPECT_EQ(std::this_thread::get_id(), Caller);
+      EXPECT_EQ(&Sub, &Ctx);
+      EXPECT_EQ(&OmegaContext::current(), &Ctx);
+      Order.push_back(J);
+    });
+    EXPECT_EQ(Order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 0, 1,
+                                               2, 3, 4, 5, 6, 7}));
+  });
+  EXPECT_EQ(WorkerPool::helperThreads(), Before);
+}
+
+// While every helper works for the pool, a task's fan-out finds none idle
+// and runs on the task's own thread, under its own context, without
+// waiting for anyone.
+TEST(WorkerPool, FanOutWithEveryHelperBusyRunsOnTheCaller) {
+  WorkerPool Pool(0);
+  if (Pool.jobs() < 2)
+    GTEST_SKIP() << "one usable core: there are no helpers";
+  Rendezvous AllBusy(Pool.jobs()), AllDone(Pool.jobs());
+  std::atomic<unsigned> Stray{0};
+  Pool.parallelFor(Pool.jobs(), [&](std::size_t, OmegaContext &Ctx) {
+    // Every worker holds one task from before the first fan-out until
+    // after the last.
+    ASSERT_TRUE(AllBusy.arrive()) << "the pool did not lend every helper";
+    const std::thread::id Mine = std::this_thread::get_id();
+    Ctx.forEachIndependent(16, [&](std::size_t, OmegaContext &Sub) {
+      if (std::this_thread::get_id() != Mine || &Sub != &Ctx)
+        ++Stray;
+    });
+    EXPECT_TRUE(AllDone.arrive());
+  });
+  EXPECT_EQ(Stray.load(), 0u);
+}
+
+// A fan-out that does borrow: sub-tasks run on several threads under
+// contexts of their own, and the caller's context ends up with their
+// counters, their trace records in index order (an inline run's explain
+// log) and their overflow.
+TEST(WorkerPool, FanOutHandsCountersTraceAndOverflowToTheCaller) {
+  obs::Tracer Tracer;
+  WorkerPool Pool(0, &Tracer);
+  const std::thread::id Caller = std::this_thread::get_id();
+  const bool HasHelpers = engine::usableCores() > 1;
+  std::atomic<bool> HelperRan{false};
+  bool Overflowed = false, CallerFlagBefore = true;
+  Pool.parallelFor(1, [&](std::size_t, OmegaContext &Ctx) {
+    obs::TaskScope Task(Ctx.Trace, /*Key=*/7, "fan-out");
+    Ctx.Trace->decision("before");
+    CallerFlagBefore = arithOverflowFlag();
+    Ctx.forEachIndependent(16, [&](std::size_t J, OmegaContext &Sub) {
+      if (std::this_thread::get_id() != Caller) {
+        HelperRan = true;
+      } else if (HasHelpers) {
+        // Hold the caller until a helper has taken a sub-task too.
+        auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!HelperRan && std::chrono::steady_clock::now() < Until)
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      // Later sub-tasks finish first when they run side by side.
+      std::this_thread::sleep_for(std::chrono::microseconds(50 * (16 - J)));
+      Sub.Stats.SatisfiabilityCalls += J + 1;
+      Sub.Trace->decision("sub-task " + std::to_string(J));
+      if (J == 11)
+        checkedMul(std::numeric_limits<int64_t>::max(), 2);
+    });
+    Ctx.Trace->decision("after");
+    Overflowed = arithOverflowFlag();
+    arithOverflowFlag() = false;
+  });
+  EXPECT_FALSE(CallerFlagBefore);
+  EXPECT_TRUE(Overflowed);
+  EXPECT_EQ(Pool.mergedStats().SatisfiabilityCalls, 16u * 17u / 2u);
+  EXPECT_EQ(HelperRan.load(), HasHelpers) << "the fan-out borrowed no helper";
+
+  std::string Expected = "fan-out:\n  before\n";
+  for (unsigned J = 0; J != 16; ++J)
+    Expected += "  sub-task " + std::to_string(J) + "\n";
+  Expected += "  after\n";
+  EXPECT_EQ(Tracer.explainLog(), Expected);
+}
+
+// Fan-outs borrow only within the pool's jobs: however the tasks and
+// their sub-tasks nest, no more than jobs() threads work for the pool at
+// once, and a nested parallelFor from a task returns as a loop would.
+TEST(WorkerPool, FanOutsNeverExceedTheJobs) {
+  for (unsigned Jobs : {2u, 0u}) {
+    WorkerPool Pool(Jobs);
+    SCOPED_TRACE(Pool.jobs());
+    Occupancy Busy;
+    std::atomic<unsigned> Ran{0};
+    Pool.parallelFor(6, [&](std::size_t, OmegaContext &Ctx) {
+      Busy.enter();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      Busy.leave();
+      Pool.parallelFor(6, [&](std::size_t, OmegaContext &Sub) {
+        Busy.enter();
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        Busy.leave();
+        Sub.forEachIndependent(3, [&](std::size_t, OmegaContext &) {
+          Busy.enter();
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          Busy.leave();
+          ++Ran;
+        });
+      });
+      (void)Ctx;
+    });
+    EXPECT_EQ(Ran.load(), 6u * 6u * 3u);
+    EXPECT_LE(Busy.Max.load(), Pool.jobs());
+  }
 }
