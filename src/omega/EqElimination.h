@@ -9,9 +9,15 @@
 /// Equality elimination from the Omega test [Pug91]. Each equality that
 /// mentions an eliminable variable is removed by back-substitution: directly
 /// when some eliminable variable has a unit coefficient, and otherwise via
-/// the "mod-hat" substitution, which introduces a fresh wildcard and
-/// strictly shrinks coefficients until a unit coefficient appears.
-/// Equalities that mention no eliminable variable are left in place.
+/// the "mod-hat" substitution, which introduces a fresh wildcard. Mod-hat
+/// is guaranteed to shrink the row's coefficients to a unit only when every
+/// variable of the row is eliminable. In a row that mixes eliminable and
+/// protected variables the eliminable coefficients can cycle while the
+/// other rows' coefficients grow; such a loop ends when the arithmetic
+/// saturates or after 10,000 substitutions. Equalities that mention no
+/// eliminable variable are left in place, and so are residual strides: a
+/// row whose only eliminable variable has a non-unit coefficient among
+/// protected ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,10 +36,14 @@ enum class SolveResult { Ok, False };
 /// Repeatedly removes equalities that involve at least one variable for
 /// which \p MayEliminate returns true. The problem is normalized on entry
 /// and after each substitution. Returns SolveResult::False if the system is
-/// detected to be unsatisfiable along the way.
+/// detected to be unsatisfiable along the way; a contradiction found in
+/// saturated rows is not trusted and returns Ok.
 ///
-/// On success every remaining equality involves only non-eliminable
-/// variables.
+/// Ok does not mean every eliminable variable is gone from the equalities.
+/// A residual stride keeps its one eliminable variable (Projection isolates
+/// it), and a loop that stopped at saturation or at the iteration cap
+/// leaves its rows as they were; the caller's overflow scope tells the
+/// saturated case apart.
 SolveResult solveEqualities(Problem &P,
                             const std::function<bool(VarId)> &MayEliminate,
                             OmegaContext &Ctx = OmegaContext::current());

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 
 using namespace omega;
@@ -77,6 +78,93 @@ void isolateResidualStrides(Problem &P,
   }
 }
 
+/// True when \p V may be eliminated and is not an isolated stride. Columns
+/// past the stride table are fresh wildcards, never strides yet.
+bool isEliminable(const std::function<bool(VarId)> &MayEliminate,
+                  const std::vector<bool> &IsStride, VarId V) {
+  return MayEliminate(V) &&
+         (static_cast<unsigned>(V) >= IsStride.size() || !IsStride[V]);
+}
+
+/// Phase A of an elimination step: runs equality substitution, stride
+/// isolation, and normalization to a fixpoint, so that afterwards no
+/// eliminable non-stride variable appears in any equality. Returns false
+/// if the problem is detected unsatisfiable. normalize() can synthesize
+/// fresh equalities from opposed inequality pairs, which is why this must
+/// iterate.
+bool settleEqualities(Problem &P,
+                      const std::function<bool(VarId)> &MayEliminate,
+                      std::vector<bool> &IsStride, OmegaContext &Ctx) {
+  auto Eliminable = [&](VarId V) {
+    return isEliminable(MayEliminate, IsStride, V);
+  };
+  [[maybe_unused]] unsigned Iterations = 0;
+  while (true) {
+    assert(++Iterations < 1000 && "equality settling failed to converge");
+    if (solveEqualities(P, Eliminable, Ctx) == SolveResult::False)
+      return false;
+    IsStride.resize(P.getNumVars(), false);
+    isolateResidualStrides(P, Eliminable, IsStride);
+    if (P.normalize() == Problem::NormalizeResult::False)
+      return false;
+    // normalize() may have merged opposed inequalities into equalities
+    // that mention eliminable variables; if so, go around again.
+    bool Unsettled = false;
+    for (const Constraint &Row : P.constraints()) {
+      if (!Row.isEquality())
+        continue;
+      for (VarId V = 0, E = P.getNumVars(); V != E && !Unsettled; ++V)
+        if (Row.involves(V) && Eliminable(V))
+          Unsettled = true;
+      if (Unsettled)
+        break;
+    }
+    if (!Unsettled)
+      return true;
+  }
+}
+
+/// Drops dead wildcard columns accumulated by mod-hat elimination,
+/// renumbering the stride table alongside. Caller VarIds (all below
+/// \p FirstTransient) are untouched.
+void compactTransients(Problem &P, std::vector<bool> &IsStride,
+                       unsigned FirstTransient) {
+  std::vector<int> Remap;
+  if (!P.compactDeadColumns(FirstTransient, &Remap))
+    return;
+  std::vector<bool> NewStride(P.getNumVars(), false);
+  for (unsigned V = 0, E = Remap.size(); V != E; ++V)
+    if (Remap[V] >= 0 && V < IsStride.size() && IsStride[V])
+      NewStride[Remap[V]] = true;
+  IsStride = std::move(NewStride);
+}
+
+/// Finds an eliminable variable (not a stride residual) that still appears
+/// in some constraint, preferring cheap/exact eliminations. -1 when none.
+VarId chooseVariable(const Problem &P,
+                     const std::function<bool(VarId)> &MayEliminate,
+                     const std::vector<bool> &IsStride) {
+  VarId Best = -1;
+  FMCost BestCost;
+  for (VarId V = 0, E = P.getNumVars(); V != E; ++V) {
+    if (!isEliminable(MayEliminate, IsStride, V) || !P.involves(V))
+      continue;
+    FMCost Cost = estimateEliminationCost(P, V);
+    if (Best < 0 || Cost < BestCost) {
+      Best = V;
+      BestCost = Cost;
+    }
+  }
+  return Best;
+}
+
+/// The canonical "false" conjunction over \p P's columns: 0 >= 1.
+Problem makeFalse(const Problem &P) {
+  Problem F = P.cloneLayout();
+  F.addGEQ({}, -1);
+  return F;
+}
+
 struct Projector {
   const std::function<bool(VarId)> MayEliminate;
   const ProjectOptions &Opts;
@@ -87,66 +175,18 @@ struct Projector {
   const unsigned FirstTransient;
   std::vector<Problem> Pieces;
   bool SawInexact = false;
+  /// The real shadow of a run in which every step so far was exact: the
+  /// conjunction the run ended with, before the emptiness check and
+  /// redundancy removal. Such a run ends exactly once, and there its real
+  /// shadow is the integer projection, so projectApprox would rebuild this
+  /// same conjunction step for step.
+  std::optional<Problem> ExactShadow;
 
   Projector(std::function<bool(VarId)> MayEliminate,
             const ProjectOptions &Opts, OmegaContext &Ctx,
             unsigned FirstTransient)
       : MayEliminate(std::move(MayEliminate)), Opts(Opts), Ctx(Ctx),
         FirstTransient(FirstTransient) {}
-
-  /// Finds an eliminable variable (not a stride residual) that still
-  /// appears in some constraint, preferring cheap/exact eliminations.
-  VarId chooseVariable(const Problem &P, const std::vector<bool> &IsStride) {
-    VarId Best = -1;
-    FMCost BestCost;
-    for (VarId V = 0, E = P.getNumVars(); V != E; ++V) {
-      if (!MayEliminate(V) || IsStride[V] || !P.involves(V))
-        continue;
-      FMCost Cost = estimateEliminationCost(P, V);
-      if (Best < 0 || Cost < BestCost) {
-        Best = V;
-        BestCost = Cost;
-      }
-    }
-    return Best;
-  }
-
-  /// Phase A of the elimination loop: run equality substitution, stride
-  /// isolation, and normalization to a fixpoint, so that afterwards no
-  /// eliminable non-stride variable appears in any equality. Returns false
-  /// if the problem is detected unsatisfiable. normalize() can synthesize
-  /// fresh equalities from opposed inequality pairs, which is why this
-  /// must iterate.
-  bool settleEqualities(Problem &P, std::vector<bool> &IsStride) {
-    auto Eliminable = [&](VarId V) {
-      return MayEliminate(V) &&
-             (static_cast<unsigned>(V) >= IsStride.size() || !IsStride[V]);
-    };
-    [[maybe_unused]] unsigned Iterations = 0;
-    while (true) {
-      assert(++Iterations < 1000 && "equality settling failed to converge");
-      if (solveEqualities(P, Eliminable, Ctx) == SolveResult::False)
-        return false;
-      IsStride.resize(P.getNumVars(), false);
-      isolateResidualStrides(P, Eliminable, IsStride);
-      if (P.normalize() == Problem::NormalizeResult::False)
-        return false;
-      // normalize() may have merged opposed inequalities into equalities
-      // that mention eliminable variables; if so, go around again.
-      bool Unsettled = false;
-      for (const Constraint &Row : P.constraints()) {
-        if (!Row.isEquality())
-          continue;
-        for (VarId V = 0, E = P.getNumVars(); V != E && !Unsettled; ++V)
-          if (Row.involves(V) && Eliminable(V))
-            Unsettled = true;
-        if (Unsettled)
-          break;
-      }
-      if (!Unsettled)
-        return true;
-    }
-  }
 
   void run(Problem P, std::vector<bool> IsStride, unsigned Depth) {
     assert(Depth < 512 && "runaway projection recursion");
@@ -155,11 +195,14 @@ struct Projector {
     while (true) {
       if (arithOverflowFlag())
         return; // abandon the piece; the wrapper marks the result poisoned
-      if (!settleEqualities(P, IsStride))
+      if (!settleEqualities(P, MayEliminate, IsStride, Ctx)) {
+        if (!SawInexact)
+          ExactShadow = makeFalse(P);
         return;
-      compactTransients(P, IsStride);
+      }
+      compactTransients(P, IsStride, FirstTransient);
 
-      VarId Z = chooseVariable(P, IsStride);
+      VarId Z = chooseVariable(P, MayEliminate, IsStride);
       if (Z < 0) {
         finishPiece(std::move(P));
         return;
@@ -187,21 +230,11 @@ struct Projector {
     }
   }
 
-  /// Drops dead wildcard columns accumulated by mod-hat elimination,
-  /// renumbering the stride table alongside. Caller VarIds (all below
-  /// FirstTransient) are untouched.
-  void compactTransients(Problem &P, std::vector<bool> &IsStride) {
-    std::vector<int> Remap;
-    if (!P.compactDeadColumns(FirstTransient, &Remap))
-      return;
-    std::vector<bool> NewStride(P.getNumVars(), false);
-    for (unsigned V = 0, E = Remap.size(); V != E; ++V)
-      if (Remap[V] >= 0 && V < IsStride.size() && IsStride[V])
-        NewStride[Remap[V]] = true;
-    IsStride = std::move(NewStride);
-  }
-
   void finishPiece(Problem P) {
+    // Taken before the emptiness check: an integer-empty exact projection
+    // still has a real shadow.
+    if (!SawInexact)
+      ExactShadow = P;
     if (Opts.DropEmptyPieces && !isSatisfiable(P, SatOptions(), Ctx))
       return;
     if (Opts.RemoveRedundant)
@@ -217,66 +250,14 @@ Problem projectApprox(Problem P, const std::function<bool(VarId)> &MayEliminate,
                       OmegaContext &Ctx) {
   Exact = true;
   std::vector<bool> IsStride(P.getNumVars(), false);
-  auto Eliminable = [&](VarId V) {
-    return MayEliminate(V) &&
-           (static_cast<unsigned>(V) >= IsStride.size() || !IsStride[V]);
-  };
-  auto makeFalse = [&P]() {
-    Problem F = P.cloneLayout();
-    F.addGEQ({}, -1); // canonical "false": 0 >= 1
-    return F;
-  };
-
-  // Equality fixpoint, then one real-shadow FM step, repeated. See
-  // Projector::settleEqualities for why the inner loop must iterate.
   while (true) {
     if (arithOverflowFlag())
       return P; // unreliable; the wrapper marks the result poisoned
-    [[maybe_unused]] unsigned Iterations = 0;
-    while (true) {
-      assert(++Iterations < 1000 && "equality settling failed to converge");
-      if (solveEqualities(P, Eliminable, Ctx) == SolveResult::False)
-        return makeFalse();
-      IsStride.resize(P.getNumVars(), false);
-      isolateResidualStrides(P, Eliminable, IsStride);
-      if (P.normalize() == Problem::NormalizeResult::False)
-        return makeFalse();
-      bool Unsettled = false;
-      for (const Constraint &Row : P.constraints()) {
-        if (!Row.isEquality())
-          continue;
-        for (VarId V = 0, E = P.getNumVars(); V != E && !Unsettled; ++V)
-          if (Row.involves(V) && Eliminable(V))
-            Unsettled = true;
-        if (Unsettled)
-          break;
-      }
-      if (!Unsettled)
-        break;
-    }
+    if (!settleEqualities(P, MayEliminate, IsStride, Ctx))
+      return makeFalse(P);
+    compactTransients(P, IsStride, FirstTransient);
 
-    {
-      std::vector<int> Remap;
-      if (P.compactDeadColumns(FirstTransient, &Remap)) {
-        std::vector<bool> NewStride(P.getNumVars(), false);
-        for (unsigned V = 0, E = Remap.size(); V != E; ++V)
-          if (Remap[V] >= 0 && V < IsStride.size() && IsStride[V])
-            NewStride[Remap[V]] = true;
-        IsStride = std::move(NewStride);
-      }
-    }
-
-    VarId Z = -1;
-    FMCost BestCost;
-    for (VarId V = 0, E = P.getNumVars(); V != E; ++V) {
-      if (!Eliminable(V) || !P.involves(V))
-        continue;
-      FMCost Cost = estimateEliminationCost(P, V);
-      if (Z < 0 || Cost < BestCost) {
-        Z = V;
-        BestCost = Cost;
-      }
-    }
+    VarId Z = chooseVariable(P, MayEliminate, IsStride);
     if (Z < 0)
       return P;
 
@@ -321,10 +302,16 @@ ProjectionResult omega::projectOntoMask(const Problem &P,
   Proj.run(P, std::vector<bool>(P.getNumVars(), false), 0);
   Result.Pieces = std::move(Proj.Pieces);
 
-  bool ApproxExact = true;
-  Result.Approx =
-      projectApprox(P, MayEliminate, ApproxExact, P.getNumVars(), Ctx);
-  Result.ApproxIsExact = ApproxExact && !Proj.SawInexact;
+  // An exact run already built the real shadow; only a run that splintered
+  // or overflowed needs the separate real-shadow elimination.
+  if (Proj.ExactShadow && !Scope.overflowed()) {
+    Result.Approx = std::move(*Proj.ExactShadow);
+  } else {
+    bool ApproxExact = true;
+    Result.Approx =
+        projectApprox(P, MayEliminate, ApproxExact, P.getNumVars(), Ctx);
+    Result.ApproxIsExact = ApproxExact && !Proj.SawInexact;
+  }
   if (Opts.RemoveRedundant)
     removeRedundantConstraints(Result.Approx, Ctx);
   if (Scope.overflowed()) {
@@ -374,6 +361,52 @@ void omega::removeRedundantConstraints(Problem &P, OmegaContext &Ctx) {
       ++I;
   }
 }
+
+namespace {
+
+/// How many values computeVarRange tests one at a time, inward from a
+/// bound, before it searches for the lattice end by bisection.
+constexpr int ProbeCap = 1 << 12;
+
+/// The least value W = \p Dir * \p V (Dir is +1 or -1) that piece \p P
+/// contains with W >= \p From, and W <= \p End when \p HasEnd; nullopt when
+/// there is none. Widens a window [From, From + Step) with Step doubling
+/// from ProbeCap until the window holds a point, then bisects it: each
+/// test asks whether P has a point with Lo <= W <= Hi, so a stride of
+/// period s costs O(log s) satisfiability tests.
+std::optional<int64_t> firstValueFrom(const Problem &P, VarId V, int64_t Dir,
+                                      int64_t From, bool HasEnd, int64_t End,
+                                      OmegaContext &Ctx) {
+  auto hasPointIn = [&](int64_t Lo, int64_t Hi) {
+    Problem Test = P;
+    Test.addGEQ({{V, Dir}}, checkedMul(-1, Lo)); // W - Lo >= 0
+    Test.addGEQ({{V, -Dir}}, Hi);                // Hi - W >= 0
+    return isSatisfiable(std::move(Test), SatOptions(), Ctx);
+  };
+  // Window arithmetic is done wide: From + Step may pass INT64_MAX.
+  const __int128 Last = HasEnd ? End : std::numeric_limits<int64_t>::max();
+  __int128 Lo = From, Step = ProbeCap;
+  __int128 Hi;
+  while (true) {
+    if (Lo > Last)
+      return std::nullopt;
+    Hi = std::min(Lo + Step - 1, Last);
+    if (hasPointIn(static_cast<int64_t>(Lo), static_cast<int64_t>(Hi)))
+      break;
+    Lo = Hi + 1;
+    Step *= 2;
+  }
+  while (Lo < Hi) {
+    __int128 Mid = Lo + (Hi - Lo) / 2;
+    if (hasPointIn(static_cast<int64_t>(Lo), static_cast<int64_t>(Mid)))
+      Hi = Mid;
+    else
+      Lo = Mid + 1;
+  }
+  return static_cast<int64_t>(Lo);
+}
+
+} // namespace
 
 void IntRange::include(const IntRange &O) {
   Exact = Exact && O.Exact;
@@ -460,26 +493,42 @@ IntRange omega::computeVarRange(const std::vector<Problem> &Pieces, VarId V,
     }
     // When V is coupled to a stride, the boundary values derived from the
     // inequalities may miss the lattice; probe inward to the first value
-    // the piece actually contains. Pieces are non-empty (the projection
-    // drops empty ones), so the probes terminate within one stride period.
+    // the piece actually contains. A stride period up to the probe cap is
+    // walked value by value; a wider one is searched by bisection.
     if (HasStride && !Pinned) {
       auto contains = [&](int64_t Val) {
         Problem Test = P;
         Test.addEQ({{V, 1}}, -Val);
         return isSatisfiable(std::move(Test), SatOptions(), Ctx);
       };
-      const int ProbeCap = 1 << 12;
       if (Piece.HasMin) {
         int Probes = 0;
         while (!contains(Piece.Min) && ++Probes < ProbeCap)
           ++Piece.Min;
-        assert(Probes < ProbeCap && "stride period beyond probe cap");
+        if (Probes == ProbeCap) {
+          std::optional<int64_t> Min =
+              firstValueFrom(P, V, +1, checkedAdd(Piece.Min, 1),
+                             Piece.HasMax, Piece.Max, Ctx);
+          if (Min)
+            Piece.Min = *Min;
+          else
+            Piece.Empty = true;
+        }
       }
-      if (Piece.HasMax) {
+      if (Piece.HasMax && !Piece.Empty) {
         int Probes = 0;
         while (!contains(Piece.Max) && ++Probes < ProbeCap)
           --Piece.Max;
-        assert(Probes < ProbeCap && "stride period beyond probe cap");
+        if (Probes == ProbeCap) {
+          // Searched as the least value of -V.
+          std::optional<int64_t> NegMax = firstValueFrom(
+              P, V, -1, checkedMul(-1, checkedSub(Piece.Max, 1)),
+              Piece.HasMin, checkedMul(-1, Piece.Min), Ctx);
+          if (NegMax)
+            Piece.Max = checkedMul(-1, *NegMax);
+          else
+            Piece.Empty = true;
+        }
       }
     }
     Range.include(Piece);

@@ -45,10 +45,17 @@ struct ProjectionResult {
   /// projection. Pieces may overlap. Eliminated variables are dead except
   /// for wildcards bound in residual stride equalities.
   std::vector<Problem> Pieces;
-  /// Real-shadow-only over-approximation as a single conjunction.
+  /// Real-shadow-only over-approximation as a single conjunction. When
+  /// every elimination step was exact it is the conjunction the exact run
+  /// ended with, taken before the emptiness check, so an integer-empty
+  /// projection still yields its real shadow. Otherwise (a step splintered,
+  /// or arithmetic overflowed) a separate real-shadow-only elimination of
+  /// the input builds it. Either way it gets the same redundancy removal
+  /// as the pieces when RemoveRedundant is set.
   Problem Approx;
-  /// True when no inexact elimination occurred, i.e. Approx is itself the
-  /// exact projection (and Pieces has at most one element).
+  /// True when no inexact elimination occurred and nothing overflowed, i.e.
+  /// Approx is itself the exact projection (and Pieces has at most one
+  /// element, equal to Approx row for row when present).
   bool ApproxIsExact = true;
   /// Coefficient overflow occurred: the pieces are NOT trustworthy and
   /// clients must fall back to their conservative path.

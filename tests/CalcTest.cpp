@@ -164,6 +164,23 @@ TEST(Calc, RangeUnboundedEnds) {
   EXPECT_NE(Out.find("x in [5, +inf]"), std::string::npos);
 }
 
+TEST(Calc, RangeOverWideStride) {
+  // A stride period past the range's linear probe cap (4096) is searched
+  // by bisection; both ends land on the lattice.
+  Calculator C;
+  std::string Out =
+      C.run("E := {[x] : exists w : (x = 5000w) && 1 <= x <= 99999};\n"
+            "range E [x];\n"
+            "F := {[x] : exists w : (x = 4000w) && 1 <= x <= 99999};\n"
+            "range F [x];\n"
+            "G := {[x] : exists w : (x = 7919w + 3) && x >= 4};\n"
+            "range G [x];\n");
+  EXPECT_FALSE(C.hadError()) << Out;
+  EXPECT_NE(Out.find("x in [5000, 95000]"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("x in [4000, 96000]"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("x in [7922, +inf]"), std::string::npos) << Out;
+}
+
 TEST(Calc, ToggleDirectives) {
   Calculator C;
   EXPECT_TRUE(C.context().PairQuickTests);

@@ -170,43 +170,43 @@ const Row Rows[] = {
      {105, 37, 0, 73, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0},
      "i@1/4*"},
     {"seed2_502",
-     {4515, 264, 0, 1514, 0, 1441, 0, 0, 481, 0, 0, 0, 2, 0, 2, 2, 3, 3, 0, 4},
+     {4515, 264, 0, 1514, 0, 1441, 0, 0, 474, 0, 0, 0, 2, 0, 2, 2, 3, 3, 0, 4},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_234",
-     {7630, 1087, 0, 4656, 79, 2017, 31, 39, 3826, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 30},
+     {7630, 1087, 0, 4656, 79, 2017, 31, 39, 3809, 0, 0, 0, 0, 0, 0, 0, 0, 15, 0, 30},
      "i@1 j@2 k@3"},
     {"seed1_125",
-     {2193, 174, 0, 1249, 214, 614, 134, 70, 395, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2},
+     {2193, 174, 0, 1249, 214, 614, 134, 70, 394, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2},
      "i@1 j@2 k@3/2*"},
     {"seed1_353",
      {4311, 583, 0, 2093, 4, 1003, 4, 0, 731, 0, 2, 0, 18, 0, 20, 12, 1, 7, 3, 10},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_247",
-     {4050, 409, 0, 1128, 11, 1356, 3, 8, 782, 0, 0, 0, 0, 0, 0, 1, 0, 7, 3, 3},
+     {4050, 409, 0, 1128, 11, 1356, 3, 8, 776, 0, 0, 0, 0, 0, 0, 1, 0, 7, 3, 3},
      "i@1 j@2 k@3"},
     {"seed1_211",
-     {3415, 238, 0, 338, 124, 2713, 101, 22, 836, 0, 0, 0, 0, 0, 0, 4, 2, 6, 4, 10},
+     {3415, 238, 0, 338, 124, 2713, 101, 22, 829, 0, 0, 0, 0, 0, 0, 4, 2, 6, 4, 10},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_337",
-     {2810, 474, 0, 1465, 6, 675, 0, 6, 422, 0, 0, 4, 0, 0, 4, 7, 3, 6, 6, 8},
+     {2810, 474, 0, 1465, 6, 675, 0, 6, 387, 0, 0, 4, 0, 0, 4, 7, 3, 6, 6, 8},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_201",
-     {2395, 374, 0, 1187, 95, 902, 86, 7, 333, 0, 0, 0, 10, 0, 10, 8, 4, 6, 0, 8},
+     {2395, 374, 0, 1187, 95, 902, 86, 7, 332, 0, 0, 0, 10, 0, 10, 8, 4, 6, 0, 8},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed1_100",
-     {2575, 314, 0, 1154, 261, 888, 234, 17, 451, 0, 0, 0, 4, 0, 4, 8, 4, 4, 0, 8},
+     {2575, 314, 0, 1154, 261, 888, 234, 17, 430, 0, 0, 0, 4, 0, 4, 8, 4, 4, 0, 8},
      "i@1/2 j@2/2* k@3/2* i@1*"},
     {"seed1_395",
-     {2586, 187, 0, 334, 49, 1797, 38, 10, 1270, 0, 0, 0, 22, 0, 22, 13, 7, 4, 4, 6},
+     {2586, 187, 0, 334, 49, 1797, 38, 10, 1253, 0, 0, 0, 22, 0, 22, 13, 7, 4, 4, 6},
      "i@1 j@2 k@3 i@1*"},
     {"seed1_82",
-     {3047, 205, 0, 428, 354, 1157, 336, 14, 624, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 6},
+     {3047, 205, 0, 428, 354, 1157, 336, 14, 615, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 6},
      "i@1 j@2 k@3"},
     {"seed1_25",
      {944, 53, 0, 328, 4, 255, 4, 0, 86, 0, 0, 0, 0, 0, 0, 2, 1, 1, 0, 0},
      "i@1 j@2 k@3 i@1* j@2*"},
     {"seed2_268",
-     {6857, 770, 0, 4653, 545, 1695, 426, 110, 954, 0, 0, 0, 0, 0, 0, 1, 2, 9, 0, 20},
+     {6857, 770, 0, 4653, 545, 1695, 426, 110, 937, 0, 0, 0, 0, 0, 0, 1, 2, 9, 0, 20},
      "i@1 j@2 k@3"},
     {"core_ops",
      {38, 3, 1, 72, 3, 18, 2, 0, 50, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},

@@ -202,6 +202,82 @@ TEST(Projection, ComputeVarRangeOverflowIsNotExact) {
   EXPECT_EQ(Exact.toString(), "[0, 3]");
 }
 
+namespace {
+
+/// {x : exists w : x = Stride * w + Offset} within the given bounds on x.
+Problem strideSet(int64_t Stride, int64_t Offset, bool HasLo, int64_t Lo,
+                  bool HasHi, int64_t Hi) {
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId W = P.addVar("w");
+  P.addEQ({{X, 1}, {W, -Stride}}, -Offset);
+  if (HasLo)
+    P.addGEQ({{X, 1}}, -Lo);
+  if (HasHi)
+    P.addGEQ({{X, -1}}, Hi);
+  return P;
+}
+
+} // namespace
+
+// A stride period past the linear probe cap (4096 values) once aborted on
+// an assertion; the ends past the cap are now found by bisection. Every
+// bounded case is checked against enumeration of the interval.
+TEST(Projection, ComputeVarRangeWideStrideMatchesBruteForce) {
+  struct Case {
+    int64_t Stride, Offset, Lo, Hi;
+  };
+  const Case Cases[] = {
+      {5000, 0, 1, 99999},     // the omega-serve reproducer's stride
+      {4000, 0, 1, 99999},     // within the cap: the walk alone
+      {4097, 0, 1, 99999},     // one past the cap
+      {7919, 3, -50000, 50000}, // offset lattice, negative lower end
+      {65536, 1, 2, 400000},
+      {9999, 0, 1, 9999},      // a single lattice point at the top
+      {12345, 6, -99999, -7},  // both ends negative
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE("stride " + std::to_string(C.Stride) + " offset " +
+                 std::to_string(C.Offset));
+    bool Any = false;
+    int64_t Min = 0, Max = 0;
+    for (int64_t X = C.Lo; X <= C.Hi; ++X) {
+      if ((X - C.Offset) % C.Stride != 0)
+        continue;
+      if (!Any)
+        Min = X;
+      Max = X;
+      Any = true;
+    }
+    ASSERT_TRUE(Any);
+    IntRange R =
+        computeVarRange(strideSet(C.Stride, C.Offset, true, C.Lo, true, C.Hi),
+                        /*x=*/0);
+    EXPECT_FALSE(R.Empty);
+    EXPECT_TRUE(R.Exact);
+    EXPECT_TRUE(R.HasMin && R.HasMax);
+    EXPECT_EQ(R.Min, Min);
+    EXPECT_EQ(R.Max, Max);
+  }
+
+  // One end open: the search gallops toward the open side.
+  EXPECT_EQ(computeVarRange(strideSet(5000, 0, true, 1, false, 0), 0)
+                .toString(),
+            "[5000, +inf]");
+  EXPECT_EQ(computeVarRange(strideSet(5000, 7, false, 0, true, -1), 0)
+                .toString(),
+            "[-inf, -4993]");
+}
+
+// A piece handed to the union overload may hold no lattice point at all;
+// the search past the cap then finds none and the piece adds nothing.
+TEST(Projection, ComputeVarRangeLatticeFreePieceIsEmpty) {
+  std::vector<Problem> Pieces = {strideSet(5000, 0, true, 1, true, 4999)};
+  EXPECT_TRUE(computeVarRange(Pieces, 0).Empty);
+  Pieces.push_back(strideSet(5000, 0, true, 1, true, 10001));
+  EXPECT_EQ(computeVarRange(Pieces, 0).toString(), "[5000, 10000]");
+}
+
 // A union is exact only when both sides are, and an empty side does not
 // launder an inexact one.
 TEST(Projection, IntRangeIncludeAndsExactness) {
@@ -246,6 +322,132 @@ TEST(Projection, RemoveRedundantConstraints) {
   P.addGEQ({{X, 1}, {Y, 1}}, -2);  // x + y >= 2, implied by x>=2, y>=1
   removeRedundantConstraints(P);
   EXPECT_EQ(P.getNumConstraints(), 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Where Approx comes from: an exact run's own conjunction, or the separate
+// real-shadow elimination once a step splintered.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Row-for-row equality: same columns, same rows in the same order.
+bool sameRows(const Problem &A, const Problem &B) {
+  if (A.getNumVars() != B.getNumVars() ||
+      A.constraints().size() != B.constraints().size())
+    return false;
+  for (unsigned I = 0, E = A.constraints().size(); I != E; ++I) {
+    const Constraint &RA = A.constraints()[I], &RB = B.constraints()[I];
+    if (RA.getKind() != RB.getKind() || RA.getConstant() != RB.getConstant())
+      return false;
+    for (VarId V = 0, VE = A.getNumVars(); V != VE; ++V)
+      if (RA.getCoeff(V) != RB.getCoeff(V))
+        return false;
+  }
+  return true;
+}
+
+bool realShadowSat(const Problem &P) {
+  SatOptions Relaxed;
+  Relaxed.Mode = SatMode::RealShadowOnly;
+  return isSatisfiable(P, Relaxed);
+}
+
+} // namespace
+
+// An exact, non-empty projection's Approx is its one piece, row for row,
+// with and without redundancy removal; a splintered one's Approx is still
+// a superset of the pieces. Both kinds must occur, or the test is vacuous.
+TEST(Projection, ExactApproxIsTheOnePiece) {
+  std::mt19937 Rng(31);
+  unsigned ExactNonEmpty = 0, Splintered = 0;
+  for (unsigned T = 0; T != 150; ++T) {
+    RandomProblemConfig Cfg{/*NumVars=*/3, /*NumEQs=*/T % 2,
+                            /*NumGEQs=*/3,  /*CoeffRange=*/3,
+                            /*ConstRange=*/6, /*Box=*/4};
+    Problem P = randomProblem(Rng, Cfg);
+    std::vector<VarId> Kept = {0}, Dropped = {1, 2};
+    for (bool RemoveRedundant : {true, false}) {
+      ProjectOptions Opts;
+      Opts.RemoveRedundant = RemoveRedundant;
+      ProjectionResult R = projectOnto(P, Kept, Opts);
+      ASSERT_FALSE(R.Poisoned);
+      if (R.ApproxIsExact) {
+        ASSERT_LE(R.Pieces.size(), 1u) << P.toString();
+        if (R.Pieces.empty())
+          continue;
+        ++ExactNonEmpty;
+        EXPECT_TRUE(sameRows(R.Approx, R.Pieces.front()))
+            << P.toString() << "\napprox " << R.Approx.toString()
+            << "\npiece " << R.Pieces.front().toString();
+        continue;
+      }
+      ++Splintered;
+      forEachPoint(P.getNumVars(), Kept, -Cfg.Box, Cfg.Box,
+                   [&](const std::vector<int64_t> &Point) {
+                     bool Inside = forEachPointFrom(
+                         Point, Dropped, -Cfg.Box, Cfg.Box,
+                         [&](const std::vector<int64_t> &Full) {
+                           return evalProblem(P, Full);
+                         });
+                     if (Inside && !pieceContains(R.Approx, Kept, Point)) {
+                       ADD_FAILURE() << "approximation not a superset for "
+                                     << P.toString();
+                       return true;
+                     }
+                     return false;
+                   });
+    }
+  }
+  EXPECT_GT(ExactNonEmpty, 0u);
+  EXPECT_GT(Splintered, 0u);
+}
+
+// An exact projection whose one conjunction has rational but no integer
+// points (Pugh's dark-shadow example, plus a variable eliminated exactly)
+// yields no piece, and Approx is still that conjunction's real shadow.
+TEST(Projection, IntegerEmptyExactProjectionKeepsItsRealShadow) {
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId Y = P.addVar("y");
+  VarId Z = P.addVar("z");
+  P.addGEQ({{X, 11}, {Y, 13}}, -27); // 27 <= 11x + 13y <= 45
+  P.addGEQ({{X, -11}, {Y, -13}}, 45);
+  P.addGEQ({{X, 7}, {Y, -9}}, 10); // -10 <= 7x - 9y <= 4
+  P.addGEQ({{X, -7}, {Y, 9}}, 4);
+  P.addGEQ({{Z, 1}}, 0); // 0 <= z <= x: eliminating z is exact
+  P.addGEQ({{Z, -1}, {X, 1}}, 0);
+  for (bool RemoveRedundant : {true, false}) {
+    SCOPED_TRACE(RemoveRedundant ? "RemoveRedundant" : "keep redundant");
+    ProjectOptions Opts;
+    Opts.RemoveRedundant = RemoveRedundant;
+    ProjectionResult R = projectOnto(P, {X, Y}, Opts);
+    EXPECT_TRUE(R.isEmpty());
+    EXPECT_TRUE(R.ApproxIsExact);
+    EXPECT_FALSE(R.Approx.involves(Z));
+    EXPECT_FALSE(isSatisfiable(R.Approx));
+    EXPECT_TRUE(realShadowSat(R.Approx)) << R.Approx.toString();
+    if (!RemoveRedundant) {
+      // The four rows plus x >= 0 from z's bounds.
+      EXPECT_EQ(R.Approx.getNumConstraints(), 5u) << R.Approx.toString();
+    }
+  }
+}
+
+// A splintered projection takes its Approx from the real-shadow-only
+// elimination: here that shadow drops x's residue class, which no piece
+// does.
+TEST(Projection, SplinteredApproxIsTheRealShadow) {
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId Y = P.addVar("y");
+  P.addGEQ({{Y, 3}, {X, -1}}, -5); // 3y in [x+5, x+6]
+  P.addGEQ({{Y, -3}, {X, 1}}, 6);
+  ProjectionResult R = projectOnto(P, {X});
+  EXPECT_FALSE(R.ApproxIsExact);
+  EXPECT_FALSE(unionContains(R, {X}, {2, 0}));
+  EXPECT_TRUE(pieceContains(R.Approx, {X}, {2, 0}));
+  EXPECT_EQ(R.Approx.getNumConstraints(), 0u) << R.Approx.toString();
 }
 
 //===----------------------------------------------------------------------===//

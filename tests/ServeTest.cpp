@@ -353,6 +353,27 @@ TEST(Serve, TypedErrorsForBadRequests) {
   Server.stop();
 }
 
+// A loop stride past computeVarRange's linear probe cap once failed an
+// assertion inside a worker and took the whole daemon down. The request
+// must get its analysis, byte-identical to a one-shot run, and the server
+// must still answer the next one.
+TEST(Serve, WideStrideRequestLeavesTheDaemonUp) {
+  const std::string Source = "for i := 1 to 99999 step 5000 do\n"
+                             "  for j := 1 to 99999 step 5000 do\n"
+                             "    a(i) := a(j) + 1;\n"
+                             "  endfor\n"
+                             "endfor\n";
+  api::Server Server(basicConfig(1));
+  std::string Response = ask(Server, requestLine(1, Source));
+  EXPECT_EQ(errorCode(Response), "") << Response;
+  ir::AnalyzedProgram AP = ir::analyzeSource(Source);
+  EXPECT_EQ(resultBytes(Response), oneShotResult(AP, 1));
+  std::string Health = ask(Server, "{\"id\": 2, \"op\": \"health\"}");
+  EXPECT_EQ(errorCode(Health), "") << Health;
+  EXPECT_NE(Health.find("\"id\": 2"), std::string::npos) << Health;
+  Server.stop();
+}
+
 // Admission control: with one worker wedged on real work and the queue
 // bounded at 2, a burst beyond capacity is shed with "overloaded" --
 // and the admitted requests still complete correctly.
