@@ -478,10 +478,12 @@ private:
         Mask[V] = true;
     }
 
-    ProjectionResult R = projectOntoMask(S->P, Mask);
+    ProjectOptions Opts;
+    Opts.WantApprox = Approx;
+    ProjectionResult R = projectOntoMask(S->P, Mask, Opts);
     if (Approx) {
-      Out += "approx: " + R.Approx.toString() +
-             (R.ApproxIsExact ? " (exact)" : " (over-approximate)") + "\n";
+      Out += "approx: " + R.Approx->Shadow.toString() +
+             (R.Approx->Exact ? " (exact)" : " (over-approximate)") + "\n";
       return;
     }
     if (R.Pieces.empty()) {

@@ -381,12 +381,12 @@ bool omega::impliesUnion(const Problem &P, const std::vector<Problem> &Qs,
 RedGistResult omega::projectAndGist(const Problem &Combined,
                                     const std::vector<bool> &Keep,
                                     OmegaContext &Ctx) {
-  ProjectionResult Proj = projectOntoMask(Combined, Keep,
-                                          ProjectOptions{/*RemoveRedundant=*/
-                                                         false,
-                                                         /*DropEmptyPieces=*/
-                                                         true},
-                                          Ctx);
+  ProjectionResult Proj =
+      projectOntoMask(Combined, Keep,
+                      ProjectOptions{/*RemoveRedundant=*/false,
+                                     /*DropEmptyPieces=*/true,
+                                     /*WantApprox=*/true},
+                      Ctx);
   RedGistResult Result;
   const Problem *Piece = nullptr;
   if (Proj.isSinglePiece()) {
@@ -395,7 +395,7 @@ RedGistResult omega::projectAndGist(const Problem &Combined,
     // Splintered: fall back to the real-shadow approximation, as the paper
     // does ("we can easily determine this if the projection does not
     // splinter").
-    Piece = &Proj.Approx;
+    Piece = &Proj.Approx->Shadow;
     Result.Exact = false;
   }
 

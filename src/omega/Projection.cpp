@@ -175,12 +175,13 @@ struct Projector {
   const unsigned FirstTransient;
   std::vector<Problem> Pieces;
   bool SawInexact = false;
-  /// The real shadow of a run in which every step so far was exact: the
-  /// conjunction the run ended with, before the emptiness check and
-  /// redundancy removal. Such a run ends exactly once, and there its real
-  /// shadow is the integer projection, so projectApprox would rebuild this
-  /// same conjunction step for step.
-  std::optional<Problem> ExactShadow;
+  /// Kept only when the caller wants Approx: the conjunction a run in which
+  /// every step was exact ended with, when it left no piece (an equality
+  /// contradiction, or the emptiness check). Such a run ends exactly once,
+  /// and there its real shadow is the integer projection, so projectApprox
+  /// would rebuild this same conjunction step for step; when the run does
+  /// leave a piece, that piece is the conjunction.
+  std::optional<Problem> EmptyExactShadow;
 
   Projector(std::function<bool(VarId)> MayEliminate,
             const ProjectOptions &Opts, OmegaContext &Ctx,
@@ -196,8 +197,8 @@ struct Projector {
       if (arithOverflowFlag())
         return; // abandon the piece; the wrapper marks the result poisoned
       if (!settleEqualities(P, MayEliminate, IsStride, Ctx)) {
-        if (!SawInexact)
-          ExactShadow = makeFalse(P);
+        if (Opts.WantApprox && !SawInexact)
+          EmptyExactShadow = makeFalse(P);
         return;
       }
       compactTransients(P, IsStride, FirstTransient);
@@ -231,12 +232,12 @@ struct Projector {
   }
 
   void finishPiece(Problem P) {
-    // Taken before the emptiness check: an integer-empty exact projection
-    // still has a real shadow.
-    if (!SawInexact)
-      ExactShadow = P;
-    if (Opts.DropEmptyPieces && !isSatisfiable(P, SatOptions(), Ctx))
+    if (Opts.DropEmptyPieces && !isSatisfiable(P, SatOptions(), Ctx)) {
+      // An integer-empty exact projection still has a real shadow.
+      if (Opts.WantApprox && !SawInexact)
+        EmptyExactShadow = std::move(P);
       return;
+    }
     if (Opts.RemoveRedundant)
       removeRedundantConstraints(P, Ctx);
     Pieces.push_back(std::move(P));
@@ -244,11 +245,10 @@ struct Projector {
 };
 
 /// Real-shadow-only projection: a single conjunction over-approximating the
-/// integer projection (and equal to it when every step was exact).
+/// integer projection. Only a run that splintered needs it, so it is never
+/// the exact projection.
 Problem projectApprox(Problem P, const std::function<bool(VarId)> &MayEliminate,
-                      bool &Exact, unsigned FirstTransient,
-                      OmegaContext &Ctx) {
-  Exact = true;
+                      unsigned FirstTransient, OmegaContext &Ctx) {
   std::vector<bool> IsStride(P.getNumVars(), false);
   while (true) {
     if (arithOverflowFlag())
@@ -263,10 +263,8 @@ Problem projectApprox(Problem P, const std::function<bool(VarId)> &MayEliminate,
 
     // Only the real shadow is consumed: skip the dark shadow rows and the
     // splinter problem copies.
-    FMResult R = fourierMotzkinEliminate(P, Z, FMParts::RealShadowOnly);
-    if (!R.Exact)
-      Exact = false;
-    P = std::move(R.RealShadow);
+    P = std::move(
+        fourierMotzkinEliminate(P, Z, FMParts::RealShadowOnly).RealShadow);
   }
 }
 
@@ -301,22 +299,31 @@ ProjectionResult omega::projectOntoMask(const Problem &P,
   Projector Proj(MayEliminate, Opts, Ctx, P.getNumVars());
   Proj.run(P, std::vector<bool>(P.getNumVars(), false), 0);
   Result.Pieces = std::move(Proj.Pieces);
-
-  // An exact run already built the real shadow; only a run that splintered
-  // or overflowed needs the separate real-shadow elimination.
-  if (Proj.ExactShadow && !Scope.overflowed()) {
-    Result.Approx = std::move(*Proj.ExactShadow);
-  } else {
-    bool ApproxExact = true;
-    Result.Approx =
-        projectApprox(P, MayEliminate, ApproxExact, P.getNumVars(), Ctx);
-    Result.ApproxIsExact = ApproxExact && !Proj.SawInexact;
+  if (Opts.WantApprox && !Scope.overflowed()) {
+    ProjectionApprox &A = Result.Approx.emplace();
+    if (!Proj.SawInexact && !Result.Pieces.empty()) {
+      // The exact run's one piece is its conjunction, already polished.
+      A.Shadow = Result.Pieces.front();
+    } else {
+      if (!Proj.SawInexact) {
+        assert(Proj.EmptyExactShadow && "an exact run ends exactly once");
+        A.Shadow = std::move(*Proj.EmptyExactShadow);
+      } else {
+        // Only the separate real-shadow elimination builds the conjunction.
+        A.Shadow = projectApprox(P, MayEliminate, P.getNumVars(), Ctx);
+        A.Exact = false;
+      }
+      if (Opts.RemoveRedundant && !Scope.overflowed())
+        removeRedundantConstraints(A.Shadow, Ctx);
+    }
   }
-  if (Opts.RemoveRedundant)
-    removeRedundantConstraints(Result.Approx, Ctx);
   if (Scope.overflowed()) {
     Result.Poisoned = true;
-    Result.ApproxIsExact = false;
+    // The pieces are abandoned; the unprojected input is still a sound
+    // over-approximation (its eliminated columns read as existential), and
+    // polishing it would buy nothing.
+    if (Opts.WantApprox)
+      Result.Approx = ProjectionApprox{P, /*Exact=*/false};
   }
   return Result;
 }
@@ -439,7 +446,12 @@ std::string IntRange::toString() const {
 IntRange omega::computeVarRange(const Problem &P, VarId V,
                                 OmegaContext &Ctx) {
   OverflowScope Scope;
-  ProjectionResult R = projectOnto(P, {V}, ProjectOptions(), Ctx);
+  // Redundant rows cannot move a piece's bounds on V, so none are removed.
+  ProjectionResult R =
+      projectOnto(P, {V},
+                  ProjectOptions{/*RemoveRedundant=*/false,
+                                 /*DropEmptyPieces=*/true},
+                  Ctx);
   IntRange Range = computeVarRange(R.Pieces, V, Ctx);
   if (R.Poisoned || Scope.overflowed()) {
     // Unreliable: the only sound range is the fully open one.

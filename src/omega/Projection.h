@@ -27,6 +27,7 @@
 #include "omega/OmegaContext.h"
 #include "omega/Problem.h"
 
+#include <optional>
 #include <vector>
 
 namespace omega {
@@ -38,6 +39,26 @@ struct ProjectOptions {
   bool RemoveRedundant = true;
   /// Drop output pieces that have no integer solutions.
   bool DropEmptyPieces = true;
+  /// Also build ProjectionResult::Approx, the real-shadow conjunction. Off
+  /// by default: the dependence analyzer reads only the exact pieces.
+  bool WantApprox = false;
+};
+
+/// The real-shadow over-approximation of a projection as one conjunction.
+struct ProjectionApprox {
+  /// When every elimination step was exact it is the conjunction the exact
+  /// run ended with, taken before the emptiness check, so an integer-empty
+  /// projection still yields its real shadow. When a step splintered, a
+  /// separate real-shadow-only elimination of the input builds it. Either
+  /// way it gets the same redundancy removal as the pieces when
+  /// RemoveRedundant is set. When arithmetic overflowed it is the
+  /// unprojected input, unpolished: sound, with the eliminated variables
+  /// read as existential.
+  Problem Shadow;
+  /// True when no inexact elimination occurred and nothing overflowed, i.e.
+  /// Shadow is itself the exact projection (and Pieces has at most one
+  /// element, equal to Shadow row for row when present).
+  bool Exact = true;
 };
 
 struct ProjectionResult {
@@ -45,18 +66,8 @@ struct ProjectionResult {
   /// projection. Pieces may overlap. Eliminated variables are dead except
   /// for wildcards bound in residual stride equalities.
   std::vector<Problem> Pieces;
-  /// Real-shadow-only over-approximation as a single conjunction. When
-  /// every elimination step was exact it is the conjunction the exact run
-  /// ended with, taken before the emptiness check, so an integer-empty
-  /// projection still yields its real shadow. Otherwise (a step splintered,
-  /// or arithmetic overflowed) a separate real-shadow-only elimination of
-  /// the input builds it. Either way it gets the same redundancy removal
-  /// as the pieces when RemoveRedundant is set.
-  Problem Approx;
-  /// True when no inexact elimination occurred and nothing overflowed, i.e.
-  /// Approx is itself the exact projection (and Pieces has at most one
-  /// element, equal to Approx row for row when present).
-  bool ApproxIsExact = true;
+  /// Set only when ProjectOptions::WantApprox asked for it.
+  std::optional<ProjectionApprox> Approx;
   /// Coefficient overflow occurred: the pieces are NOT trustworthy and
   /// clients must fall back to their conservative path.
   bool Poisoned = false;

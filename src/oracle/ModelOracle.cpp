@@ -214,7 +214,9 @@ void oracle::checkProjection(const Problem &P, unsigned NumKeep, int64_t Box,
     Keep.push_back(static_cast<VarId>(V));
 
   SaturationGuard Guard;
-  ProjectionResult R = projectOnto(P, Keep, ProjectOptions(), Ctx);
+  ProjectOptions Opts;
+  Opts.WantApprox = true;
+  ProjectionResult R = projectOnto(P, Keep, Opts, Ctx);
   if (R.Poisoned || Guard.saturated())
     return;
 
@@ -247,7 +249,7 @@ void oracle::checkProjection(const Problem &P, unsigned NumKeep, int64_t Box,
                                  P.toString());
         return true;
       }
-      if (Ground && !pieceContains(R.Approx, NumKeep, Point, Ctx)) {
+      if (Ground && !pieceContains(R.Approx->Shadow, NumKeep, Point, Ctx)) {
         Out.Mismatches.push_back(
             "projection: real-shadow approximation excludes a projected "
             "point of " +

@@ -48,15 +48,6 @@ Problem combinePieces(const Problem &A, const Problem &B, unsigned CtxVars) {
   return Result;
 }
 
-/// Drops pieces with no integer solutions.
-void pruneEmpty(Pieces &Ps) {
-  Pieces Out;
-  for (Problem &P : Ps)
-    if (isSatisfiable(P))
-      Out.push_back(std::move(P));
-  Ps = std::move(Out);
-}
-
 /// Classification of one piece's rows for negation.
 struct NegatableRows {
   std::vector<Constraint> Plain;   // wildcard-free rows
@@ -240,11 +231,14 @@ std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx) {
                "bound variable must be a context variable");
         Keep[V] = false;
       }
+      // The projection already dropped its integer-empty pieces. An
+      // overflowed one abandoned pieces, so the answer is unknown.
       ProjectionResult R = projectOntoMask(P, Keep);
+      if (R.Poisoned)
+        return std::nullopt;
       for (Problem &Piece : R.Pieces)
         Out.push_back(std::move(Piece));
     }
-    pruneEmpty(Out);
     return Out;
   }
   case Formula::Kind::Forall: {

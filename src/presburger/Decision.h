@@ -29,7 +29,8 @@ namespace pres {
 
 /// Exact disjunction of conjunctions over the context layout (plus
 /// wildcards) equivalent to the formula. nullopt when the formula falls
-/// outside the supported subclass.
+/// outside the supported subclass, or when eliminating a quantifier
+/// overflowed.
 std::optional<std::vector<Problem>> toDNF(const Formula &F,
                                           const FormulaContext &Ctx);
 

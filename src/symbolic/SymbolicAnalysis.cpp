@@ -347,20 +347,24 @@ SymProblem buildSymbolicProblem(const ir::AnalyzedProgram &AP,
 struct ProjectedGist {
   Problem Gist;
   bool Exact = true;
+  /// pi(Black) itself, for a caller that also reads the black context.
+  ProjectionResult BlackProjection;
 };
 
 ProjectedGist gistOfProjections(const Problem &All, const Problem &Black,
                                 const std::vector<bool> &Keep) {
   ProjectedGist Out;
-  ProjectionResult ProjAll = projectOntoMask(All, Keep);
+  ProjectOptions WithApprox;
+  WithApprox.WantApprox = true;
+  ProjectionResult ProjAll = projectOntoMask(All, Keep, WithApprox);
   std::vector<bool> KeepBlack = Keep;
   KeepBlack.resize(Black.getNumVars(), false);
-  ProjectionResult ProjBlack = projectOntoMask(Black, KeepBlack);
+  ProjectionResult ProjBlack = projectOntoMask(Black, KeepBlack, WithApprox);
 
-  const Problem &PQ =
-      ProjAll.isSinglePiece() ? ProjAll.Pieces.front() : ProjAll.Approx;
+  const Problem &PQ = ProjAll.isSinglePiece() ? ProjAll.Pieces.front()
+                                              : ProjAll.Approx->Shadow;
   const Problem &Pp = ProjBlack.isSinglePiece() ? ProjBlack.Pieces.front()
-                                                : ProjBlack.Approx;
+                                                : ProjBlack.Approx->Shadow;
   Out.Exact = ProjAll.isSinglePiece() && ProjBlack.isSinglePiece();
 
   unsigned BaseVars = std::min(All.getNumVars(), Black.getNumVars());
@@ -369,6 +373,7 @@ ProjectedGist gistOfProjections(const Problem &All, const Problem &Black,
   while (Candidates.getNumVars() < Context.getNumVars())
     Candidates.addWildcard();
   Out.Gist = gist(Candidates, Context);
+  Out.BlackProjection = std::move(ProjBlack);
   return Out;
 }
 
@@ -482,7 +487,7 @@ std::vector<UserQuery> symbolic::generateQueries(const ir::AnalyzedProgram &AP,
     return Out; // the dependence holds regardless of the index arrays
 
   // Context: the black knowledge over the same variables.
-  ProjectionResult Ctx = projectOntoMask(Black, Keep);
+  const ProjectionResult &Ctx = G.BlackProjection;
 
   UserQuery Q;
   for (const DepSpace::TermVar &T : Terms)

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 using namespace omega;
 using namespace omega::calc;
 
@@ -128,8 +131,25 @@ TEST(Calc, ApproxProjection) {
   Calculator C;
   std::string Out = C.run("S := {[x,y] : 3y <= x + 6 && x + 5 <= 3y};\n"
                           "approx S onto [x];\n");
-  EXPECT_NE(Out.find("approx:"), std::string::npos);
-  EXPECT_NE(Out.find("over-approximate"), std::string::npos);
+  EXPECT_EQ(Out, "approx: { TRUE } (over-approximate)\n");
+}
+
+// The example script's approx lines, exact and over-approximate, in full:
+// approx is the one calculator command that builds the real shadow.
+TEST(Calc, ExampleScriptApproxLines) {
+  std::ifstream In(std::string(OMEGA_EXAMPLES_DIR) + "/sets.calc");
+  ASSERT_TRUE(In.is_open());
+  std::ostringstream Script;
+  Script << In.rdbuf();
+  Calculator C;
+  std::string Out = C.run(Script.str());
+  EXPECT_FALSE(C.hadError());
+  EXPECT_NE(Out.find("\napprox: { -i + n >= 1; i >= 1 } (exact)\n"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("\napprox: { TRUE } (over-approximate)\n"),
+            std::string::npos)
+      << Out;
 }
 
 TEST(Calc, CommentsIgnored) {

@@ -52,6 +52,13 @@ Problem blowupProblem() {
   return P;
 }
 
+/// Options that ask for the real-shadow approximation too.
+ProjectOptions withApprox() {
+  ProjectOptions Opts;
+  Opts.WantApprox = true;
+  return Opts;
+}
+
 } // namespace
 
 TEST(Overflow, SaturatingArithmeticSetsFlag) {
@@ -97,15 +104,44 @@ TEST(Overflow, SatisfiabilityConservativeOnBlowup) {
 TEST(Overflow, ProjectionPoisonReported) {
   FlagReset Reset;
   Problem P = blowupProblem();
-  ProjectionResult R = projectOnto(P, {0});
-  if (R.Poisoned)
-    EXPECT_FALSE(R.ApproxIsExact);
+  ProjectionResult R = projectOnto(P, {0}, withApprox());
+  ASSERT_TRUE(R.Approx);
+  if (R.Poisoned) {
+    EXPECT_FALSE(R.Approx->Exact);
+  }
   // Either way the range of v0 is sound: when poisoned it must be open.
   IntRange Range = computeVarRange(P, 0);
   if (R.Poisoned) {
     EXPECT_FALSE(Range.HasMin);
     EXPECT_FALSE(Range.HasMax);
   }
+}
+
+// A poisoned projection's approximation is its unprojected input, as is:
+// polishing it with redundancy removal would cost satisfiability tests and
+// buy nothing. Eliminating y cross-multiplies two coprime coefficients
+// near 3 * 10^9, past the saturation cap.
+TEST(Overflow, PoisonedApproxIsTheUnpolishedInput) {
+  FlagReset Reset;
+  Problem P;
+  VarId X = P.addVar("x");
+  VarId Y = P.addVar("y");
+  P.addGEQ({{Y, 3037000493}, {X, -3037000453}}, 0);
+  P.addGEQ({{Y, -3037000453}, {X, 3037000493}}, 5);
+  P.addGEQ({{X, 1}}, 0);
+  P.addGEQ({{X, -1}}, 1000);
+  P.addGEQ({{X, 1}}, 1); // x >= -1: redundant, and kept
+  OmegaContext Plain, Asked;
+  ProjectionResult R = projectOnto(P, {X}, ProjectOptions(), Plain);
+  ProjectionResult A = projectOnto(P, {X}, withApprox(), Asked);
+  ASSERT_TRUE(R.Poisoned);
+  ASSERT_TRUE(A.Poisoned);
+  EXPECT_FALSE(R.Approx);
+  ASSERT_TRUE(A.Approx);
+  EXPECT_FALSE(A.Approx->Exact);
+  EXPECT_EQ(A.Approx->Shadow.toString(), P.toString());
+  // The approximation costs no satisfiability test at all.
+  EXPECT_EQ(Asked.Stats.SatisfiabilityCalls, Plain.Stats.SatisfiabilityCalls);
 }
 
 TEST(Overflow, NormalOperationsDoNotPoison) {

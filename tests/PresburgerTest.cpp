@@ -301,6 +301,26 @@ INSTANTIATE_TEST_SUITE_P(
 // Equivalence and assignment extraction.
 //===----------------------------------------------------------------------===//
 
+// Eliminating y cross-multiplies two coprime coefficients near 3 * 10^9,
+// past the saturation cap, so the projection abandons its pieces. The
+// decision is then unknown, never the "false" those missing pieces would
+// read as: x = y = 0 satisfies the body.
+TEST(Presburger, OverflowedQuantifierIsUnknown) {
+  FormulaContext C;
+  VarId X = C.addVar("x");
+  VarId Y = C.addVar("y");
+  Formula F = Formula::exists(
+      {Y}, Formula::conj({Formula::geq({{Y, 3037000493}, {X, -3037000453}}, 0),
+                          Formula::geq({{Y, -3037000453}, {X, 3037000493}}, 5),
+                          Formula::geq({{X, 1}}, 0),
+                          Formula::geq({{X, -1}}, 1000)}));
+  EXPECT_FALSE(toDNF(F, C).has_value());
+  EXPECT_FALSE(isSatisfiable(F, C).has_value());
+  Formula NotAtZero =
+      Formula::conj({Formula::negate(F), Formula::eq({{X, 1}}, 0)});
+  EXPECT_FALSE(isSatisfiable(NotAtZero, C).has_value());
+}
+
 TEST(Presburger, EquivalenceBasics) {
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");

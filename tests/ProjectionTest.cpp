@@ -35,6 +35,14 @@ bool unionContains(const ProjectionResult &R, const std::vector<VarId> &Kept,
   return false;
 }
 
+/// Options that ask for the real-shadow approximation too.
+ProjectOptions withApprox(bool RemoveRedundant = true) {
+  ProjectOptions Opts;
+  Opts.RemoveRedundant = RemoveRedundant;
+  Opts.WantApprox = true;
+  return Opts;
+}
+
 } // namespace
 
 TEST(Projection, PaperSectionThreeExample) {
@@ -58,10 +66,11 @@ TEST(Projection, UnconstrainedVariableDrops) {
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addGEQ({{X, 1}}, 0);
-  ProjectionResult R = projectOnto(P, {X});
+  ProjectionResult R = projectOnto(P, {X}, withApprox());
   ASSERT_EQ(R.Pieces.size(), 1u);
   EXPECT_FALSE(R.Pieces.front().involves(Y));
-  EXPECT_TRUE(R.ApproxIsExact);
+  ASSERT_TRUE(R.Approx);
+  EXPECT_TRUE(R.Approx->Exact);
 }
 
 TEST(Projection, EmptyProjectionOfInfeasible) {
@@ -128,8 +137,9 @@ TEST(Projection, SplinteringNarrowWindow) {
   VarId Y = P.addVar("y");
   P.addGEQ({{Y, 3}, {X, -1}}, -5);
   P.addGEQ({{Y, -3}, {X, 1}}, 6);
-  ProjectionResult R = projectOnto(P, {X});
-  EXPECT_FALSE(R.ApproxIsExact);
+  ProjectionResult R = projectOnto(P, {X}, withApprox());
+  ASSERT_TRUE(R.Approx);
+  EXPECT_FALSE(R.Approx->Exact);
   for (int64_t V = -9; V <= 9; ++V) {
     bool Expected = ((V % 3) + 3) % 3 != 2;
     EXPECT_EQ(unionContains(R, {X}, {V, 0}), Expected) << "x = " << V;
@@ -368,17 +378,17 @@ TEST(Projection, ExactApproxIsTheOnePiece) {
     Problem P = randomProblem(Rng, Cfg);
     std::vector<VarId> Kept = {0}, Dropped = {1, 2};
     for (bool RemoveRedundant : {true, false}) {
-      ProjectOptions Opts;
-      Opts.RemoveRedundant = RemoveRedundant;
-      ProjectionResult R = projectOnto(P, Kept, Opts);
+      ProjectionResult R = projectOnto(P, Kept, withApprox(RemoveRedundant));
       ASSERT_FALSE(R.Poisoned);
-      if (R.ApproxIsExact) {
+      ASSERT_TRUE(R.Approx);
+      const Problem &Shadow = R.Approx->Shadow;
+      if (R.Approx->Exact) {
         ASSERT_LE(R.Pieces.size(), 1u) << P.toString();
         if (R.Pieces.empty())
           continue;
         ++ExactNonEmpty;
-        EXPECT_TRUE(sameRows(R.Approx, R.Pieces.front()))
-            << P.toString() << "\napprox " << R.Approx.toString()
+        EXPECT_TRUE(sameRows(Shadow, R.Pieces.front()))
+            << P.toString() << "\napprox " << Shadow.toString()
             << "\npiece " << R.Pieces.front().toString();
         continue;
       }
@@ -390,7 +400,7 @@ TEST(Projection, ExactApproxIsTheOnePiece) {
                          [&](const std::vector<int64_t> &Full) {
                            return evalProblem(P, Full);
                          });
-                     if (Inside && !pieceContains(R.Approx, Kept, Point)) {
+                     if (Inside && !pieceContains(Shadow, Kept, Point)) {
                        ADD_FAILURE() << "approximation not a superset for "
                                      << P.toString();
                        return true;
@@ -419,17 +429,17 @@ TEST(Projection, IntegerEmptyExactProjectionKeepsItsRealShadow) {
   P.addGEQ({{Z, -1}, {X, 1}}, 0);
   for (bool RemoveRedundant : {true, false}) {
     SCOPED_TRACE(RemoveRedundant ? "RemoveRedundant" : "keep redundant");
-    ProjectOptions Opts;
-    Opts.RemoveRedundant = RemoveRedundant;
-    ProjectionResult R = projectOnto(P, {X, Y}, Opts);
+    ProjectionResult R = projectOnto(P, {X, Y}, withApprox(RemoveRedundant));
     EXPECT_TRUE(R.isEmpty());
-    EXPECT_TRUE(R.ApproxIsExact);
-    EXPECT_FALSE(R.Approx.involves(Z));
-    EXPECT_FALSE(isSatisfiable(R.Approx));
-    EXPECT_TRUE(realShadowSat(R.Approx)) << R.Approx.toString();
+    ASSERT_TRUE(R.Approx);
+    const Problem &Shadow = R.Approx->Shadow;
+    EXPECT_TRUE(R.Approx->Exact);
+    EXPECT_FALSE(Shadow.involves(Z));
+    EXPECT_FALSE(isSatisfiable(Shadow));
+    EXPECT_TRUE(realShadowSat(Shadow)) << Shadow.toString();
     if (!RemoveRedundant) {
       // The four rows plus x >= 0 from z's bounds.
-      EXPECT_EQ(R.Approx.getNumConstraints(), 5u) << R.Approx.toString();
+      EXPECT_EQ(Shadow.getNumConstraints(), 5u) << Shadow.toString();
     }
   }
 }
@@ -443,11 +453,13 @@ TEST(Projection, SplinteredApproxIsTheRealShadow) {
   VarId Y = P.addVar("y");
   P.addGEQ({{Y, 3}, {X, -1}}, -5); // 3y in [x+5, x+6]
   P.addGEQ({{Y, -3}, {X, 1}}, 6);
-  ProjectionResult R = projectOnto(P, {X});
-  EXPECT_FALSE(R.ApproxIsExact);
+  ProjectionResult R = projectOnto(P, {X}, withApprox());
+  ASSERT_TRUE(R.Approx);
+  const Problem &Shadow = R.Approx->Shadow;
+  EXPECT_FALSE(R.Approx->Exact);
   EXPECT_FALSE(unionContains(R, {X}, {2, 0}));
-  EXPECT_TRUE(pieceContains(R.Approx, {X}, {2, 0}));
-  EXPECT_EQ(R.Approx.getNumConstraints(), 0u) << R.Approx.toString();
+  EXPECT_TRUE(pieceContains(Shadow, {X}, {2, 0}));
+  EXPECT_EQ(Shadow.getNumConstraints(), 0u) << Shadow.toString();
 }
 
 //===----------------------------------------------------------------------===//
@@ -486,7 +498,33 @@ TEST_P(ProjectionProperty, MatchesBruteForce) {
       (static_cast<unsigned>(V) < Param.KeepCount ? Kept : Dropped)
           .push_back(V);
 
-    ProjectionResult R = projectOnto(P, Kept);
+    ProjectionResult R = projectOnto(P, Kept, withApprox());
+    ASSERT_TRUE(R.Approx);
+
+    // Asking for the approximation moves no piece and no poison bit.
+    ProjectionResult Plain = projectOnto(P, Kept);
+    EXPECT_FALSE(Plain.Approx);
+    EXPECT_EQ(Plain.Poisoned, R.Poisoned);
+    ASSERT_EQ(Plain.Pieces.size(), R.Pieces.size()) << P.toString();
+    for (unsigned I = 0; I != R.Pieces.size(); ++I)
+      EXPECT_TRUE(sameRows(Plain.Pieces[I], R.Pieces[I]))
+          << "piece " << I << " of " << P.toString();
+
+    // computeVarRange keeps redundant rows; it must read the range that
+    // the pieces give once those rows are removed.
+    for (VarId V = 0; V != static_cast<VarId>(P.getNumVars()); ++V) {
+      ProjectionResult Polished = projectOnto(P, {V});
+      IntRange Expected = computeVarRange(Polished.Pieces, V);
+      if (Polished.Poisoned) {
+        Expected.Empty = Expected.HasMin = Expected.HasMax = false;
+        Expected.Exact = false;
+      }
+      IntRange Got = computeVarRange(P, V);
+      EXPECT_EQ(Got.toString(), Expected.toString())
+          << "v" << V << " of " << P.toString();
+      EXPECT_EQ(Got.Exact, Expected.Exact) << "v" << V << " of "
+                                           << P.toString();
+    }
 
     // For every point over the kept variables within the box, membership
     // in the union of pieces must equal existence of an extension, and
@@ -507,7 +545,8 @@ TEST_P(ProjectionProperty, MatchesBruteForce) {
                      OK = false;
                      return true;
                    }
-                   if (Actual && !pieceContains(R.Approx, Kept, Point)) {
+                   if (Actual &&
+                       !pieceContains(R.Approx->Shadow, Kept, Point)) {
                      ADD_FAILURE() << "approximation not a superset, trial "
                                    << T << " for " << P.toString();
                      OK = false;
