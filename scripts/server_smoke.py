@@ -98,10 +98,10 @@ def one_request(sock_path, req):
 
 
 def heavy_program():
-    """The coalescing burst program: four 3-D nests whose solve (with the
-    pair quick tests disabled per request) takes tens of milliseconds, so
-    a burst of identical requests against an idle server parks on the
-    first request's solve instead of each running its own."""
+    """The coalescing burst program: four 3-D nests whose solve takes tens
+    of milliseconds, so a burst of identical requests against an idle
+    server parks on the first request's solve instead of each running its
+    own."""
     text = "symbolic n, m, p;\n"
     for k in range(4):
         s = str(k)
@@ -156,7 +156,7 @@ def check_coalescing(sock_path, analyze, tmp, k=8):
     with open(heavy_path, "w") as f:
         f.write(heavy)
     out = subprocess.run(
-        [analyze, "--json", "--no-quicktests", heavy_path],
+        [analyze, "--json", heavy_path],
         capture_output=True, text=True, check=True,
     ).stdout
     expected = result_bytes(out)
@@ -172,8 +172,7 @@ def check_coalescing(sock_path, analyze, tmp, k=8):
     for i in range(k):
         # A session label is only a label: labelled and unlabelled
         # requests share the leader's solve alike.
-        body = {"id": 2000001 + i, "source": heavy,
-                "options": {"quicktests": False}}
+        body = {"id": 2000001 + i, "source": heavy}
         if i % 2:
             body["session"] = "burst"
         req = (json.dumps(body) + "\n").encode()

@@ -23,14 +23,12 @@ engine::AnalysisRequest AnalysisOptions::toEngineRequest() const {
   R.Kill = Kill;
   R.QuickTests = QuickTests;
   R.Terminate = Terminate;
-  R.PairQuickTests = PairQuickTests;
   R.Jobs = Jobs;
   return R;
 }
 
 const std::vector<OptionSpec> &omega::api::optionSpecs() {
   static const unsigned AS = ToolAnalyze | ToolServe;
-  static const unsigned ACS = ToolAnalyze | ToolCalc | ToolServe;
   // The one table: flag spelling, JSON request key (null = CLI-only),
   // applicable tools, value arity, metavar, help line. AnalysisOptions'
   // member initializers are the matching defaults.
@@ -40,7 +38,7 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "(N <= 1024; default 0 = every usable core, split evenly across "
        "omega-serve's workers); results are identical for every N"},
       {"--json", nullptr, ToolAnalyze, false, nullptr,
-       "machine-readable schema-7 output instead of tables"},
+       "machine-readable schema-8 output instead of tables"},
       {"--trace", nullptr, ToolAnalyze, true, "FILE",
        "record a Chrome trace_event JSON of the run"},
       {"--profile", "profile", AS, false, nullptr,
@@ -64,8 +62,6 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "disable the Section 4.5 pipeline screens"},
       {"--terminate", "terminate", AS, false, nullptr,
        "enable the terminating-write extension"},
-      {"--no-quicktests", "quicktests", ACS, false, nullptr,
-       "disable the ZIV/GCD/bounds pair pre-filter (ablation)"},
       {"--result-cache-file", nullptr, AS, true, "PATH",
        "warm-start the global pair-result store from PATH if it exists "
        "and save it back on exit (corrupt or version-skewed files are "
@@ -181,8 +177,6 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
     O.QuickTests = false;
   else if (Flag == "--terminate")
     O.Terminate = true;
-  else if (Flag == "--no-quicktests")
-    O.PairQuickTests = false;
   else if (Flag == "--result-cache-file")
     O.ResultCacheFile = Val;
   else if (Flag == "--result-store-cap") {
@@ -305,8 +299,6 @@ bool applyJsonKey(AnalysisOptions &O, const std::string &Key,
     return Bool(O.QuickTests);
   if (Key == "terminate")
     return Bool(O.Terminate);
-  if (Key == "quicktests")
-    return Bool(O.PairQuickTests);
   if (Key == "pipeline")
     return Bool(O.Pipeline);
   Err = "unknown option '" + Key + "'";

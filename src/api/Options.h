@@ -9,8 +9,8 @@
 /// Before this layer existed, each tool grew its own flag soup:
 /// omega-analyze parsed --jobs/--json/--trace/... by hand, omega-calc had
 /// script directives, and a server would have invented a third spelling.
-/// AnalysisOptions is the single request surface shared by omega-analyze,
-/// omega-calc, and omega-serve -- one struct, one defaults table, one
+/// AnalysisOptions is the single request surface shared by omega-analyze
+/// and omega-serve -- one struct, one defaults table, one
 /// --help text source, and one JSON spelling (the "options" object of an
 /// omega-serve request uses the same descriptor table as the CLI flags,
 /// so `--no-refine` and `"refine": false` can never drift apart).
@@ -50,8 +50,7 @@ inline constexpr unsigned MaxJobs = 1024;
 /// Which front ends an option applies to.
 enum ToolMask : unsigned {
   ToolAnalyze = 1u << 0,
-  ToolCalc = 1u << 1,
-  ToolServe = 1u << 2,
+  ToolServe = 1u << 1,
 };
 
 /// The unified request options: everything a front end may ask of one
@@ -65,9 +64,6 @@ struct AnalysisOptions {
   bool Kill = true;       ///< --no-kill          / "kill": false
   bool QuickTests = true; ///< --no-quick         / "quick": false
   bool Terminate = false; ///< --terminate        / "terminate": true
-
-  // -- solver pre-filter -------------------------------------------------
-  bool PairQuickTests = true; ///< --no-quicktests / "quicktests": false
 
   // -- execution ---------------------------------------------------------
   /// 0 means the usable cores; omega-serve splits them evenly across its
@@ -88,7 +84,7 @@ struct AnalysisOptions {
   bool All = false;      ///< --all: also anti/output tables
   bool Compress = false; ///< --compress split rows
   bool Stats = false;    ///< --stats: per-pair cost classes
-  bool Json = false;     ///< --json: schema-7 machine output
+  bool Json = false;     ///< --json: schema-8 machine output
   enum ProfileMode : uint8_t { ProfileOff, ProfileText, ProfileJson };
   ProfileMode Profile = ProfileOff; ///< --profile[=json] / "profile": true
   bool Explain = false;             ///< --explain
@@ -103,7 +99,7 @@ struct AnalysisOptions {
   // -- pipeline partitioning --------------------------------------------
   /// Plan a PS-DSWP pipeline partition for every loop (stages over the
   /// SCC-DAG of the live dependence PDG) and report it: staged schedule
-  /// text for omega-analyze, the schema-7 "pipeline" result block for
+  /// text for omega-analyze, the schema-8 "pipeline" result block for
   /// JSON and serve responses.
   bool Pipeline = false; ///< --pipeline / "pipeline": true
 

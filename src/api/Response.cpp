@@ -177,11 +177,6 @@ std::string api::renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
          ", \"realShadowDecided\": " + std::to_string(S.RealShadowDecided) +
          ", \"modHatSubstitutions\": " + std::to_string(S.ModHatSubstitutions) +
          ", \"gistSatTests\": " + std::to_string(S.GistSatTests) +
-         ", \"quicktestZiv\": " + std::to_string(S.QuickTestZIV) +
-         ", \"quicktestGcd\": " + std::to_string(S.QuickTestGCD) +
-         ", \"quicktestBounds\": " + std::to_string(S.QuickTestBounds) +
-         ", \"quicktestTrivialDep\": " + std::to_string(S.QuickTestTrivialDep) +
-         ", \"quicktestDecided\": " + std::to_string(S.QuickTestDecided) +
          ", \"resultStoreHits\": " + std::to_string(S.ResultStoreHits) +
          ", \"resultStoreMisses\": " + std::to_string(S.ResultStoreMisses) +
          ", \"resultStoreEvictions\": " +

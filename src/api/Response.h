@@ -6,14 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Schema 7 of the machine-readable analysis output, shared byte-for-byte
+/// Schema 8 of the machine-readable analysis output, shared byte-for-byte
 /// by `omega-analyze --json` and omega-serve responses (the checked-in
 /// JSON schema file schema/analysis_response.schema.json describes it and
 /// CI validates both producers against it).
 ///
 /// The document separates what is deterministic from what is not:
 ///
-///   {"schema": 7, "ok": true, "result": {...}, "metrics": {...}}
+///   {"schema": 8, "ok": true, "result": {...}, "metrics": {...}}
 ///
 ///  * "result" holds the structural analysis outcome -- dependences,
 ///    splits, pair and kill records without timings. The engine guarantees
@@ -41,7 +41,9 @@
 /// object are gone, leaving resultStoreHits/resultStoreMisses as the
 /// reuse accounting; "result" is unchanged. Schema 7 drops gist's fast
 /// checks: the gistFastDrops and gistFastKeeps "stats" entries are gone;
-/// "result" is unchanged.
+/// "result" is unchanged. Schema 8 drops the pair pre-filter (every pair
+/// query runs the Omega test): the five quicktest* "stats" entries are
+/// gone; "result" is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +63,7 @@ struct AnalyzedProgram;
 namespace api {
 
 /// The version stamped into every response document.
-constexpr int SchemaVersion = 7;
+constexpr int SchemaVersion = 8;
 
 /// Renders the deterministic structural section: flow/anti/output
 /// dependences with their splits, pair records (hasFlow, usedGeneralTest,
@@ -80,7 +82,7 @@ std::string renderMetrics(const engine::AnalysisResult &R, unsigned Jobs,
                           double WallMs, const std::string &ProfileJson,
                           const std::string &ExplainLog);
 
-/// The complete CLI document: {"schema": 7, "ok": true, "result": R,
+/// The complete CLI document: {"schema": 8, "ok": true, "result": R,
 /// "metrics": M} plus a trailing newline.
 std::string renderDocument(const std::string &Result,
                            const std::string &Metrics);

@@ -91,8 +91,7 @@ struct Server::Telemetry {
   // analyses_total + coalesced_total == analyze_ok at quiescence.
   obs::Counter *EngAnalyses;
   // Engine-fed: per-request attribution summed into process totals.
-  obs::Counter *EngSatCalls, *EngQuickDecided, *StoreHits, *StoreMisses,
-      *StoreEvictions;
+  obs::Counter *EngSatCalls, *StoreHits, *StoreMisses, *StoreEvictions;
 
   obs::Gauge *QueueDepth, *ActiveWorkers, *ResultStoreEntries;
 
@@ -148,9 +147,6 @@ struct Server::Telemetry {
                     "Engine analysis runs actually performed");
     EngSatCalls = C("omega_engine_sat_calls_total",
                     "Satisfiability calls made by worker engines");
-    EngQuickDecided = C("omega_engine_quicktest_decided_total",
-                        "Pair queries decided by the ZIV/GCD/bounds "
-                        "pre-filter");
     StoreHits = C("omega_result_store_hits_total",
                   "Pair/kill-group solves materialized from the result "
                   "store");
@@ -543,7 +539,6 @@ std::string coalesceKey(const AnalysisOptions &O, const std::string &Source) {
   B(O.Kill);
   B(O.QuickTests);
   B(O.Terminate);
-  B(O.PairQuickTests);
   B(O.Pipeline);
   K += '|';
   K += std::to_string(O.Jobs);
@@ -709,7 +704,6 @@ void Server::runOne(Request &R, unsigned Index) {
   // Engine-fed attribution: this run's own counters, not global deltas
   // (concurrent requests would otherwise charge each other).
   Tele->EngSatCalls->add(Result.Stats.SatisfiabilityCalls);
-  Tele->EngQuickDecided->add(Result.Stats.QuickTestDecided);
   Tele->StoreHits->add(Result.Stats.ResultStoreHits);
   Tele->StoreMisses->add(Result.Stats.ResultStoreMisses);
   Tele->StoreEvictions->add(Result.Stats.ResultStoreEvictions);

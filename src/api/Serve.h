@@ -12,9 +12,9 @@
 /// response object per line -- over stdin/stdout or a Unix domain socket:
 ///
 ///   {"id": 1, "source": "for i = 1 to n { a[i] = a[i-1]; }",
-///    "options": {"quicktests": false}, "deadlineMs": 500}
+///    "options": {"refine": false}, "deadlineMs": 500}
 ///
-/// Responses are schema-7 documents (api/Response.h) with the request id
+/// Responses are schema-8 documents (api/Response.h) with the request id
 /// spliced in; `{"id": 2, "op": "shutdown"}` stops the server. Because
 /// the engine's structural result is deterministic for every Jobs value
 /// and reuse state, a server response's "result" section is byte-identical

@@ -296,8 +296,6 @@ private:
       return printCmd();
     if (Head == "trace")
       return traceCmd();
-    if (Head == "quicktests")
-      return quickTestsCmd();
     error("unknown command '" + Head + "'");
   }
 
@@ -319,22 +317,6 @@ private:
     } else {
       Out += Calc.stopTrace();
     }
-  }
-
-  /// `quicktests on|off;`: the calc mirror of omega-analyze's
-  /// --no-quicktests ablation flag, flipping the pair-solver pre-filter
-  /// toggle on the calculator's context.
-  void quickTestsCmd() {
-    if (Cur.Kind != Tok::Ident || (Cur.Text != "on" && Cur.Text != "off")) {
-      error("expected 'on' or 'off' after 'quicktests'");
-      return;
-    }
-    bool On = Cur.Text == "on";
-    bump();
-    if (!expect(Tok::Semi, "';'"))
-      return;
-    Calc.context().PairQuickTests = On;
-    Out += On ? "quicktests on\n" : "quicktests off\n";
   }
 
   void assignment(const std::string &Name) {

@@ -60,7 +60,7 @@ public:
 
   bool hadError() const { return HadError; }
 
-  /// The calculator's private context (stats sink and toggles).
+  /// The calculator's private context (its stats sink).
   OmegaContext &context() { return Ctx; }
 
   /// Looks up a set defined by a previous run() call (tests use this).

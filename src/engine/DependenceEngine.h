@@ -55,9 +55,6 @@ struct AnalysisRequest {
   /// inline on the caller, 0 means the usable cores, and larger values
   /// are capped at the usable cores.
   unsigned Jobs = 1;
-  /// ZIV/GCD/bounds pre-filter: decide provably independent or trivially
-  /// dependent pairs with no Omega call (ablation: --no-quicktests).
-  bool PairQuickTests = true;
   /// Optional tracer: each worker context gets a registered trace buffer
   /// and every work item is recorded as an engine-task span keyed by its
   /// serial enumeration order, so merged traces are identical for every
@@ -102,12 +99,12 @@ public:
   /// Runs the full pipeline over \p AP. May be called repeatedly.
   AnalysisResult analyze(const ir::AnalyzedProgram &AP);
 
-  /// Re-points the pipeline and tier toggles (QuickTests, Refine, Cover,
-  /// Kill, Terminate, PairQuickTests), the result store, and the active
-  /// worker count (Jobs, clamped to the pool built at construction) at
-  /// \p O's values without rebuilding the pool. The serving stack uses
-  /// this to honor per-request options on a long-lived engine; Trace is
-  /// fixed at construction and ignored here.
+  /// Re-points the pipeline toggles (QuickTests, Refine, Cover, Kill,
+  /// Terminate), the result store, and the active worker count (Jobs,
+  /// clamped to the pool built at construction) at \p O's values without
+  /// rebuilding the pool. The serving stack uses this to honor per-request
+  /// options on a long-lived engine; Trace is fixed at construction and
+  /// ignored here.
   void applyOptions(const AnalysisRequest &O);
 
   /// Attaches \p T (null detaches) for subsequent analyze() calls:

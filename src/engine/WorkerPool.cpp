@@ -329,7 +329,6 @@ void WorkerPool::runSubTasks(OmegaContext &Caller, std::size_t N,
   }
   std::vector<SubTask> Subs(N);
   for (SubTask &T : Subs) {
-    T.Ctx.PairQuickTests = Caller.PairQuickTests;
     T.Ctx.SubTasks = Caller.SubTasks;
     if (Caller.Trace) {
       T.Trace = Caller.Trace->fork(&T.Ctx.Stats);

@@ -34,8 +34,6 @@ const char *obs::spanKindName(SpanKind K) {
     return "cover";
   case SpanKind::Refine:
     return "refine";
-  case SpanKind::QuickTest:
-    return "quick-test";
   case SpanKind::EngineTask:
     return "engine-task";
   case SpanKind::Decision:
@@ -275,11 +273,6 @@ std::string Tracer::profileReport(bool Json, double WallMs,
         {"real_shadow_decided", S.RealShadowDecided},
         {"mod_hat_substitutions", S.ModHatSubstitutions},
         {"gist_sat_tests", S.GistSatTests},
-        {"quicktest_ziv", S.QuickTestZIV},
-        {"quicktest_gcd", S.QuickTestGCD},
-        {"quicktest_bounds", S.QuickTestBounds},
-        {"quicktest_trivial_dep", S.QuickTestTrivialDep},
-        {"quicktest_decided", S.QuickTestDecided},
     };
     for (std::size_t I = 0; I != sizeof(Fields) / sizeof(Fields[0]); ++I)
       appendF(Out, "%s\n    \"%s\": %" PRIu64, I ? "," : "", Fields[I].Name,
@@ -303,11 +296,6 @@ std::string Tracer::profileReport(bool Json, double WallMs,
           " (sat_calls %" PRIu64 ")\n",
           P.Classes.Exact, P.Classes.General, P.Classes.Splintered,
           P.Classes.total(), S.SatisfiabilityCalls);
-  appendF(Out,
-          "pair tiers: quick-test decided %" PRIu64 " (ziv %" PRIu64
-          ", gcd %" PRIu64 ", bounds %" PRIu64 ", trivial %" PRIu64 ")\n",
-          S.QuickTestDecided, S.QuickTestZIV, S.QuickTestGCD, S.QuickTestBounds,
-          S.QuickTestTrivialDep);
   return Out;
 }
 

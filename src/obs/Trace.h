@@ -76,7 +76,6 @@ enum class SpanKind : uint8_t {
   Kill,       ///< Section 4.1/4.3 kill / terminate predicate
   Cover,      ///< Section 4.2 coverage predicate
   Refine,     ///< Section 4.4 refinement of one dependence
-  QuickTest,  ///< ZIV/GCD/bounds pre-filter over one pair
   EngineTask, ///< one engine work item (pair / flow / kill group)
   Decision,   ///< instant event: a mechanism decided an outcome
   NumKinds

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// An OmegaContext carries the per-computation state of the Omega core:
-/// the statistics counters, an optional trace buffer and the quick-test
-/// toggle. It holds no solver answers: every query runs the Omega test
-/// from scratch. Every decision-procedure entry point (isSatisfiable,
-/// projectOnto*, gist, ...) takes a context parameter defaulted to the
-/// calling thread's *current* context, so
+/// the statistics counters, an optional trace buffer and where its
+/// sub-tasks run. It holds no solver answers and no toggles: every query
+/// runs the Omega test from scratch. Every decision-procedure entry point
+/// (isSatisfiable, projectOnto*, gist, ...) takes a context parameter
+/// defaulted to the calling thread's *current* context, so
 ///
 ///  * single-threaded code can ignore contexts entirely (the default
 ///    context behaves exactly like the old global state), and
@@ -76,12 +76,6 @@ public:
   /// every record with an inlined null check, so the disabled path costs
   /// one branch and never allocates. Single-writer like Stats. Not owned.
   obs::TraceBuffer *Trace = nullptr;
-
-  /// Ablation toggle for PairSolver's ZIV/GCD/bounds pre-filter. The
-  /// engine, the CLI flag and the calc directive all steer this switch.
-  /// The pre-filter is sound and result-identical; the toggle exists for
-  /// benchmarking and attribution.
-  bool PairQuickTests = true;
 
   /// Where forEachIndependent sends sub-tasks; null runs them inline.
   /// Not owned.

@@ -46,15 +46,6 @@ struct OmegaStats {
   uint64_t ResultStoreMisses = 0;
   uint64_t ResultStoreEvictions = 0;
 
-  // Quick-test pre-filter: dependence queries decided with no Omega call,
-  // by class. QuickTestDecided always equals the sum of the four classes
-  // (each decision bumps its class and the total together).
-  uint64_t QuickTestZIV = 0;        // constant subscript difference != 0
-  uint64_t QuickTestGCD = 0;        // gcd of coefficients divides nothing
-  uint64_t QuickTestBounds = 0;     // single-subscript bounds exclude 0
-  uint64_t QuickTestTrivialDep = 0; // trivially dependent / independent pair
-  uint64_t QuickTestDecided = 0;    // total queries decided by the tier
-
   void reset() { *this = OmegaStats(); }
 
   /// Accumulates another context's counters (used to fold per-worker stats
@@ -80,11 +71,6 @@ private:
     ResultStoreHits += Sign * O.ResultStoreHits;
     ResultStoreMisses += Sign * O.ResultStoreMisses;
     ResultStoreEvictions += Sign * O.ResultStoreEvictions;
-    QuickTestZIV += Sign * O.QuickTestZIV;
-    QuickTestGCD += Sign * O.QuickTestGCD;
-    QuickTestBounds += Sign * O.QuickTestBounds;
-    QuickTestTrivialDep += Sign * O.QuickTestTrivialDep;
-    QuickTestDecided += Sign * O.QuickTestDecided;
   }
 };
 

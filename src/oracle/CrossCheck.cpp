@@ -13,18 +13,10 @@
 using namespace omega;
 using namespace omega::oracle;
 
-const std::vector<AblationConfig> &oracle::defaultAblations() {
-  static const std::vector<AblationConfig> Configs = {
-      {true, 1}, {false, 1}, {true, 4}, {false, 4},
-  };
-  return Configs;
-}
-
 static engine::AnalysisResult runEngine(const ir::AnalyzedProgram &AP,
-                                        const AblationConfig &A) {
+                                        unsigned Jobs) {
   engine::AnalysisRequest Req;
-  Req.PairQuickTests = A.QuickTests;
-  Req.Jobs = A.Jobs;
+  Req.Jobs = Jobs;
   engine::DependenceEngine Engine(Req);
   return Engine.analyze(AP);
 }
@@ -41,23 +33,22 @@ oracle::crossCheckProgram(const std::string &Source,
   std::vector<deps::Dependence> UnrefinedFlow =
       DA.computeDependences(deps::DepKind::Flow);
 
+  // Jobs 4 exercises the parallel scheduler; its structure must equal
+  // the serial run's.
   std::string Reference;
-  for (const AblationConfig &A : defaultAblations()) {
-    engine::AnalysisResult R = runEngine(AP, A);
+  for (unsigned Jobs : {1u, 4u}) {
+    engine::AnalysisResult R = runEngine(AP, Jobs);
     std::string Summary = summarizeDependences(R);
     if (Reference.empty())
       Reference = Summary;
     else if (Summary != Reference)
-      Mismatches.push_back(
-          "ablation divergence: quicktests=" + std::to_string(A.QuickTests) +
-          " jobs=" + std::to_string(A.Jobs) +
-          " produced structurally different dependences");
+      Mismatches.push_back("jobs divergence: jobs=" + std::to_string(Jobs) +
+                           " produced structurally different dependences");
     TraceReport Trace = checkTraceWitnesses(AP, R, UnrefinedFlow, Opts);
     if (!Trace.ok())
       for (const std::string &M : Trace.Mismatches)
-        Mismatches.push_back(
-            "trace oracle (quicktests=" + std::to_string(A.QuickTests) +
-            " jobs=" + std::to_string(A.Jobs) + "): " + M);
+        Mismatches.push_back("trace oracle (jobs=" + std::to_string(Jobs) +
+                             "): " + M);
   }
 
   // Every pipelined schedule the planner proposes must be

@@ -5,7 +5,7 @@
 //
 // The api layer's contract: one option table drives the CLI parser, the
 // JSON request parser, and the help text (spellings can never drift); the
-// response document is schema 7 with a deterministic "result" section.
+// response document is schema 8 with a deterministic "result" section.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,12 +45,10 @@ TEST(ApiOptions, DefaultsMatchStruct) {
   EXPECT_TRUE(O.Kill);
   EXPECT_TRUE(O.QuickTests);
   EXPECT_FALSE(O.Terminate);
-  EXPECT_TRUE(O.PairQuickTests);
   EXPECT_EQ(O.Jobs, 0u); // every usable core
 
   engine::AnalysisRequest R = O.toEngineRequest();
   EXPECT_TRUE(R.Refine);
-  EXPECT_TRUE(R.PairQuickTests);
   EXPECT_EQ(R.Jobs, 0u);
   // The engine's own request keeps its explicit serial default.
   EXPECT_EQ(engine::AnalysisRequest().Jobs, 1u);
@@ -63,18 +61,18 @@ TEST(ApiOptions, TableHasUniqueSpellings) {
     if (S.JsonKey)
       EXPECT_TRUE(JsonKeys.insert(S.JsonKey).second)
           << "duplicate JSON key " << S.JsonKey;
-    EXPECT_NE(S.Tools & (ToolAnalyze | ToolCalc | ToolServe), 0u) << S.Flag;
+    EXPECT_NE(S.Tools & (ToolAnalyze | ToolServe), 0u) << S.Flag;
     EXPECT_NE(S.Help, nullptr) << S.Flag;
   }
 }
 
 TEST(ApiOptions, CliFlagsApply) {
-  ParsedArgs P = parsed({"--jobs", "8", "--no-quicktests", "--json",
+  ParsedArgs P = parsed({"--jobs", "8", "--no-quick", "--json",
                          "--terminate", "--result-cache-file=/tmp/x.rs",
                          "input.tiny"},
                         ToolAnalyze);
   EXPECT_EQ(P.Options.Jobs, 8u);
-  EXPECT_FALSE(P.Options.PairQuickTests);
+  EXPECT_FALSE(P.Options.QuickTests);
   EXPECT_TRUE(P.Options.Json);
   EXPECT_TRUE(P.Options.Terminate);
   EXPECT_EQ(P.Options.ResultCacheFile, "/tmp/x.rs");
@@ -107,13 +105,10 @@ TEST(ApiOptions, ToolScopingRoutesUnknownFlagsToRest) {
   EXPECT_EQ(S.Options.ServeWorkers, 9u);
   EXPECT_TRUE(S.Rest.empty());
 
-  // The calc surface is just the ablations.
-  ParsedArgs C = parsed({"--no-quicktests", "script.calc"}, ToolCalc);
-  EXPECT_FALSE(C.Options.PairQuickTests);
-  ASSERT_EQ(C.Rest.size(), 1u);
-
-  // The session-baseline options are gone from every tool.
-  for (const char *Gone : {"--baseline", "--save-baseline", "--max-sessions"})
+  // The session-baseline options and the pair pre-filter's ablation flag
+  // are gone from every tool: they reach the tool as unknown options.
+  for (const char *Gone :
+       {"--baseline", "--save-baseline", "--max-sessions", "--no-quicktests"})
     for (unsigned Tool : {ToolAnalyze, ToolServe})
       EXPECT_EQ(parsed({Gone, "x"}, Tool).Rest.front(), Gone);
 }
@@ -189,14 +184,13 @@ TEST(ApiOptions, LatencyBucketsParseAndValidate) {
 }
 
 TEST(ApiOptions, HelpTextCoversEveryToolFlag) {
-  for (unsigned Tool : {unsigned(ToolAnalyze), unsigned(ToolCalc),
-                        unsigned(ToolServe)}) {
+  for (unsigned Tool : {unsigned(ToolAnalyze), unsigned(ToolServe)}) {
     std::string Help = optionsHelp(Tool);
     for (const OptionSpec &S : optionSpecs()) {
       bool Applies = (S.Tools & Tool) != 0;
       // Match the flag at a token boundary (space, or '[' for the
-      // --profile[=json] spelling) so --no-quick does not count as present
-      // just because --no-quicktests is.
+      // --profile[=json] spelling) so a flag does not count as present just
+      // because a longer flag starts with it.
       bool Found = false;
       for (std::size_t At = Help.find(S.Flag); At != std::string::npos;
            At = Help.find(S.Flag, At + 1)) {
@@ -215,21 +209,24 @@ TEST(ApiOptions, JsonOptionsShareTheTable) {
   json::Value Obj;
   std::string Err;
   ASSERT_TRUE(json::parse("{\"jobs\": 6, \"refine\": false, "
-                          "\"quicktests\": false, \"pipeline\": true}",
+                          "\"quick\": false, \"pipeline\": true}",
                           Obj, Err))
       << Err;
   AnalysisOptions O;
   ASSERT_TRUE(optionsFromJson(Obj, O, Err)) << Err;
   EXPECT_EQ(O.Jobs, 6u);
   EXPECT_FALSE(O.Refine);
-  EXPECT_FALSE(O.PairQuickTests);
+  EXPECT_FALSE(O.QuickTests);
   EXPECT_TRUE(O.Pipeline);
 
-  // The old reuse-tier keys are gone with their tiers.
-  for (const char *Gone :
-       {"{\"incremental\": false}", "{\"snapshotSharing\": false}"}) {
-    ASSERT_TRUE(json::parse(Gone, Obj, Err));
-    EXPECT_FALSE(optionsFromJson(Obj, O, Err)) << Gone;
+  // The old reuse-tier keys are gone with their tiers, and the pair
+  // pre-filter's key with the pre-filter: each is an unknown option.
+  for (const char *Gone : {"incremental", "snapshotSharing", "quicktests"}) {
+    json::Value GoneObj;
+    ASSERT_TRUE(json::parse("{\"" + std::string(Gone) + "\": false}",
+                            GoneObj, Err));
+    EXPECT_FALSE(optionsFromJson(GoneObj, O, Err)) << Gone;
+    EXPECT_EQ(Err, "unknown option '" + std::string(Gone) + "'");
   }
 
   // Unknown keys and mistyped values are hard errors, not silent noise.
@@ -300,7 +297,7 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   std::string Err;
   ASSERT_TRUE(json::parse(Doc, V, Err)) << Err;
   EXPECT_EQ(V.get("schema")->asInt(), SchemaVersion);
-  EXPECT_EQ(SchemaVersion, 7);
+  EXPECT_EQ(SchemaVersion, 8);
   EXPECT_TRUE(V.get("ok")->asBool());
   ASSERT_NE(V.get("result"), nullptr);
   ASSERT_NE(V.get("metrics"), nullptr);
@@ -314,7 +311,6 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   EXPECT_EQ(M->get("jobs")->asInt(), 1);
   EXPECT_DOUBLE_EQ(M->get("wallMs")->asNumber(), 1.25);
   ASSERT_NE(M->get("stats"), nullptr);
-  ASSERT_NE(M->get("stats")->get("quicktestDecided"), nullptr);
   ASSERT_NE(M->get("stats")->get("resultStoreHits"), nullptr);
   // Schema 5: no query cache, no snapshot counters.
   EXPECT_EQ(M->get("cache"), nullptr);
@@ -326,6 +322,9 @@ TEST(ApiResponse, DocumentsAreSchema3AndParse) {
   // Schema 7: gist has no fast checks to count.
   EXPECT_EQ(M->get("stats")->get("gistFastDrops"), nullptr);
   EXPECT_EQ(M->get("stats")->get("gistFastKeeps"), nullptr);
+  // Schema 8: no pair pre-filter, so no quick-test decisions to count.
+  EXPECT_EQ(M->get("stats")->get("quicktestDecided"), nullptr);
+  EXPECT_EQ(M->get("stats")->get("quicktestZiv"), nullptr);
 }
 
 TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
@@ -352,7 +351,7 @@ TEST(ApiResponse, ResultIsDeterministicAcrossJobsAndCache) {
 
 TEST(ApiResponse, ServerVariantsCarryIdAndTypedErrors) {
   std::string Ok = renderServerOk(7, "{}", "{}");
-  EXPECT_NE(Ok.find("\"schema\": 7"), std::string::npos);
+  EXPECT_NE(Ok.find("\"schema\": 8"), std::string::npos);
   EXPECT_NE(Ok.find("\"id\": 7"), std::string::npos);
   EXPECT_NE(Ok.find("\"ok\": true"), std::string::npos);
 

@@ -84,8 +84,7 @@ std::string countersOf(const OmegaStats &S) {
         S.ExactEliminations, S.InexactEliminations, S.SplintersExplored,
         S.DarkShadowDecided, S.RealShadowDecided, S.ModHatSubstitutions,
         S.GistSatTests, S.ResultStoreHits, S.ResultStoreMisses,
-        S.ResultStoreEvictions, S.QuickTestZIV, S.QuickTestGCD,
-        S.QuickTestBounds, S.QuickTestTrivialDep, S.QuickTestDecided})
+        S.ResultStoreEvictions})
     Out += std::to_string(V) + " ";
   return Out;
 }

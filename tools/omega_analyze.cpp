@@ -11,7 +11,7 @@
 // Options are the shared api::AnalysisOptions surface (see --help; the
 // same table drives omega-calc and omega-serve), plus two tool-specific
 // arguments: the input file positional and `--sym name=value` symbol
-// bindings for --run. Machine-readable output (--json) is the schema-7
+// bindings for --run. Machine-readable output (--json) is the schema-8
 // response document of api/Response.h, byte-identical in its "result"
 // section to an omega-serve response for the same program.
 //
@@ -292,13 +292,6 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(R.Stats.ExactEliminations),
                 static_cast<unsigned long long>(R.Stats.InexactEliminations),
                 static_cast<unsigned long long>(R.Stats.SplintersExplored));
-    std::printf("pair tiers: %llu decided by quick tests (%llu ziv, %llu "
-                "gcd, %llu bounds, %llu trivial)\n",
-                static_cast<unsigned long long>(R.Stats.QuickTestDecided),
-                static_cast<unsigned long long>(R.Stats.QuickTestZIV),
-                static_cast<unsigned long long>(R.Stats.QuickTestGCD),
-                static_cast<unsigned long long>(R.Stats.QuickTestBounds),
-                static_cast<unsigned long long>(R.Stats.QuickTestTrivialDep));
   }
 
   if (Opts.Profile != api::AnalysisOptions::ProfileOff) {

@@ -14,13 +14,9 @@
 //   projection: { i >= 1; -i >= -9; ... }
 //
 // With a file argument (or piped stdin) the whole script runs at once.
-// The ablation toggle is the shared api option surface (--help); the
-// matching script directive (`quicktests off;`) steers the same context
-// switch mid-script.
 //
 //===----------------------------------------------------------------------===//
 
-#include "api/Options.h"
 #include "calc/Calc.h"
 
 #include <cstdio>
@@ -35,27 +31,18 @@ using namespace omega;
 namespace {
 
 int usage(FILE *To) {
-  std::fprintf(To, "usage: omega-calc [options] [script]\n"
-                   "\nShared analysis options:\n%s",
-               api::optionsHelp(api::ToolCalc).c_str());
+  std::fputs("usage: omega-calc [script | -]\n", To);
   return To == stderr ? 2 : 0;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Args(Argv + 1, Argv + Argc);
-  api::ParsedArgs Parsed;
-  std::string Err;
-  if (!api::parseArgs(Args, api::ToolCalc, Parsed, Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return usage(stderr);
-  }
-  if (Parsed.Help)
-    return usage(stdout);
-
   std::string Script;
-  for (const std::string &Arg : Parsed.Rest) {
+  for (int I = 1; I < Argc; ++I) {
+    std::string Arg = Argv[I];
+    if (Arg == "--help" || Arg == "-h")
+      return usage(stdout);
     if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
       std::fprintf(stderr, "error: unknown option %s\n", Arg.c_str());
       return usage(stderr);
@@ -66,7 +53,6 @@ int main(int Argc, char **Argv) {
   }
 
   calc::Calculator Calc;
-  Calc.context().PairQuickTests = Parsed.Options.PairQuickTests;
 
   if (!Script.empty() && Script != "-") {
     std::ifstream In(Script);

@@ -14,10 +14,9 @@
 //  * Formulas: the Presburger decision procedure against brute-force
 //    evaluation over the generated box guards.
 //  * Programs: the trace oracle (memory- and value-based witnesses from
-//    real execution) against the Section 4 engine, run under every
-//    ablation combination (pair quick tests on/off, jobs 1 vs N) with
-//    structural results required identical; plus loop-bound-widening
-//    monotonicity.
+//    real execution) against the Section 4 engine, run at jobs 1 and 4
+//    with structural results required identical; plus the schedule
+//    oracle and loop-bound-widening monotonicity.
 //
 // Any mismatch is delta-debugged to a minimal reproducer (a calc script
 // for Problems, tiny source for programs) written into --out, which the
