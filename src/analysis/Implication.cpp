@@ -13,9 +13,10 @@ using namespace omega;
 using namespace omega::analysis;
 
 bool analysis::checkImplication(const Problem &LHS,
-                                const std::vector<Problem> &Pieces) {
+                                const std::vector<Problem> &Pieces,
+                                bool LHSSatisfiable) {
   OmegaContext &Ctx = OmegaContext::current();
-  if (!isSatisfiable(LHS, SatOptions(), Ctx))
+  if (!LHSSatisfiable && !isSatisfiable(LHS, SatOptions(), Ctx))
     return true; // vacuous
 
   // Drop pieces disjoint from the left-hand side: they cannot help cover

@@ -28,8 +28,10 @@ namespace analysis {
 /// Does \p LHS imply the union of \p Pieces (over integer points, with
 /// unprotected variables existential on both sides)? Conservative: may
 /// return false when a piece's stride structure cannot be negated.
-bool checkImplication(const Problem &LHS,
-                      const std::vector<Problem> &Pieces);
+/// \p LHSSatisfiable says the caller has already proved \p LHS has an
+/// integer point, which skips the vacuous-truth test.
+bool checkImplication(const Problem &LHS, const std::vector<Problem> &Pieces,
+                      bool LHSSatisfiable = false);
 
 } // namespace analysis
 } // namespace omega

@@ -90,11 +90,12 @@ struct LevelProblem {
 };
 
 /// Does every piece of \p LHS imply the union \p RHS? Stops at the first
-/// piece that does not.
+/// piece that does not. The pieces come from a projection that dropped
+/// its empty pieces and was not poisoned, so each is known satisfiable.
 bool impliesAll(const std::vector<Problem> &LHS,
                 const std::vector<Problem> &RHS) {
   for (const Problem &Piece : LHS)
-    if (!checkImplication(Piece, RHS))
+    if (!checkImplication(Piece, RHS, /*LHSSatisfiable=*/true))
       return false;
   return true;
 }

@@ -453,13 +453,13 @@ TEST(Delta, CorpusByteIdentityAndAccounting) {
   struct Edit {
     const char *Name;
     uint64_t Hits, Misses, ColdSat, Sat;
-  } Edits[] = {{"rename", 23, 0, 86, 0},
-               {"bound", 11, 12, 86, 43},
-               {"stmt-new", 28, 0, 107, 0},
-               {"stmt-edit", 21, 2, 86, 7},
+  } Edits[] = {{"rename", 23, 0, 84, 0},
+               {"bound", 11, 12, 84, 43},
+               {"stmt-new", 28, 0, 105, 0},
+               {"stmt-edit", 21, 2, 84, 7},
                {"loop-del", 18, 0, 58, 0},
-               {"interchange", 11, 12, 86, 43},
-               {"rename-reorder", 23, 0, 86, 0}};
+               {"interchange", 11, 12, 84, 43},
+               {"rename-reorder", 23, 0, 84, 0}};
   for (const Edit &E : Edits) {
     SCOPED_TRACE(E.Name);
     ir::AnalyzedProgram AP = analyzeOk(readEdit(E.Name));
