@@ -24,16 +24,11 @@ int analysis::commonLoopDepth(const Dependence &D, const ir::LoopInfo *L) {
 
 namespace {
 
-/// Local alias for the exported helper; reads better at call sites.
-int commonDepthOf(const Dependence &D, const ir::LoopInfo *L) {
-  return analysis::commonLoopDepth(D, L);
-}
-
 /// Does some live split of \p D run across iterations of \p L (i.e. carry
 /// at L's level)? CountDead additionally reports whether a dead split
 /// would have carried.
 bool carriedBy(const Dependence &D, const ir::LoopInfo *L, bool &DeadWould) {
-  int Depth = commonDepthOf(D, L);
+  int Depth = commonLoopDepth(D, L);
   if (Depth < 0)
     return false;
   unsigned Level = static_cast<unsigned>(Depth) + 1;
@@ -85,8 +80,8 @@ bool analysis::canInterchange(const AnalysisResult &R,
                               const ir::LoopInfo *Inner) {
   auto blocked = [&](const std::vector<Dependence> &Deps) {
     for (const Dependence &D : Deps) {
-      int DO = commonDepthOf(D, Outer);
-      int DI = commonDepthOf(D, Inner);
+      int DO = commonLoopDepth(D, Outer);
+      int DI = commonLoopDepth(D, Inner);
       if (DO < 0 || DI != DO + 1)
         continue; // the pair of loops does not enclose both endpoints
       for (const DepSplit &S : D.Splits) {
@@ -127,7 +122,7 @@ bool analysis::isPrivatizable(const ir::AnalyzedProgram &AP,
     for (const Dependence &D : R.Flow) {
       if (D.Dst != &B)
         continue;
-      int Depth = commonDepthOf(D, L);
+      int Depth = commonLoopDepth(D, L);
       for (const DepSplit &S : D.Splits) {
         if (S.Dead)
           continue;
@@ -144,25 +139,16 @@ bool analysis::isPrivatizable(const ir::AnalyzedProgram &AP,
   return true;
 }
 
-namespace {
-
-/// Iterative Tarjan SCC over a small adjacency structure.
-struct SCCFinder {
-  const std::vector<std::vector<unsigned>> &Adj;
-  std::vector<int> Index, Low, Comp;
-  std::vector<bool> OnStack;
+SCCs analysis::stronglyConnectedComponents(
+    const std::vector<std::vector<unsigned>> &Adj) {
+  std::vector<int> Index(Adj.size(), -1), Low(Adj.size(), 0);
+  std::vector<int> Comp(Adj.size(), -1);
+  std::vector<bool> OnStack(Adj.size(), false);
   std::vector<unsigned> Stack;
   int NextIndex = 0, NextComp = 0;
-
-  explicit SCCFinder(const std::vector<std::vector<unsigned>> &Adj)
-      : Adj(Adj), Index(Adj.size(), -1), Low(Adj.size(), 0),
-        Comp(Adj.size(), -1), OnStack(Adj.size(), false) {
-    for (unsigned V = 0; V != Adj.size(); ++V)
-      if (Index[V] < 0)
-        strongConnect(V);
-  }
-
-  void strongConnect(unsigned Root) {
+  for (unsigned Root = 0; Root != Adj.size(); ++Root) {
+    if (Index[Root] >= 0)
+      continue;
     // Explicit DFS stack: (node, next child position).
     std::vector<std::pair<unsigned, unsigned>> Work{{Root, 0}};
     while (!Work.empty()) {
@@ -174,11 +160,10 @@ struct SCCFinder {
       }
       if (Child < Adj[V].size()) {
         unsigned W = Adj[V][Child++];
-        if (Index[W] < 0) {
+        if (Index[W] < 0)
           Work.push_back({W, 0});
-        } else if (OnStack[W]) {
+        else if (OnStack[W])
           Low[V] = std::min(Low[V], Index[W]);
-        }
         continue;
       }
       if (Low[V] == Index[V]) {
@@ -195,13 +180,17 @@ struct SCCFinder {
       unsigned Done = V;
       Work.pop_back();
       if (!Work.empty())
-        Low[Work.back().first] =
-            std::min(Low[Work.back().first], Low[Done]);
+        Low[Work.back().first] = std::min(Low[Work.back().first], Low[Done]);
     }
   }
-};
-
-} // namespace
+  // Tarjan completes components in reverse topological order.
+  SCCs Out;
+  Out.NumComps = static_cast<unsigned>(NextComp);
+  Out.CompOf.resize(Adj.size());
+  for (unsigned V = 0; V != Adj.size(); ++V)
+    Out.CompOf[V] = static_cast<unsigned>(NextComp - 1 - Comp[V]);
+  return Out;
+}
 
 std::vector<DistributionGroup>
 analysis::distributeLoop(const ir::AnalyzedProgram &AP,
@@ -227,7 +216,7 @@ analysis::distributeLoop(const ir::AnalyzedProgram &AP,
       auto DstIt = NodeOf.find(D.Dst->StmtLabel);
       if (SrcIt == NodeOf.end() || DstIt == NodeOf.end())
         continue;
-      int Depth = commonDepthOf(D, L);
+      int Depth = commonLoopDepth(D, L);
       if (Depth < 0)
         continue;
       for (const DepSplit &S : D.Splits) {
@@ -246,21 +235,18 @@ analysis::distributeLoop(const ir::AnalyzedProgram &AP,
   addEdges(R.Anti);
   addEdges(R.Output);
 
-  SCCFinder SCC(Adj);
+  SCCs SCC = stronglyConnectedComponents(Adj);
 
-  // Tarjan numbers components in reverse topological order; emit groups
-  // in forward order (dependence sources first), statements in program
-  // order inside each group.
-  std::vector<DistributionGroup> Groups(SCC.NextComp);
-  for (unsigned V = 0; V != Stmts.size(); ++V) {
-    DistributionGroup &G = Groups[SCC.NextComp - 1 - SCC.Comp[V]];
-    G.StmtLabels.push_back(Stmts[V]);
-  }
+  // Groups in topological order (dependence sources first), statements in
+  // program order inside each group.
+  std::vector<DistributionGroup> Groups(SCC.NumComps);
+  for (unsigned V = 0; V != Stmts.size(); ++V)
+    Groups[SCC.CompOf[V]].StmtLabels.push_back(Stmts[V]);
   // Any edge inside a component marks it cyclic (including self edges).
   for (unsigned V = 0; V != Stmts.size(); ++V)
     for (unsigned W : Adj[V])
-      if (SCC.Comp[V] == SCC.Comp[W])
-        Groups[SCC.NextComp - 1 - SCC.Comp[V]].Cyclic = true;
+      if (SCC.CompOf[V] == SCC.CompOf[W])
+        Groups[SCC.CompOf[V]].Cyclic = true;
   for (DistributionGroup &G : Groups)
     std::sort(G.StmtLabels.begin(), G.StmtLabels.end());
   return Groups;

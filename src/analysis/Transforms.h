@@ -42,6 +42,20 @@ namespace analysis {
 /// in transform/Pdg.h.
 int commonLoopDepth(const deps::Dependence &D, const ir::LoopInfo *L);
 
+/// The strongly connected components of a directed graph.
+struct SCCs {
+  unsigned NumComps = 0;
+  /// Node -> component, numbered in topological order: every edge between
+  /// two components runs from the lower number to the higher.
+  std::vector<unsigned> CompOf;
+};
+
+/// The SCCs of the graph whose node V has the successors \p Adj[V]
+/// (iterative Tarjan). Shared by loop distribution here and the pipeline
+/// planner's SCC-DAG in transform/Pipeline.h.
+SCCs stronglyConnectedComponents(
+    const std::vector<std::vector<unsigned>> &Adj);
+
 /// Per-loop transformation facts derived from one analysis result.
 struct LoopFacts {
   const ir::LoopInfo *Loop = nullptr;

@@ -6,6 +6,8 @@
 
 #include "transform/Pipeline.h"
 
+#include "analysis/Transforms.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -15,62 +17,6 @@ using namespace omega;
 using namespace omega::transform;
 
 namespace {
-
-/// Iterative Tarjan SCC (the same shape analysis/Transforms.cpp uses for
-/// loop distribution). Components are numbered in *reverse* topological
-/// order; callers convert with NextComp - 1 - Comp[V].
-struct SCCFinder {
-  const std::vector<std::vector<unsigned>> &Adj;
-  std::vector<int> Index, Low, Comp;
-  std::vector<bool> OnStack;
-  std::vector<unsigned> Stack;
-  int NextIndex = 0, NextComp = 0;
-
-  explicit SCCFinder(const std::vector<std::vector<unsigned>> &Adj)
-      : Adj(Adj), Index(Adj.size(), -1), Low(Adj.size(), 0),
-        Comp(Adj.size(), -1), OnStack(Adj.size(), false) {
-    for (unsigned V = 0; V != Adj.size(); ++V)
-      if (Index[V] < 0)
-        strongConnect(V);
-  }
-
-  void strongConnect(unsigned Root) {
-    std::vector<std::pair<unsigned, unsigned>> Work{{Root, 0}};
-    while (!Work.empty()) {
-      auto &[V, Child] = Work.back();
-      if (Child == 0) {
-        Index[V] = Low[V] = NextIndex++;
-        Stack.push_back(V);
-        OnStack[V] = true;
-      }
-      if (Child < Adj[V].size()) {
-        unsigned W = Adj[V][Child++];
-        if (Index[W] < 0) {
-          Work.push_back({W, 0});
-        } else if (OnStack[W]) {
-          Low[V] = std::min(Low[V], Index[W]);
-        }
-        continue;
-      }
-      if (Low[V] == Index[V]) {
-        while (true) {
-          unsigned W = Stack.back();
-          Stack.pop_back();
-          OnStack[W] = false;
-          Comp[W] = NextComp;
-          if (W == V)
-            break;
-        }
-        ++NextComp;
-      }
-      unsigned Done = V;
-      Work.pop_back();
-      if (!Work.empty())
-        Low[Work.back().first] =
-            std::min(Low[Work.back().first], Low[Done]);
-    }
-  }
-};
 
 /// Estimated iterations of one loop: exact for constant rectangular
 /// bounds, a default of 10 for symbolic ones.
@@ -131,15 +77,13 @@ Condensation condense(const ir::AnalyzedProgram &AP, const Pdg &G,
     if (liveEdge(E, Opts))
       Adj[E.Src].push_back(E.Dst);
 
-  SCCFinder SCC(Adj);
+  analysis::SCCs SCC = analysis::stronglyConnectedComponents(Adj);
   Condensation C;
-  C.NumComps = SCC.NextComp;
-  C.CompOf.resize(N);
+  C.NumComps = SCC.NumComps;
+  C.CompOf = std::move(SCC.CompOf);
   C.Members.resize(C.NumComps);
-  for (unsigned V = 0; V != N; ++V) {
-    C.CompOf[V] = SCC.NextComp - 1 - SCC.Comp[V];
+  for (unsigned V = 0; V != N; ++V)
     C.Members[C.CompOf[V]].push_back(V);
-  }
 
   C.Parallel.assign(C.NumComps, true);
   for (const PdgEdge &E : G.Edges)
@@ -377,12 +321,13 @@ PipelinePlan transform::planPipeline(const ir::AnalyzedProgram &AP,
         // Would the edge merge a parallel statement into a larger SCC?
         std::vector<std::vector<unsigned>> Adj = LiveAdj;
         Adj[E.Src].push_back(E.Dst);
-        SCCFinder SCC(Adj);
+        std::vector<unsigned> CompOf =
+            analysis::stronglyConnectedComponents(Adj).CompOf;
         for (unsigned V = 0; V != N && !Enabling; ++V) {
           if (!ParallelLabels.count(G.StmtLabels[V]))
             continue;
           for (unsigned W = 0; W != N; ++W)
-            if (W != V && SCC.Comp[W] == SCC.Comp[V] &&
+            if (W != V && CompOf[W] == CompOf[V] &&
                 C.CompOf[W] != C.CompOf[V]) {
               Enabling = true;
               break;
@@ -428,8 +373,7 @@ transform::analyzePipelines(const ir::AnalyzedProgram &AP,
       for (const PdgEdge &E : G.Edges)
         if (G.planningEdge(E))
           Adj[E.Src].push_back(E.Dst);
-      SCCFinder SCC(Adj);
-      F.Sccs = SCC.NextComp;
+      F.Sccs = analysis::stronglyConnectedComponents(Adj).NumComps;
     }
     Out.push_back(std::move(F));
   }
