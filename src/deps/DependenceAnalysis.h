@@ -28,9 +28,9 @@ namespace deps {
 
 class DependenceAnalysis {
 public:
-  /// Analyses run against \p Ctx: its stats record the work and its
-  /// toggles steer the pair solver. Defaults to the calling thread's
-  /// current context; the parallel engine passes each worker's own.
+  /// Analyses run against \p Ctx: its stats record the work. Defaults to
+  /// the calling thread's current context; the parallel engine passes
+  /// each worker's own.
   explicit DependenceAnalysis(const ir::AnalyzedProgram &AP,
                               OmegaContext &Ctx = OmegaContext::current())
       : AP(AP), Ctx(Ctx) {}

@@ -118,9 +118,8 @@ public:
   /// Zeroes every worker's stats (between analyses).
   void resetStats();
 
-  /// Applies \p Fn to every worker context (e.g. to set the solver-tier
-  /// toggles before a run). Contexts are single-threaded: only call while
-  /// no parallelFor is in flight.
+  /// Applies \p Fn to every worker context. Contexts are single-threaded:
+  /// only call while no parallelFor is in flight.
   void forEachContext(const std::function<void(OmegaContext &)> &Fn) {
     for (const std::unique_ptr<OmegaContext> &C : Contexts)
       Fn(*C);

@@ -105,7 +105,7 @@ TraceReport checkProgram(const ir::AnalyzedProgram &AP,
 /// Deterministic structural rendering of an analysis result (kinds, access
 /// texts, per-split level/direction/liveness/refinement, cover flags).
 /// Two results describe the same dependences iff their summaries are
-/// string-equal -- the cross-ablation identity check in omega-fuzz.
+/// string-equal -- the jobs identity check in omega-fuzz.
 std::string summarizeDependences(const analysis::AnalysisResult &R);
 
 } // namespace oracle
