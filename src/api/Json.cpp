@@ -321,6 +321,7 @@ struct Parser {
 
 bool omega::api::json::parse(const std::string &Text, Value &Out,
                              std::string &Err) {
+  Out = Value();
   Parser P{Text, 0, Err};
   if (!P.parseValue(Out))
     return false;

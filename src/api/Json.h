@@ -76,8 +76,9 @@ public:
   std::vector<std::pair<std::string, Value>> Obj;
 };
 
-/// Parses \p Text as one JSON document. On failure returns false and sets
-/// \p Err to a one-line description with a byte offset.
+/// Parses \p Text as one JSON document into \p Out, replacing whatever
+/// \p Out held. On failure returns false and sets \p Err to a one-line
+/// description with a byte offset.
 bool parse(const std::string &Text, Value &Out, std::string &Err);
 
 /// Escapes \p S for embedding in a JSON string literal (no quotes added).

@@ -230,12 +230,15 @@ TEST(ApiOptions, JsonOptionsShareTheTable) {
   }
 
   // Unknown keys and mistyped values are hard errors, not silent noise.
-  ASSERT_TRUE(json::parse("{\"refinement\": false}", Obj, Err));
-  EXPECT_FALSE(optionsFromJson(Obj, O, Err));
-  ASSERT_TRUE(json::parse("{\"jobs\": \"many\"}", Obj, Err));
-  EXPECT_FALSE(optionsFromJson(Obj, O, Err));
-  ASSERT_TRUE(json::parse("{\"jobs\": -2}", Obj, Err));
-  EXPECT_FALSE(optionsFromJson(Obj, O, Err));
+  // Each document gets a fresh Value so that it fails on the key it names.
+  for (const char *Bad :
+       {"{\"refinement\": false}", "{\"jobs\": \"many\"}", "{\"jobs\": -2}"}) {
+    json::Value BadObj;
+    ASSERT_TRUE(json::parse(Bad, BadObj, Err)) << Bad;
+    EXPECT_FALSE(optionsFromJson(BadObj, O, Err)) << Bad;
+    EXPECT_NE(Err.find(BadObj.asObject().front().first), std::string::npos)
+        << Bad << ": " << Err;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -256,6 +259,17 @@ TEST(ApiJson, ParsesTheProtocolSubset) {
   EXPECT_TRUE(V.get("n")->isNull());
   EXPECT_EQ(V.get("s")->asString(), "x\n\"y");
   EXPECT_EQ(V.get("missing"), nullptr);
+}
+
+TEST(ApiJson, ParsingReplacesTheValue) {
+  json::Value V;
+  std::string Err;
+  ASSERT_TRUE(json::parse("{\"a\": 1, \"b\": 2}", V, Err)) << Err;
+  ASSERT_TRUE(json::parse("{\"c\": 3}", V, Err)) << Err;
+  ASSERT_EQ(V.asObject().size(), 1u);
+  EXPECT_EQ(V.get("a"), nullptr);
+  EXPECT_EQ(V.get("b"), nullptr);
+  EXPECT_EQ(V.get("c")->asInt(), 3);
 }
 
 TEST(ApiJson, RejectsMalformedDocuments) {
