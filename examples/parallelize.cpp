@@ -10,13 +10,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Transforms.h"
 #include "kernels/Kernels.h"
+#include "transform/Apply.h"
 
 #include <cstdio>
 
 using namespace omega;
 using namespace omega::analysis;
+using namespace omega::transform;
 
 namespace {
 

@@ -6,8 +6,7 @@
 
 #include "transform/Apply.h"
 
-#include "analysis/Transforms.h"
-
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <iterator>
@@ -337,6 +336,32 @@ transform::renderPipelineSchedule(const ir::AnalyzedProgram &AP,
   return Out;
 }
 
+bool transform::canInterchange(const analysis::AnalysisResult &R,
+                               const ir::LoopInfo *Outer,
+                               const ir::LoopInfo *Inner) {
+  auto blocked = [&](const std::vector<deps::Dependence> &Deps) {
+    for (const deps::Dependence &D : Deps) {
+      int DO = commonLoopDepth(D, Outer);
+      int DI = commonLoopDepth(D, Inner);
+      if (DO < 0 || DI != DO + 1)
+        continue; // the pair of loops does not enclose both endpoints
+      for (const deps::DepSplit &S : D.Splits) {
+        if (S.Dead)
+          continue;
+        // Conservative: blocked when a (+, -) orientation is possible.
+        const IntRange &A = S.Dir[DO].Range;
+        const IntRange &B = S.Dir[DI].Range;
+        bool OuterPlus = !A.Empty && (!A.HasMax || A.Max >= 1);
+        bool InnerMinus = !B.Empty && (!B.HasMin || B.Min <= -1);
+        if (OuterPlus && InnerMinus)
+          return true;
+      }
+    }
+    return false;
+  };
+  return !blocked(R.Flow) && !blocked(R.Anti) && !blocked(R.Output);
+}
+
 ApplyResult transform::interchange(ir::Program &P,
                                    const std::string &OuterVar,
                                    const std::string &InnerVar) {
@@ -362,14 +387,71 @@ ApplyResult transform::interchange(ir::Program &P,
   return ApplyResult::Applied;
 }
 
+std::string transform::transformReport(const ir::AnalyzedProgram &AP,
+                                       const analysis::AnalysisResult &R) {
+  // One PDG per loop answers both its DOALL verdict and its distribution.
+  std::vector<Pdg> Graphs;
+  for (const std::unique_ptr<ir::LoopInfo> &L : AP.Loops)
+    Graphs.push_back(buildPdg(AP, R, L.get()));
+
+  std::string Out;
+  for (const Pdg &G : Graphs) {
+    LoopFacts F = loopFacts(G);
+    Out += "loop " + G.Loop->SourceVar + " (depth " +
+           std::to_string(G.Loop->Depth + 1) + "): ";
+    if (F.Parallelizable) {
+      Out += "parallelizable";
+    } else if (F.FlowParallelizable) {
+      Out += "parallelizable after storage elimination (only anti/output "
+             "dependences carried)";
+    } else {
+      Out += "serial; carried:";
+      for (const deps::Dependence *D : F.Blockers)
+        Out += " " + D->Src->Text + "->" + D->Dst->Text;
+    }
+    Out += "\n";
+  }
+  // Adjacent-loop interchange opportunities.
+  for (const std::unique_ptr<ir::LoopInfo> &Outer : AP.Loops)
+    for (const std::unique_ptr<ir::LoopInfo> &Inner : AP.Loops) {
+      if (Inner->Depth != Outer->Depth + 1)
+        continue;
+      // Inner must be nested directly inside Outer.
+      if (Inner->Path.size() < Outer->Path.size() ||
+          !std::equal(Outer->Path.begin(), Outer->Path.end(),
+                      Inner->Path.begin()))
+        continue;
+      Out += "interchange(" + Outer->SourceVar + ", " + Inner->SourceVar +
+             "): " +
+             (canInterchange(R, Outer.get(), Inner.get()) ? "legal"
+                                                          : "illegal") +
+             "\n";
+    }
+  // Distribution: only interesting when a loop body can actually split.
+  for (const Pdg &G : Graphs) {
+    std::vector<DistributionGroup> Groups = distributeLoop(G);
+    if (Groups.size() < 2)
+      continue;
+    Out += "distribute " + G.Loop->SourceVar + ":";
+    for (const DistributionGroup &Grp : Groups) {
+      Out += " {";
+      for (unsigned I = 0; I != Grp.StmtLabels.size(); ++I)
+        Out += (I ? "," : "") + std::to_string(Grp.StmtLabels[I]);
+      Out += Grp.Cyclic ? "}*" : "}";
+    }
+    Out += "\n";
+  }
+  return Out;
+}
+
 std::string
 transform::renderParallelSchedule(const ir::AnalyzedProgram &AP,
                                   const analysis::AnalysisResult &R) {
-  std::vector<analysis::LoopFacts> Facts = analysis::analyzeLoops(AP, R);
+  std::vector<LoopFacts> Facts = analyzeLoops(AP, R);
   enum class Verdict { Serial, Parallel, FlowParallel };
   auto parallel = [&](const std::string &Var,
                       const std::vector<unsigned> &Path) {
-    for (const analysis::LoopFacts &F : Facts)
+    for (const LoopFacts &F : Facts)
       if (F.Loop->SourceVar == Var && F.Loop->Path == Path) {
         if (F.Parallelizable)
           return Verdict::Parallel;

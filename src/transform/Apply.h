@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The "apply" side of the transformations Section 1 motivates: given the
-/// legality verdicts from analysis/Transforms.h, actually rewrite the AST
-/// (loop interchange) or render the parallel schedule. The test suite
-/// verifies semantic preservation by interpreting the program before and
-/// after and comparing final memory.
+/// The transformations Section 1 motivates: their legality (interchange
+/// here, DOALL and distribution read from each loop's PDG in
+/// transform/Pdg.h), the AST rewrites (loop interchange, pipeline
+/// staging) and the reports. The test suite verifies semantic
+/// preservation by interpreting the program before and after and
+/// comparing final memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,12 +38,24 @@ enum class ApplyResult {
 
 const char *applyResultName(ApplyResult R);
 
+/// May the loops at depths (Outer, Outer+1) -- 0-based, for the loop nest
+/// enclosing both endpoints of every dependence -- be interchanged?
+/// Checks that no live dependence has direction (+, -) at those levels
+/// (swapping would reverse its orientation).
+bool canInterchange(const analysis::AnalysisResult &R,
+                    const ir::LoopInfo *Outer, const ir::LoopInfo *Inner);
+
 /// Swaps the headers of the perfectly nested pair (OuterVar directly
 /// containing InnerVar). Rectangular bounds only; legality (dependence
-/// directions) is the caller's job -- pair with
-/// analysis::canInterchange().
+/// directions) is the caller's job -- pair with canInterchange().
 ApplyResult interchange(ir::Program &P, const std::string &OuterVar,
                         const std::string &InnerVar);
+
+/// Human-readable report of all transformation opportunities: each
+/// loop's DOALL verdict, adjacent-loop interchange legality and the loops
+/// that distribute (omega-analyze --transforms).
+std::string transformReport(const ir::AnalyzedProgram &AP,
+                            const analysis::AnalysisResult &R);
 
 /// Renders the program with "parallel for" on every loop the analysis
 /// proves carries no live dependence (the DOALL schedule).

@@ -6,8 +6,6 @@
 
 #include "transform/Pipeline.h"
 
-#include "analysis/Transforms.h"
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -52,12 +50,13 @@ uint64_t stmtWeight(const ir::AnalyzedProgram &AP, const ir::LoopInfo *L,
   return 1;
 }
 
-/// Whether the live planning graph uses edge \p E under \p Opts: the
-/// ablation folds dead and removable edges back in.
-bool liveEdge(const PdgEdge &E, const PipelineOptions &Opts) {
-  if (Opts.IncludeDead)
-    return true;
-  return !E.Dead && !E.Removable;
+/// Replicas assumed for the parallel stage in the cost model.
+constexpr unsigned PipelineReplicas = 4;
+
+/// One replica's share of a parallel stage of weight \p W (rounded up,
+/// at least 1).
+uint64_t perReplica(uint64_t W) {
+  return std::max<uint64_t>(1, (W + PipelineReplicas - 1) / PipelineReplicas);
 }
 
 struct Condensation {
@@ -69,15 +68,14 @@ struct Condensation {
   std::vector<uint64_t> Weight;
 };
 
-Condensation condense(const ir::AnalyzedProgram &AP, const Pdg &G,
-                      const PipelineOptions &Opts) {
+Condensation condense(const ir::AnalyzedProgram &AP, const Pdg &G) {
   unsigned N = G.StmtLabels.size();
   std::vector<std::vector<unsigned>> Adj(N);
   for (const PdgEdge &E : G.Edges)
-    if (liveEdge(E, Opts))
+    if (G.planningEdge(E))
       Adj[E.Src].push_back(E.Dst);
 
-  analysis::SCCs SCC = analysis::stronglyConnectedComponents(Adj);
+  SCCs SCC = stronglyConnectedComponents(Adj);
   Condensation C;
   C.NumComps = SCC.NumComps;
   C.CompOf = std::move(SCC.CompOf);
@@ -87,7 +85,7 @@ Condensation condense(const ir::AnalyzedProgram &AP, const Pdg &G,
 
   C.Parallel.assign(C.NumComps, true);
   for (const PdgEdge &E : G.Edges)
-    if (liveEdge(E, Opts) && E.LoopCarried &&
+    if (G.planningEdge(E) && E.LoopCarried &&
         C.CompOf[E.Src] == C.CompOf[E.Dst])
       C.Parallel[C.CompOf[E.Src]] = false;
 
@@ -99,7 +97,7 @@ Condensation condense(const ir::AnalyzedProgram &AP, const Pdg &G,
   // Reach[A] = union over comp successors S of {S} + Reach[S].
   std::vector<std::set<unsigned>> Succs(C.NumComps);
   for (const PdgEdge &E : G.Edges)
-    if (liveEdge(E, Opts) && C.CompOf[E.Src] != C.CompOf[E.Dst])
+    if (G.planningEdge(E) && C.CompOf[E.Src] != C.CompOf[E.Dst])
       Succs[C.CompOf[E.Src]].insert(C.CompOf[E.Dst]);
   C.Reach.assign(C.NumComps, std::vector<bool>(C.NumComps, false));
   for (unsigned A = C.NumComps; A-- > 0;)
@@ -171,16 +169,15 @@ balanceSequential(const std::vector<unsigned> &Comps,
 } // namespace
 
 PipelinePlan transform::planPipeline(const ir::AnalyzedProgram &AP,
-                                     const Pdg &G,
-                                     const PipelineOptions &Opts) {
+                                     const Pdg &G) {
   PipelinePlan Plan;
   Plan.Loop = G.Loop;
-  if (!Opts.IncludeDead)
-    Plan.PrivatizedArrays = G.PrivatizedArrays;
+  Plan.PrivatizedArrays = G.PrivatizedArrays;
   if (G.StmtLabels.empty())
     return Plan;
 
-  Condensation C = condense(AP, G, Opts);
+  Condensation C = condense(AP, G);
+  Plan.Sccs = C.NumComps;
   for (uint64_t W : C.Weight)
     Plan.TotalWeight += W;
 
@@ -194,9 +191,6 @@ PipelinePlan transform::planPipeline(const ir::AnalyzedProgram &AP,
     if (C.Parallel[Cmp] &&
         (Pivot == C.NumComps || C.Weight[Cmp] > C.Weight[Pivot]))
       Pivot = Cmp;
-
-  unsigned Repl = std::max(1u, Opts.ReplicationFactor);
-  unsigned MaxStages = std::max(2u, Opts.MaxStages);
 
   if (Pivot == C.NumComps) {
     // No parallel SCC: fall back to a 2-stage balanced DSWP split.
@@ -254,15 +248,14 @@ PipelinePlan transform::planPipeline(const ir::AnalyzedProgram &AP,
     uint64_t ParallelWeight = 0;
     for (unsigned M : Stage)
       ParallelWeight += C.Weight[M];
-    uint64_t Target = std::max<uint64_t>(1, (ParallelWeight + Repl - 1) /
-                                                Repl);
+    uint64_t Target = perReplica(ParallelWeight);
 
     std::vector<std::vector<unsigned>> BeforeStages =
-        balanceSequential(Before, C.Weight, Target, MaxStages);
+        balanceSequential(Before, C.Weight, Target, MaxPipelineStages);
     std::vector<std::vector<unsigned>> AfterStages = balanceSequential(
         After, C.Weight, Target,
-        MaxStages > BeforeStages.size() + 1
-            ? MaxStages - BeforeStages.size() - 1
+        MaxPipelineStages > BeforeStages.size() + 1
+            ? MaxPipelineStages - BeforeStages.size() - 1
             : 1);
     for (std::vector<unsigned> &S : BeforeStages)
       StageComps.push_back(std::move(S));
@@ -287,12 +280,9 @@ PipelinePlan transform::planPipeline(const ir::AnalyzedProgram &AP,
 
   // Bottleneck and speedup estimate.
   uint64_t Bottleneck = 1;
-  for (const PipelineStage &S : Plan.Stages) {
-    uint64_t W = S.Parallel ? std::max<uint64_t>(1, (S.Weight + Repl - 1) /
-                                                        Repl)
-                            : S.Weight;
-    Bottleneck = std::max(Bottleneck, W);
-  }
+  for (const PipelineStage &S : Plan.Stages)
+    Bottleneck =
+        std::max(Bottleneck, S.Parallel ? perReplica(S.Weight) : S.Weight);
   Plan.EstimatedSpeedup =
       static_cast<double>(std::max<uint64_t>(1, Plan.TotalWeight)) /
       static_cast<double>(Bottleneck);
@@ -301,7 +291,7 @@ PipelinePlan transform::planPipeline(const ir::AnalyzedProgram &AP,
   // edge is enabling when restoring it would serialize a parallel stage
   // (an internal loop-carried edge) or merge a parallel-stage SCC into a
   // larger cycle.
-  if (Plan.hasParallelStage() && !Opts.IncludeDead) {
+  if (Plan.hasParallelStage()) {
     std::set<unsigned> ParallelLabels;
     for (const PipelineStage &S : Plan.Stages)
       if (S.Parallel)
@@ -322,7 +312,7 @@ PipelinePlan transform::planPipeline(const ir::AnalyzedProgram &AP,
         std::vector<std::vector<unsigned>> Adj = LiveAdj;
         Adj[E.Src].push_back(E.Dst);
         std::vector<unsigned> CompOf =
-            analysis::stronglyConnectedComponents(Adj).CompOf;
+            stronglyConnectedComponents(Adj).CompOf;
         for (unsigned V = 0; V != N && !Enabling; ++V) {
           if (!ParallelLabels.count(G.StmtLabels[V]))
             continue;
@@ -355,26 +345,15 @@ PipelinePlan transform::planPipeline(const ir::AnalyzedProgram &AP,
 
 std::vector<PipelineFacts>
 transform::analyzePipelines(const ir::AnalyzedProgram &AP,
-                            const analysis::AnalysisResult &R,
-                            const PipelineOptions &Opts) {
+                            const analysis::AnalysisResult &R) {
   std::vector<PipelineFacts> Out;
   for (const std::unique_ptr<ir::LoopInfo> &L : AP.Loops) {
     Pdg G = buildPdg(AP, R, L.get());
     PipelineFacts F;
     F.Loop = L.get();
     F.Statements = G.StmtLabels.size();
-    F.Plan = planPipeline(AP, G, Opts);
-    // SCC count of the live planning graph == stage comp total; recompute
-    // cheaply from the plan's stages only when the plan exists.
-    F.Sccs = 0;
-    {
-      unsigned N = G.StmtLabels.size();
-      std::vector<std::vector<unsigned>> Adj(N);
-      for (const PdgEdge &E : G.Edges)
-        if (G.planningEdge(E))
-          Adj[E.Src].push_back(E.Dst);
-      F.Sccs = analysis::stronglyConnectedComponents(Adj).NumComps;
-    }
+    F.Plan = planPipeline(AP, G);
+    F.Sccs = F.Plan.Sccs;
     Out.push_back(std::move(F));
   }
   return Out;

@@ -59,17 +59,8 @@ struct EnablingKill {
   char Reason = 0;
 };
 
-/// Options for the partitioner.
-struct PipelineOptions {
-  /// Ablation: treat dead (killed/covered) flow edges and removable anti
-  /// edges as live -- the partition the analyzer would produce without
-  /// the paper's Section 4 machinery.
-  bool IncludeDead = false;
-  /// Replicas assumed for the parallel stage in the cost model.
-  unsigned ReplicationFactor = 4;
-  /// Upper bound on emitted stages (rebalancing stops at this count).
-  unsigned MaxStages = 8;
-};
+/// Upper bound on emitted stages (rebalancing stops at this count).
+inline constexpr unsigned MaxPipelineStages = 8;
 
 /// The partition of one loop. `valid()` plans have >= 2 stages in a
 /// topological order of the SCC-DAG: executing the stages as consecutive
@@ -81,9 +72,12 @@ struct PipelinePlan {
   std::vector<std::string> PrivatizedArrays;
   /// The kills/removals that enabled the partition's parallel stage.
   std::vector<EnablingKill> EnablingKills;
+  /// SCCs of the planning graph.
+  unsigned Sccs = 0;
   uint64_t TotalWeight = 0;
   /// TotalWeight / bottleneck stage weight (parallel stages contribute
-  /// Weight / ReplicationFactor), the classic DSWP speedup estimate.
+  /// their per-replica share, Weight / 4), the classic DSWP speedup
+  /// estimate.
   double EstimatedSpeedup = 1.0;
 
   bool valid() const { return Stages.size() >= 2; }
@@ -95,23 +89,23 @@ struct PipelinePlan {
   }
 };
 
-/// Partitions loop \p L's PDG \p G into pipeline stages.
-PipelinePlan planPipeline(const ir::AnalyzedProgram &AP, const Pdg &G,
-                          const PipelineOptions &Opts = PipelineOptions());
+/// Partitions the loop of PDG \p G into pipeline stages over its planning
+/// edges. The partition without the paper's Section 4 machinery is the
+/// plan of a copy of \p G with every edge made live and non-removable.
+PipelinePlan planPipeline(const ir::AnalyzedProgram &AP, const Pdg &G);
 
 /// Per-loop pipeline facts: the PDG summary plus the plan.
 struct PipelineFacts {
   const ir::LoopInfo *Loop = nullptr;
   unsigned Statements = 0; ///< PDG nodes
-  unsigned Sccs = 0;       ///< SCCs of the live planning graph
+  unsigned Sccs = 0;       ///< Plan.Sccs
   PipelinePlan Plan;
 };
 
 /// Builds the PDG and plans a pipeline for every loop of the program.
 std::vector<PipelineFacts>
 analyzePipelines(const ir::AnalyzedProgram &AP,
-                 const analysis::AnalysisResult &R,
-                 const PipelineOptions &Opts = PipelineOptions());
+                 const analysis::AnalysisResult &R);
 
 /// Deterministic one-line-per-loop text report (omega-analyze
 /// --pipeline).

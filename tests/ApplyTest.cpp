@@ -9,7 +9,6 @@
 
 #include "transform/Apply.h"
 
-#include "analysis/Transforms.h"
 #include "ir/Interp.h"
 #include "ir/Parser.h"
 #include "transform/Pipeline.h"
@@ -86,8 +85,7 @@ TEST(Apply, LegalInterchangePreservesSemantics) {
   ir::AnalyzedProgram AP = ir::analyzeSource(Src);
   ASSERT_TRUE(AP.ok());
   analysis::AnalysisResult R = analysis::analyzeProgram(AP);
-  ASSERT_TRUE(analysis::canInterchange(R, loopNamed(AP, "i"),
-                                       loopNamed(AP, "j")));
+  ASSERT_TRUE(canInterchange(R, loopNamed(AP, "i"), loopNamed(AP, "j")));
 
   ir::ParseResult Before = ir::parseProgram(Src);
   ir::ParseResult After = ir::parseProgram(Src);
@@ -111,8 +109,7 @@ TEST(Apply, IllegalInterchangeChangesSemantics) {
   ir::AnalyzedProgram AP = ir::analyzeSource(Src);
   ASSERT_TRUE(AP.ok());
   analysis::AnalysisResult R = analysis::analyzeProgram(AP);
-  EXPECT_FALSE(analysis::canInterchange(R, loopNamed(AP, "i"),
-                                        loopNamed(AP, "j")));
+  EXPECT_FALSE(canInterchange(R, loopNamed(AP, "i"), loopNamed(AP, "j")));
 
   ir::ParseResult Before = ir::parseProgram(Src);
   ir::ParseResult After = ir::parseProgram(Src);
@@ -141,7 +138,7 @@ TEST(Apply, InterchangeAgreesWithAnalysisOnCorpusShapes) {
     ir::AnalyzedProgram AP = ir::analyzeSource(Src);
     ASSERT_TRUE(AP.ok()) << Src;
     analysis::AnalysisResult R = analysis::analyzeProgram(AP);
-    if (!analysis::canInterchange(R, AP.Loops[0].get(), AP.Loops[1].get()))
+    if (!canInterchange(R, AP.Loops[0].get(), AP.Loops[1].get()))
       continue;
     ir::ParseResult Before = ir::parseProgram(Src);
     ir::ParseResult After = ir::parseProgram(Src);

@@ -43,14 +43,30 @@ std::map<unsigned, unsigned> stageOf(const PipelinePlan &Plan) {
   return Stage;
 }
 
-/// All pipeline invariants for one analyzed program under \p Opts.
-/// Returns the number of valid plans seen.
+/// \p G with the Section 4 machinery undone: every dead and removable
+/// edge live again and no array privatized -- the graph the partitioner
+/// would see without kills, covers or privatization.
+Pdg withoutKills(Pdg G) {
+  for (PdgEdge &E : G.Edges) {
+    E.Dead = false;
+    E.Removable = false;
+    E.DeadReason = 0;
+  }
+  G.PrivatizedArrays.clear();
+  return G;
+}
+
+/// All pipeline invariants for one analyzed program, over its PDGs as
+/// built or, with \p WithoutKills, as withoutKills leaves them. Returns
+/// the number of valid plans seen.
 unsigned checkInvariants(const ir::AnalyzedProgram &AP,
                          const analysis::AnalysisResult &R,
-                         const PipelineOptions &Opts = PipelineOptions()) {
+                         bool WithoutKills = false) {
   unsigned ValidPlans = 0;
   for (const auto &L : AP.Loops) {
     Pdg G = buildPdg(AP, R, L.get());
+    if (WithoutKills)
+      G = withoutKills(std::move(G));
 
     // Killed flow splits never reach the planner.
     for (const PdgEdge &E : G.Edges) {
@@ -61,11 +77,11 @@ unsigned checkInvariants(const ir::AnalyzedProgram &AP,
       EXPECT_LT(E.Dst, G.StmtLabels.size());
     }
 
-    PipelinePlan Plan = planPipeline(AP, G, Opts);
+    PipelinePlan Plan = planPipeline(AP, G);
     if (!Plan.valid())
       continue;
     ++ValidPlans;
-    EXPECT_LE(Plan.Stages.size(), static_cast<std::size_t>(Opts.MaxStages));
+    EXPECT_LE(Plan.Stages.size(), MaxPipelineStages);
 
     // Every PDG statement lands in exactly one stage; no strangers.
     std::map<unsigned, unsigned> Stage = stageOf(Plan);
@@ -239,13 +255,11 @@ TEST(Pipeline, AblationWithDeadEdgesIsCoarser) {
   ASSERT_TRUE(AP.ok());
   analysis::AnalysisResult R = analysis::analyzeProgram(AP);
 
-  PipelineOptions Live;
-  PipelineOptions Dead;
-  Dead.IncludeDead = true;
-  std::vector<PipelineFacts> WithKills = analyzePipelines(AP, R, Live);
-  std::vector<PipelineFacts> Without = analyzePipelines(AP, R, Dead);
+  std::vector<PipelineFacts> WithKills = analyzePipelines(AP, R);
   ASSERT_EQ(WithKills.size(), 1u);
-  ASSERT_EQ(Without.size(), 1u);
+  ASSERT_EQ(AP.Loops.size(), 1u);
+  PipelinePlan Without =
+      planPipeline(AP, withoutKills(buildPdg(AP, R, AP.Loops[0].get())));
 
   EXPECT_GE(WithKills[0].Plan.Stages.size(), 3u);
   EXPECT_TRUE(WithKills[0].Plan.hasParallelStage());
@@ -253,9 +267,8 @@ TEST(Pipeline, AblationWithDeadEdgesIsCoarser) {
             std::vector<std::string>{"t"});
   EXPECT_FALSE(WithKills[0].Plan.EnablingKills.empty());
 
-  EXPECT_LT(Without[0].Plan.Stages.size(),
-            WithKills[0].Plan.Stages.size());
-  EXPECT_FALSE(Without[0].Plan.hasParallelStage());
+  EXPECT_LT(Without.Stages.size(), WithKills[0].Plan.Stages.size());
+  EXPECT_FALSE(Without.hasParallelStage());
 
   // The same collapse when the Section 4 cover analysis itself is off:
   // the carried t splits stay live and privatization is never licensed.
@@ -322,9 +335,7 @@ TEST(Pipeline, InvariantsHoldAcrossExamplePrograms) {
     analysis::AnalysisResult R = analysis::analyzeProgram(AP);
     ++Programs;
     ValidPlans += checkInvariants(AP, R);
-    PipelineOptions Dead;
-    Dead.IncludeDead = true;
-    checkInvariants(AP, R, Dead);
+    checkInvariants(AP, R, /*WithoutKills=*/true);
   }
   EXPECT_GT(Programs, 0u);
   EXPECT_GT(ValidPlans, 0u) << "no example produced a pipeline at all";

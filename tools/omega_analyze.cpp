@@ -17,7 +17,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Transforms.h"
 #include "api/Options.h"
 #include "api/Response.h"
 #include "deps/DepSpace.h"
@@ -247,7 +246,7 @@ int main(int Argc, char **Argv) {
 
   if (Opts.Transforms)
     std::printf("\ntransformation opportunities:\n%s",
-                analysis::transformReport(AP, R).c_str());
+                transform::transformReport(AP, R).c_str());
 
   if (Opts.Schedule)
     std::printf("\nparallel schedule:\n%s",
