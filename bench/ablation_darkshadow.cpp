@@ -46,6 +46,7 @@ Problem randomSystem(std::mt19937 &Rng, unsigned NumVars, unsigned NumGEQs,
 } // namespace
 
 int main() {
+  OmegaContext Ctx;
   std::printf("== Experiment A1: dark shadow + splinters vs. real-shadow "
               "relaxation ==\n\n");
   std::printf("%8s%8s%10s%12s%12s%14s%14s\n", "coeff", "vars", "systems",
@@ -62,11 +63,11 @@ int main() {
                                  4 * CoeffRange);
 
         auto T0 = std::chrono::steady_clock::now();
-        bool Exact = isSatisfiable(P);
+        bool Exact = isSatisfiable(P, Ctx);
         auto T1 = std::chrono::steady_clock::now();
         SatOptions Relax;
         Relax.Mode = SatMode::RealShadowOnly;
-        bool Relaxed = isSatisfiable(P, Relax);
+        bool Relaxed = isSatisfiable(P, Ctx, Relax);
         auto T2 = std::chrono::steady_clock::now();
 
         ExactSecs += std::chrono::duration<double>(T1 - T0).count();

@@ -31,6 +31,7 @@ const ir::Access *find(const ir::AnalyzedProgram &AP, const char *Array,
 
 bool allows(const SymbolicCondition &C,
             std::vector<std::pair<std::string, int64_t>> Pins) {
+  OmegaContext Ctx;
   if (C.Impossible)
     return false;
   Problem P = C.Condition;
@@ -38,7 +39,7 @@ bool allows(const SymbolicCondition &C,
     for (VarId V = 0; V != static_cast<VarId>(P.getNumVars()); ++V)
       if (P.getVarName(V) == Name)
         P.addEQ({{V, 1}}, -Value);
-  return isSatisfiable(P);
+  return isSatisfiable(P, Ctx);
 }
 
 unsigned Passed = 0, Total = 0;
@@ -51,6 +52,7 @@ void verdict(const char *What, bool OK) {
 } // namespace
 
 int main() {
+  OmegaContext Ctx;
   std::printf("== Experiment E7: Section 5 symbolic analysis ==\n");
 
   {
@@ -72,14 +74,14 @@ int main() {
                       SymExpr::constant(100));
 
     SymbolicCondition C1 =
-        dependenceCondition(AP, *W, *R, 1, DB, {"x", "y", "m"});
+        dependenceCondition(AP, *W, *R, 1, DB, {"x", "y", "m"}, Ctx);
     std::printf("  outer-carried (+,*): %s\n", C1.Text.c_str());
     verdict("paper: 1 <= x <= 50",
             allows(C1, {{"x", 1}}) && allows(C1, {{"x", 50}}) &&
                 !allows(C1, {{"x", 0}}) && !allows(C1, {{"x", 51}}));
 
     SymbolicCondition C2 =
-        dependenceCondition(AP, *W, *R, 2, DB, {"x", "y", "m"});
+        dependenceCondition(AP, *W, *R, 2, DB, {"x", "y", "m"}, Ctx);
     std::printf("  inner-carried (0,+): %s\n", C2.Text.c_str());
     verdict("paper: x = 0 and y < m",
             allows(C2, {{"x", 0}, {"y", 1}, {"m", 2}}) &&
@@ -100,7 +102,7 @@ int main() {
     DB.declareArrayBounds("Q", AB);
     DB.declareArrayBounds("C", AB);
 
-    std::vector<UserQuery> OutQ = generateQueries(AP, *W, *W, 1, DB);
+    std::vector<UserQuery> OutQ = generateQueries(AP, *W, *W, 1, DB, Ctx);
     for (const UserQuery &Q : OutQ)
       std::printf("  output-dep query: never %s given %s\n",
                   Q.Offending.c_str(), Q.Condition.c_str());
@@ -108,7 +110,7 @@ int main() {
             OutQ.size() == 1 &&
                 OutQ.front().Offending.find("Q[a]") != std::string::npos);
 
-    std::vector<UserQuery> FlowQ = generateQueries(AP, *W, *R, 1, DB);
+    std::vector<UserQuery> FlowQ = generateQueries(AP, *W, *R, 1, DB, Ctx);
     for (const UserQuery &Q : FlowQ)
       std::printf("  flow-dep query:   never %s given %s\n",
                   Q.Offending.c_str(), Q.Condition.c_str());
@@ -119,15 +121,15 @@ int main() {
     AssertionDB Perm = DB;
     Perm.assertPermutation("Q");
     verdict("permutation assertion kills the output dependence",
-            !dependencePossible(AP, *W, *W, 1, Perm));
+            !dependencePossible(AP, *W, *W, 1, Perm, Ctx));
 
     AssertionDB Incr = DB;
     Incr.assertStrictlyIncreasing("Q");
     verdict("strictly-increasing assertion kills the carried flow",
-            !dependencePossible(AP, *W, *R, 1, Incr));
+            !dependencePossible(AP, *W, *R, 1, Incr, Ctx));
     verdict("without assertions both dependences assumed",
-            dependencePossible(AP, *W, *W, 1, DB) &&
-                dependencePossible(AP, *W, *R, 1, DB));
+            dependencePossible(AP, *W, *W, 1, DB, Ctx) &&
+                dependencePossible(AP, *W, *R, 1, DB, Ctx));
   }
 
   std::printf("\n%u/%u Section 5 checks pass\n", Passed, Total);

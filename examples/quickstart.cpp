@@ -23,6 +23,7 @@ static void banner(const char *Title) {
 }
 
 int main() {
+  OmegaContext Ctx;
   // ----------------------------------------------------------------- //
   banner("1. Integer satisfiability (the Omega test)");
   {
@@ -37,11 +38,11 @@ int main() {
     P.addGEQ({{X, -7}, {Y, 9}}, 4);
     std::printf("system: %s\n", P.toString().c_str());
     std::printf("integer satisfiable: %s\n",
-                isSatisfiable(P) ? "yes" : "no");
+                isSatisfiable(P, Ctx) ? "yes" : "no");
     SatOptions Real;
     Real.Mode = SatMode::RealShadowOnly;
     std::printf("real relaxation says: %s\n",
-                isSatisfiable(P, Real) ? "yes (too optimistic!)" : "no");
+                isSatisfiable(P, Ctx, Real) ? "yes (too optimistic!)" : "no");
   }
 
   // ----------------------------------------------------------------- //
@@ -56,7 +57,7 @@ int main() {
     P.addGEQ({{A, 1}, {B, -1}}, -1);
     P.addGEQ({{A, -1}, {B, 5}}, 0);
     std::printf("system: %s\n", P.toString().c_str());
-    ProjectionResult R = projectOnto(P, {A});
+    ProjectionResult R = projectOnto(P, {A}, Ctx);
     std::printf("projected onto a: %s\n",
                 R.Pieces.front().toString().c_str());
   }
@@ -71,7 +72,7 @@ int main() {
     P.addGEQ({{X, -1}}, 50); // x <= 50
     Problem Q = Layout.cloneLayout();
     Q.addGEQ({{X, 1}}, -10); // x >= 10 (already known)
-    Problem G = gist(P, Q);
+    Problem G = gist(P, Q, Ctx);
     std::printf("gist %s given %s  =  %s\n", P.toString().c_str(),
                 Q.toString().c_str(), G.toString().c_str());
   }

@@ -31,6 +31,7 @@ const ir::Access *find(const ir::AnalyzedProgram &AP, const char *Array,
 } // namespace
 
 int main() {
+  OmegaContext Ctx;
   // ----------------------------------------------------------------- //
   std::printf("==== Example 7: symbolic conditions ====\n%s\n",
               kernels::example7());
@@ -53,11 +54,11 @@ int main() {
     std::printf("asserted: all references in bounds, 50 <= n <= 100\n\n");
 
     SymbolicCondition C1 =
-        dependenceCondition(AP, *W, *R, 1, DB, {"x", "y", "m"});
+        dependenceCondition(AP, *W, *R, 1, DB, {"x", "y", "m"}, Ctx);
     std::printf("outer-carried dependence (+,*) exists iff:  %s\n",
                 C1.Text.c_str());
     SymbolicCondition C2 =
-        dependenceCondition(AP, *W, *R, 2, DB, {"x", "y", "m"});
+        dependenceCondition(AP, *W, *R, 2, DB, {"x", "y", "m"}, Ctx);
     std::printf("inner-carried dependence (0,+) exists iff:  %s\n",
                 C2.Text.c_str());
     std::printf("(paper: 1 <= x <= 50, and x = 0 && y < m)\n\n");
@@ -80,20 +81,20 @@ int main() {
     DB.declareArrayBounds("C", AB);
 
     std::printf("checking for an output dependence of A(Q(L1)):\n");
-    for (const UserQuery &Q : generateQueries(AP, *W, *W, 1, DB))
+    for (const UserQuery &Q : generateQueries(AP, *W, *W, 1, DB, Ctx))
       std::printf("  query> %s\n", Q.Text.c_str());
     std::printf("\nchecking for a carried flow dependence:\n");
-    for (const UserQuery &Q : generateQueries(AP, *W, *R, 1, DB))
+    for (const UserQuery &Q : generateQueries(AP, *W, *R, 1, DB, Ctx))
       std::printf("  query> %s\n", Q.Text.c_str());
 
     std::printf("\nuser answers: \"Q is a permutation array\"\n");
     DB.assertPermutation("Q");
     std::printf("  output dependence possible now: %s\n",
-                dependencePossible(AP, *W, *W, 1, DB) ? "yes" : "no");
+                dependencePossible(AP, *W, *W, 1, DB, Ctx) ? "yes" : "no");
     std::printf("\nuser answers: \"Q is strictly increasing\"\n");
     DB.assertStrictlyIncreasing("Q");
     std::printf("  carried flow dependence possible now: %s\n",
-                dependencePossible(AP, *W, *R, 1, DB) ? "yes" : "no");
+                dependencePossible(AP, *W, *R, 1, DB, Ctx) ? "yes" : "no");
   }
 
   // ----------------------------------------------------------------- //
@@ -106,7 +107,8 @@ int main() {
     std::printf("i*j is handled as an uninterpreted term; without further "
                 "knowledge the\ncarried output dependence must be "
                 "assumed: %s\n",
-                dependencePossible(AP, *W, *W, 1, DB) ? "assumed" : "none");
+                dependencePossible(AP, *W, *W, 1, DB, Ctx) ? "assumed"
+                                                           : "none");
   }
 
   // ----------------------------------------------------------------- //
@@ -120,11 +122,11 @@ int main() {
     std::printf("k := k + j is recognized as a strictly increasing "
                 "recurrence, so a(k)\nnever revisits a location:\n");
     std::printf("  carried output dependence at level 1: %s\n",
-                dependencePossible(AP, *W, *W, 1, DB) ? "assumed"
-                                                      : "impossible");
+                dependencePossible(AP, *W, *W, 1, DB, Ctx) ? "assumed"
+                                                           : "impossible");
     std::printf("  carried output dependence at level 2: %s\n",
-                dependencePossible(AP, *W, *W, 2, DB) ? "assumed"
-                                                      : "impossible");
+                dependencePossible(AP, *W, *W, 2, DB, Ctx) ? "assumed"
+                                                           : "impossible");
     std::printf("(no compiler in the [LCD91] study vectorized this "
                 "loop)\n");
   }

@@ -75,9 +75,9 @@ struct AnalysisResult {
 
 /// Legacy serial entry point, implemented in the engine library on top of
 /// engine::DependenceEngine (link omega_engine to use it). Runs with one
-/// job and no reuse, and merges the run's Omega stats into the
-/// calling thread's current context. New code should construct a
-/// DependenceEngine and pass an engine::AnalysisRequest instead.
+/// job and no reuse; the run's Omega stats are dropped. New code, and any
+/// caller that reads counters, should construct a DependenceEngine and
+/// pass an engine::AnalysisRequest instead (its result carries Stats).
 AnalysisResult analyzeProgram(const ir::AnalyzedProgram &AP,
                               const DriverOptions &Opts = DriverOptions());
 

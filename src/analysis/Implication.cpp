@@ -14,9 +14,8 @@ using namespace omega::analysis;
 
 bool analysis::checkImplication(const Problem &LHS,
                                 const std::vector<Problem> &Pieces,
-                                bool LHSSatisfiable) {
-  OmegaContext &Ctx = OmegaContext::current();
-  if (!LHSSatisfiable && !isSatisfiable(LHS, SatOptions(), Ctx))
+                                OmegaContext &Ctx, bool LHSSatisfiable) {
+  if (!LHSSatisfiable && !isSatisfiable(LHS, Ctx))
     return true; // vacuous
 
   // Drop pieces disjoint from the left-hand side: they cannot help cover
@@ -24,8 +23,7 @@ bool analysis::checkImplication(const Problem &LHS,
   unsigned SharedVars = LHS.getNumVars();
   std::vector<Problem> Relevant;
   for (const Problem &Piece : Pieces)
-    if (isSatisfiable(conjoinExtending(LHS, Piece, SharedVars), SatOptions(),
-                      Ctx))
+    if (isSatisfiable(conjoinExtending(LHS, Piece, SharedVars), Ctx))
       Relevant.push_back(Piece);
   if (Relevant.empty())
     return false;

@@ -29,9 +29,10 @@ namespace analysis {
 /// unprotected variables existential on both sides)? Conservative: may
 /// return false when a piece's stride structure cannot be negated.
 /// \p LHSSatisfiable says the caller has already proved \p LHS has an
-/// integer point, which skips the vacuous-truth test.
+/// integer point, which skips the vacuous-truth test. The work is charged
+/// to \p Ctx.
 bool checkImplication(const Problem &LHS, const std::vector<Problem> &Pieces,
-                      bool LHSSatisfiable = false);
+                      OmegaContext &Ctx, bool LHSSatisfiable = false);
 
 } // namespace analysis
 } // namespace omega

@@ -33,12 +33,12 @@ std::vector<bool> keepAllBut(const Problem &P, const DepSpace &Space,
 /// yields the empty union: used on the right-hand side of the Section 4
 /// implications, that makes the proof fail -- the conservative outcome.
 std::vector<Problem> projectAwayInstance(std::vector<Problem> Cases,
-                                         const DepSpace &Space,
-                                         unsigned Inst) {
+                                         const DepSpace &Space, unsigned Inst,
+                                         OmegaContext &Ctx) {
   std::vector<Problem> Pieces;
   for (Problem &Case : Cases) {
     ProjectionResult R =
-        projectOntoMask(Case, keepAllBut(Case, Space, Inst),
+        projectOntoMask(Case, keepAllBut(Case, Space, Inst), Ctx,
                         ProjectOptions{/*RemoveRedundant=*/false,
                                        /*DropEmptyPieces=*/true});
     if (R.Poisoned)
@@ -52,9 +52,10 @@ std::vector<Problem> projectAwayInstance(std::vector<Problem> Cases,
 } // namespace
 
 bool analysis::covers(const ir::AnalyzedProgram &AP, const ir::Access &A,
-                      const ir::Access &B, bool LoopIndependentOnly) {
+                      const ir::Access &B, OmegaContext &Ctx,
+                      bool LoopIndependentOnly) {
   assert(A.IsWrite && A.Array == B.Array && "cover needs a same-array write");
-  obs::ScopedSpan Span(OmegaContext::current().Trace, obs::SpanKind::Cover);
+  obs::ScopedSpan Span(Ctx.Trace, obs::SpanKind::Cover);
   // Rank-mismatched references (a(x) vs. a(x,y)) only MAY alias; a cover
   // claims the write definitely produces every element the read touches,
   // which needs must-alias reasoning.
@@ -81,16 +82,16 @@ bool analysis::covers(const ir::AnalyzedProgram &AP, const ir::Access &A,
     Cases = Space.precedesCases(RHS, 0, 1);
   }
   std::vector<Problem> Pieces =
-      projectAwayInstance(std::move(Cases), Space, 0);
+      projectAwayInstance(std::move(Cases), Space, 0, Ctx);
 
-  return checkImplication(LHS, Pieces);
+  return checkImplication(LHS, Pieces, Ctx);
 }
 
 bool analysis::terminates(const ir::AnalyzedProgram &AP, const ir::Access &A,
-                          const ir::Access &B) {
+                          const ir::Access &B, OmegaContext &Ctx) {
   assert(B.IsWrite && A.Array == B.Array &&
          "termination needs a same-array write");
-  obs::ScopedSpan Span(OmegaContext::current().Trace, obs::SpanKind::Kill);
+  obs::ScopedSpan Span(Ctx.Trace, obs::SpanKind::Kill);
   // Must-alias reasoning: see covers().
   if (A.Subscripts.size() != B.Subscripts.size())
     return false;
@@ -105,9 +106,9 @@ bool analysis::terminates(const ir::AnalyzedProgram &AP, const ir::Access &A,
   Space.addIterationSpace(RHS, 1);
   Space.addSubscriptsEqual(RHS, 0, 1);
   std::vector<Problem> Pieces =
-      projectAwayInstance(Space.precedesCases(RHS, 0, 1), Space, 1);
+      projectAwayInstance(Space.precedesCases(RHS, 0, 1), Space, 1, Ctx);
 
-  return checkImplication(LHS, Pieces);
+  return checkImplication(LHS, Pieces, Ctx);
 }
 
 analysis::KillCheck::KillCheck(const ir::AnalyzedProgram &AP,
@@ -123,7 +124,8 @@ analysis::KillCheck::KillCheck(const ir::AnalyzedProgram &AP,
          "killer must write the same array");
 }
 
-const std::vector<Problem> &analysis::KillCheck::rightHandSide() {
+const std::vector<Problem> &
+analysis::KillCheck::rightHandSide(OmegaContext &Ctx) {
   if (RHS)
     return *RHS;
   // Exists j in [B] with A(i) << B(j) << C(k) and B(j) =sub= C(k).
@@ -134,15 +136,15 @@ const std::vector<Problem> &analysis::KillCheck::rightHandSide() {
   for (const Problem &Mid : Space.precedesCases(Between, 0, 1)) {
     std::vector<Problem> Full = Space.precedesCases(Mid, 1, 2);
     std::vector<Problem> Projected =
-        projectAwayInstance(std::move(Full), Space, 1);
+        projectAwayInstance(std::move(Full), Space, 1, Ctx);
     for (Problem &Piece : Projected)
       RHS->push_back(std::move(Piece));
   }
   return *RHS;
 }
 
-bool analysis::KillCheck::kills(unsigned Level) {
-  obs::ScopedSpan Span(OmegaContext::current().Trace, obs::SpanKind::Kill);
+bool analysis::KillCheck::kills(unsigned Level, OmegaContext &Ctx) {
+  obs::ScopedSpan Span(Ctx.Trace, obs::SpanKind::Kill);
   if (!RanksMatch)
     return false;
 
@@ -156,20 +158,21 @@ bool analysis::KillCheck::kills(unsigned Level) {
     return false; // no loop-independent dependence to kill
   Space.addPrecedesAtLevel(LHS, 0, 2, Level);
 
-  return checkImplication(LHS, rightHandSide());
+  return checkImplication(LHS, rightHandSide(Ctx), Ctx);
 }
 
 std::vector<bool>
-analysis::KillCheck::killsEach(const std::vector<unsigned> &Levels) {
+analysis::KillCheck::killsEach(const std::vector<unsigned> &Levels,
+                               OmegaContext &Ctx) {
   if (RanksMatch && !Levels.empty() && !RHS) {
-    obs::ScopedSpan Span(OmegaContext::current().Trace, obs::SpanKind::Kill);
-    rightHandSide();
+    obs::ScopedSpan Span(Ctx.Trace, obs::SpanKind::Kill);
+    rightHandSide(Ctx);
   }
   std::vector<char> Killed(Levels.size(), 0);
-  OmegaContext::current().forEachIndependent(
-      Levels.size(), [&](std::size_t I, OmegaContext &) {
-        Killed[I] = kills(Levels[I]);
-      });
+  Ctx.forEachIndependent(Levels.size(),
+                         [&](std::size_t I, OmegaContext &Sub) {
+                           Killed[I] = kills(Levels[I], Sub);
+                         });
   return std::vector<bool>(Killed.begin(), Killed.end());
 }
 

@@ -34,14 +34,16 @@ namespace analysis {
 /// earlier write from \p A? \p A must be a write to the same array. With
 /// \p LoopIndependentOnly the covering instance must come from the same
 /// iteration of every common loop (needed to know which other writes the
-/// cover can kill, see Section 4.2's discussion of Example 2).
+/// cover can kill, see Section 4.2's discussion of Example 2). The work is
+/// charged to \p Ctx, as it is for every predicate here.
 bool covers(const ir::AnalyzedProgram &AP, const ir::Access &A,
-            const ir::Access &B, bool LoopIndependentOnly = false);
+            const ir::Access &B, OmegaContext &Ctx,
+            bool LoopIndependentOnly = false);
 
 /// Section 4.3: is every location accessed by \p A subsequently
 /// overwritten by write \p B?
 bool terminates(const ir::AnalyzedProgram &AP, const ir::Access &A,
-                const ir::Access &B);
+                const ir::Access &B, OmegaContext &Ctx);
 
 /// Section 4.1 for one (victim write A, killer B, read C) triple: is the
 /// dependence split of A -> C carried at a level (0 == loop-independent)
@@ -54,15 +56,16 @@ public:
   KillCheck(const ir::AnalyzedProgram &AP, const ir::Access &A,
             const ir::Access &B, const ir::Access &C);
 
-  bool kills(unsigned Level);
+  bool kills(unsigned Level, OmegaContext &Ctx);
 
   /// kills() for each of \p Levels, in order. The shared right-hand side
   /// is built first; the per-level checks then only read it, so they fan
-  /// out through OmegaContext::forEachIndependent.
-  std::vector<bool> killsEach(const std::vector<unsigned> &Levels);
+  /// out through Ctx.forEachIndependent.
+  std::vector<bool> killsEach(const std::vector<unsigned> &Levels,
+                              OmegaContext &Ctx);
 
 private:
-  const std::vector<Problem> &rightHandSide();
+  const std::vector<Problem> &rightHandSide(OmegaContext &Ctx);
 
   deps::DepSpace Space;
   bool RanksMatch;

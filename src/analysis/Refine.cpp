@@ -44,9 +44,9 @@ struct LevelProblem {
   bool Feasible = true;
 
   /// The range of Delta_L over P.
-  IntRange range(unsigned L) {
+  IntRange range(unsigned L, OmegaContext &Ctx) {
     if (!Known[L])
-      Known[L] = computeVarRange(P, Deltas[L]);
+      Known[L] = computeVarRange(P, Deltas[L], Ctx);
     return *Known[L];
   }
 
@@ -93,9 +93,9 @@ struct LevelProblem {
 /// piece that does not. The pieces come from a projection that dropped
 /// its empty pieces and was not poisoned, so each is known satisfiable.
 bool impliesAll(const std::vector<Problem> &LHS,
-                const std::vector<Problem> &RHS) {
+                const std::vector<Problem> &RHS, OmegaContext &Ctx) {
   for (const Problem &Piece : LHS)
-    if (!checkImplication(Piece, RHS, /*LHSSatisfiable=*/true))
+    if (!checkImplication(Piece, RHS, Ctx, /*LHSSatisfiable=*/true))
       return false;
   return true;
 }
@@ -104,7 +104,7 @@ bool impliesAll(const std::vector<Problem> &LHS,
 /// it holds projections that do not depend on each other -- the levels'
 /// left-hand sides, one step's ranges across levels, the precedes cases
 /// of a right-hand side, and pass 2 with each level's new split -- it
-/// runs them through OmegaContext::forEachIndependent, so idle helpers
+/// runs them through the caller's forEachIndependent, so idle helpers
 /// can take them. Each of those calls runs a fixed set of projections,
 /// whoever runs them, so the solver work is the same at every job count.
 class Refiner {
@@ -138,8 +138,8 @@ public:
   /// level, verifying each extension against every level's receivers,
   /// and pins each accepted distance into every level. Returns the
   /// number of loops fixed; they stay in Prefix for pass 2.
-  unsigned runWholePass(RefineResult &Out) {
-    buildLHSPieces();
+  unsigned runWholePass(RefineResult &Out, OmegaContext &Ctx) {
+    buildLHSPieces(Ctx);
     std::vector<Problem> Receivers;
     for (const CachedPieces &Entry : LHS) {
       if (Entry.Poisoned)
@@ -151,15 +151,15 @@ public:
       return 0;
 
     for (unsigned L = 0; L != Common; ++L) {
-      computeRanges(L);
+      computeRanges(L, Ctx);
       std::optional<int64_t> Min = leastMinimum(L);
       if (!Min)
         break;
       std::vector<int64_t> Fixed = Prefix;
       Fixed.push_back(*Min);
       Out.UsedGeneralTest = true;
-      std::vector<Problem> RHS = buildRHSPieces(Fixed);
-      if (!impliesAll(Receivers, RHS)) {
+      std::vector<Problem> RHS = buildRHSPieces(Fixed, Ctx);
+      if (!impliesAll(Receivers, RHS, Ctx)) {
         Unproved = std::move(Fixed);
         UnprovedRHS = std::move(RHS);
         break;
@@ -175,7 +175,7 @@ public:
   /// Pass 2 for one level (the generator within its own restraint),
   /// resuming after pass 1's proven prefix. Touches only that level, and
   /// reads what pass 1 left. Returns true if it consulted the Omega test.
-  bool refineLevel(unsigned Idx) {
+  bool refineLevel(unsigned Idx, OmegaContext &Ctx) {
     LevelProblem &Lvl = Levels[Idx];
     const CachedPieces &Receivers = LHS[Idx];
     if (!Lvl.Feasible || Receivers.Poisoned || Receivers.Pieces.empty())
@@ -183,7 +183,7 @@ public:
     bool Used = false;
     std::vector<int64_t> Fixed = Prefix;
     for (unsigned L = Lvl.NumPinned; L != Common; ++L) {
-      IntRange R = Lvl.range(L);
+      IntRange R = Lvl.range(L, Ctx);
       if (R.Empty) {
         Lvl.Feasible = false;
         break;
@@ -192,9 +192,10 @@ public:
         break;
       Fixed.push_back(R.Min);
       Used = true;
-      bool Implied = Fixed == Unproved
-                         ? impliesAll(Receivers.Pieces, UnprovedRHS)
-                         : impliesAll(Receivers.Pieces, buildRHSPieces(Fixed));
+      bool Implied =
+          Fixed == Unproved
+              ? impliesAll(Receivers.Pieces, UnprovedRHS, Ctx)
+              : impliesAll(Receivers.Pieces, buildRHSPieces(Fixed, Ctx), Ctx);
       if (!Implied)
         break;
       Lvl.pin(L, R.Min);
@@ -204,10 +205,10 @@ public:
 
   /// The level's split as it now stands: every distance range, projected
   /// only where it is not known, or nothing when the level is empty.
-  std::optional<deps::DepSplit> levelSplit(unsigned Idx) {
+  std::optional<deps::DepSplit> levelSplit(unsigned Idx, OmegaContext &Ctx) {
     LevelProblem &Lvl = Levels[Idx];
     if (!Lvl.Feasible ||
-        (!Lvl.provenSatisfiable() && !isSatisfiable(Lvl.P))) {
+        (!Lvl.provenSatisfiable() && !isSatisfiable(Lvl.P, Ctx))) {
       Lvl.Feasible = false;
       return std::nullopt;
     }
@@ -215,7 +216,7 @@ public:
     S.Level = Lvl.Level;
     for (unsigned L = 0; L != Common; ++L) {
       deps::DirectionElem Elem;
-      Elem.Range = Lvl.range(L);
+      Elem.Range = Lvl.range(L, Ctx);
       S.Dir.push_back(Elem);
     }
     S.Refined = true;
@@ -256,20 +257,19 @@ private:
   /// LHS pieces of every level: exists i with A(i) << B(k) under the
   /// level's restraint, projected onto (k, Sym). They depend only on the
   /// level (never on pins), so both passes share them.
-  void buildLHSPieces() {
+  void buildLHSPieces(OmegaContext &Ctx) {
     LHS.resize(Levels.size());
-    OmegaContext::current().forEachIndependent(
-        Levels.size(), [&](std::size_t Idx, OmegaContext &Ctx) {
+    Ctx.forEachIndependent(
+        Levels.size(), [&](std::size_t Idx, OmegaContext &Sub) {
           Problem P = Space.base();
           Space.addIterationSpace(P, 0);
           Space.addIterationSpace(P, 2);
           Space.addSubscriptsEqual(P, 0, 2);
           Space.addPrecedesAtLevel(P, 0, 2, Levels[Idx].Level);
           ProjectionResult R =
-              projectOntoMask(P, keepAllBut(P, Space, 0),
+              projectOntoMask(P, keepAllBut(P, Space, 0), Sub,
                               ProjectOptions{/*RemoveRedundant=*/false,
-                                             /*DropEmptyPieces=*/true},
-                              Ctx);
+                                             /*DropEmptyPieces=*/true});
           LHS[Idx].Poisoned = R.Poisoned;
           LHS[Idx].Pieces = std::move(R.Pieces);
         });
@@ -277,13 +277,14 @@ private:
 
   /// Computes Delta_L's range in every feasible level that does not know
   /// it yet.
-  void computeRanges(unsigned L) {
+  void computeRanges(unsigned L, OmegaContext &Ctx) {
     std::vector<LevelProblem *> Todo;
     for (LevelProblem &Lvl : Levels)
       if (Lvl.Feasible && !Lvl.Known[L])
         Todo.push_back(&Lvl);
-    OmegaContext::current().forEachIndependent(
-        Todo.size(), [&](std::size_t T, OmegaContext &) { Todo[T]->range(L); });
+    Ctx.forEachIndependent(Todo.size(), [&](std::size_t T, OmegaContext &Sub) {
+      Todo[T]->range(L, Sub);
+    });
   }
 
   /// The least minimum of Delta_L over the feasible levels, whose ranges
@@ -309,7 +310,8 @@ private:
 
   /// RHS pieces: exists j in [A] at the fixed distances D from k, with
   /// A(j) << B(k), projected onto (k, Sym), one precedes case at a time.
-  std::vector<Problem> buildRHSPieces(const std::vector<int64_t> &D) const {
+  std::vector<Problem> buildRHSPieces(const std::vector<int64_t> &D,
+                                      OmegaContext &Ctx) const {
     Problem RHS0 = Space.base();
     Space.addIterationSpace(RHS0, 1);
     Space.addSubscriptsEqual(RHS0, 1, 2);
@@ -322,14 +324,12 @@ private:
     }
     std::vector<Problem> Cases = Space.precedesCases(RHS0, 1, 2);
     std::vector<ProjectionResult> Projected(Cases.size());
-    OmegaContext::current().forEachIndependent(
-        Cases.size(), [&](std::size_t I, OmegaContext &Ctx) {
-          Projected[I] =
-              projectOntoMask(Cases[I], keepAllBut(Cases[I], Space, 1),
-                              ProjectOptions{/*RemoveRedundant=*/false,
-                                             /*DropEmptyPieces=*/true},
-                              Ctx);
-        });
+    Ctx.forEachIndependent(Cases.size(), [&](std::size_t I, OmegaContext &Sub) {
+      Projected[I] = projectOntoMask(Cases[I], keepAllBut(Cases[I], Space, 1),
+                                     Sub,
+                                     ProjectOptions{/*RemoveRedundant=*/false,
+                                                    /*DropEmptyPieces=*/true});
+    });
     std::vector<Problem> Pieces;
     for (ProjectionResult &R : Projected) {
       if (R.Poisoned)
@@ -357,10 +357,11 @@ private:
 RefineResult analysis::refineDependence(const ir::AnalyzedProgram &AP,
                                         const ir::Access &A,
                                         const ir::Access &B,
-                                        deps::Dependence &Dep) {
+                                        deps::Dependence &Dep,
+                                        OmegaContext &Ctx) {
   RefineResult Result;
   assert(A.IsWrite && "refinement applies to dependences from a write");
-  obs::ScopedSpan Span(OmegaContext::current().Trace, obs::SpanKind::Refine);
+  obs::ScopedSpan Span(Ctx.Trace, obs::SpanKind::Refine);
   if (Dep.Splits.empty())
     return Result;
   // Refinement claims a definite more-recent source, which needs
@@ -375,7 +376,7 @@ RefineResult analysis::refineDependence(const ir::AnalyzedProgram &AP,
 
   // Pass 1 (Section 4.4's generator over the whole dependence): a refined
   // vector may kill entire splits, e.g. Example 4's (0+,1) -> (0,1).
-  unsigned WholeFixed = R.runWholePass(Result);
+  unsigned WholeFixed = R.runWholePass(Result, Ctx);
   Result.LoopsFixed = WholeFixed;
 
   // Pass 2 (per restraint vector): when the whole-dependence pass stalls,
@@ -387,11 +388,10 @@ RefineResult analysis::refineDependence(const ir::AnalyzedProgram &AP,
   bool Stalled = WholeFixed < R.numCommonLoops();
   std::vector<std::optional<deps::DepSplit>> Splits(R.numLevels());
   std::vector<char> Used(R.numLevels(), 0);
-  OmegaContext::current().forEachIndependent(
-      R.numLevels(), [&](std::size_t I, OmegaContext &) {
-        Used[I] = Stalled && R.refineLevel(static_cast<unsigned>(I));
-        Splits[I] = R.levelSplit(static_cast<unsigned>(I));
-      });
+  Ctx.forEachIndependent(R.numLevels(), [&](std::size_t I, OmegaContext &Sub) {
+    Used[I] = Stalled && R.refineLevel(static_cast<unsigned>(I), Sub);
+    Splits[I] = R.levelSplit(static_cast<unsigned>(I), Sub);
+  });
   Result.UsedGeneralTest |= std::count(Used.begin(), Used.end(), 1) != 0;
 
   if (R.replaceSplits(std::move(Splits)))

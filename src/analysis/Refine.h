@@ -35,9 +35,10 @@
 ///
 /// The independent projections -- the levels' left-hand sides, one step's
 /// ranges across levels, a right-hand side's precedes cases, and per
-/// level the per-split pass with the new split -- fan out through
-/// OmegaContext::forEachIndependent, so idle helpers can take them; the
-/// solver work and the explain log are the same at every job count.
+/// level the per-split pass with the new split -- fan out through the
+/// caller's OmegaContext::forEachIndependent, so idle helpers can take
+/// them; the solver work and the explain log are the same at every job
+/// count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,10 +59,11 @@ struct RefineResult {
 /// Attempts to refine \p Dep (a dependence from write \p A to access
 /// \p B), rewriting its splits in place on success. \p Dep must be the
 /// unrefined answer of the pair solver: its exact ranges are trusted as
-/// the exact distance ranges of each level.
+/// the exact distance ranges of each level. The work is charged to
+/// \p Ctx.
 RefineResult refineDependence(const ir::AnalyzedProgram &AP,
                               const ir::Access &A, const ir::Access &B,
-                              deps::Dependence &Dep);
+                              deps::Dependence &Dep, OmegaContext &Ctx);
 
 } // namespace analysis
 } // namespace omega

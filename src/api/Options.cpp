@@ -90,9 +90,6 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
       {"--deadline-ms", nullptr, ToolServe, true, "MS",
        "default per-request deadline; overdue queued requests are shed "
        "with 'deadline_exceeded' (0 = none)"},
-      {"--no-coalesce", nullptr, ToolServe, false, nullptr,
-       "do not coalesce concurrent identical requests onto one engine "
-       "solve"},
       {"--metrics-file", nullptr, ToolServe, true, "PATH",
        "rewrite PATH atomically with a Prometheus text-format metrics "
        "exposition (on every metrics op, periodically, and at shutdown)"},
@@ -109,10 +106,6 @@ const std::vector<OptionSpec> &omega::api::optionSpecs() {
        "rotate the access log once it exceeds MB megabytes: the file is "
        "flushed and atomically renamed to PATH.1, and logging continues "
        "in a fresh PATH (one rotation kept; 0 = never rotate)"},
-      {"--latency-buckets-us", nullptr, ToolServe, true, "US,...",
-       "request-latency histogram bucket upper bounds in microseconds, "
-       "comma-separated and strictly increasing (default "
-       "100,250,...,1000000)"},
   };
   return Specs;
 }
@@ -207,9 +200,7 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
     if (!parseUnsigned(Val, U, MaxDeadlineMs))
       return BadNum();
     O.DeadlineMs = U;
-  } else if (Flag == "--no-coalesce")
-    O.Coalesce = false;
-  else if (Flag == "--metrics-file")
+  } else if (Flag == "--metrics-file")
     O.MetricsFile = Val;
   else if (Flag == "--access-log")
     O.AccessLogFile = Val;
@@ -223,25 +214,6 @@ bool applyFlag(AnalysisOptions &O, const std::string &Flag,
     if (!parseUnsigned(Val, U))
       return BadNum();
     O.AccessLogMaxMB = U;
-  } else if (Flag == "--latency-buckets-us") {
-    std::vector<uint64_t> Bounds;
-    std::size_t Pos = 0;
-    while (Pos <= Val.size()) {
-      std::size_t Comma = Val.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = Val.size();
-      if (!parseUnsigned(Val.substr(Pos, Comma - Pos), U))
-        return BadNum();
-      if (!Bounds.empty() && U <= Bounds.back()) {
-        Err = "--latency-buckets-us bounds must be strictly increasing";
-        return false;
-      }
-      Bounds.push_back(U);
-      Pos = Comma + 1;
-    }
-    if (Bounds.empty())
-      return BadNum();
-    O.LatencyBucketsUs = std::move(Bounds);
   } else {
     Err = "unhandled shared option " + Flag;
     return false;

@@ -108,9 +108,6 @@ struct AnalysisOptions {
   unsigned ServeWorkers = 4;     ///< --workers N concurrent requests
   unsigned MaxQueue = 64;        ///< --max-queue N admission bound
   uint64_t DeadlineMs = 0;       ///< --deadline-ms N (0 = none)
-  /// Singleflight: concurrent requests with identical source and options
-  /// share one solve and response document.
-  bool Coalesce = true;          ///< --no-coalesce
 
   // -- serve-only telemetry ---------------------------------------------
   std::string MetricsFile;   ///< --metrics-file=PATH Prometheus exposition
@@ -122,9 +119,6 @@ struct AnalysisOptions {
   /// Rotate the access log (rename to PATH.1) when it exceeds this many
   /// megabytes; 0 disables rotation.
   uint64_t AccessLogMaxMB = 0;  ///< --access-log-max-mb MB
-  /// Request-latency histogram bucket upper bounds in microseconds,
-  /// strictly increasing; empty uses the server's built-in boundaries.
-  std::vector<uint64_t> LatencyBucketsUs; ///< --latency-buckets-us US,...
 
   /// Lowers the option set into the engine's request struct.
   engine::AnalysisRequest toEngineRequest() const;

@@ -36,11 +36,10 @@ using namespace omega::api;
 
 namespace {
 
-/// Default latency histogram boundaries in microseconds: tight resolution
-/// where the corpus kernels live (sub-millisecond), decades above for
-/// queue pressure and pathological requests. Config::LatencyBoundsUs
-/// (--latency-buckets-us) overrides them.
-const std::vector<uint64_t> DefaultLatencyBoundsUs = {
+/// Latency histogram boundaries in microseconds: tight resolution where
+/// the corpus kernels live (sub-millisecond), decades above for queue
+/// pressure and pathological requests.
+const std::vector<uint64_t> LatencyBoundsUs = {
     100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000,
     1000000};
 
@@ -106,7 +105,7 @@ struct Server::Telemetry {
   std::atomic<uint64_t> SlowSeq{0};
   std::atomic<uint64_t> Completed{0};
 
-  explicit Telemetry(const std::vector<uint64_t> &LatencyBoundsUs) {
+  Telemetry() {
     auto C = [&](const char *Name, const char *Help) {
       return Registry.counter(Name, Help);
     };
@@ -203,9 +202,7 @@ struct Server::Telemetry {
 //===----------------------------------------------------------------------===//
 
 Server::Server(const Config &C) : Cfg(C), Store(C.ResultStoreCap) {
-  Tele = std::make_unique<Telemetry>(Cfg.LatencyBoundsUs.empty()
-                                         ? DefaultLatencyBoundsUs
-                                         : Cfg.LatencyBoundsUs);
+  Tele = std::make_unique<Telemetry>();
   auto Note = [&](const std::string &S) {
     if (!StartupNote.empty())
       StartupNote += "; ";
@@ -599,10 +596,8 @@ void Server::runOne(Request &R, unsigned Index) {
   // flight parks on it as a follower and frees this worker slot
   // immediately; the leader answers it (under the follower's own id) when
   // the shared solve completes.
-  bool Leader = false;
-  std::string CKey;
-  if (Cfg.Coalesce) {
-    CKey = coalesceKey(R.Opts, R.Source);
+  const std::string CKey = coalesceKey(R.Opts, R.Source);
+  {
     std::lock_guard<std::mutex> Lock(CoalesceMu);
     auto It = Inflight.find(CKey);
     if (It != Inflight.end()) {
@@ -610,20 +605,17 @@ void Server::runOne(Request &R, unsigned Index) {
       return;
     }
     Inflight.emplace(CKey, InflightEntry{});
-    Leader = true;
   }
   // Collects (and detaches) the followers parked on this leader. Runs
   // after the leader's outcome is known: a request arriving later finds
   // no in-flight entry and becomes a fresh leader.
   auto TakeFollowers = [&] {
     std::vector<Waiter> Fs;
-    if (Leader) {
-      std::lock_guard<std::mutex> Lock(CoalesceMu);
-      auto It = Inflight.find(CKey);
-      if (It != Inflight.end()) {
-        Fs = std::move(It->second.Waiters);
-        Inflight.erase(It);
-      }
+    std::lock_guard<std::mutex> Lock(CoalesceMu);
+    auto It = Inflight.find(CKey);
+    if (It != Inflight.end()) {
+      Fs = std::move(It->second.Waiters);
+      Inflight.erase(It);
     }
     return Fs;
   };

@@ -92,9 +92,6 @@ public:
     std::string ResultCacheFile;
     /// Result-store entry bound (0 = unbounded), LRU-evicted beyond it.
     std::size_t ResultStoreCap = engine::ResultStore::DefaultCapacity;
-    /// In-flight coalescing: concurrent analyze requests with identical
-    /// source and options share one engine solve.
-    bool Coalesce = true;
 
     // -- telemetry sinks (the registry itself is always on; recording is
     // -- a few relaxed atomics per request and never touches results) ----
@@ -118,10 +115,6 @@ public:
     /// written whole under one lock, so rotation never tears a line.
     /// 0 disables rotation.
     std::uint64_t AccessLogMaxMB = 0;
-    /// Latency-histogram bucket upper bounds in microseconds, strictly
-    /// increasing (--latency-buckets-us). Empty uses the built-in
-    /// boundaries (100us..1s, tight sub-millisecond resolution).
-    std::vector<std::uint64_t> LatencyBoundsUs;
   };
 
   explicit Server(const Config &C);

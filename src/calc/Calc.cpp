@@ -221,7 +221,7 @@ class Interpreter {
 public:
   Interpreter(std::map<std::string, NamedSet> &Sets, std::string_view Src,
               Calculator &Calc)
-      : Sets(Sets), Scan(Src), Calc(Calc) {
+      : Sets(Sets), Scan(Src), Calc(Calc), Ctx(Calc.context()) {
     bump();
   }
 
@@ -367,7 +367,7 @@ private:
     if (!S || !expect(Tok::Semi, "';'"))
       return;
     Out += Name + " is " +
-           (isSatisfiable(S->P) ? "satisfiable" : "unsatisfiable") + "\n";
+           (isSatisfiable(S->P, Ctx) ? "satisfiable" : "unsatisfiable") + "\n";
   }
 
   void solutionCmd() {
@@ -375,7 +375,7 @@ private:
     const NamedSet *S = Name.empty() ? nullptr : getSet(Name);
     if (!S || !expect(Tok::Semi, "';'"))
       return;
-    std::optional<std::vector<int64_t>> Sol = findSolution(S->P);
+    std::optional<std::vector<int64_t>> Sol = findSolution(S->P, Ctx);
     if (!Sol) {
       Out += Name + " has no solution\n";
       return;
@@ -412,7 +412,7 @@ private:
       error("'" + VarName + "' is not a variable of " + Name);
       return;
     }
-    Out += VarName + " in " + computeVarRange(S->P, V).toString() + "\n";
+    Out += VarName + " in " + computeVarRange(S->P, V, Ctx).toString() + "\n";
   }
 
   void projectCmd(bool Approx) {
@@ -462,7 +462,7 @@ private:
 
     ProjectOptions Opts;
     Opts.WantApprox = Approx;
-    ProjectionResult R = projectOntoMask(S->P, Mask, Opts);
+    ProjectionResult R = projectOntoMask(S->P, Mask, Ctx, Opts);
     if (Approx) {
       Out += "approx: " + R.Approx->Shadow.toString() +
              (R.Approx->Exact ? " (exact)" : " (over-approximate)") + "\n";
@@ -504,7 +504,7 @@ private:
             "' have incompatible tuples");
       return;
     }
-    Out += "gist: " + gist(A, B).toString() + "\n";
+    Out += "gist: " + gist(A, B, Ctx).toString() + "\n";
   }
 
   void simplifyCmd() {
@@ -520,7 +520,7 @@ private:
       It->second.P.clearConstraints();
       It->second.P.addGEQ({}, -1);
     } else {
-      removeRedundantConstraints(It->second.P);
+      removeRedundantConstraints(It->second.P, Ctx);
     }
     Out += Name + " = " + It->second.P.toString() + "\n";
   }
@@ -797,6 +797,7 @@ private:
   std::map<std::string, NamedSet> &Sets;
   Scanner Scan;
   Calculator &Calc;
+  OmegaContext &Ctx; ///< the calculator's: every Omega call is charged here
   Token Cur;
   std::string Out;
   bool Errored = false;
@@ -807,7 +808,6 @@ private:
 } // namespace
 
 std::string Calculator::run(std::string_view Script) {
-  OmegaContextScope Scope(Ctx); // route every Omega call to this calculator
   Interpreter I(Sets, Script, *this);
   std::string Out = I.run();
   HadError = I.hadError();

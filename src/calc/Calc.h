@@ -53,9 +53,9 @@ struct NamedSet {
 class Calculator {
 public:
   /// Executes a whole script; returns everything the commands printed
-  /// (including error messages, which also set hadError()). Runs under
-  /// the calculator's own OmegaContext, so stats accumulate per calculator
-  /// and never touch the process default.
+  /// (including error messages, which also set hadError()). Every Omega
+  /// call is charged to the calculator's own OmegaContext, so stats
+  /// accumulate per calculator.
   std::string run(std::string_view Script);
 
   bool hadError() const { return HadError; }

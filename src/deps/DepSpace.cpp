@@ -266,7 +266,7 @@ void DepSpace::addRestraint(Problem &P, unsigned InstA, unsigned InstB,
 
 std::vector<DepSpace::RestraintVector>
 DepSpace::computeRestraintVectors(const Problem &Pair, unsigned InstA,
-                                  unsigned InstB) const {
+                                  unsigned InstB, OmegaContext &Ctx) const {
   unsigned Common = numCommonLoops(InstA, InstB);
   std::vector<RestraintVector> Out;
   if (Common == 0) {
@@ -298,7 +298,7 @@ DepSpace::computeRestraintVectors(const Problem &Pair, unsigned InstA,
       Constraint &Row = Test.constraints().back();
       Row.negateForm();
       Row.setConstant(-1);
-      Valid = !isSatisfiable(std::move(Test));
+      Valid = !isSatisfiable(std::move(Test), Ctx);
     }
     if (Valid) {
       RestraintVector R;
@@ -321,7 +321,7 @@ DepSpace::computeRestraintVectors(const Problem &Pair, unsigned InstA,
       R.ExactAtLevel[K] = 0;
     R.MinAtLevel[Level - 1] = 1;
     addRestraint(Test, InstA, InstB, R);
-    if (isSatisfiable(std::move(Test)))
+    if (isSatisfiable(std::move(Test), Ctx))
       Out.push_back(std::move(R));
   }
   if (textuallyBefore(InstA, InstB)) {
@@ -330,7 +330,7 @@ DepSpace::computeRestraintVectors(const Problem &Pair, unsigned InstA,
     R.MinAtLevel.assign(Common, INT64_MIN);
     R.ExactAtLevel.assign(Common, 0);
     addRestraint(Test, InstA, InstB, R);
-    if (isSatisfiable(std::move(Test)))
+    if (isSatisfiable(std::move(Test), Ctx))
       Out.push_back(std::move(R));
   }
   return Out;

@@ -21,6 +21,7 @@
 #define OMEGA_DEPS_DEPSPACE_H
 
 #include "ir/Sema.h"
+#include "omega/OmegaContext.h"
 #include "omega/Problem.h"
 
 #include <map>
@@ -118,10 +119,12 @@ public:
   /// merged restraint (e.g. Delta_1 >= 0 suffices for coupled distances
   /// like Example 6); fall back to one restraint per carried level plus
   /// the loop-independent case. \p Pair must contain the dependence
-  /// problem (iteration spaces and subscript equality, no ordering).
+  /// problem (iteration spaces and subscript equality, no ordering). The
+  /// satisfiability tests are charged to \p Ctx.
   std::vector<RestraintVector> computeRestraintVectors(const Problem &Pair,
                                                        unsigned InstA,
-                                                       unsigned InstB) const;
+                                                       unsigned InstB,
+                                                       OmegaContext &Ctx) const;
 
   /// Appends the constraints of one restraint vector to \p P.
   void addRestraint(Problem &P, unsigned InstA, unsigned InstB,

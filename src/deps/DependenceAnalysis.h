@@ -20,6 +20,7 @@
 
 #include "deps/DepSpace.h"
 #include "deps/Dependence.h"
+#include "omega/OmegaContext.h"
 
 #include <optional>
 
@@ -28,12 +29,8 @@ namespace deps {
 
 class DependenceAnalysis {
 public:
-  /// Analyses run against \p Ctx: its stats record the work. Defaults to
-  /// the calling thread's current context; the parallel engine passes
-  /// each worker's own.
-  explicit DependenceAnalysis(const ir::AnalyzedProgram &AP,
-                              OmegaContext &Ctx = OmegaContext::current())
-      : AP(AP), Ctx(Ctx) {}
+  /// Analyses run against a context of the analysis's own.
+  explicit DependenceAnalysis(const ir::AnalyzedProgram &AP) : AP(AP) {}
 
   /// The dependence of kind \p Kind from \p Src to \p Dst (references to
   /// the same array), or nullopt when no level is feasible.
@@ -49,7 +46,7 @@ public:
 
 private:
   const ir::AnalyzedProgram &AP;
-  OmegaContext &Ctx;
+  mutable OmegaContext Ctx; ///< charged with every query; read by no one
 };
 
 /// Builds the base problem for an ordered pair: iteration spaces of both

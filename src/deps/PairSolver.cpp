@@ -52,7 +52,7 @@ std::optional<DepSplit> PairSolver::solveCase(const QueryPlan &Q,
   assert(Pair && "plan() builds the pair problem before any case");
   Problem Case = *Pair;
   Space.addPrecedesAtLevel(Case, Q.SI, Q.DI, Level);
-  if (!isSatisfiable(Case, SatOptions(), Ctx))
+  if (!isSatisfiable(Case, Ctx))
     return std::nullopt;
   std::vector<VarId> Deltas = Space.addDistanceVars(Case, Q.SI, Q.DI);
   DepSplit Split;

@@ -44,8 +44,7 @@ public:
   /// twice. The pair problem is built lazily, by the first plan() that has
   /// a case.
   PairSolver(const ir::AnalyzedProgram &AP, const ir::Access &A,
-             const ir::Access &B,
-             OmegaContext &Ctx = OmegaContext::current());
+             const ir::Access &B, OmegaContext &Ctx);
 
   /// How one query is answered: by one Omega test per case level.
   struct QueryPlan {

@@ -442,7 +442,7 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
       if (Req.Refine &&
           (!Req.QuickTests || OutInfo.carriedSelfOutput(*Write))) {
         analysis::RefineResult RR =
-            analysis::refineDependence(AP, *Write, *Read, *Slot.Dep);
+            analysis::refineDependence(AP, *Write, *Read, *Slot.Dep, Ctx);
         Slot.Record.UsedGeneralTest |= RR.UsedGeneralTest;
         Slot.Record.SplitVectors |=
             Slot.Dep->Splits.size() > 1 && RR.UsedGeneralTest;
@@ -455,10 +455,10 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
           (!Req.QuickTests || analysis::coverQuickTestPasses(*Slot.Dep))) {
         Slot.Record.UsedGeneralTest = true;
         Slot.Record.SplitVectors |= Slot.Dep->Splits.size() > 1;
-        if (analysis::covers(AP, *Write, *Read)) {
+        if (analysis::covers(AP, *Write, *Read, Ctx)) {
           Slot.Dep->Covers = true;
-          Slot.Dep->CoverLoopIndependent =
-              analysis::covers(AP, *Write, *Read, /*LoopIndependentOnly=*/true);
+          Slot.Dep->CoverLoopIndependent = analysis::covers(
+              AP, *Write, *Read, Ctx, /*LoopIndependentOnly=*/true);
           if (Ctx.Trace)
             Ctx.Trace->decision("cover: write covers every read instance");
         }
@@ -685,7 +685,7 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
               Live.push_back(&S);
               Levels.push_back(S.Level);
             }
-          std::vector<bool> Killed = Check.killsEach(Levels);
+          std::vector<bool> Killed = Check.killsEach(Levels, Ctx);
           for (std::size_t I = 0; I != Live.size(); ++I)
             if (Killed[I]) {
               Live[I]->Dead = true;
@@ -758,7 +758,7 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
           continue;
         if (Req.QuickTests && !OutInfo.outputDep(*Dep.Src, *B))
           continue;
-        if (!analysis::terminates(AP, *Dep.Src, *B))
+        if (!analysis::terminates(AP, *Dep.Src, *B, Ctx))
           continue;
         for (DepSplit &S : Dep.Splits)
           if (!S.Dead) {
@@ -781,9 +781,8 @@ AnalysisResult DependenceEngine::analyze(const ir::AnalyzedProgram &AP) {
   return Result;
 }
 
-// Legacy entry point, preserved on top of the engine: serial, no reuse,
-// stats merged into the caller's current context so code (and tests) that
-// watch the old global counters keep seeing them advance.
+// Legacy entry point, preserved on top of the engine: serial, no reuse.
+// Callers that read counters use a DependenceEngine and its R.Stats.
 analysis::AnalysisResult
 analysis::analyzeProgram(const ir::AnalyzedProgram &AP,
                          const DriverOptions &Opts) {
@@ -791,6 +790,5 @@ analysis::analyzeProgram(const ir::AnalyzedProgram &AP,
   Req.Jobs = 1;
   DependenceEngine Engine(Req);
   engine::AnalysisResult R = Engine.analyze(AP);
-  OmegaContext::current().Stats.merge(R.Stats);
   return std::move(static_cast<analysis::AnalysisResult &>(R));
 }

@@ -42,7 +42,7 @@ namespace engine {
 class ResultStore;
 class WorkerPool;
 
-/// What analyzeProgram-style runs should do and how to execute them.
+/// What an analysis run should do and how to execute it.
 struct AnalysisRequest {
   bool QuickTests = true; ///< Section 4.5 screens
   bool Refine = true;     ///< Section 4.4 distance refinement

@@ -130,8 +130,7 @@ struct KillGroupOutcome {
 };
 
 /// The pipeline switches a stored outcome depends on. An outcome recorded
-/// under one signature is invisible under another (the pair quick tests
-/// are excluded: they are result-identical by construction).
+/// under one signature is invisible under another.
 struct PipelineSig {
   bool Refine = true;
   bool Cover = true;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -46,10 +47,6 @@ unsigned omega::engine::resolveJobs(unsigned Requested, unsigned Sharers) {
 
 namespace {
 
-/// The pool whose batch the calling thread is draining, if any. A
-/// parallelFor from inside one of its tasks is a fan-out of that task.
-thread_local const WorkerPool *DrainingPool = nullptr;
-
 /// One sub-task of a fanned-out task. It runs under a context of its own
 /// (whichever thread runs it), so its counters, trace records and
 /// overflow flag can be handed to the caller in index order afterwards.
@@ -66,11 +63,10 @@ struct SubTask {
 /// One parallelFor's shared state. It lives on the caller's stack, so the
 /// caller returns only after every helper that took it has let go.
 struct Batch {
-  Batch(const WorkerPool &Pool, std::atomic<unsigned> &Lent,
-        const WorkerPool::TaskFn &Fn, std::size_t N, SubTask *Subs = nullptr)
-      : Pool(Pool), Lent(Lent), Fn(Fn), N(N), Subs(Subs) {}
+  Batch(std::atomic<unsigned> &Lent, const WorkerPool::TaskFn &Fn,
+        std::size_t N, SubTask *Subs = nullptr)
+      : Lent(Lent), Fn(Fn), N(N), Subs(Subs) {}
 
-  const WorkerPool &Pool;
   std::atomic<unsigned> &Lent; ///< the pool's helpers at work right now
   const WorkerPool::TaskFn &Fn;
   const std::size_t N;
@@ -85,21 +81,17 @@ struct Batch {
   /// process, on the caller as on a helper: the batch must outlive every
   /// helper that holds it.
   void drain(OmegaContext *Ctx) noexcept {
-    const WorkerPool *Outer = std::exchange(DrainingPool, &Pool);
     if (!Subs) {
-      OmegaContextScope Scope(*Ctx);
       for (std::size_t I = claim(); I < N; I = claim())
         Fn(I, *Ctx);
-    } else {
-      for (std::size_t I = claim(); I < N; I = claim()) {
-        SubTask &T = Subs[I];
-        OmegaContextScope Scope(T.Ctx);
-        bool Saved = std::exchange(arithOverflowFlag(), false);
-        Fn(I, T.Ctx);
-        T.Overflowed = std::exchange(arithOverflowFlag(), Saved);
-      }
+      return;
     }
-    DrainingPool = Outer;
+    for (std::size_t I = claim(); I < N; I = claim()) {
+      SubTask &T = Subs[I];
+      bool Saved = std::exchange(arithOverflowFlag(), false);
+      Fn(I, T.Ctx);
+      T.Overflowed = std::exchange(arithOverflowFlag(), Saved);
+    }
   }
 
   std::size_t claim() { return Next.fetch_add(1, std::memory_order_relaxed); }
@@ -306,14 +298,14 @@ void runBatch(Batch &B, std::size_t Reserved,
 } // namespace
 
 void WorkerPool::parallelFor(std::size_t NumTasks, const TaskFn &Fn) {
-  if (DrainingPool == this) {
-    runSubTasks(OmegaContext::current(), NumTasks, Fn);
-    return;
-  }
-  Batch B(*this, LentHelpers, Fn, NumTasks);
+  assert(!InFlight && "a task fans out through Ctx.forEachIndependent, "
+                      "not through parallelFor");
+  InFlight = true;
+  Batch B(LentHelpers, Fn, NumTasks);
   std::size_t Workers = std::min<std::size_t>(ActiveWorkers, NumTasks);
   runBatch(B, Workers > 1 ? reserveHelpers(Workers - 1) : 0,
            Contexts.data() + 1, Contexts[0].get());
+  InFlight = false;
 }
 
 void WorkerPool::runSubTasks(OmegaContext &Caller, std::size_t N,
@@ -322,7 +314,6 @@ void WorkerPool::runSubTasks(OmegaContext &Caller, std::size_t N,
   if (Reserved == 0) {
     // The pool already has jobs() threads at work: the caller runs every
     // sub-task itself, in order, under its own context.
-    OmegaContextScope Scope(Caller);
     for (std::size_t I = 0; I != N; ++I)
       Fn(I, Caller);
     return;
@@ -335,7 +326,7 @@ void WorkerPool::runSubTasks(OmegaContext &Caller, std::size_t N,
       T.Ctx.Trace = T.Trace.get();
     }
   }
-  Batch B(*this, LentHelpers, Fn, N, Subs.data());
+  Batch B(LentHelpers, Fn, N, Subs.data());
   runBatch(B, Reserved, nullptr, nullptr);
   // Hand everything back in index order, as an inline run records it.
   for (SubTask &T : Subs) {

@@ -11,9 +11,9 @@
 /// pool in the process borrows from one shared set of helper threads,
 /// (usable cores - 1) of them, started by the first parallelFor that can
 /// use one. The calling thread joins its own loop as slot 0, and each
-/// borrowed helper runs under the borrowing pool's context for its slot,
-/// so deep Omega call chains reached from a task default to the right
-/// context without explicit plumbing.
+/// borrowed helper runs under the borrowing pool's context for its slot.
+/// A task is handed its context and passes it down to every Omega call it
+/// makes; nothing finds a context any other way.
 ///
 /// A parallelFor borrows only helpers that are idle at that moment and
 /// never waits for a busy one: two engines analyzing at once split the
@@ -21,15 +21,15 @@
 /// Fresh engines therefore cost no thread start-up, and the helpers never
 /// outnumber the cores.
 ///
-/// A task may fan out too: a parallelFor from inside one of the pool's
-/// tasks, or OmegaContext::forEachIndependent on a pool context, which is
-/// how analysis/ and deps/ reach it. A fan-out borrows only helpers idle
-/// at that moment, and only while the pool runs fewer than jobs() threads,
-/// so a pool at one job (omega-serve's engines, --jobs 1) runs every
-/// fan-out inline and never touches a helper. When it does borrow, each
-/// sub-task runs under a context of its own; afterwards the caller's
-/// context takes, in index order, every sub-task's counters, trace
-/// records (spliced into the calling task) and overflow flag. So the
+/// A task may fan out too, through OmegaContext::forEachIndependent on the
+/// context it was handed, which is how analysis/ and deps/ reach the pool
+/// (a parallelFor from inside a task is an error). A fan-out borrows only
+/// helpers idle at that moment, and only while the pool runs fewer than
+/// jobs() threads, so a pool at one job (omega-serve's engines, --jobs 1)
+/// runs every fan-out inline and never touches a helper. When it does
+/// borrow, each sub-task runs under a context of its own; afterwards the
+/// caller's context takes, in index order, every sub-task's counters,
+/// trace records (spliced into the calling task) and overflow flag. So the
 /// counters, the explain log and every result are what an inline run
 /// gives, at every job count and however many helpers were idle.
 ///
@@ -100,9 +100,9 @@ public:
   /// calls have finished. The caller runs tasks under the first context;
   /// up to min(jobs(), NumTasks) - 1 idle helpers run the rest under the
   /// following ones. A single task, or a pool at one job, runs inline and
-  /// never touches the helpers. Call from one thread at a time, or from
-  /// inside one of this pool's tasks: that call is a fan-out of the task
-  /// (see the file comment) and returns as an inline loop would.
+  /// never touches the helpers. Call from one thread at a time and never
+  /// from inside one of this pool's tasks: a task fans out through its
+  /// context's forEachIndependent (see the file comment).
   void parallelFor(std::size_t NumTasks, const TaskFn &Fn);
 
   /// The first worker context (the caller's). For single-threaded
@@ -146,6 +146,7 @@ private:
   std::size_t reserveHelpers(std::size_t Want);
 
   unsigned ActiveWorkers = 1;
+  bool InFlight = false; ///< a parallelFor is running (re-entry check)
   std::vector<std::unique_ptr<OmegaContext>> Contexts;
   std::atomic<unsigned> LentHelpers{0}; ///< helpers at work for this pool
 };

@@ -46,12 +46,11 @@ enum class SolveResult { Ok, False };
 /// saturated case apart.
 SolveResult solveEqualities(Problem &P,
                             const std::function<bool(VarId)> &MayEliminate,
-                            OmegaContext &Ctx = OmegaContext::current());
+                            OmegaContext &Ctx);
 
 /// Convenience overload: every variable may be eliminated (used by the
 /// satisfiability test, where no variable needs to survive).
-SolveResult solveEqualities(Problem &P,
-                            OmegaContext &Ctx = OmegaContext::current());
+SolveResult solveEqualities(Problem &P, OmegaContext &Ctx);
 
 } // namespace omega
 

@@ -107,7 +107,7 @@ static Problem gistImpl(const Problem &P, const Problem &Given,
     Problem Both = Given;
     for (const Constraint &Row : P.constraints())
       Both.addConstraint(Row);
-    if (!isSatisfiable(std::move(Both), SatOptions(), Ctx)) {
+    if (!isSatisfiable(std::move(Both), Ctx)) {
       Problem False = P.cloneLayout();
       False.addGEQ({}, -1);
       return False;
@@ -136,7 +136,7 @@ static Problem gistImpl(const Problem &P, const Problem &Given,
     assert(Neg.size() == 1 && "candidates are inequalities");
     Test.addConstraint(Neg[0]);
     ++Ctx.Stats.GistSatTests;
-    if (!isSatisfiable(std::move(Test), SatOptions(), Ctx))
+    if (!isSatisfiable(std::move(Test), Ctx))
       continue; // redundant given the rest
     Result.addConstraint(Candidates[I]);
     Context.addConstraint(Candidates[I]);
@@ -159,7 +159,7 @@ bool omega::implies(const Problem &Given, const Problem &P,
     for (const Constraint &Branch : Neg) {
       Problem Test = Given;
       Test.addConstraint(Branch);
-      if (isSatisfiable(std::move(Test), SatOptions(), Ctx))
+      if (isSatisfiable(std::move(Test), Ctx))
         return false;
     }
   }
@@ -266,7 +266,7 @@ private:
       // of the search on every run and at every job count.
       if (SatCalls++ == Budget && probeFindsWitness())
         return true;
-      if (!isSatisfiable(Acc, SatOptions(), Ctx))
+      if (!isSatisfiable(Acc, Ctx))
         return false;
     }
     if (Index == NegatedQs.size())
@@ -293,7 +293,7 @@ private:
       for (VarId V = 0; V != static_cast<VarId>(BaseVars); ++V)
         if (Q.isProtected(V) && Q.involves(V))
           Pinned.addEQ({{V, -1}}, (*Point)[V]);
-      if (isSatisfiable(std::move(Pinned), SatOptions(), Ctx))
+      if (isSatisfiable(std::move(Pinned), Ctx))
         return false;
     }
     if (Ctx.Trace)
@@ -382,11 +382,10 @@ RedGistResult omega::projectAndGist(const Problem &Combined,
                                     const std::vector<bool> &Keep,
                                     OmegaContext &Ctx) {
   ProjectionResult Proj =
-      projectOntoMask(Combined, Keep,
+      projectOntoMask(Combined, Keep, Ctx,
                       ProjectOptions{/*RemoveRedundant=*/false,
                                      /*DropEmptyPieces=*/true,
-                                     /*WantApprox=*/true},
-                      Ctx);
+                                     /*WantApprox=*/true});
   RedGistResult Result;
   const Problem *Piece = nullptr;
   if (Proj.isSinglePiece()) {

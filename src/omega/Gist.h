@@ -34,12 +34,10 @@ namespace omega {
 /// variable layout; an empty result means Given => P ("True"). Each of P's
 /// rows (an equality as its two inequalities) costs one satisfiability
 /// test: the paper's naive algorithm.
-Problem gist(const Problem &P, const Problem &Given,
-             OmegaContext &Ctx = OmegaContext::current());
+Problem gist(const Problem &P, const Problem &Given, OmegaContext &Ctx);
 
 /// Returns true iff Given => P is a tautology (over integer points).
-bool implies(const Problem &Given, const Problem &P,
-             OmegaContext &Ctx = OmegaContext::current());
+bool implies(const Problem &Given, const Problem &P, OmegaContext &Ctx);
 
 /// Returns true iff P => (Qs[0] || Qs[1] || ...) is a tautology. An empty
 /// union is False, so this returns true only if P is unsatisfiable.
@@ -63,8 +61,7 @@ bool implies(const Problem &Given, const Problem &P,
 /// only with an exact witness, so the answer is the search's, and the
 /// budget counts calls, not time, so it does not depend on the schedule.
 bool impliesUnion(const Problem &P, const std::vector<Problem> &Qs,
-                  OmegaContext &Ctx = OmegaContext::current(),
-                  bool PSatisfiable = false);
+                  OmegaContext &Ctx, bool PSatisfiable = false);
 
 /// The logical negation of \p P (with its unprotected variables read as
 /// existentials) as a union of problems over the same layout; each result
@@ -97,7 +94,7 @@ struct RedGistResult {
 };
 RedGistResult projectAndGist(const Problem &Combined,
                              const std::vector<bool> &Keep,
-                             OmegaContext &Ctx = OmegaContext::current());
+                             OmegaContext &Ctx);
 
 } // namespace omega
 

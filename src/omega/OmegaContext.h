@@ -10,19 +10,10 @@
 /// the statistics counters, an optional trace buffer and where its
 /// sub-tasks run. It holds no solver answers and no toggles: every query
 /// runs the Omega test from scratch. Every decision-procedure entry point
-/// (isSatisfiable, projectOnto*, gist, ...) takes a context parameter
-/// defaulted to the calling thread's *current* context, so
-///
-///  * single-threaded code can ignore contexts entirely (the default
-///    context behaves exactly like the old global state), and
-///  * concurrent analyses give each worker its own context, so stats never
-///    bleed between threads.
-///
-/// The thread-local current context is installed with OmegaContextScope;
-/// without a scope, current() is the process-wide default context. The
-/// engine's worker pool installs one scope per worker thread, which is how
-/// deep call chains (refinement, kills, dep spaces) pick up the worker's
-/// context without every intermediate function naming it.
+/// (isSatisfiable, projectOnto*, gist, ...) takes the context its work is
+/// charged to, and so does every analysis that calls them: a context is
+/// always passed, never found, so concurrent analyses give each worker
+/// its own context and stats never bleed between threads.
 ///
 /// A context also says where the task running under it may fan out
 /// independent sub-tasks (forEachIndependent): the engine's worker pool
@@ -87,28 +78,6 @@ public:
   /// calls had run inline in index order, so a caller's results, stats
   /// and explain log do not depend on how many helpers were idle.
   void forEachIndependent(std::size_t N, const TaskFn &Fn);
-
-  /// The process-wide default context, used by threads that never install
-  /// a scope. Single-threaded legacy behavior: all counters land here.
-  static OmegaContext &defaultContext();
-
-  /// The calling thread's current context: the innermost active
-  /// OmegaContextScope's context, or defaultContext() when none is active.
-  static OmegaContext &current();
-};
-
-/// RAII installer: makes \p Ctx the calling thread's current context for
-/// the scope's lifetime, restoring the previous one on destruction.
-class OmegaContextScope {
-public:
-  explicit OmegaContextScope(OmegaContext &Ctx);
-  ~OmegaContextScope();
-
-  OmegaContextScope(const OmegaContextScope &) = delete;
-  OmegaContextScope &operator=(const OmegaContextScope &) = delete;
-
-private:
-  OmegaContext *Prev;
 };
 
 } // namespace omega

@@ -154,8 +154,8 @@ bool isSatImpl(Problem &P, const SatOptions &Opts, OmegaContext &Ctx,
 
 } // namespace
 
-bool omega::isSatisfiable(Problem P, const SatOptions &Opts,
-                          OmegaContext &Ctx) {
+bool omega::isSatisfiable(Problem P, OmegaContext &Ctx,
+                          const SatOptions &Opts) {
   // Open the span before bumping the call counter so the span's own
   // delta includes this call (top-level spans must sum to the context
   // counters).
@@ -190,7 +190,7 @@ static bool satisfiesAllRows(const Problem &P,
 
 std::optional<std::vector<int64_t>> omega::findSolution(const Problem &P,
                                                         OmegaContext &Ctx) {
-  if (!isSatisfiable(P, SatOptions(), Ctx))
+  if (!isSatisfiable(P, Ctx))
     return std::nullopt;
 
   Problem Work = P;
@@ -211,7 +211,7 @@ std::optional<std::vector<int64_t>> omega::findSolution(const Problem &P,
     auto TryPin = [&](int64_t Candidate) {
       Problem Pinned = Work;
       Pinned.addEQ({{V, 1}}, -Candidate);
-      if (!isSatisfiable(Pinned, SatOptions(), Ctx))
+      if (!isSatisfiable(Pinned, Ctx))
         return false;
       Point[V] = Candidate;
       Work = std::move(Pinned);

@@ -65,7 +65,7 @@ Problem oracle::scaleRows(const Problem &P, std::mt19937 &Rng,
 void oracle::checkProblemMetamorphic(const Problem &P, std::mt19937 &Rng,
                                      ModelReport &Out, OmegaContext &Ctx) {
   bool Before = arithOverflowFlag();
-  bool Base = isSatisfiable(P, SatOptions(), Ctx);
+  bool Base = isSatisfiable(P, Ctx);
   if (!Before && arithOverflowFlag())
     return; // saturated verdicts are conservative by design
 
@@ -85,7 +85,7 @@ void oracle::checkProblemMetamorphic(const Problem &P, std::mt19937 &Rng,
   for (Variant &V : Variants) {
     ++Out.Checked;
     bool Pre = arithOverflowFlag();
-    bool Got = isSatisfiable(V.Transformed, SatOptions(), Ctx);
+    bool Got = isSatisfiable(V.Transformed, Ctx);
     if (!Pre && arithOverflowFlag())
       continue; // the transform (e.g. scaling) pushed a row into saturation
     if (Got != Base)

@@ -50,8 +50,7 @@ Problem scaleRows(const Problem &P, std::mt19937 &Rng, int64_t MaxFactor = 3);
 /// agrees with the untransformed verdict on each. Appends mismatches to
 /// \p Out.
 void checkProblemMetamorphic(const Problem &P, std::mt19937 &Rng,
-                             ModelReport &Out,
-                             OmegaContext &Ctx = OmegaContext::current());
+                             ModelReport &Out, OmegaContext &Ctx);
 
 /// Returns \p P with every loop's upper bound increased by \p Extra, or
 /// nullopt when the program has a downward-counting loop (widening the

@@ -158,7 +158,7 @@ bool pieceContains(const Problem &Piece, unsigned NumKeep,
   Problem Pinned = Piece;
   for (unsigned V = 0; V != NumKeep; ++V)
     Pinned.addEQ({{static_cast<VarId>(V), 1}}, -Point[V]);
-  return isSatisfiable(std::move(Pinned), SatOptions(), Ctx);
+  return isSatisfiable(std::move(Pinned), Ctx);
 }
 
 } // namespace
@@ -169,7 +169,7 @@ void oracle::checkSatisfiability(const Problem &P, int64_t Box,
   bool Model = bruteForceSat(P, Box);
 
   SaturationGuard Guard;
-  bool Exact = isSatisfiable(P, SatOptions(), Ctx);
+  bool Exact = isSatisfiable(P, Ctx);
   if (Guard.saturated())
     return; // saturated arithmetic: the conservative answer is by design
   if (Exact != Model) {
@@ -199,7 +199,7 @@ void oracle::checkSatisfiability(const Problem &P, int64_t Box,
     // integer-infeasible systems but never UNSAT for feasible ones.
     SatOptions Relaxed;
     Relaxed.Mode = SatMode::RealShadowOnly;
-    if (!isSatisfiable(P, Relaxed, Ctx))
+    if (!isSatisfiable(P, Ctx, Relaxed))
       Out.Mismatches.push_back(
           "relaxation: real-shadow mode refutes a satisfiable system " +
           P.toString());
@@ -216,7 +216,7 @@ void oracle::checkProjection(const Problem &P, unsigned NumKeep, int64_t Box,
   SaturationGuard Guard;
   ProjectOptions Opts;
   Opts.WantApprox = true;
-  ProjectionResult R = projectOnto(P, Keep, Opts, Ctx);
+  ProjectionResult R = projectOnto(P, Keep, Ctx, Opts);
   if (R.Poisoned || Guard.saturated())
     return;
 
@@ -322,8 +322,8 @@ void oracle::checkImplication(const Problem &Given, const Problem &P,
 
 void oracle::checkFormula(const pres::Formula &F,
                           const pres::FormulaContext &Ctx, int64_t Box,
-                          ModelReport &Out) {
-  std::optional<bool> Decided = pres::isSatisfiable(F, Ctx);
+                          ModelReport &Out, OmegaContext &OC) {
+  std::optional<bool> Decided = pres::isSatisfiable(F, Ctx, OC);
   if (!Decided)
     return; // outside the decidable subclass: nothing to compare
 
@@ -349,7 +349,7 @@ void oracle::checkFormula(const pres::Formula &F,
   }
 
   std::optional<std::optional<std::vector<int64_t>>> Assignment =
-      pres::findAssignment(F, Ctx);
+      pres::findAssignment(F, Ctx, OC);
   if (!Assignment)
     return;
   if (Assignment->has_value() != *Decided) {

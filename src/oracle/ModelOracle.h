@@ -88,7 +88,7 @@ bool evalFormula(const pres::Formula &F, std::vector<int64_t> &Point,
 /// on findSolution, and the real-shadow-relaxation monotonicity invariant
 /// (a satisfiable system must stay satisfiable under SatMode::RealShadowOnly).
 void checkSatisfiability(const Problem &P, int64_t Box, ModelReport &Out,
-                         OmegaContext &Ctx = OmegaContext::current());
+                         OmegaContext &Ctx);
 
 /// projectOnto the first \p NumKeep variables against the model: a point of
 /// the box belongs to some output piece iff it extends to a full solution.
@@ -96,25 +96,23 @@ void checkSatisfiability(const Problem &P, int64_t Box, ModelReport &Out,
 /// isSatisfiable (whose own verdicts checkSatisfiability validates
 /// independently). Also checks the real-shadow approximation is a superset.
 void checkProjection(const Problem &P, unsigned NumKeep, int64_t Box,
-                     ModelReport &Out,
-                     OmegaContext &Ctx = OmegaContext::current());
+                     ModelReport &Out, OmegaContext &Ctx);
 
 /// gist(P given Given) against the model: (gist && Given) must have exactly
 /// the box points of (P && Given). Layouts of \p P and \p Given must match.
 void checkGist(const Problem &P, const Problem &Given, int64_t Box,
-               ModelReport &Out, OmegaContext &Ctx = OmegaContext::current());
+               ModelReport &Out, OmegaContext &Ctx);
 
 /// implies(Given, P) against the model (forall box points: Given => P).
 /// Exact when \p Given confines every variable to the box.
 void checkImplication(const Problem &Given, const Problem &P, int64_t Box,
-                      ModelReport &Out,
-                      OmegaContext &Ctx = OmegaContext::current());
+                      ModelReport &Out, OmegaContext &Ctx);
 
 /// pres::isSatisfiable / findAssignment against formula evaluation over the
 /// box. Formulas the decision procedure reports outside its subclass are
 /// skipped (not counted as checked).
 void checkFormula(const pres::Formula &F, const pres::FormulaContext &Ctx,
-                  int64_t Box, ModelReport &Out);
+                  int64_t Box, ModelReport &Out, OmegaContext &OC);
 
 } // namespace oracle
 } // namespace omega

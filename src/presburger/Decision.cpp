@@ -149,8 +149,8 @@ std::optional<Pieces> negateOnePiece(const Problem &P,
 
 /// not(P1 or ... or Pk) as a union of conjunctions: distribute the
 /// conjunction of the piecewise negations, pruning empty combinations.
-std::optional<Pieces> negatePieces(const Pieces &Ps,
-                                   const FormulaContext &Ctx) {
+std::optional<Pieces> negatePieces(const Pieces &Ps, const FormulaContext &Ctx,
+                                   OmegaContext &OC) {
   Pieces Acc;
   Acc.push_back(Ctx.makeProblem()); // neutral element: True
   for (const Problem &P : Ps) {
@@ -161,7 +161,7 @@ std::optional<Pieces> negatePieces(const Pieces &Ps,
     for (const Problem &A : Acc)
       for (const Problem &B : *Neg) {
         Problem C = combinePieces(A, B, Ctx.getNumVars());
-        if (isSatisfiable(C))
+        if (isSatisfiable(C, OC))
           Next.push_back(std::move(C));
       }
     Acc = std::move(Next);
@@ -171,7 +171,8 @@ std::optional<Pieces> negatePieces(const Pieces &Ps,
   return Acc;
 }
 
-std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx) {
+std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx,
+                                OmegaContext &OC) {
   switch (F.getKind()) {
   case Formula::Kind::True:
     return Pieces{Ctx.makeProblem()};
@@ -186,14 +187,14 @@ std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx) {
     Pieces Acc;
     Acc.push_back(Ctx.makeProblem());
     for (const Formula &Child : F.children()) {
-      std::optional<Pieces> Sub = toDNFImpl(Child, Ctx);
+      std::optional<Pieces> Sub = toDNFImpl(Child, Ctx, OC);
       if (!Sub)
         return std::nullopt;
       Pieces Next;
       for (const Problem &A : Acc)
         for (const Problem &B : *Sub) {
           Problem C = combinePieces(A, B, Ctx.getNumVars());
-          if (isSatisfiable(C))
+          if (isSatisfiable(C, OC))
             Next.push_back(std::move(C));
         }
       Acc = std::move(Next);
@@ -205,7 +206,7 @@ std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx) {
   case Formula::Kind::Or: {
     Pieces Acc;
     for (const Formula &Child : F.children()) {
-      std::optional<Pieces> Sub = toDNFImpl(Child, Ctx);
+      std::optional<Pieces> Sub = toDNFImpl(Child, Ctx, OC);
       if (!Sub)
         return std::nullopt;
       for (Problem &P : *Sub)
@@ -214,13 +215,13 @@ std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx) {
     return Acc;
   }
   case Formula::Kind::Not: {
-    std::optional<Pieces> Sub = toDNFImpl(F.children().front(), Ctx);
+    std::optional<Pieces> Sub = toDNFImpl(F.children().front(), Ctx, OC);
     if (!Sub)
       return std::nullopt;
-    return negatePieces(*Sub, Ctx);
+    return negatePieces(*Sub, Ctx, OC);
   }
   case Formula::Kind::Exists: {
-    std::optional<Pieces> Sub = toDNFImpl(F.children().front(), Ctx);
+    std::optional<Pieces> Sub = toDNFImpl(F.children().front(), Ctx, OC);
     if (!Sub)
       return std::nullopt;
     Pieces Out;
@@ -233,7 +234,7 @@ std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx) {
       }
       // The projection already dropped its integer-empty pieces. An
       // overflowed one abandoned pieces, so the answer is unknown.
-      ProjectionResult R = projectOntoMask(P, Keep);
+      ProjectionResult R = projectOntoMask(P, Keep, OC);
       if (R.Poisoned)
         return std::nullopt;
       for (Problem &Piece : R.Pieces)
@@ -246,10 +247,10 @@ std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx) {
     Formula Inner = Formula::exists(
         F.boundVars(),
         Formula::negate(F.children().front()).toNNF());
-    std::optional<Pieces> Sub = toDNFImpl(Inner, Ctx);
+    std::optional<Pieces> Sub = toDNFImpl(Inner, Ctx, OC);
     if (!Sub)
       return std::nullopt;
-    return negatePieces(*Sub, Ctx);
+    return negatePieces(*Sub, Ctx, OC);
   }
   }
   assert(false && "unknown formula kind");
@@ -259,43 +260,48 @@ std::optional<Pieces> toDNFImpl(const Formula &F, const FormulaContext &Ctx) {
 } // namespace
 
 std::optional<std::vector<Problem>> pres::toDNF(const Formula &F,
-                                                const FormulaContext &Ctx) {
-  return toDNFImpl(F.toNNF(), Ctx);
+                                                const FormulaContext &Ctx,
+                                                OmegaContext &OC) {
+  return toDNFImpl(F.toNNF(), Ctx, OC);
 }
 
 std::optional<bool> pres::isSatisfiable(const Formula &F,
-                                        const FormulaContext &Ctx) {
-  std::optional<Pieces> Ps = toDNF(F, Ctx);
+                                        const FormulaContext &Ctx,
+                                        OmegaContext &OC) {
+  std::optional<Pieces> Ps = toDNF(F, Ctx, OC);
   if (!Ps)
     return std::nullopt;
   for (const Problem &P : *Ps)
-    if (omega::isSatisfiable(P))
+    if (omega::isSatisfiable(P, OC))
       return true;
   return false;
 }
 
-std::optional<bool> pres::isValid(const Formula &F, const FormulaContext &Ctx) {
-  std::optional<bool> Sat = isSatisfiable(Formula::negate(F).toNNF(), Ctx);
+std::optional<bool> pres::isValid(const Formula &F, const FormulaContext &Ctx,
+                                  OmegaContext &OC) {
+  std::optional<bool> Sat = isSatisfiable(Formula::negate(F).toNNF(), Ctx, OC);
   if (!Sat)
     return std::nullopt;
   return !*Sat;
 }
 
 std::optional<bool> pres::isEquivalent(const Formula &F, const Formula &G,
-                                       const FormulaContext &Ctx) {
+                                       const FormulaContext &Ctx,
+                                       OmegaContext &OC) {
   // F == G  <=>  (F => G) && (G => F) valid.
   Formula Both = Formula::conj(
       {Formula::implies(F, G), Formula::implies(G, F)});
-  return isValid(Both, Ctx);
+  return isValid(Both, Ctx, OC);
 }
 
 std::optional<std::optional<std::vector<int64_t>>>
-pres::findAssignment(const Formula &F, const FormulaContext &Ctx) {
-  std::optional<Pieces> Ps = toDNF(F, Ctx);
+pres::findAssignment(const Formula &F, const FormulaContext &Ctx,
+                     OmegaContext &OC) {
+  std::optional<Pieces> Ps = toDNF(F, Ctx, OC);
   if (!Ps)
     return std::nullopt;
   for (const Problem &P : *Ps) {
-    std::optional<std::vector<int64_t>> Sol = findSolution(P);
+    std::optional<std::vector<int64_t>> Sol = findSolution(P, OC);
     if (!Sol)
       continue;
     Sol->resize(Ctx.getNumVars(), 0);

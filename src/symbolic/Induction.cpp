@@ -90,7 +90,7 @@ std::optional<AffineExpr> lowerAddend(const ir::Expr &E,
 /// The provable sign band of \p E over the write's iteration space.
 Monotonicity addendDirection(const AffineExpr &E,
                              const ir::AnalyzedProgram &AP,
-                             const ir::Access &Write) {
+                             const ir::Access &Write, OmegaContext &Ctx) {
   deps::DepSpace Space(AP, {&Write});
   Problem Base = Space.base();
   Space.addIterationSpace(Base, 0);
@@ -101,7 +101,7 @@ Monotonicity addendDirection(const AffineExpr &E,
     Constraint &Row = Test.addRow(ConstraintKind::GEQ);
     Space.accumulate(Row, 0, E, -1); // -E + UpperBound >= 0
     Row.addToConstant(UpperBoundOnE);
-    return !isSatisfiable(std::move(Test));
+    return !isSatisfiable(std::move(Test), Ctx);
   };
   auto excludedBelow = [&](int64_t LowerBoundOnE) {
     // Is "E >= LowerBoundOnE" impossible? (then E <= LowerBoundOnE - 1)
@@ -109,7 +109,7 @@ Monotonicity addendDirection(const AffineExpr &E,
     Constraint &Row = Test.addRow(ConstraintKind::GEQ);
     Space.accumulate(Row, 0, E, 1); // E - LowerBound >= 0
     Row.addToConstant(-LowerBoundOnE);
-    return !isSatisfiable(std::move(Test));
+    return !isSatisfiable(std::move(Test), Ctx);
   };
 
   if (excluded(0))
@@ -144,7 +144,8 @@ Monotonicity meet(Monotonicity A, Monotonicity B) {
 
 } // namespace
 
-InductionInfo symbolic::recognizeInductions(const ir::AnalyzedProgram &AP) {
+InductionInfo symbolic::recognizeInductions(const ir::AnalyzedProgram &AP,
+                                            OmegaContext &Ctx) {
   InductionInfo Info;
   // Candidate scalars: zero-dimensional writes.
   std::map<std::string, std::vector<const ir::Access *>> WritesByScalar;
@@ -213,7 +214,7 @@ InductionInfo symbolic::recognizeInductions(const ir::AnalyzedProgram &AP) {
         OK = false;
         break;
       }
-      Monotonicity Dir = addendDirection(*Addend, AP, *W);
+      Monotonicity Dir = addendDirection(*Addend, AP, *W, Ctx);
       if (Dir == Monotonicity::Unknown) {
         OK = false;
         break;

@@ -21,6 +21,7 @@
 #define OMEGA_SYMBOLIC_INDUCTION_H
 
 #include "ir/Sema.h"
+#include "omega/OmegaContext.h"
 
 #include <map>
 #include <string>
@@ -55,8 +56,9 @@ struct InductionInfo {
 
 /// Scans the program for scalars whose every write is an accumulation
 /// with an addend of provable sign (decided with the Omega test under the
-/// update's iteration space).
-InductionInfo recognizeInductions(const ir::AnalyzedProgram &AP);
+/// update's iteration space, charged to \p Ctx).
+InductionInfo recognizeInductions(const ir::AnalyzedProgram &AP,
+                                  OmegaContext &Ctx);
 
 } // namespace symbolic
 } // namespace omega

@@ -142,10 +142,10 @@ void addInBoundsFacts(SymProblem &SP, const AssertionDB &DB) {
 }
 
 /// Do the given (known, black) constraints already imply Row?
-bool knownImplies(const Problem &P, const Constraint &Row) {
+bool knownImplies(const Problem &P, const Constraint &Row, OmegaContext &Ctx) {
   Problem Target = P.cloneLayout();
   Target.addConstraint(Row);
-  return implies(P, Target);
+  return implies(P, Target, Ctx);
 }
 
 /// Adds the monotonicity facts a recognized scalar recurrence justifies
@@ -192,7 +192,8 @@ void instantiateRecurrence(SymProblem &SP, const ScalarRecurrence &Rec,
 /// the same value"), the strictly-increasing property, and recognized
 /// scalar recurrences, over the black facts gathered so far.
 void instantiateTermFacts(SymProblem &SP, const AssertionDB &DB,
-                          unsigned Level, const InductionInfo &Ind) {
+                          unsigned Level, const InductionInfo &Ind,
+                          OmegaContext &Ctx) {
   const ir::AnalyzedProgram &AP = SP.Space.program();
   std::set<std::string> WrittenArrays;
   for (const ir::Access &A : AP.Accesses)
@@ -235,7 +236,7 @@ void instantiateTermFacts(SymProblem &SP, const AssertionDB &DB,
         SP.Space.accumulate(Row, InstA, InfoA.IndexSubs[D], 1);
         SP.Space.accumulate(Row, InstB, InfoB.IndexSubs[D], -1);
       }
-      if (implies(SP.P, EqTest)) {
+      if (implies(SP.P, EqTest, Ctx)) {
         Constraint &Row = SP.P.addRow(ConstraintKind::EQ);
         Row.setCoeff(Terms[I].Var, 1);
         Row.setCoeff(Terms[J].Var, -1);
@@ -268,9 +269,9 @@ void instantiateTermFacts(SymProblem &SP, const AssertionDB &DB,
         SP.Space.accumulate(Row, XInst,
                             AP.Symbols.info(Terms[X].Sym).IndexSubs[0], 1);
       };
-      if (knownImplies(SP.P, subLE(I, InstA, J, InstB)))
+      if (knownImplies(SP.P, subLE(I, InstA, J, InstB), Ctx))
         addIncreasingFact(I, InstA, J, InstB);
-      else if (knownImplies(SP.P, subLE(J, InstB, I, InstA)))
+      else if (knownImplies(SP.P, subLE(J, InstB, I, InstA), Ctx))
         addIncreasingFact(J, InstB, I, InstA);
     }
   }
@@ -278,7 +279,8 @@ void instantiateTermFacts(SymProblem &SP, const AssertionDB &DB,
 
 /// Instantiates injectivity: whenever the whole system forces the values
 /// equal, the subscripts must be equal too (red rows).
-void instantiateInjectivity(SymProblem &SP, const AssertionDB &DB) {
+void instantiateInjectivity(SymProblem &SP, const AssertionDB &DB,
+                            OmegaContext &Ctx) {
   const ir::AnalyzedProgram &AP = SP.Space.program();
   std::vector<DepSpace::TermVar> Terms = SP.Space.termVars();
   for (unsigned I = 0; I != Terms.size(); ++I) {
@@ -294,7 +296,7 @@ void instantiateInjectivity(SymProblem &SP, const AssertionDB &DB) {
       Constraint &VRow = ValueEq.addRow(ConstraintKind::EQ);
       VRow.setCoeff(Terms[I].Var, 1);
       VRow.setCoeff(Terms[J].Var, -1);
-      if (!implies(SP.P, ValueEq))
+      if (!implies(SP.P, ValueEq, Ctx))
         continue;
       unsigned InstA = Terms[I].Inst < 0 ? 0 : Terms[I].Inst;
       unsigned InstB = Terms[J].Inst < 0 ? 0 : Terms[J].Inst;
@@ -313,7 +315,7 @@ void instantiateInjectivity(SymProblem &SP, const AssertionDB &DB) {
 SymProblem buildSymbolicProblem(const ir::AnalyzedProgram &AP,
                                 const ir::Access &Src, const ir::Access &Dst,
                                 unsigned Level, const AssertionDB &DB,
-                                bool WithInjectivity) {
+                                bool WithInjectivity, OmegaContext &Ctx) {
   SymProblem SP(AP, Src, Dst);
 
   if (Level == 0 && !SP.Space.textuallyBefore(0, 1)) {
@@ -328,7 +330,7 @@ SymProblem buildSymbolicProblem(const ir::AnalyzedProgram &AP,
   for (const SymRelation &R : DB.relations())
     addRelation(SP, R);
   addInBoundsFacts(SP, DB);
-  instantiateTermFacts(SP, DB, Level, recognizeInductions(AP));
+  instantiateTermFacts(SP, DB, Level, recognizeInductions(AP, Ctx), Ctx);
 
   // Red: the dependence itself.
   unsigned FirstRed = SP.P.getNumConstraints();
@@ -337,7 +339,7 @@ SymProblem buildSymbolicProblem(const ir::AnalyzedProgram &AP,
     SP.P.constraints()[I].setRed(true);
 
   if (WithInjectivity)
-    instantiateInjectivity(SP, DB);
+    instantiateInjectivity(SP, DB, Ctx);
   return SP;
 }
 
@@ -352,14 +354,16 @@ struct ProjectedGist {
 };
 
 ProjectedGist gistOfProjections(const Problem &All, const Problem &Black,
-                                const std::vector<bool> &Keep) {
+                                const std::vector<bool> &Keep,
+                                OmegaContext &Ctx) {
   ProjectedGist Out;
   ProjectOptions WithApprox;
   WithApprox.WantApprox = true;
-  ProjectionResult ProjAll = projectOntoMask(All, Keep, WithApprox);
+  ProjectionResult ProjAll = projectOntoMask(All, Keep, Ctx, WithApprox);
   std::vector<bool> KeepBlack = Keep;
   KeepBlack.resize(Black.getNumVars(), false);
-  ProjectionResult ProjBlack = projectOntoMask(Black, KeepBlack, WithApprox);
+  ProjectionResult ProjBlack =
+      projectOntoMask(Black, KeepBlack, Ctx, WithApprox);
 
   const Problem &PQ = ProjAll.isSinglePiece() ? ProjAll.Pieces.front()
                                               : ProjAll.Approx->Shadow;
@@ -372,7 +376,7 @@ ProjectedGist gistOfProjections(const Problem &All, const Problem &Black,
   Problem Candidates = PQ;
   while (Candidates.getNumVars() < Context.getNumVars())
     Candidates.addWildcard();
-  Out.Gist = gist(Candidates, Context);
+  Out.Gist = gist(Candidates, Context, Ctx);
   Out.BlackProjection = std::move(ProjBlack);
   return Out;
 }
@@ -382,11 +386,11 @@ ProjectedGist gistOfProjections(const Problem &All, const Problem &Black,
 SymbolicCondition symbolic::dependenceCondition(
     const ir::AnalyzedProgram &AP, const ir::Access &Src,
     const ir::Access &Dst, unsigned Level, const AssertionDB &DB,
-    const std::vector<std::string> &KeepSymbols) {
+    const std::vector<std::string> &KeepSymbols, OmegaContext &Ctx) {
   SymbolicCondition Out;
   SymProblem SP = buildSymbolicProblem(AP, Src, Dst, Level, DB,
-                                       /*WithInjectivity=*/true);
-  if (SP.Infeasible || !isSatisfiable(SP.P)) {
+                                       /*WithInjectivity=*/true, Ctx);
+  if (SP.Infeasible || !isSatisfiable(SP.P, Ctx)) {
     Out.Impossible = true;
     Out.Text = "FALSE";
     return Out;
@@ -404,10 +408,10 @@ SymbolicCondition symbolic::dependenceCondition(
     if (!Row.isRed())
       Black.addConstraint(Row);
 
-  ProjectedGist G = gistOfProjections(SP.P, Black, Keep);
+  ProjectedGist G = gistOfProjections(SP.P, Black, Keep, Ctx);
   Out.Condition = std::move(G.Gist);
   Out.Exact = G.Exact;
-  if (!isSatisfiable(Out.Condition)) {
+  if (!isSatisfiable(Out.Condition, Ctx)) {
     Out.Impossible = true;
     Out.Text = "FALSE";
     return Out;
@@ -428,23 +432,24 @@ SymbolicCondition symbolic::dependenceCondition(
 bool symbolic::dependencePossible(const ir::AnalyzedProgram &AP,
                                   const ir::Access &Src,
                                   const ir::Access &Dst, unsigned Level,
-                                  const AssertionDB &DB) {
+                                  const AssertionDB &DB, OmegaContext &Ctx) {
   SymProblem SP = buildSymbolicProblem(AP, Src, Dst, Level, DB,
-                                       /*WithInjectivity=*/true);
-  return !SP.Infeasible && isSatisfiable(SP.P);
+                                       /*WithInjectivity=*/true, Ctx);
+  return !SP.Infeasible && isSatisfiable(SP.P, Ctx);
 }
 
 std::vector<UserQuery> symbolic::generateQueries(const ir::AnalyzedProgram &AP,
                                                  const ir::Access &Src,
                                                  const ir::Access &Dst,
                                                  unsigned Level,
-                                                 const AssertionDB &DB) {
+                                                 const AssertionDB &DB,
+                                                 OmegaContext &Ctx) {
   std::vector<UserQuery> Out;
   // Queries replace unknown index-array facts, so injectivity is not
   // instantiated here.
   SymProblem SP = buildSymbolicProblem(AP, Src, Dst, Level, DB,
-                                       /*WithInjectivity=*/false);
-  if (SP.Infeasible || !isSatisfiable(SP.P))
+                                       /*WithInjectivity=*/false, Ctx);
+  if (SP.Infeasible || !isSatisfiable(SP.P, Ctx))
     return Out; // nothing to ask: the dependence is already impossible
 
   // Introduce named subscript variables for the index-array terms (the
@@ -482,12 +487,12 @@ std::vector<UserQuery> symbolic::generateQueries(const ir::AnalyzedProgram &AP,
     if (!Row.isRed())
       Black.addConstraint(Row);
 
-  ProjectedGist G = gistOfProjections(SP.P, Black, Keep);
+  ProjectedGist G = gistOfProjections(SP.P, Black, Keep, Ctx);
   if (G.Gist.getNumConstraints() == 0)
     return Out; // the dependence holds regardless of the index arrays
 
   // Context: the black knowledge over the same variables.
-  const ProjectionResult &Ctx = G.BlackProjection;
+  const ProjectionResult &Known = G.BlackProjection;
 
   UserQuery Q;
   for (const DepSpace::TermVar &T : Terms)
@@ -496,8 +501,8 @@ std::vector<UserQuery> symbolic::generateQueries(const ir::AnalyzedProgram &AP,
       break;
     }
   std::string CtxText;
-  if (!Ctx.Pieces.empty())
-    for (const Constraint &Row : Ctx.Pieces.front().constraints()) {
+  if (!Known.Pieces.empty())
+    for (const Constraint &Row : Known.Pieces.front().constraints()) {
       bool TouchesKept = false;
       for (const auto &[TermVar, SubVar] : SubVarOf)
         TouchesKept |= Row.involves(SubVar) || Row.involves(TermVar);
@@ -505,7 +510,7 @@ std::vector<UserQuery> symbolic::generateQueries(const ir::AnalyzedProgram &AP,
         continue;
       if (!CtxText.empty())
         CtxText += " && ";
-      CtxText += Ctx.Pieces.front().constraintToString(Row);
+      CtxText += Known.Pieces.front().constraintToString(Row);
     }
   Q.Condition = CtxText;
 
@@ -523,7 +528,7 @@ std::vector<UserQuery> symbolic::generateQueries(const ir::AnalyzedProgram &AP,
   // solve context && offending and report the kept variables.
   {
     Problem Scenario = SP.P;
-    if (std::optional<std::vector<int64_t>> Sol = findSolution(Scenario)) {
+    if (std::optional<std::vector<int64_t>> Sol = findSolution(Scenario, Ctx)) {
       std::string Ex;
       for (const auto &[TermVar, SubVar] : SubVarOf) {
         if (!Ex.empty())

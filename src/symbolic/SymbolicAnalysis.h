@@ -54,18 +54,20 @@ struct SymbolicCondition {
 /// is known (loop bounds, the restraint vector, assertions, in-bounds
 /// facts) and q is the dependence condition (subscript equality). The
 /// projection keeps exactly the symbolic constants named in
-/// \p KeepSymbols.
+/// \p KeepSymbols. Like every entry point here, it charges its Omega work
+/// to \p Ctx.
 SymbolicCondition
 dependenceCondition(const ir::AnalyzedProgram &AP, const ir::Access &Src,
                     const ir::Access &Dst, unsigned Level,
                     const AssertionDB &DB,
-                    const std::vector<std::string> &KeepSymbols);
+                    const std::vector<std::string> &KeepSymbols,
+                    OmegaContext &Ctx);
 
 /// Is a dependence at \p Level from \p Src to \p Dst possible at all given
 /// the assertions? Instantiates index-array properties pairwise.
 bool dependencePossible(const ir::AnalyzedProgram &AP, const ir::Access &Src,
                         const ir::Access &Dst, unsigned Level,
-                        const AssertionDB &DB);
+                        const AssertionDB &DB, OmegaContext &Ctx);
 
 /// One concise question for the user, per Section 5's dialog.
 struct UserQuery {
@@ -81,7 +83,8 @@ struct UserQuery {
 std::vector<UserQuery> generateQueries(const ir::AnalyzedProgram &AP,
                                        const ir::Access &Src,
                                        const ir::Access &Dst, unsigned Level,
-                                       const AssertionDB &DB);
+                                       const AssertionDB &DB,
+                                       OmegaContext &Ctx);
 
 } // namespace symbolic
 } // namespace omega

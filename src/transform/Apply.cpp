@@ -394,10 +394,26 @@ std::string transform::transformReport(const ir::AnalyzedProgram &AP,
   for (const std::unique_ptr<ir::LoopInfo> &L : AP.Loops)
     Graphs.push_back(buildPdg(AP, R, L.get()));
 
-  std::string Out;
+  // A loop is named by its variable. Where loops share a variable and a
+  // depth, the name adds the loop's first statement label ("L1@2").
+  std::vector<std::string> Names;
   for (const Pdg &G : Graphs) {
+    const ir::LoopInfo &L = *G.Loop;
+    bool Shared = std::count_if(AP.Loops.begin(), AP.Loops.end(),
+                                [&](const std::unique_ptr<ir::LoopInfo> &M) {
+                                  return M->SourceVar == L.SourceVar &&
+                                         M->Depth == L.Depth;
+                                }) > 1;
+    Names.push_back(L.SourceVar);
+    if (Shared && !G.StmtLabels.empty())
+      Names.back() += "@" + std::to_string(G.StmtLabels.front());
+  }
+
+  std::string Out;
+  for (std::size_t I = 0; I != Graphs.size(); ++I) {
+    const Pdg &G = Graphs[I];
     LoopFacts F = loopFacts(G);
-    Out += "loop " + G.Loop->SourceVar + " (depth " +
+    Out += "loop " + Names[I] + " (depth " +
            std::to_string(G.Loop->Depth + 1) + "): ";
     if (F.Parallelizable) {
       Out += "parallelizable";
@@ -412,8 +428,10 @@ std::string transform::transformReport(const ir::AnalyzedProgram &AP,
     Out += "\n";
   }
   // Adjacent-loop interchange opportunities.
-  for (const std::unique_ptr<ir::LoopInfo> &Outer : AP.Loops)
-    for (const std::unique_ptr<ir::LoopInfo> &Inner : AP.Loops) {
+  for (std::size_t O = 0; O != AP.Loops.size(); ++O)
+    for (std::size_t I = 0; I != AP.Loops.size(); ++I) {
+      const ir::LoopInfo *Outer = AP.Loops[O].get();
+      const ir::LoopInfo *Inner = AP.Loops[I].get();
       if (Inner->Depth != Outer->Depth + 1)
         continue;
       // Inner must be nested directly inside Outer.
@@ -421,18 +439,15 @@ std::string transform::transformReport(const ir::AnalyzedProgram &AP,
           !std::equal(Outer->Path.begin(), Outer->Path.end(),
                       Inner->Path.begin()))
         continue;
-      Out += "interchange(" + Outer->SourceVar + ", " + Inner->SourceVar +
-             "): " +
-             (canInterchange(R, Outer.get(), Inner.get()) ? "legal"
-                                                          : "illegal") +
-             "\n";
+      Out += "interchange(" + Names[O] + ", " + Names[I] + "): " +
+             (canInterchange(R, Outer, Inner) ? "legal" : "illegal") + "\n";
     }
   // Distribution: only interesting when a loop body can actually split.
-  for (const Pdg &G : Graphs) {
-    std::vector<DistributionGroup> Groups = distributeLoop(G);
+  for (std::size_t I = 0; I != Graphs.size(); ++I) {
+    std::vector<DistributionGroup> Groups = distributeLoop(Graphs[I]);
     if (Groups.size() < 2)
       continue;
-    Out += "distribute " + G.Loop->SourceVar + ":";
+    Out += "distribute " + Names[I] + ":";
     for (const DistributionGroup &Grp : Groups) {
       Out += " {";
       for (unsigned I = 0; I != Grp.StmtLabels.size(); ++I)

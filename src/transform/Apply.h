@@ -53,7 +53,9 @@ ApplyResult interchange(ir::Program &P, const std::string &OuterVar,
 
 /// Human-readable report of all transformation opportunities: each
 /// loop's DOALL verdict, adjacent-loop interchange legality and the loops
-/// that distribute (omega-analyze --transforms).
+/// that distribute (omega-analyze --transforms). A loop is named by its
+/// variable, plus its first statement label ("L1@2") where another loop
+/// has the same variable and depth.
 std::string transformReport(const ir::AnalyzedProgram &AP,
                             const analysis::AnalysisResult &R);
 

@@ -7,7 +7,6 @@
 #include "transform/Pipeline.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 
@@ -355,50 +354,6 @@ transform::analyzePipelines(const ir::AnalyzedProgram &AP,
     F.Plan = planPipeline(AP, G);
     F.Sccs = F.Plan.Sccs;
     Out.push_back(std::move(F));
-  }
-  return Out;
-}
-
-std::string transform::pipelineReport(const ir::AnalyzedProgram &AP,
-                                      const analysis::AnalysisResult &R) {
-  std::string Out;
-  for (const PipelineFacts &F : analyzePipelines(AP, R)) {
-    Out += "loop " + F.Loop->SourceVar + " (depth " +
-           std::to_string(F.Loop->Depth + 1) + "): ";
-    if (!F.Plan.valid()) {
-      Out += std::to_string(F.Statements) + " statement" +
-             (F.Statements == 1 ? "" : "s") + ", " +
-             std::to_string(F.Sccs) + " scc" + (F.Sccs == 1 ? "" : "s") +
-             ": no pipeline\n";
-      continue;
-    }
-    Out += std::to_string(F.Plan.Stages.size()) + " stages";
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.2f", F.Plan.EstimatedSpeedup);
-    Out += ", est speedup " + std::string(Buf) + ":";
-    for (const PipelineStage &S : F.Plan.Stages) {
-      Out += " {";
-      for (unsigned I = 0; I != S.StmtLabels.size(); ++I)
-        Out += (I ? "," : "") + std::to_string(S.StmtLabels[I]);
-      Out += "}";
-      if (S.Parallel)
-        Out += "*";
-    }
-    if (!F.Plan.PrivatizedArrays.empty()) {
-      Out += " privatized:";
-      for (const std::string &A : F.Plan.PrivatizedArrays)
-        Out += " " + A;
-    }
-    if (!F.Plan.EnablingKills.empty()) {
-      Out += " enabled by:";
-      for (const EnablingKill &K : F.Plan.EnablingKills) {
-        Out += " " + std::to_string(K.SrcLabel) + "->" +
-               std::to_string(K.DstLabel) + "(";
-        Out += K.Reason == 'p' ? "privatization" : "kill";
-        Out += ")";
-      }
-    }
-    Out += "\n";
   }
   return Out;
 }

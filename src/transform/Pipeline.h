@@ -107,11 +107,6 @@ std::vector<PipelineFacts>
 analyzePipelines(const ir::AnalyzedProgram &AP,
                  const analysis::AnalysisResult &R);
 
-/// Deterministic one-line-per-loop text report (omega-analyze
-/// --pipeline).
-std::string pipelineReport(const ir::AnalyzedProgram &AP,
-                           const analysis::AnalysisResult &R);
-
 } // namespace transform
 } // namespace omega
 

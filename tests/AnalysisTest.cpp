@@ -247,6 +247,7 @@ TEST(Section4, Example6CoupledRefinement) {
 //===----------------------------------------------------------------------===//
 
 TEST(Section4, CoversPredicate) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 0 to n do\n"
                                      "  a(i) := 0;\n"
@@ -257,7 +258,7 @@ TEST(Section4, CoversPredicate) {
   ASSERT_TRUE(AP.ok());
   const Access *W = findAccess(AP, "a", true);
   const Access *R = findAccess(AP, "a", false);
-  EXPECT_TRUE(covers(AP, *W, *R));
+  EXPECT_TRUE(covers(AP, *W, *R, Ctx));
 
   // Shrink the write loop so location n-1 is never written: no cover.
   AnalyzedProgram AP2 = analyzeSource("symbolic n;\n"
@@ -270,10 +271,11 @@ TEST(Section4, CoversPredicate) {
   ASSERT_TRUE(AP2.ok());
   const Access *W2 = findAccess(AP2, "a", true);
   const Access *R2 = findAccess(AP2, "a", false);
-  EXPECT_FALSE(covers(AP2, *W2, *R2));
+  EXPECT_FALSE(covers(AP2, *W2, *R2, Ctx));
 }
 
 TEST(Section4, TerminatesPredicate) {
+  OmegaContext Ctx;
   // Every location the first loop writes is overwritten by the second.
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 1 to n do\n"
@@ -286,10 +288,10 @@ TEST(Section4, TerminatesPredicate) {
   const Access *W1 = findAccess(AP, "a", true, 1);
   const Access *W2 = findAccess(AP, "a", true, 2);
   ASSERT_TRUE(W1 && W2);
-  EXPECT_TRUE(terminates(AP, *W1, *W2));
+  EXPECT_TRUE(terminates(AP, *W1, *W2, Ctx));
   // The reverse is false: the second loop also writes a(0), which the
   // first never overwrites (it runs earlier anyway).
-  EXPECT_FALSE(terminates(AP, *W2, *W1));
+  EXPECT_FALSE(terminates(AP, *W2, *W1, Ctx));
 }
 
 TEST(Section4, TerminateDriverKillsDeadFlow) {
@@ -318,6 +320,7 @@ TEST(Section4, TerminateDriverKillsDeadFlow) {
 }
 
 TEST(Section4, KillsPredicateDirect) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "a(n) := 0;\n"
                                      "for L1 := n to n+10 do\n"
@@ -331,7 +334,7 @@ TEST(Section4, KillsPredicateDirect) {
   const Access *B = findAccess(AP, "a", true, 2);
   const Access *C = findAccess(AP, "a", false);
   ASSERT_TRUE(A && B && C);
-  EXPECT_TRUE(KillCheck(AP, *A, *B, *C).kills(/*Level=*/0));
+  EXPECT_TRUE(KillCheck(AP, *A, *B, *C).kills(/*Level=*/0, Ctx));
 }
 
 TEST(Section4, QuickTestsDoNotChangeResults) {
@@ -416,6 +419,7 @@ TEST(Section4, StridedNestRefinementKeepsBackwardFlow) {
 // do); the fully open answer is then looser than phase 1's, so reusing
 // phase 1's range never loosens one.
 TEST(Section4, ExactPhase1RangesMatchRefinementLevelProblems) {
+  OmegaContext Ctx;
   std::vector<std::string> Sources;
   for (const auto &Entry :
        std::filesystem::directory_iterator(OMEGA_COSTLY_DIR))
@@ -446,7 +450,7 @@ TEST(Section4, ExactPhase1RangesMatchRefinementLevelProblems) {
           const IntRange &Phase1 = S.Dir[L].Range;
           if (!Phase1.Exact)
             continue;
-          IntRange Again = computeVarRange(P, Deltas[L]);
+          IntRange Again = computeVarRange(P, Deltas[L], Ctx);
           if (!Again.Exact) {
             ++Saturated;
             EXPECT_EQ(Again.toString(), "[-inf, +inf]");

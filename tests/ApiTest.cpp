@@ -163,26 +163,6 @@ TEST(ApiOptions, PipelineFlagAndJsonKeyAgree) {
   EXPECT_TRUE(FromJson.Pipeline);
 }
 
-TEST(ApiOptions, LatencyBucketsParseAndValidate) {
-  ParsedArgs P =
-      parsed({"--latency-buckets-us", "50,500,5000"}, ToolServe);
-  EXPECT_EQ(P.Options.LatencyBucketsUs,
-            (std::vector<uint64_t>{50, 500, 5000}));
-  EXPECT_TRUE(parsed({}, ToolServe).Options.LatencyBucketsUs.empty());
-
-  ParsedArgs Out;
-  std::string Err;
-  EXPECT_FALSE(
-      parseArgs({"--latency-buckets-us", "100,100"}, ToolServe, Out, Err));
-  EXPECT_NE(Err.find("strictly increasing"), std::string::npos);
-  EXPECT_FALSE(
-      parseArgs({"--latency-buckets-us", "500,100"}, ToolServe, Out, Err));
-  EXPECT_FALSE(
-      parseArgs({"--latency-buckets-us", "1,,2"}, ToolServe, Out, Err));
-  EXPECT_FALSE(
-      parseArgs({"--latency-buckets-us", "abc"}, ToolServe, Out, Err));
-}
-
 TEST(ApiOptions, HelpTextCoversEveryToolFlag) {
   for (unsigned Tool : {unsigned(ToolAnalyze), unsigned(ToolServe)}) {
     std::string Help = optionsHelp(Tool);

@@ -36,13 +36,14 @@ TEST(Calc, IntegerExactness) {
 }
 
 TEST(Calc, RelationChains) {
+  OmegaContext Ctx;
   Calculator C;
   C.run("P := {[i,j] : 1 <= i < j <= 4};");
   const NamedSet *P = C.lookup("P");
   ASSERT_NE(P, nullptr);
   // Chain lowers to 1<=i, i<j, j<=4.
   EXPECT_EQ(P->P.getNumConstraints(), 3u);
-  EXPECT_TRUE(isSatisfiable(P->P));
+  EXPECT_TRUE(isSatisfiable(P->P, Ctx));
 }
 
 TEST(Calc, ProjectionMatchesPaperExample) {
@@ -162,11 +163,12 @@ TEST(Calc, CommentsIgnored) {
 }
 
 TEST(Calc, NegativeCoefficients) {
+  OmegaContext Ctx;
   Calculator C;
   C.run("P := {[x,y] : -2x + 3y = 1 && -4 <= x <= 4 && -4 <= y <= 4};");
   const NamedSet *P = C.lookup("P");
   ASSERT_NE(P, nullptr);
-  EXPECT_TRUE(isSatisfiable(P->P)); // x=1, y=1
+  EXPECT_TRUE(isSatisfiable(P->P, Ctx)); // x=1, y=1
 }
 
 TEST(Calc, RangeCommand) {

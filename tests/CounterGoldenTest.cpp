@@ -349,7 +349,7 @@ Measured measureCoreOps() {
   OmegaContext Ctx;
   for (const Problem &P :
        {boxed4D(), darkShadowClassic(), triangularPair8D(), modHatChain()})
-    isSatisfiable(P, SatOptions(), Ctx);
+    isSatisfiable(P, Ctx);
 
   Problem Paper;
   VarId A = Paper.addVar("a");
@@ -358,15 +358,15 @@ Measured measureCoreOps() {
   Paper.addGEQ({{A, -1}}, 5);
   Paper.addGEQ({{A, 1}, {B, -1}}, -1);
   Paper.addGEQ({{A, -1}, {B, 5}}, 0);
-  projectOnto(Paper, {A}, ProjectOptions(), Ctx);
+  projectOnto(Paper, {A}, Ctx);
 
   Problem Splinter;
   VarId X = Splinter.addVar("x");
   VarId Y = Splinter.addVar("y");
   Splinter.addGEQ({{Y, 3}, {X, -1}}, -5);
   Splinter.addGEQ({{Y, -3}, {X, 1}}, 6);
-  projectOnto(Splinter, {X}, ProjectOptions(), Ctx);
-  projectOnto(triangularPair8D(), {0, 1, 2, 3}, ProjectOptions(), Ctx);
+  projectOnto(Splinter, {X}, Ctx);
+  projectOnto(triangularPair8D(), {0, 1, 2, 3}, Ctx);
 
   Problem Layout;
   VarId GX = Layout.addVar("x");

@@ -49,6 +49,7 @@ TEST(DepSpace, LayoutHasIterAndSymbolVars) {
 }
 
 TEST(DepSpace, IterationSpaceEncodesBounds) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("for i := 3 to 7 do\n"
                                      "  a(i) := 0;\n"
                                      "endfor\n");
@@ -57,12 +58,13 @@ TEST(DepSpace, IterationSpaceEncodesBounds) {
   DepSpace Space(AP, {W});
   Problem P = Space.base();
   Space.addIterationSpace(P, 0);
-  IntRange R = computeVarRange(P, Space.iterVar(0, 0));
+  IntRange R = computeVarRange(P, Space.iterVar(0, 0), Ctx);
   EXPECT_EQ(R.Min, 3);
   EXPECT_EQ(R.Max, 7);
 }
 
 TEST(DepSpace, StrideAddsExistential) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("for i := 1 to 9 step 4 do\n"
                                      "  a(i) := 0;\n"
                                      "endfor\n");
@@ -75,12 +77,13 @@ TEST(DepSpace, StrideAddsExistential) {
   for (int64_t V = 0; V <= 10; ++V) {
     Problem Pinned = P;
     Pinned.addEQ({{Space.iterVar(0, 0), 1}}, -V);
-    EXPECT_EQ(isSatisfiable(std::move(Pinned)), V == 1 || V == 5 || V == 9)
+    EXPECT_EQ(isSatisfiable(std::move(Pinned), Ctx), V == 1 || V == 5 || V == 9)
         << "i = " << V;
   }
 }
 
 TEST(DepSpace, SubscriptEqualityCouplesInstances) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 1 to n do\n"
                                      "  a(2*i) := a(i+3);\n"
@@ -95,7 +98,7 @@ TEST(DepSpace, SubscriptEqualityCouplesInstances) {
   Space.addSubscriptsEqual(P, 0, 1);
   // 2*i == j + 3: pin i = 4 => j = 5.
   P.addEQ({{Space.iterVar(0, 0), 1}}, -4);
-  IntRange R2 = computeVarRange(P, Space.iterVar(1, 0));
+  IntRange R2 = computeVarRange(P, Space.iterVar(1, 0), Ctx);
   EXPECT_EQ(R2.Min, 5);
   EXPECT_EQ(R2.Max, 5);
 }
@@ -124,6 +127,7 @@ TEST(DepSpace, PrecedesCasesCountAndShape) {
 }
 
 TEST(DepSpace, DistanceVarsMeasureDifferences) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 1 to n do\n"
                                      "  a(i) := a(i-3);\n"
@@ -138,7 +142,7 @@ TEST(DepSpace, DistanceVarsMeasureDifferences) {
   Space.addSubscriptsEqual(P, 0, 1);
   std::vector<VarId> Deltas = Space.addDistanceVars(P, 0, 1);
   ASSERT_EQ(Deltas.size(), 1u);
-  IntRange R2 = computeVarRange(P, Deltas.front());
+  IntRange R2 = computeVarRange(P, Deltas.front(), Ctx);
   EXPECT_EQ(R2.Min, 3);
   EXPECT_EQ(R2.Max, 3);
 }

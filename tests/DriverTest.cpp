@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Driver.h"
+#include "engine/DependenceEngine.h"
 
 #include "kernels/Kernels.h"
 #include "omega/OmegaContext.h"
@@ -91,21 +92,18 @@ TEST(Driver, KillRecordsNameParticipants) {
   EXPECT_TRUE(SawSuccessfulKill);
 }
 
-// The legacy analyzeProgram wrapper merges the run's Omega work into the
-// calling thread's current context, which is how pre-context callers
-// observed the (then-global) counters.
+// A run's Omega work is reported on its result: the engine's R.Stats.
 TEST(Driver, StatsCountersAdvance) {
-  OmegaContext Ctx;
-  OmegaContextScope Scope(Ctx);
   ir::AnalyzedProgram AP = analyzeSource(kernels::example3());
   ASSERT_TRUE(AP.ok());
-  (void)analyzeProgram(AP);
-  EXPECT_GT(Ctx.Stats.SatisfiabilityCalls, 0u);
-  EXPECT_GT(Ctx.Stats.ExactEliminations, 0u);
-  uint64_t After = Ctx.Stats.SatisfiabilityCalls;
-  Ctx.Stats.reset();
-  EXPECT_EQ(Ctx.Stats.SatisfiabilityCalls, 0u);
-  EXPECT_LT(Ctx.Stats.SatisfiabilityCalls, After);
+  engine::DependenceEngine Engine;
+  engine::AnalysisResult R = Engine.analyze(AP);
+  EXPECT_GT(R.Stats.SatisfiabilityCalls, 0u);
+  EXPECT_GT(R.Stats.ExactEliminations, 0u);
+  uint64_t After = R.Stats.SatisfiabilityCalls;
+  R.Stats.reset();
+  EXPECT_EQ(R.Stats.SatisfiabilityCalls, 0u);
+  EXPECT_LT(R.Stats.SatisfiabilityCalls, After);
 }
 
 TEST(Driver, EmptyProgramYieldsEmptyResult) {

@@ -81,6 +81,7 @@ TEST(FourierMotzkin, SplintersCarryEqualities) {
 }
 
 TEST(FourierMotzkin, UnionOfDarkAndSplintersIsExact) {
+  OmegaContext Ctx;
   // For every x: integer y with 3y in [x+5, x+6] exists iff x mod 3 != 2.
   Problem P;
   VarId X = P.addVar("x");
@@ -93,18 +94,18 @@ TEST(FourierMotzkin, UnionOfDarkAndSplintersIsExact) {
     bool InUnion = false;
     Problem Dark = R.DarkShadow;
     Dark.addEQ({{X, 1}}, -V);
-    InUnion |= isSatisfiable(std::move(Dark));
+    InUnion |= isSatisfiable(std::move(Dark), Ctx);
     for (const Problem &S : R.Splinters) {
       Problem Pinned = S;
       Pinned.addEQ({{X, 1}}, -V);
-      InUnion |= isSatisfiable(std::move(Pinned));
+      InUnion |= isSatisfiable(std::move(Pinned), Ctx);
     }
     EXPECT_EQ(InUnion, Expected) << "x = " << V;
     // And the real shadow over-approximates.
     Problem Real = R.RealShadow;
     Real.addEQ({{X, 1}}, -V);
     if (Expected)
-      EXPECT_TRUE(isSatisfiable(std::move(Real)));
+      EXPECT_TRUE(isSatisfiable(std::move(Real), Ctx));
   }
 }
 
@@ -137,12 +138,13 @@ TEST(FourierMotzkin, RedTagsPropagateThroughCombination) {
 //===----------------------------------------------------------------------===//
 
 TEST(EqElimination, UnitSubstitution) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addEQ({{X, 1}, {Y, -2}}, -3); // x == 2y + 3
   P.addGEQ({{X, 1}}, 0);          // x >= 0
-  ASSERT_EQ(solveEqualities(P), SolveResult::Ok);
+  ASSERT_EQ(solveEqualities(P, Ctx), SolveResult::Ok);
   EXPECT_EQ(P.getNumEQs(), 0u);
   EXPECT_TRUE(P.isDead(X));
   // The inequality became 2y + 3 >= 0, i.e. y >= -1 after tightening.
@@ -152,31 +154,34 @@ TEST(EqElimination, UnitSubstitution) {
 }
 
 TEST(EqElimination, ModHatIntroducesWildcard) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addEQ({{X, 3}, {Y, 5}}, -1); // 3x + 5y == 1
   unsigned Before = P.getNumVars();
-  ASSERT_EQ(solveEqualities(P), SolveResult::Ok);
+  ASSERT_EQ(solveEqualities(P, Ctx), SolveResult::Ok);
   EXPECT_EQ(P.getNumEQs(), 0u);
   EXPECT_GT(P.getNumVars(), Before); // sigma wildcards were minted
 }
 
 TEST(EqElimination, DetectsGcdInfeasibility) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addEQ({{X, 6}, {Y, 10}}, -1); // gcd 2 does not divide 1
-  EXPECT_EQ(solveEqualities(P), SolveResult::False);
+  EXPECT_EQ(solveEqualities(P, Ctx), SolveResult::False);
 }
 
 TEST(EqElimination, ProtectedVariablesSurvive) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x"); // protected
   VarId W = P.addVar("w", /*Protected=*/false);
   P.addEQ({{X, 1}, {W, -2}}, 0); // x == 2w: a stride on x
   auto OnlyWildcards = [&P](VarId V) { return !P.isProtected(V); };
-  ASSERT_EQ(solveEqualities(P, OnlyWildcards), SolveResult::Ok);
+  ASSERT_EQ(solveEqualities(P, OnlyWildcards, Ctx), SolveResult::Ok);
   // The equality must survive as a residual (w has no unit path that
   // eliminates it without touching x).
   EXPECT_EQ(P.getNumEQs(), 1u);
@@ -184,6 +189,7 @@ TEST(EqElimination, ProtectedVariablesSurvive) {
 }
 
 TEST(EqElimination, ChainedSubstitutions) {
+  OmegaContext Ctx;
   Problem P;
   VarId A = P.addVar("a");
   VarId B = P.addVar("b");
@@ -192,12 +198,13 @@ TEST(EqElimination, ChainedSubstitutions) {
   P.addEQ({{B, 1}, {C, -1}}, 0);
   P.addGEQ({{A, 1}}, -4); // a >= 4
   P.addGEQ({{C, -1}}, 9); // c <= 9
-  ASSERT_EQ(solveEqualities(P), SolveResult::Ok);
+  ASSERT_EQ(solveEqualities(P, Ctx), SolveResult::Ok);
   EXPECT_EQ(P.getNumEQs(), 0u);
-  EXPECT_TRUE(isSatisfiable(P));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
 }
 
 TEST(EqEliminationProperty, PreservesSatisfiability) {
+  OmegaContext Ctx;
   std::mt19937 Rng(2024);
   RandomProblemConfig Cfg;
   Cfg.NumVars = 3;
@@ -207,16 +214,17 @@ TEST(EqEliminationProperty, PreservesSatisfiability) {
     Problem P = randomProblem(Rng, Cfg);
     bool Before = bruteForceSat(P, -Cfg.Box, Cfg.Box);
     Problem Q = P;
-    SolveResult R = solveEqualities(Q);
+    SolveResult R = solveEqualities(Q, Ctx);
     if (R == SolveResult::False) {
       EXPECT_FALSE(Before) << P.toString();
       continue;
     }
-    EXPECT_EQ(isSatisfiable(Q), Before) << P.toString();
+    EXPECT_EQ(isSatisfiable(Q, Ctx), Before) << P.toString();
   }
 }
 
 TEST(EqEliminationProperty, RemovesAllEqualitiesWhenUnrestricted) {
+  OmegaContext Ctx;
   std::mt19937 Rng(2025);
   RandomProblemConfig Cfg;
   Cfg.NumVars = 4;
@@ -224,7 +232,7 @@ TEST(EqEliminationProperty, RemovesAllEqualitiesWhenUnrestricted) {
   Cfg.NumGEQs = 1;
   for (unsigned T = 0; T != 200; ++T) {
     Problem P = randomProblem(Rng, Cfg);
-    if (solveEqualities(P) == SolveResult::Ok)
+    if (solveEqualities(P, Ctx) == SolveResult::Ok)
       EXPECT_EQ(P.getNumEQs(), 0u) << P.toString();
   }
 }

@@ -168,20 +168,18 @@ TEST(Engine, RepeatedAnalysisHitsCache) {
   EXPECT_EQ(signatureOf(First), signatureOf(Second));
 }
 
-// Two concurrent contexts on different threads must not bleed counters
-// into each other or into the process default.
+// Two engines analyzing on different threads must not bleed counters into
+// each other's results.
 TEST(Engine, ConcurrentContextStatsAreIsolated) {
   ir::AnalyzedProgram AP1 = ir::analyzeSource(kernels::example1());
   ir::AnalyzedProgram AP3 = ir::analyzeSource(kernels::example3());
   ASSERT_TRUE(AP1.ok());
   ASSERT_TRUE(AP3.ok());
 
-  // Serial baselines: what each program costs in its own fresh context.
+  // Serial baselines: what each program costs in a fresh engine.
   auto baseline = [](const ir::AnalyzedProgram &AP) {
-    OmegaContext Ctx;
-    OmegaContextScope Scope(Ctx);
-    (void)analysis::analyzeProgram(AP);
-    return Ctx.Stats;
+    engine::DependenceEngine Engine;
+    return Engine.analyze(AP).Stats;
   };
   OmegaStats Base1 = baseline(AP1);
   OmegaStats Base3 = baseline(AP3);
@@ -189,23 +187,16 @@ TEST(Engine, ConcurrentContextStatsAreIsolated) {
   ASSERT_GT(Base3.SatisfiabilityCalls, 0u);
   ASSERT_NE(Base1.SatisfiabilityCalls, Base3.SatisfiabilityCalls);
 
-  uint64_t DefaultBefore =
-      OmegaContext::defaultContext().Stats.SatisfiabilityCalls;
-
   OmegaStats Got1, Got3;
   std::thread T1([&] {
-    OmegaContext Ctx;
-    OmegaContextScope Scope(Ctx);
+    engine::DependenceEngine Engine;
     for (int I = 0; I != 3; ++I)
-      (void)analysis::analyzeProgram(AP1);
-    Got1 = Ctx.Stats;
+      Got1.merge(Engine.analyze(AP1).Stats);
   });
   std::thread T3([&] {
-    OmegaContext Ctx;
-    OmegaContextScope Scope(Ctx);
+    engine::DependenceEngine Engine;
     for (int I = 0; I != 3; ++I)
-      (void)analysis::analyzeProgram(AP3);
-    Got3 = Ctx.Stats;
+      Got3.merge(Engine.analyze(AP3).Stats);
   });
   T1.join();
   T3.join();
@@ -216,10 +207,6 @@ TEST(Engine, ConcurrentContextStatsAreIsolated) {
   EXPECT_EQ(Got3.SatisfiabilityCalls, 3 * Base3.SatisfiabilityCalls);
   EXPECT_EQ(Got1.ExactEliminations, 3 * Base1.ExactEliminations);
   EXPECT_EQ(Got3.ExactEliminations, 3 * Base3.ExactEliminations);
-
-  // And none of it landed on the process-default context.
-  EXPECT_EQ(OmegaContext::defaultContext().Stats.SatisfiabilityCalls,
-            DefaultBefore);
 }
 
 // A parallel analysis runs one task per pair case and one per kill victim,

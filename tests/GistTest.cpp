@@ -32,47 +32,51 @@ struct Space {
 } // namespace
 
 TEST(Gist, TrueWhenImplied) {
+  OmegaContext Ctx;
   Space S;
   Problem P = S.fresh();
   P.addGEQ({{S.X, 1}}, 0); // x >= 0
   Problem Q = S.fresh();
   Q.addGEQ({{S.X, 1}}, -5); // x >= 5
-  Problem G = gist(P, Q);
+  Problem G = gist(P, Q, Ctx);
   EXPECT_EQ(G.getNumConstraints(), 0u) << G.toString();
-  EXPECT_TRUE(implies(Q, P));
+  EXPECT_TRUE(implies(Q, P, Ctx));
 }
 
 TEST(Gist, KeepsNewInformation) {
+  OmegaContext Ctx;
   Space S;
   Problem P = S.fresh();
   P.addGEQ({{S.X, 1}}, -5); // x >= 5
   Problem Q = S.fresh();
   Q.addGEQ({{S.X, 1}}, 0); // x >= 0
-  Problem G = gist(P, Q);
+  Problem G = gist(P, Q, Ctx);
   ASSERT_EQ(G.getNumConstraints(), 1u);
   EXPECT_EQ(G.toString(), "{ x >= 5 }");
-  EXPECT_FALSE(implies(Q, P));
+  EXPECT_FALSE(implies(Q, P, Ctx));
 }
 
 TEST(Gist, DropsOnlyRedundantParts) {
+  OmegaContext Ctx;
   Space S;
   Problem P = S.fresh();
   P.addGEQ({{S.X, 1}}, 0);  // x >= 0 (implied by q)
   P.addGEQ({{S.Y, -1}}, 9); // y <= 9 (new)
   Problem Q = S.fresh();
   Q.addGEQ({{S.X, 1}}, -3); // x >= 3
-  Problem G = gist(P, Q);
+  Problem G = gist(P, Q, Ctx);
   ASSERT_EQ(G.getNumConstraints(), 1u);
   EXPECT_EQ(G.toString(), "{ -y >= -9 }");
 }
 
 TEST(Gist, EqualitySplitAndRemerged) {
+  OmegaContext Ctx;
   Space S;
   Problem P = S.fresh();
   P.addEQ({{S.X, 1}, {S.Y, -1}}, 0); // x == y
   Problem Q = S.fresh();
   Q.addGEQ({{S.X, 1}, {S.Y, -1}}, 0); // x >= y
-  Problem G = gist(P, Q);
+  Problem G = gist(P, Q, Ctx);
   // Only the half "x <= y" is new; together with q it restores x == y.
   ASSERT_EQ(G.getNumConstraints(), 1u);
   EXPECT_TRUE(G.constraints().front().isInequality());
@@ -85,28 +89,31 @@ TEST(Gist, EqualitySplitAndRemerged) {
 }
 
 TEST(Gist, InconsistentCombinationIsFalse) {
+  OmegaContext Ctx;
   Space S;
   Problem P = S.fresh();
   P.addGEQ({{S.X, 1}}, -5); // x >= 5
   Problem Q = S.fresh();
   Q.addGEQ({{S.X, -1}}, 2); // x <= 2
-  Problem G = gist(P, Q);
+  Problem G = gist(P, Q, Ctx);
   // p && q is unsatisfiable: the gist is False.
-  EXPECT_FALSE(isSatisfiable(G));
+  EXPECT_FALSE(isSatisfiable(G, Ctx));
 }
 
 TEST(Gist, PairImpliedConstraintDropped) {
+  OmegaContext Ctx;
   Space S;
   Problem P = S.fresh();
   P.addGEQ({{S.X, 1}, {S.Y, 1}}, -2); // x + y >= 2: implied by pair below
   Problem Q = S.fresh();
   Q.addGEQ({{S.X, 1}}, -1); // x >= 1
   Q.addGEQ({{S.Y, 1}}, -1); // y >= 1
-  Problem G = gist(P, Q);
+  Problem G = gist(P, Q, Ctx);
   EXPECT_EQ(G.getNumConstraints(), 0u) << G.toString();
 }
 
 TEST(Gist, NaiveGistIsExactAndMinimal) {
+  OmegaContext Ctx;
   // Half of a random problem's rows given the other half: the gist keeps
   // the gist equation on the box, and no row it keeps is implied by the
   // context and its other rows.
@@ -123,7 +130,7 @@ TEST(Gist, NaiveGistIsExactAndMinimal) {
     for (const Constraint &Row : P.constraints())
       ((I++ % 2) ? Q : PPart).addConstraint(Row);
 
-    Problem G = gist(PPart, Q);
+    Problem G = gist(PPart, Q, Ctx);
     for (int64_t X = -8; X <= 8; ++X)
       for (int64_t Y = -8; Y <= 8; ++Y) {
         std::vector<int64_t> Pt = {X, Y};
@@ -134,7 +141,7 @@ TEST(Gist, NaiveGistIsExactAndMinimal) {
       }
     // An inconsistent p && q has the gist False, which is not a row to
     // test.
-    if (!isSatisfiable(P))
+    if (!isSatisfiable(P, Ctx))
       continue;
     for (unsigned K = 0; K != G.getNumConstraints(); ++K) {
       Problem Rest = Q;
@@ -147,7 +154,7 @@ TEST(Gist, NaiveGistIsExactAndMinimal) {
       for (const Constraint &Branch : Neg) {
         Problem Test = Rest;
         Test.addConstraint(Branch);
-        Needed |= isSatisfiable(std::move(Test));
+        Needed |= isSatisfiable(std::move(Test), Ctx);
       }
       EXPECT_TRUE(Needed) << "trial " << T << ": redundant row " << K
                           << " in " << G.toString();
@@ -156,6 +163,7 @@ TEST(Gist, NaiveGistIsExactAndMinimal) {
 }
 
 TEST(Implies, BasicDirections) {
+  OmegaContext Ctx;
   Space S;
   Problem Narrow = S.fresh();
   Narrow.addGEQ({{S.X, 1}}, -2);
@@ -163,31 +171,34 @@ TEST(Implies, BasicDirections) {
   Problem Wide = S.fresh();
   Wide.addGEQ({{S.X, 1}}, 0);
   Wide.addGEQ({{S.X, -1}}, 10); // 0 <= x <= 10
-  EXPECT_TRUE(implies(Narrow, Wide));
-  EXPECT_FALSE(implies(Wide, Narrow));
+  EXPECT_TRUE(implies(Narrow, Wide, Ctx));
+  EXPECT_FALSE(implies(Wide, Narrow, Ctx));
 }
 
 TEST(Implies, WithEqualityOnRight) {
+  OmegaContext Ctx;
   Space S;
   Problem Q = S.fresh();
   Q.addGEQ({{S.X, 1}, {S.Y, -1}}, 0);  // x >= y
   Q.addGEQ({{S.X, -1}, {S.Y, 1}}, 0);  // x <= y
   Problem P = S.fresh();
   P.addEQ({{S.X, 1}, {S.Y, -1}}, 0);   // x == y
-  EXPECT_TRUE(implies(Q, P));
+  EXPECT_TRUE(implies(Q, P, Ctx));
 }
 
 TEST(Implies, UnsatisfiableLeftImpliesAnything) {
+  OmegaContext Ctx;
   Space S;
   Problem Q = S.fresh();
   Q.addGEQ({{S.X, 1}}, -5);
   Q.addGEQ({{S.X, -1}}, 2); // empty
   Problem P = S.fresh();
   P.addEQ({{S.Y, 1}}, -77);
-  EXPECT_TRUE(implies(Q, P));
+  EXPECT_TRUE(implies(Q, P, Ctx));
 }
 
 TEST(Implies, IntegerReasoningRequired) {
+  OmegaContext Ctx;
   Space S;
   // q: x == 2y (x even). p: x != 1 is not expressible; instead check
   // q => {0 <= x - 2y <= 0} trivially and a parity-sensitive case:
@@ -198,10 +209,11 @@ TEST(Implies, IntegerReasoningRequired) {
   Problem P = S.fresh();
   P.addGEQ({{S.Y, 1}}, -1);
   P.addGEQ({{S.Y, -1}}, 2);
-  EXPECT_TRUE(implies(Q, P));
+  EXPECT_TRUE(implies(Q, P, Ctx));
 }
 
 TEST(ImpliesUnion, CoversByCases) {
+  OmegaContext Ctx;
   Space S;
   // p: 0 <= x <= 5. q1: x <= 2. q2: x >= 3. Union covers p.
   Problem P = S.fresh();
@@ -211,13 +223,14 @@ TEST(ImpliesUnion, CoversByCases) {
   Q1.addGEQ({{S.X, -1}}, 2);
   Problem Q2 = S.fresh();
   Q2.addGEQ({{S.X, 1}}, -3);
-  EXPECT_TRUE(impliesUnion(P, {Q1, Q2}));
+  EXPECT_TRUE(impliesUnion(P, {Q1, Q2}, Ctx));
   // Neither disjunct alone suffices.
-  EXPECT_FALSE(impliesUnion(P, {Q1}));
-  EXPECT_FALSE(impliesUnion(P, {Q2}));
+  EXPECT_FALSE(impliesUnion(P, {Q1}, Ctx));
+  EXPECT_FALSE(impliesUnion(P, {Q2}, Ctx));
 }
 
 TEST(ImpliesUnion, GapBreaksCover) {
+  OmegaContext Ctx;
   Space S;
   Problem P = S.fresh();
   P.addGEQ({{S.X, 1}}, 0);
@@ -226,20 +239,22 @@ TEST(ImpliesUnion, GapBreaksCover) {
   Q1.addGEQ({{S.X, -1}}, 1); // x <= 1
   Problem Q2 = S.fresh();
   Q2.addGEQ({{S.X, 1}}, -3); // x >= 3; x == 2 uncovered
-  EXPECT_FALSE(impliesUnion(P, {Q1, Q2}));
+  EXPECT_FALSE(impliesUnion(P, {Q1, Q2}, Ctx));
 }
 
 TEST(ImpliesUnion, EmptyUnionOnlyFromFalse) {
+  OmegaContext Ctx;
   Space S;
   Problem P = S.fresh();
   P.addGEQ({{S.X, 1}}, 0);
-  EXPECT_FALSE(impliesUnion(P, {}));
+  EXPECT_FALSE(impliesUnion(P, {}, Ctx));
   Problem Empty = S.fresh();
   Empty.addGEQ({}, -1); // 0 >= 1
-  EXPECT_TRUE(impliesUnion(Empty, {}));
+  EXPECT_TRUE(impliesUnion(Empty, {}, Ctx));
 }
 
 TEST(ImpliesUnion, EqualityDisjuncts) {
+  OmegaContext Ctx;
   Space S;
   // p: 1 <= x <= 2 implies (x == 1 or x == 2).
   Problem P = S.fresh();
@@ -249,10 +264,11 @@ TEST(ImpliesUnion, EqualityDisjuncts) {
   Q1.addEQ({{S.X, 1}}, -1);
   Problem Q2 = S.fresh();
   Q2.addEQ({{S.X, 1}}, -2);
-  EXPECT_TRUE(impliesUnion(P, {Q1, Q2}));
+  EXPECT_TRUE(impliesUnion(P, {Q1, Q2}, Ctx));
 }
 
 TEST(ProjectAndGist, CombinedRedBlack) {
+  OmegaContext Ctx;
   // Red: 1 <= x <= 10 && y == x. Black: 3 <= x && exists y' context.
   // After projecting y away, the red news relative to black x >= 3 is
   // x >= 1 dropped, x <= 10 kept.
@@ -266,7 +282,7 @@ TEST(ProjectAndGist, CombinedRedBlack) {
 
   std::vector<bool> Keep(C.getNumVars(), false);
   Keep[X] = true;
-  RedGistResult R = projectAndGist(C, Keep);
+  RedGistResult R = projectAndGist(C, Keep, Ctx);
   EXPECT_TRUE(R.Exact);
   EXPECT_EQ(R.Gist.toString(), "{ [red] -x >= -10 }");
 }
@@ -295,6 +311,7 @@ class GistProperty : public ::testing::TestWithParam<GistPropertyParam> {};
 } // namespace
 
 TEST_P(GistProperty, GistEquationHolds) {
+  OmegaContext Ctx;
   const GistPropertyParam &Param = GetParam();
   std::mt19937 Rng(Param.Seed);
   for (unsigned T = 0; T != Param.Trials; ++T) {
@@ -306,7 +323,7 @@ TEST_P(GistProperty, GistEquationHolds) {
     for (const Constraint &Row : Q.constraints())
       QShared.addConstraint(Row);
 
-    Problem G = gist(P, QShared);
+    Problem G = gist(P, QShared, Ctx);
 
     std::vector<VarId> Vars;
     for (VarId V = 0; V != static_cast<VarId>(Param.Cfg.NumVars); ++V)
@@ -350,6 +367,7 @@ class ImpliesProperty : public ::testing::TestWithParam<GistPropertyParam> {};
 } // namespace
 
 TEST_P(ImpliesProperty, AgreesWithBruteForce) {
+  OmegaContext Ctx;
   const GistPropertyParam &Param = GetParam();
   std::mt19937 Rng(Param.Seed);
   for (unsigned T = 0; T != Param.Trials; ++T) {
@@ -362,7 +380,7 @@ TEST_P(ImpliesProperty, AgreesWithBruteForce) {
       if (T % 2 == 0 || (I++ % 2) == 0)
         P.addConstraint(Row);
 
-    bool Actual = implies(Q, P);
+    bool Actual = implies(Q, P, Ctx);
 
     std::vector<VarId> Vars;
     for (VarId V = 0; V != static_cast<VarId>(Param.Cfg.NumVars); ++V)

@@ -33,10 +33,11 @@ const Access *findAccess(const AnalyzedProgram &AP, const std::string &Array,
 } // namespace
 
 TEST(Induction, RecognizesStrictAccumulation) {
+  OmegaContext Ctx;
   // Example 11's pattern: k := k + j with j >= i >= 1.
   AnalyzedProgram AP = analyzeSource(kernels::example11());
   ASSERT_TRUE(AP.ok());
-  InductionInfo Info = recognizeInductions(AP);
+  InductionInfo Info = recognizeInductions(AP, Ctx);
   const ScalarRecurrence *Rec = Info.recurrenceOf("k");
   ASSERT_NE(Rec, nullptr);
   EXPECT_EQ(Rec->Direction, Monotonicity::StrictlyIncreasing);
@@ -44,58 +45,63 @@ TEST(Induction, RecognizesStrictAccumulation) {
 }
 
 TEST(Induction, NonNegativeAddendIsNonStrict) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 0 to n do\n"
                                      "  k := k + i;\n" // i can be 0
                                      "endfor\n");
   ASSERT_TRUE(AP.ok());
-  InductionInfo Info = recognizeInductions(AP);
+  InductionInfo Info = recognizeInductions(AP, Ctx);
   const ScalarRecurrence *Rec = Info.recurrenceOf("k");
   ASSERT_NE(Rec, nullptr);
   EXPECT_EQ(Rec->Direction, Monotonicity::Increasing);
 }
 
 TEST(Induction, DecreasingRecognized) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 1 to n do\n"
                                      "  k := k - 2;\n"
                                      "endfor\n");
   ASSERT_TRUE(AP.ok());
-  InductionInfo Info = recognizeInductions(AP);
+  InductionInfo Info = recognizeInductions(AP, Ctx);
   const ScalarRecurrence *Rec = Info.recurrenceOf("k");
   ASSERT_NE(Rec, nullptr);
   EXPECT_EQ(Rec->Direction, Monotonicity::StrictlyDecreasing);
 }
 
 TEST(Induction, MixedSignAddendUnrecognized) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 0-3 to n do\n"
                                      "  k := k + i;\n" // sign varies
                                      "endfor\n");
   ASSERT_TRUE(AP.ok());
-  InductionInfo Info = recognizeInductions(AP);
+  InductionInfo Info = recognizeInductions(AP, Ctx);
   EXPECT_EQ(Info.recurrenceOf("k"), nullptr);
 }
 
 TEST(Induction, NonAccumulatingWriteUnrecognized) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 1 to n do\n"
                                      "  k := k + 1;\n"
                                      "endfor\n"
                                      "k := 0;\n"); // a reset breaks it
   ASSERT_TRUE(AP.ok());
-  InductionInfo Info = recognizeInductions(AP);
+  InductionInfo Info = recognizeInductions(AP, Ctx);
   EXPECT_EQ(Info.recurrenceOf("k"), nullptr);
 }
 
 TEST(Induction, MultipleConsistentUpdatesMeet) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 1 to n do\n"
                                      "  k := k + 2;\n"
                                      "  k := k + i - 1;\n" // >= 0 only
                                      "endfor\n");
   ASSERT_TRUE(AP.ok());
-  InductionInfo Info = recognizeInductions(AP);
+  InductionInfo Info = recognizeInductions(AP, Ctx);
   const ScalarRecurrence *Rec = Info.recurrenceOf("k");
   ASSERT_NE(Rec, nullptr);
   EXPECT_EQ(Rec->Direction, Monotonicity::Increasing);
@@ -107,6 +113,7 @@ TEST(Induction, MultipleConsistentUpdatesMeet) {
 //===----------------------------------------------------------------------===//
 
 TEST(Induction, Example11KillsCarriedSelfDependences) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource(kernels::example11());
   ASSERT_TRUE(AP.ok());
   const Access *W = findAccess(AP, "a", true);
@@ -116,17 +123,18 @@ TEST(Induction, Example11KillsCarriedSelfDependences) {
 
   // k strictly increases between iterations, so a(k) never revisits a
   // location: no carried output or flow dependence at either level.
-  EXPECT_FALSE(dependencePossible(AP, *W, *W, 1, DB));
-  EXPECT_FALSE(dependencePossible(AP, *W, *W, 2, DB));
-  EXPECT_FALSE(dependencePossible(AP, *W, *R, 1, DB));
-  EXPECT_FALSE(dependencePossible(AP, *W, *R, 2, DB));
+  EXPECT_FALSE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
+  EXPECT_FALSE(dependencePossible(AP, *W, *W, 2, DB, Ctx));
+  EXPECT_FALSE(dependencePossible(AP, *W, *R, 1, DB, Ctx));
+  EXPECT_FALSE(dependencePossible(AP, *W, *R, 2, DB, Ctx));
 
   // The loop-independent anti dependence (read then write of the same
   // instance) is real and must stay.
-  EXPECT_TRUE(dependencePossible(AP, *R, *W, 0, DB));
+  EXPECT_TRUE(dependencePossible(AP, *R, *W, 0, DB, Ctx));
 }
 
 TEST(Induction, NonStrictScalarKeepsDependence) {
+  OmegaContext Ctx;
   // With a possibly-zero addend the location can repeat: the carried
   // dependence must be assumed.
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
@@ -137,10 +145,11 @@ TEST(Induction, NonStrictScalarKeepsDependence) {
   ASSERT_TRUE(AP.ok());
   const Access *W = findAccess(AP, "a", true);
   AssertionDB DB;
-  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB));
+  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
 }
 
 TEST(Induction, UpdateNestedDeeperStaysNonStrict) {
+  OmegaContext Ctx;
   // The update sits inside a further loop that may iterate zero times
   // (m symbolic): between outer iterations k may not change, so the
   // carried dependence survives.
@@ -154,10 +163,11 @@ TEST(Induction, UpdateNestedDeeperStaysNonStrict) {
   ASSERT_TRUE(AP.ok());
   const Access *W = findAccess(AP, "a", true);
   AssertionDB DB;
-  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB));
+  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
 }
 
 TEST(Induction, UpdateBeforeReadNotCountedStrict) {
+  OmegaContext Ctx;
   // The update runs textually before the a(k) statement: between the
   // level-1 instances there IS still an update (the one in the later
   // iteration), but our sound syntactic rule only counts updates after
@@ -173,5 +183,5 @@ TEST(Induction, UpdateBeforeReadNotCountedStrict) {
   AssertionDB DB;
   // Note: this is conservative -- the dependence is in fact impossible,
   // but the syntactic strictness rule doesn't fire here.
-  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB));
+  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
 }

@@ -319,6 +319,17 @@ TEST(ServeTelemetry, AccountingInvariantsHold) {
   EXPECT_EQ(histOf(S, "omega_serve_parse_us").Count, OkWant + ErrWant);
   EXPECT_EQ(histOf(S, "omega_serve_queue_wait_us").Count, OkWant + ErrWant);
 
+  // All five latency histograms use the built-in 100us..1s boundaries.
+  for (const char *Name :
+       {"omega_serve_queue_wait_us", "omega_serve_parse_us",
+        "omega_serve_solve_us", "omega_serve_serialize_us",
+        "omega_serve_request_us"}) {
+    const std::vector<uint64_t> &Bounds = histOf(S, Name).Bounds;
+    ASSERT_FALSE(Bounds.empty()) << Name;
+    EXPECT_EQ(Bounds.front(), 100u) << Name;
+    EXPECT_EQ(Bounds.back(), 1000000u) << Name;
+  }
+
   // Exact bucket accounting: buckets sum to the count, for every
   // histogram in the snapshot.
   for (const obs::MetricsSnapshot::HistogramView &H : S.Histograms) {
@@ -552,41 +563,6 @@ TEST(ServeTelemetry, MetricsFileIsWrittenAtomically) {
   EXPECT_NE(Buf.str().find("omega_serve_active_workers 0\n"),
             std::string::npos);
   std::remove(File.c_str());
-}
-
-TEST(ServeTelemetry, CustomLatencyBucketsReplaceDefaults) {
-  // --latency-buckets-us: every latency histogram adopts the configured
-  // boundaries (plus the implied overflow bucket), and observations land
-  // in them exactly.
-  api::Server::Config Cfg;
-  Cfg.Workers = 1;
-  Cfg.LatencyBoundsUs = {50, 500, 5000};
-  api::Server Server(Cfg);
-  ask(Server, analyzeLine(1, kernels::corpus().front().Source));
-  obs::MetricsSnapshot S = Server.metricsSnapshot();
-  for (const char *Name :
-       {"omega_serve_queue_wait_us", "omega_serve_parse_us",
-        "omega_serve_solve_us", "omega_serve_serialize_us",
-        "omega_serve_request_us"}) {
-    const obs::MetricsSnapshot::HistogramView &H = histOf(S, Name);
-    EXPECT_EQ(H.Bounds, (std::vector<uint64_t>{50, 500, 5000})) << Name;
-    EXPECT_EQ(H.Buckets.size(), 4u) << Name;
-  }
-  const obs::MetricsSnapshot::HistogramView &Req =
-      histOf(S, "omega_serve_request_us");
-  EXPECT_EQ(Req.Count, 1u);
-  uint64_t InBuckets = 0;
-  for (uint64_t B : Req.Buckets)
-    InBuckets += B;
-  EXPECT_EQ(InBuckets, 1u);
-
-  // Empty bounds keep the built-in boundaries.
-  api::Server::Config DefCfg;
-  DefCfg.Workers = 1;
-  api::Server DefServer(DefCfg);
-  obs::MetricsSnapshot DS = DefServer.metricsSnapshot();
-  EXPECT_EQ(histOf(DS, "omega_serve_request_us").Bounds.front(), 100u);
-  EXPECT_EQ(histOf(DS, "omega_serve_request_us").Bounds.back(), 1000000u);
 }
 
 } // namespace

@@ -46,7 +46,6 @@ Problem boxed(std::initializer_list<std::pair<int64_t, int64_t>> Bounds) {
 
 TEST(ModelOracle, AgreesOnKnownProblems) {
   OmegaContext Ctx;
-  OmegaContextScope Scope(Ctx);
   oracle::ModelReport Report;
 
   // Satisfiable: 2 <= x <= 5.
@@ -121,7 +120,6 @@ TEST(Generate, ProgramsAnalyzeAndProblemsStayBoxed) {
 
 TEST(Metamorphic, TransformsPreserveSatisfiability) {
   OmegaContext Ctx;
-  OmegaContextScope Scope(Ctx);
   std::mt19937 Rng(oracle::fuzzSeed(5));
   oracle::RandomProblemConfig Cfg;
   oracle::ModelReport Report;
@@ -168,9 +166,8 @@ TEST(Shrink, ProblemDropsIrrelevantRows) {
   P.addGEQ({{0, 1}}, -3);
   P.addEQ({{1, 1}}, -2); // irrelevant to the contradiction
   OmegaContext Ctx;
-  OmegaContextScope Scope(Ctx);
   auto StillFails = [&](const Problem &Cand) {
-    return !isSatisfiable(Cand, SatOptions(), Ctx);
+    return !isSatisfiable(Cand, Ctx);
   };
   ASSERT_TRUE(StillFails(P));
   Problem Small = oracle::shrinkProblem(P, StillFails);

@@ -94,23 +94,25 @@ TEST(Overflow, OverflowScopeRestoresOuterState) {
 }
 
 TEST(Overflow, SatisfiabilityConservativeOnBlowup) {
+  OmegaContext Ctx;
   FlagReset Reset;
   Problem P = blowupProblem();
   // Whatever the true answer, the call must terminate and must not leak
   // the flag into the caller's clean scope as a crash.
-  EXPECT_TRUE(isSatisfiable(P)); // conservative "maybe" (or genuinely sat)
+  EXPECT_TRUE(isSatisfiable(P, Ctx)); // conservative "maybe" (or genuinely sat)
 }
 
 TEST(Overflow, ProjectionPoisonReported) {
+  OmegaContext Ctx;
   FlagReset Reset;
   Problem P = blowupProblem();
-  ProjectionResult R = projectOnto(P, {0}, withApprox());
+  ProjectionResult R = projectOnto(P, {0}, Ctx, withApprox());
   ASSERT_TRUE(R.Approx);
   if (R.Poisoned) {
     EXPECT_FALSE(R.Approx->Exact);
   }
   // Either way the range of v0 is sound: when poisoned it must be open.
-  IntRange Range = computeVarRange(P, 0);
+  IntRange Range = computeVarRange(P, 0, Ctx);
   if (R.Poisoned) {
     EXPECT_FALSE(Range.HasMin);
     EXPECT_FALSE(Range.HasMax);
@@ -132,8 +134,8 @@ TEST(Overflow, PoisonedApproxIsTheUnpolishedInput) {
   P.addGEQ({{X, -1}}, 1000);
   P.addGEQ({{X, 1}}, 1); // x >= -1: redundant, and kept
   OmegaContext Plain, Asked;
-  ProjectionResult R = projectOnto(P, {X}, ProjectOptions(), Plain);
-  ProjectionResult A = projectOnto(P, {X}, withApprox(), Asked);
+  ProjectionResult R = projectOnto(P, {X}, Plain);
+  ProjectionResult A = projectOnto(P, {X}, Asked, withApprox());
   ASSERT_TRUE(R.Poisoned);
   ASSERT_TRUE(A.Poisoned);
   EXPECT_FALSE(R.Approx);
@@ -145,6 +147,7 @@ TEST(Overflow, PoisonedApproxIsTheUnpolishedInput) {
 }
 
 TEST(Overflow, NormalOperationsDoNotPoison) {
+  OmegaContext Ctx;
   FlagReset Reset;
   Problem P;
   VarId X = P.addVar("x");
@@ -152,7 +155,7 @@ TEST(Overflow, NormalOperationsDoNotPoison) {
   P.addGEQ({{X, 3}, {Y, 5}}, -7);
   P.addGEQ({{X, -2}, {Y, 9}}, 11);
   P.addGEQ({{Y, -1}}, 30);
-  ProjectionResult R = projectOnto(P, {X});
+  ProjectionResult R = projectOnto(P, {X}, Ctx);
   EXPECT_FALSE(R.Poisoned);
   EXPECT_FALSE(arithOverflowFlag());
 }

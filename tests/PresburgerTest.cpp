@@ -68,19 +68,21 @@ bool evalFormula(const Formula &F, std::vector<int64_t> &Point, int64_t Lo,
 } // namespace
 
 TEST(Presburger, AtomSatisfiability) {
+  OmegaContext OC;
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");
   Formula F = Formula::conj({Formula::geq({{X, 1}}, -3),   // x >= 3
                              Formula::leq({{X, 1}}, -5)}); // x <= 5... wait
   // leq({{x,1}}, -5) is x - 5 <= 0, i.e. x <= 5.
-  EXPECT_EQ(isSatisfiable(F, Ctx), std::optional<bool>(true));
+  EXPECT_EQ(isSatisfiable(F, Ctx, OC), std::optional<bool>(true));
 
   Formula G = Formula::conj({Formula::geq({{X, 1}}, -6),  // x >= 6
                              Formula::leq({{X, 1}}, -5)}); // x <= 5
-  EXPECT_EQ(isSatisfiable(G, Ctx), std::optional<bool>(false));
+  EXPECT_EQ(isSatisfiable(G, Ctx, OC), std::optional<bool>(false));
 }
 
 TEST(Presburger, NeqSplitsCorrectly) {
+  OmegaContext OC;
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");
   // 0 <= x <= 1 && x != 0 && x != 1 is unsatisfiable.
@@ -90,10 +92,11 @@ TEST(Presburger, NeqSplitsCorrectly) {
       Formula::neq({{X, 1}}, 0),
       Formula::neq({{X, 1}}, -1),
   });
-  EXPECT_EQ(isSatisfiable(F, Ctx), std::optional<bool>(false));
+  EXPECT_EQ(isSatisfiable(F, Ctx, OC), std::optional<bool>(false));
 }
 
 TEST(Presburger, ForallExistsPattern) {
+  OmegaContext OC;
   // forall x: 0 <= x <= 100 implies exists y: 2y == x or 2y == x + 1.
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");
@@ -104,17 +107,18 @@ TEST(Presburger, ForallExistsPattern) {
                                 Formula::eq({{Y, 2}, {X, -1}}, -1)});
   Formula F = Formula::forall(
       {X}, Formula::implies(Range, Formula::exists({Y}, Body)));
-  EXPECT_EQ(isValid(F, Ctx), std::optional<bool>(true));
+  EXPECT_EQ(isValid(F, Ctx, OC), std::optional<bool>(true));
 
   // Without the "+1" disjunct the claim fails for odd x.
   Formula Bad = Formula::forall(
       {X}, Formula::implies(
                Range, Formula::exists(
                           {Y}, Formula::eq({{Y, 2}, {X, -1}}, 0))));
-  EXPECT_EQ(isValid(Bad, Ctx), std::optional<bool>(false));
+  EXPECT_EQ(isValid(Bad, Ctx, OC), std::optional<bool>(false));
 }
 
 TEST(Presburger, PaperImplicationForm) {
+  OmegaContext OC;
   // forall x: (exists y: p) => (exists z: q) with
   // p: x == 2y, 0 <= y <= 10   (x even in [0, 20])
   // q: x == z, 0 <= z <= 20    (x in [0, 20])
@@ -131,40 +135,42 @@ TEST(Presburger, PaperImplicationForm) {
   Formula F = Formula::forall(
       {X}, Formula::implies(Formula::exists({Y}, P),
                             Formula::exists({Z}, Q)));
-  EXPECT_EQ(isValid(F, Ctx), std::optional<bool>(true));
+  EXPECT_EQ(isValid(F, Ctx, OC), std::optional<bool>(true));
 
   // The converse fails (odd x in [0,20] satisfy q but not p).
   Formula G = Formula::forall(
       {X}, Formula::implies(Formula::exists({Z}, Q),
                             Formula::exists({Y}, P)));
-  EXPECT_EQ(isValid(G, Ctx), std::optional<bool>(false));
+  EXPECT_EQ(isValid(G, Ctx, OC), std::optional<bool>(false));
 }
 
 TEST(Presburger, TautologyDisjunctionForm) {
+  OmegaContext OC;
   // forall x: not p or q with p: x >= 5, q: x >= 3 -- a tautology.
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");
   Formula F = Formula::forall(
       {X}, Formula::disj({Formula::negate(Formula::geq({{X, 1}}, -5)),
                           Formula::geq({{X, 1}}, -3)}));
-  EXPECT_EQ(isValid(F, Ctx), std::optional<bool>(true));
+  EXPECT_EQ(isValid(F, Ctx, OC), std::optional<bool>(true));
 
   Formula G = Formula::forall(
       {X}, Formula::disj({Formula::negate(Formula::geq({{X, 1}}, -3)),
                           Formula::geq({{X, 1}}, -5)}));
-  EXPECT_EQ(isValid(G, Ctx), std::optional<bool>(false));
+  EXPECT_EQ(isValid(G, Ctx, OC), std::optional<bool>(false));
 }
 
 TEST(Presburger, StrideNegation) {
+  OmegaContext OC;
   // "x is even or x is odd" is valid; needs negation of a stride.
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");
   VarId Y = Ctx.addVar("y");
   Formula Even = Formula::exists({Y}, Formula::eq({{X, 1}, {Y, -2}}, 0));
   Formula Odd = Formula::exists({Y}, Formula::eq({{X, 1}, {Y, -2}}, -1));
-  EXPECT_EQ(isValid(Formula::disj({Even, Odd}), Ctx),
+  EXPECT_EQ(isValid(Formula::disj({Even, Odd}), Ctx, OC),
             std::optional<bool>(true));
-  EXPECT_EQ(isValid(Even, Ctx), std::optional<bool>(false));
+  EXPECT_EQ(isValid(Even, Ctx, OC), std::optional<bool>(false));
 }
 
 TEST(Presburger, NNFRemovesNots) {
@@ -242,6 +248,7 @@ protected:
 } // namespace
 
 TEST_P(FormulaProperty, QuantifierFreeSatisfiability) {
+  OmegaContext OC;
   const FormulaPropertyParam &Param = GetParam();
   std::mt19937 Rng(Param.Seed);
   for (unsigned T = 0; T != Param.Trials; ++T) {
@@ -250,7 +257,7 @@ TEST_P(FormulaProperty, QuantifierFreeSatisfiability) {
     Formula Body = Formula::conj({boxed(Vars[0], Param.Box),
                                   boxed(Vars[1], Param.Box),
                                   randomBody(Rng, Vars, Param.Box, 2)});
-    std::optional<bool> Actual = isSatisfiable(Body, Ctx);
+    std::optional<bool> Actual = isSatisfiable(Body, Ctx, OC);
     ASSERT_TRUE(Actual.has_value());
 
     std::vector<int64_t> Point(Ctx.getNumVars(), 0);
@@ -267,6 +274,7 @@ TEST_P(FormulaProperty, QuantifierFreeSatisfiability) {
 }
 
 TEST_P(FormulaProperty, ExistsForallValidity) {
+  OmegaContext OC;
   const FormulaPropertyParam &Param = GetParam();
   std::mt19937 Rng(Param.Seed + 500);
   for (unsigned T = 0; T != Param.Trials; ++T) {
@@ -281,7 +289,7 @@ TEST_P(FormulaProperty, ExistsForallValidity) {
             boxed(X, Param.Box),
             Formula::exists({Y}, Formula::conj({boxed(Y, Param.Box),
                                                 std::move(Body)}))));
-    std::optional<bool> Actual = isValid(F, Ctx);
+    std::optional<bool> Actual = isValid(F, Ctx, OC);
     ASSERT_TRUE(Actual.has_value()) << F.toString(Ctx);
 
     std::vector<int64_t> Point(Ctx.getNumVars(), 0);
@@ -306,6 +314,7 @@ INSTANTIATE_TEST_SUITE_P(
 // decision is then unknown, never the "false" those missing pieces would
 // read as: x = y = 0 satisfies the body.
 TEST(Presburger, OverflowedQuantifierIsUnknown) {
+  OmegaContext OC;
   FormulaContext C;
   VarId X = C.addVar("x");
   VarId Y = C.addVar("y");
@@ -314,14 +323,15 @@ TEST(Presburger, OverflowedQuantifierIsUnknown) {
                           Formula::geq({{Y, -3037000453}, {X, 3037000493}}, 5),
                           Formula::geq({{X, 1}}, 0),
                           Formula::geq({{X, -1}}, 1000)}));
-  EXPECT_FALSE(toDNF(F, C).has_value());
-  EXPECT_FALSE(isSatisfiable(F, C).has_value());
+  EXPECT_FALSE(toDNF(F, C, OC).has_value());
+  EXPECT_FALSE(isSatisfiable(F, C, OC).has_value());
   Formula NotAtZero =
       Formula::conj({Formula::negate(F), Formula::eq({{X, 1}}, 0)});
-  EXPECT_FALSE(isSatisfiable(NotAtZero, C).has_value());
+  EXPECT_FALSE(isSatisfiable(NotAtZero, C, OC).has_value());
 }
 
 TEST(Presburger, EquivalenceBasics) {
+  OmegaContext OC;
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");
   // 2 <= x <= 4 is equivalent to (x = 2 or x = 3 or x = 4).
@@ -330,14 +340,15 @@ TEST(Presburger, EquivalenceBasics) {
   Formula Cases = Formula::disj({Formula::eq({{X, 1}}, -2),
                                  Formula::eq({{X, 1}}, -3),
                                  Formula::eq({{X, 1}}, -4)});
-  EXPECT_EQ(isEquivalent(Range, Cases, Ctx), std::optional<bool>(true));
+  EXPECT_EQ(isEquivalent(Range, Cases, Ctx, OC), std::optional<bool>(true));
 
   Formula Narrower = Formula::conj(
       {Formula::geq({{X, 1}}, -2), Formula::leq({{X, 1}}, -3)});
-  EXPECT_EQ(isEquivalent(Range, Narrower, Ctx), std::optional<bool>(false));
+  EXPECT_EQ(isEquivalent(Range, Narrower, Ctx, OC), std::optional<bool>(false));
 }
 
 TEST(Presburger, EquivalenceWithQuantifiers) {
+  OmegaContext OC;
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");
   VarId Y = Ctx.addVar("y");
@@ -345,17 +356,18 @@ TEST(Presburger, EquivalenceWithQuantifiers) {
   Formula EvenA = Formula::exists({Y}, Formula::eq({{X, 1}, {Y, -2}}, 0));
   Formula EvenB = Formula::exists(
       {Y}, Formula::eq({{X, 1}, {Y, -2}}, -4)); // x = 2y + 4: still even
-  EXPECT_EQ(isEquivalent(EvenA, EvenB, Ctx), std::optional<bool>(true));
+  EXPECT_EQ(isEquivalent(EvenA, EvenB, Ctx, OC), std::optional<bool>(true));
 }
 
 TEST(Presburger, FindAssignmentReturnsWitness) {
+  OmegaContext OC;
   FormulaContext Ctx;
   VarId X = Ctx.addVar("x");
   VarId Y = Ctx.addVar("y");
   Formula F = Formula::conj({Formula::eq({{X, 1}, {Y, 1}}, -9),
                              Formula::geq({{X, 1}}, -4),
                              Formula::leq({{X, 1}}, -6)});
-  auto Result = findAssignment(F, Ctx);
+  auto Result = findAssignment(F, Ctx, OC);
   ASSERT_TRUE(Result.has_value());
   ASSERT_TRUE(Result->has_value());
   const std::vector<int64_t> &Sol = **Result;
@@ -365,7 +377,7 @@ TEST(Presburger, FindAssignmentReturnsWitness) {
 
   Formula Unsat = Formula::conj(
       {Formula::geq({{X, 1}}, -4), Formula::leq({{X, 1}}, -2)});
-  auto None = findAssignment(Unsat, Ctx);
+  auto None = findAssignment(Unsat, Ctx, OC);
   ASSERT_TRUE(None.has_value());
   EXPECT_FALSE(None->has_value());
 }
@@ -376,6 +388,7 @@ TEST(Presburger, FindAssignmentReturnsWitness) {
 //===----------------------------------------------------------------------===//
 
 TEST(Presburger, ImplicationAgreesWithOmegaImplies) {
+  OmegaContext OC;
   std::mt19937 Rng(321);
   for (unsigned T = 0; T != 80; ++T) {
     FormulaContext Ctx;
@@ -403,7 +416,7 @@ TEST(Presburger, ImplicationAgreesWithOmegaImplies) {
     Problem PP = Ctx.makeProblem();
     randomRows(PP, 2);
 
-    bool Direct = omega::implies(PQ, PP);
+    bool Direct = omega::implies(PQ, PP, OC);
 
     auto toFormula = [&](const Problem &P) {
       std::vector<Formula> Atoms;
@@ -421,7 +434,7 @@ TEST(Presburger, ImplicationAgreesWithOmegaImplies) {
     std::optional<bool> ViaFormulas = isValid(
         Formula::forall({A, B},
                         Formula::implies(toFormula(PQ), toFormula(PP))),
-        Ctx);
+        Ctx, OC);
     ASSERT_TRUE(ViaFormulas.has_value());
     EXPECT_EQ(*ViaFormulas, Direct)
         << "q = " << PQ.toString() << "\np = " << PP.toString();

@@ -24,7 +24,8 @@ bool pieceContains(const Problem &Piece, const std::vector<VarId> &Kept,
   Problem Pinned = Piece;
   for (VarId V : Kept)
     Pinned.addEQ({{V, 1}}, -Point[V]);
-  return isSatisfiable(std::move(Pinned));
+  OmegaContext Ctx;
+  return isSatisfiable(std::move(Pinned), Ctx);
 }
 
 bool unionContains(const ProjectionResult &R, const std::vector<VarId> &Kept,
@@ -46,6 +47,7 @@ ProjectOptions withApprox(bool RemoveRedundant = true) {
 } // namespace
 
 TEST(Projection, PaperSectionThreeExample) {
+  OmegaContext Ctx;
   // Projecting {0 <= a <= 5; b < a <= 5b} onto a gives {2 <= a <= 5}.
   Problem P;
   VarId A = P.addVar("a");
@@ -55,18 +57,19 @@ TEST(Projection, PaperSectionThreeExample) {
   P.addGEQ({{A, 1}, {B, -1}}, -1); // a >= b + 1
   P.addGEQ({{A, -1}, {B, 5}}, 0);  // a <= 5b
 
-  ProjectionResult R = projectOnto(P, {A});
+  ProjectionResult R = projectOnto(P, {A}, Ctx);
   ASSERT_EQ(R.Pieces.size(), 1u);
   const Problem &Piece = R.Pieces.front();
   EXPECT_EQ(Piece.toString(), "{ a >= 2; -a >= -5 }");
 }
 
 TEST(Projection, UnconstrainedVariableDrops) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addGEQ({{X, 1}}, 0);
-  ProjectionResult R = projectOnto(P, {X}, withApprox());
+  ProjectionResult R = projectOnto(P, {X}, Ctx, withApprox());
   ASSERT_EQ(R.Pieces.size(), 1u);
   EXPECT_FALSE(R.Pieces.front().involves(Y));
   ASSERT_TRUE(R.Approx);
@@ -74,23 +77,25 @@ TEST(Projection, UnconstrainedVariableDrops) {
 }
 
 TEST(Projection, EmptyProjectionOfInfeasible) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addGEQ({{Y, 1}}, -3); // y >= 3
   P.addGEQ({{Y, -1}}, 1); // y <= 1
   (void)X;
-  ProjectionResult R = projectOnto(P, {X});
+  ProjectionResult R = projectOnto(P, {X}, Ctx);
   EXPECT_TRUE(R.isEmpty());
 }
 
 TEST(Projection, StrideSurvivesAsWildcardEquality) {
+  OmegaContext Ctx;
   // project {x == 2y} onto x: x must be even.
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addEQ({{X, 1}, {Y, -2}}, 0);
-  ProjectionResult R = projectOnto(P, {X});
+  ProjectionResult R = projectOnto(P, {X}, Ctx);
   ASSERT_EQ(R.Pieces.size(), 1u);
   const Problem &Piece = R.Pieces.front();
   EXPECT_EQ(Piece.getNumEQs(), 1u);
@@ -100,13 +105,14 @@ TEST(Projection, StrideSurvivesAsWildcardEquality) {
 }
 
 TEST(Projection, StrideWithCoupledInequality) {
+  OmegaContext Ctx;
   // project {2x + 3y == 0, y >= 0} onto x: x <= 0 and x == 0 (mod 3).
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addEQ({{X, 2}, {Y, 3}}, 0);
   P.addGEQ({{Y, 1}}, 0);
-  ProjectionResult R = projectOnto(P, {X});
+  ProjectionResult R = projectOnto(P, {X}, Ctx);
   ASSERT_FALSE(R.isEmpty());
   for (int64_t V = -12; V <= 12; ++V) {
     bool Expected = V <= 0 && V % 3 == 0;
@@ -115,6 +121,7 @@ TEST(Projection, StrideWithCoupledInequality) {
 }
 
 TEST(Projection, SplinteringExample) {
+  OmegaContext Ctx;
   // project {1 <= x, 5 <= 3y - x <= 7} onto ... eliminate y:
   // 3y in [x+5, x+7]; an integer y exists iff the window [x+5, x+7]
   // contains a multiple of 3, which is always true (window width 3). So
@@ -125,19 +132,20 @@ TEST(Projection, SplinteringExample) {
   P.addGEQ({{X, 1}}, -1);
   P.addGEQ({{Y, 3}, {X, -1}}, -5);
   P.addGEQ({{Y, -3}, {X, 1}}, 7);
-  ProjectionResult R = projectOnto(P, {X});
+  ProjectionResult R = projectOnto(P, {X}, Ctx);
   for (int64_t V = -3; V <= 10; ++V)
     EXPECT_EQ(unionContains(R, {X}, {V, 0}), V >= 1) << "x = " << V;
 }
 
 TEST(Projection, SplinteringNarrowWindow) {
+  OmegaContext Ctx;
   // 3y in [x+5, x+6]: a multiple of 3 exists iff x == 0 or 1 (mod 3).
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addGEQ({{Y, 3}, {X, -1}}, -5);
   P.addGEQ({{Y, -3}, {X, 1}}, 6);
-  ProjectionResult R = projectOnto(P, {X}, withApprox());
+  ProjectionResult R = projectOnto(P, {X}, Ctx, withApprox());
   ASSERT_TRUE(R.Approx);
   EXPECT_FALSE(R.Approx->Exact);
   for (int64_t V = -9; V <= 9; ++V) {
@@ -147,28 +155,30 @@ TEST(Projection, SplinteringNarrowWindow) {
 }
 
 TEST(Projection, ComputeVarRangeSimple) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addGEQ({{X, 1}, {Y, -1}}, 0);  // x >= y
   P.addGEQ({{Y, 1}}, -2);          // y >= 2
   P.addGEQ({{X, -1}}, 9);          // x <= 9
-  IntRange RX = computeVarRange(P, X);
+  IntRange RX = computeVarRange(P, X, Ctx);
   EXPECT_TRUE(RX.HasMin);
   EXPECT_TRUE(RX.HasMax);
   EXPECT_EQ(RX.Min, 2);
   EXPECT_EQ(RX.Max, 9);
 
-  IntRange RY = computeVarRange(P, Y);
+  IntRange RY = computeVarRange(P, Y, Ctx);
   EXPECT_EQ(RY.Min, 2);
   EXPECT_EQ(RY.Max, 9);
 }
 
 TEST(Projection, ComputeVarRangeOpenEnds) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   P.addGEQ({{X, 1}}, -4); // x >= 4
-  IntRange R = computeVarRange(P, X);
+  IntRange R = computeVarRange(P, X, Ctx);
   EXPECT_TRUE(R.HasMin);
   EXPECT_FALSE(R.HasMax);
   EXPECT_EQ(R.Min, 4);
@@ -176,11 +186,12 @@ TEST(Projection, ComputeVarRangeOpenEnds) {
 }
 
 TEST(Projection, ComputeVarRangeEmpty) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   P.addGEQ({{X, 1}}, -4);
   P.addGEQ({{X, -1}}, 2);
-  IntRange R = computeVarRange(P, X);
+  IntRange R = computeVarRange(P, X, Ctx);
   EXPECT_TRUE(R.Empty);
 }
 
@@ -189,6 +200,7 @@ TEST(Projection, ComputeVarRangeEmpty) {
 // exact. Eliminating y cross-multiplies two coprime coefficients near
 // 3 * 10^9, past the saturation cap.
 TEST(Projection, ComputeVarRangeOverflowIsNotExact) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
@@ -196,8 +208,8 @@ TEST(Projection, ComputeVarRangeOverflowIsNotExact) {
   P.addGEQ({{Y, -3037000453}, {X, 3037000493}}, 5);
   P.addGEQ({{X, 1}}, 0);
   P.addGEQ({{X, -1}}, 1000);
-  ASSERT_TRUE(projectOnto(P, {X}).Poisoned);
-  IntRange R = computeVarRange(P, X);
+  ASSERT_TRUE(projectOnto(P, {X}, Ctx).Poisoned);
+  IntRange R = computeVarRange(P, X, Ctx);
   EXPECT_FALSE(R.Empty);
   EXPECT_FALSE(R.HasMin);
   EXPECT_FALSE(R.HasMax);
@@ -207,7 +219,7 @@ TEST(Projection, ComputeVarRangeOverflowIsNotExact) {
   VarId B = Box.addVar("b");
   Box.addGEQ({{B, 1}}, 0);
   Box.addGEQ({{B, -1}}, 3);
-  IntRange Exact = computeVarRange(Box, B);
+  IntRange Exact = computeVarRange(Box, B, Ctx);
   EXPECT_TRUE(Exact.Exact);
   EXPECT_EQ(Exact.toString(), "[0, 3]");
 }
@@ -234,6 +246,7 @@ Problem strideSet(int64_t Stride, int64_t Offset, bool HasLo, int64_t Lo,
 // an assertion; the ends past the cap are now found by bisection. Every
 // bounded case is checked against enumeration of the interval.
 TEST(Projection, ComputeVarRangeWideStrideMatchesBruteForce) {
+  OmegaContext Ctx;
   struct Case {
     int64_t Stride, Offset, Lo, Hi;
   };
@@ -262,7 +275,7 @@ TEST(Projection, ComputeVarRangeWideStrideMatchesBruteForce) {
     ASSERT_TRUE(Any);
     IntRange R =
         computeVarRange(strideSet(C.Stride, C.Offset, true, C.Lo, true, C.Hi),
-                        /*x=*/0);
+                        /*x=*/0, Ctx);
     EXPECT_FALSE(R.Empty);
     EXPECT_TRUE(R.Exact);
     EXPECT_TRUE(R.HasMin && R.HasMax);
@@ -271,10 +284,10 @@ TEST(Projection, ComputeVarRangeWideStrideMatchesBruteForce) {
   }
 
   // One end open: the search gallops toward the open side.
-  EXPECT_EQ(computeVarRange(strideSet(5000, 0, true, 1, false, 0), 0)
+  EXPECT_EQ(computeVarRange(strideSet(5000, 0, true, 1, false, 0), 0, Ctx)
                 .toString(),
             "[5000, +inf]");
-  EXPECT_EQ(computeVarRange(strideSet(5000, 7, false, 0, true, -1), 0)
+  EXPECT_EQ(computeVarRange(strideSet(5000, 7, false, 0, true, -1), 0, Ctx)
                 .toString(),
             "[-inf, -4993]");
 }
@@ -282,10 +295,11 @@ TEST(Projection, ComputeVarRangeWideStrideMatchesBruteForce) {
 // A piece handed to the union overload may hold no lattice point at all;
 // the search past the cap then finds none and the piece adds nothing.
 TEST(Projection, ComputeVarRangeLatticeFreePieceIsEmpty) {
+  OmegaContext Ctx;
   std::vector<Problem> Pieces = {strideSet(5000, 0, true, 1, true, 4999)};
-  EXPECT_TRUE(computeVarRange(Pieces, 0).Empty);
+  EXPECT_TRUE(computeVarRange(Pieces, 0, Ctx).Empty);
   Pieces.push_back(strideSet(5000, 0, true, 1, true, 10001));
-  EXPECT_EQ(computeVarRange(Pieces, 0).toString(), "[5000, 10000]");
+  EXPECT_EQ(computeVarRange(Pieces, 0, Ctx).toString(), "[5000, 10000]");
 }
 
 // A union is exact only when both sides are, and an empty side does not
@@ -322,6 +336,7 @@ TEST(Projection, IntRangeIncludeAndsExactness) {
 }
 
 TEST(Projection, RemoveRedundantConstraints) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   P.addGEQ({{X, 1}}, -2); // x >= 2
@@ -330,7 +345,7 @@ TEST(Projection, RemoveRedundantConstraints) {
   VarId Y = P.addVar("y");
   P.addGEQ({{Y, 1}}, -1);          // y >= 1
   P.addGEQ({{X, 1}, {Y, 1}}, -2);  // x + y >= 2, implied by x>=2, y>=1
-  removeRedundantConstraints(P);
+  removeRedundantConstraints(P, Ctx);
   EXPECT_EQ(P.getNumConstraints(), 2u);
 }
 
@@ -358,9 +373,10 @@ bool sameRows(const Problem &A, const Problem &B) {
 }
 
 bool realShadowSat(const Problem &P) {
+  OmegaContext Ctx;
   SatOptions Relaxed;
   Relaxed.Mode = SatMode::RealShadowOnly;
-  return isSatisfiable(P, Relaxed);
+  return isSatisfiable(P, Ctx, Relaxed);
 }
 
 } // namespace
@@ -369,6 +385,7 @@ bool realShadowSat(const Problem &P) {
 // with and without redundancy removal; a splintered one's Approx is still
 // a superset of the pieces. Both kinds must occur, or the test is vacuous.
 TEST(Projection, ExactApproxIsTheOnePiece) {
+  OmegaContext Ctx;
   std::mt19937 Rng(31);
   unsigned ExactNonEmpty = 0, Splintered = 0;
   for (unsigned T = 0; T != 150; ++T) {
@@ -378,7 +395,8 @@ TEST(Projection, ExactApproxIsTheOnePiece) {
     Problem P = randomProblem(Rng, Cfg);
     std::vector<VarId> Kept = {0}, Dropped = {1, 2};
     for (bool RemoveRedundant : {true, false}) {
-      ProjectionResult R = projectOnto(P, Kept, withApprox(RemoveRedundant));
+      ProjectionResult R =
+          projectOnto(P, Kept, Ctx, withApprox(RemoveRedundant));
       ASSERT_FALSE(R.Poisoned);
       ASSERT_TRUE(R.Approx);
       const Problem &Shadow = R.Approx->Shadow;
@@ -417,6 +435,7 @@ TEST(Projection, ExactApproxIsTheOnePiece) {
 // points (Pugh's dark-shadow example, plus a variable eliminated exactly)
 // yields no piece, and Approx is still that conjunction's real shadow.
 TEST(Projection, IntegerEmptyExactProjectionKeepsItsRealShadow) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
@@ -429,13 +448,14 @@ TEST(Projection, IntegerEmptyExactProjectionKeepsItsRealShadow) {
   P.addGEQ({{Z, -1}, {X, 1}}, 0);
   for (bool RemoveRedundant : {true, false}) {
     SCOPED_TRACE(RemoveRedundant ? "RemoveRedundant" : "keep redundant");
-    ProjectionResult R = projectOnto(P, {X, Y}, withApprox(RemoveRedundant));
+    ProjectionResult R =
+        projectOnto(P, {X, Y}, Ctx, withApprox(RemoveRedundant));
     EXPECT_TRUE(R.isEmpty());
     ASSERT_TRUE(R.Approx);
     const Problem &Shadow = R.Approx->Shadow;
     EXPECT_TRUE(R.Approx->Exact);
     EXPECT_FALSE(Shadow.involves(Z));
-    EXPECT_FALSE(isSatisfiable(Shadow));
+    EXPECT_FALSE(isSatisfiable(Shadow, Ctx));
     EXPECT_TRUE(realShadowSat(Shadow)) << Shadow.toString();
     if (!RemoveRedundant) {
       // The four rows plus x >= 0 from z's bounds.
@@ -448,12 +468,13 @@ TEST(Projection, IntegerEmptyExactProjectionKeepsItsRealShadow) {
 // elimination: here that shadow drops x's residue class, which no piece
 // does.
 TEST(Projection, SplinteredApproxIsTheRealShadow) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addGEQ({{Y, 3}, {X, -1}}, -5); // 3y in [x+5, x+6]
   P.addGEQ({{Y, -3}, {X, 1}}, 6);
-  ProjectionResult R = projectOnto(P, {X}, withApprox());
+  ProjectionResult R = projectOnto(P, {X}, Ctx, withApprox());
   ASSERT_TRUE(R.Approx);
   const Problem &Shadow = R.Approx->Shadow;
   EXPECT_FALSE(R.Approx->Exact);
@@ -489,6 +510,7 @@ class ProjectionProperty : public ::testing::TestWithParam<ProjPropertyParam> {
 } // namespace
 
 TEST_P(ProjectionProperty, MatchesBruteForce) {
+  OmegaContext Ctx;
   const ProjPropertyParam &Param = GetParam();
   std::mt19937 Rng(Param.Seed);
   for (unsigned T = 0; T != Param.Trials; ++T) {
@@ -498,11 +520,11 @@ TEST_P(ProjectionProperty, MatchesBruteForce) {
       (static_cast<unsigned>(V) < Param.KeepCount ? Kept : Dropped)
           .push_back(V);
 
-    ProjectionResult R = projectOnto(P, Kept, withApprox());
+    ProjectionResult R = projectOnto(P, Kept, Ctx, withApprox());
     ASSERT_TRUE(R.Approx);
 
     // Asking for the approximation moves no piece and no poison bit.
-    ProjectionResult Plain = projectOnto(P, Kept);
+    ProjectionResult Plain = projectOnto(P, Kept, Ctx);
     EXPECT_FALSE(Plain.Approx);
     EXPECT_EQ(Plain.Poisoned, R.Poisoned);
     ASSERT_EQ(Plain.Pieces.size(), R.Pieces.size()) << P.toString();
@@ -513,13 +535,13 @@ TEST_P(ProjectionProperty, MatchesBruteForce) {
     // computeVarRange keeps redundant rows; it must read the range that
     // the pieces give once those rows are removed.
     for (VarId V = 0; V != static_cast<VarId>(P.getNumVars()); ++V) {
-      ProjectionResult Polished = projectOnto(P, {V});
-      IntRange Expected = computeVarRange(Polished.Pieces, V);
+      ProjectionResult Polished = projectOnto(P, {V}, Ctx);
+      IntRange Expected = computeVarRange(Polished.Pieces, V, Ctx);
       if (Polished.Poisoned) {
         Expected.Empty = Expected.HasMin = Expected.HasMax = false;
         Expected.Exact = false;
       }
-      IntRange Got = computeVarRange(P, V);
+      IntRange Got = computeVarRange(P, V, Ctx);
       EXPECT_EQ(Got.toString(), Expected.toString())
           << "v" << V << " of " << P.toString();
       EXPECT_EQ(Got.Exact, Expected.Exact) << "v" << V << " of "
@@ -585,6 +607,7 @@ class VarRangeProperty : public ::testing::TestWithParam<ProjPropertyParam> {};
 } // namespace
 
 TEST_P(VarRangeProperty, RangeMatchesBruteForce) {
+  OmegaContext Ctx;
   const ProjPropertyParam &Param = GetParam();
   std::mt19937 Rng(Param.Seed + 1000);
   for (unsigned T = 0; T != Param.Trials; ++T) {
@@ -594,7 +617,7 @@ TEST_P(VarRangeProperty, RangeMatchesBruteForce) {
       All.push_back(V);
 
     VarId Target = 0;
-    IntRange R = computeVarRange(P, Target);
+    IntRange R = computeVarRange(P, Target, Ctx);
 
     bool Any = false;
     int64_t Min = 0, Max = 0;

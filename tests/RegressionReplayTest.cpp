@@ -77,8 +77,7 @@ TEST(RegressionReplay, CalcScripts) {
     const calc::NamedSet *Set = C.lookup("P");
     ASSERT_NE(Set, nullptr) << "reproducer defines no set named P";
     OmegaContext Ctx;
-    OmegaContextScope Scope(Ctx);
-    if (isSatisfiable(Set->P, SatOptions(), Ctx)) {
+    if (isSatisfiable(Set->P, Ctx)) {
       std::optional<std::vector<int64_t>> Point = findSolution(Set->P, Ctx);
       ASSERT_TRUE(Point.has_value()) << "P is SAT but has no witness";
       EXPECT_TRUE(oracle::evalProblem(Set->P, *Point))

@@ -31,9 +31,10 @@ const Access *findAccess(const AnalyzedProgram &AP, const std::string &Array,
 std::vector<DepSpace::RestraintVector>
 restraintsFor(const AnalyzedProgram &AP, const Access &Src,
               const Access &Dst) {
+  OmegaContext Ctx;
   DepSpace Space(AP, {&Src, &Dst});
   Problem Pair = buildPairProblem(Space);
-  return Space.computeRestraintVectors(Pair, 0, 1);
+  return Space.computeRestraintVectors(Pair, 0, 1, Ctx);
 }
 
 } // namespace
@@ -93,6 +94,7 @@ TEST(Restraints, NoCommonLoopsTextualOrder) {
 }
 
 TEST(Restraints, RestraintsCoverAllForwardSolutions) {
+  OmegaContext Ctx;
   // Property: adding each restraint in turn, the union of satisfiable
   // ordered pairs equals the per-level union computed by the analysis.
   AnalyzedProgram AP = analyzeSource(kernels::example5());
@@ -101,11 +103,11 @@ TEST(Restraints, RestraintsCoverAllForwardSolutions) {
   const Access *R = findAccess(AP, "a", false);
   DepSpace Space(AP, {W, R});
   Problem Pair = buildPairProblem(Space);
-  auto Rs = Space.computeRestraintVectors(Pair, 0, 1);
+  auto Rs = Space.computeRestraintVectors(Pair, 0, 1, Ctx);
   ASSERT_FALSE(Rs.empty());
   for (const auto &RV : Rs) {
     Problem Test = Pair;
     Space.addRestraint(Test, 0, 1, RV);
-    EXPECT_TRUE(isSatisfiable(Test)) << RV.toString();
+    EXPECT_TRUE(isSatisfiable(Test, Ctx)) << RV.toString();
   }
 }

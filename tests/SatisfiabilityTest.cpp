@@ -14,42 +14,46 @@ using namespace omega;
 using namespace omega::testutil;
 
 TEST(Satisfiability, EmptyProblemIsSat) {
+  OmegaContext Ctx;
   Problem P;
   P.addVar("x");
-  EXPECT_TRUE(isSatisfiable(P));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
 }
 
 TEST(Satisfiability, SimpleInterval) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   P.addGEQ({{X, 1}}, -2); // x >= 2
   P.addGEQ({{X, -1}}, 5); // x <= 5
-  EXPECT_TRUE(isSatisfiable(P));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
 
   Problem Q;
   X = Q.addVar("x");
   Q.addGEQ({{X, 1}}, -6); // x >= 6
   Q.addGEQ({{X, -1}}, 5); // x <= 5
-  EXPECT_FALSE(isSatisfiable(Q));
+  EXPECT_FALSE(isSatisfiable(Q, Ctx));
 }
 
 TEST(Satisfiability, IntegerGapDetected) {
+  OmegaContext Ctx;
   // 2 <= 3x <= 4 has the rational solutions [2/3, 4/3] but only x == 1.
   Problem P;
   VarId X = P.addVar("x");
   P.addGEQ({{X, 3}}, -2);
   P.addGEQ({{X, -3}}, 4);
-  EXPECT_TRUE(isSatisfiable(P));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
 
   // 4 <= 3x <= 5 contains no integer multiple of 3.
   Problem Q;
   X = Q.addVar("x");
   Q.addGEQ({{X, 3}}, -4);
   Q.addGEQ({{X, -3}}, 5);
-  EXPECT_FALSE(isSatisfiable(Q));
+  EXPECT_FALSE(isSatisfiable(Q, Ctx));
 }
 
 TEST(Satisfiability, ClassicDarkShadowExample) {
+  OmegaContext Ctx;
   // The well-known 2-variable example with rational but no integer
   // solutions: 27 <= 11x + 13y <= 45, -10 <= 7x - 9y <= 4 [Pug91].
   Problem P;
@@ -59,10 +63,11 @@ TEST(Satisfiability, ClassicDarkShadowExample) {
   P.addGEQ({{X, -11}, {Y, -13}}, 45);
   P.addGEQ({{X, 7}, {Y, -9}}, 10);
   P.addGEQ({{X, -7}, {Y, 9}}, 4);
-  EXPECT_FALSE(isSatisfiable(P));
+  EXPECT_FALSE(isSatisfiable(P, Ctx));
 }
 
 TEST(Satisfiability, RealShadowOnlyIsOptimistic) {
+  OmegaContext Ctx;
   // The same system is "satisfiable" under the real relaxation.
   Problem P;
   VarId X = P.addVar("x");
@@ -73,10 +78,11 @@ TEST(Satisfiability, RealShadowOnlyIsOptimistic) {
   P.addGEQ({{X, -7}, {Y, 9}}, 4);
   SatOptions Opts;
   Opts.Mode = SatMode::RealShadowOnly;
-  EXPECT_TRUE(isSatisfiable(P, Opts));
+  EXPECT_TRUE(isSatisfiable(P, Ctx, Opts));
 }
 
 TEST(Satisfiability, EqualityChainSolved) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
@@ -85,26 +91,28 @@ TEST(Satisfiability, EqualityChainSolved) {
   P.addEQ({{Y, 1}, {Z, -1}}, 1); // y == z - 1
   P.addGEQ({{X, 1}}, -5);         // x >= 5
   P.addGEQ({{Z, -1}}, 5);         // z <= 5
-  EXPECT_FALSE(isSatisfiable(P)); // x >= 5 forces z >= 6
+  EXPECT_FALSE(isSatisfiable(P, Ctx)); // x >= 5 forces z >= 6
 }
 
 TEST(Satisfiability, NonUnitEqualityNeedsModHat) {
+  OmegaContext Ctx;
   // 3x + 5y == 1 is solvable over Z (e.g. x == 2, y == -1).
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addEQ({{X, 3}, {Y, 5}}, -1);
-  EXPECT_TRUE(isSatisfiable(P));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
 
   // 6x + 10y == 1 is not (gcd 2 does not divide 1).
   Problem Q;
   X = Q.addVar("x");
   Y = Q.addVar("y");
   Q.addEQ({{X, 6}, {Y, 10}}, -1);
-  EXPECT_FALSE(isSatisfiable(Q));
+  EXPECT_FALSE(isSatisfiable(Q, Ctx));
 }
 
 TEST(Satisfiability, ModHatWithBounds) {
+  OmegaContext Ctx;
   // 3x + 5y == 1 with 0 <= x, y <= 10: no solution in the box? Check:
   // x=2,y=-1 out; x=7,y=-4 out; y must satisfy 5y == 1-3x; 1-3x in
   // [-29, 1]; need multiple of 5: 1-3x in {-25,-20,-15,-10,-5,0}
@@ -118,7 +126,7 @@ TEST(Satisfiability, ModHatWithBounds) {
     P.addGEQ({{V, 1}}, 0);
     P.addGEQ({{V, -1}}, 10);
   }
-  EXPECT_FALSE(isSatisfiable(P));
+  EXPECT_FALSE(isSatisfiable(P, Ctx));
 
   // Enlarging the box to allow x == 12, y == -7... still y < 0. Instead
   // allow y negative: -5 <= y.
@@ -130,10 +138,11 @@ TEST(Satisfiability, ModHatWithBounds) {
   Q.addGEQ({{X, -1}}, 10);
   Q.addGEQ({{Y, 1}}, 5); // y >= -5
   Q.addGEQ({{Y, -1}}, 10);
-  EXPECT_TRUE(isSatisfiable(Q)); // x == 2, y == -1
+  EXPECT_TRUE(isSatisfiable(Q, Ctx)); // x == 2, y == -1
 }
 
 TEST(Satisfiability, PaperProjectionExampleFeasible) {
+  OmegaContext Ctx;
   // {0 <= a <= 5, b < a <= 5b} from Section 3 of the paper.
   Problem P;
   VarId A = P.addVar("a");
@@ -142,23 +151,25 @@ TEST(Satisfiability, PaperProjectionExampleFeasible) {
   P.addGEQ({{A, -1}}, 5);
   P.addGEQ({{A, 1}, {B, -1}}, -1); // a >= b + 1
   P.addGEQ({{A, -1}, {B, 5}}, 0);  // a <= 5b
-  EXPECT_TRUE(isSatisfiable(P));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
 }
 
 TEST(Satisfiability, UnboundedSystems) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addGEQ({{X, 1}, {Y, 1}}, 0); // x + y >= 0, unbounded
-  EXPECT_TRUE(isSatisfiable(P));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
 
   Problem Q;
   X = Q.addVar("x");
   Q.addGEQ({{X, 2}}, -7); // 2x >= 7
-  EXPECT_TRUE(isSatisfiable(Q));
+  EXPECT_TRUE(isSatisfiable(Q, Ctx));
 }
 
 TEST(Satisfiability, ThreeVarCoupled) {
+  OmegaContext Ctx;
   // x + y + z == 10, x,y,z in [0,3] -- impossible (max 9).
   Problem P;
   VarId X = P.addVar("x");
@@ -169,7 +180,7 @@ TEST(Satisfiability, ThreeVarCoupled) {
     P.addGEQ({{V, 1}}, 0);
     P.addGEQ({{V, -1}}, 3);
   }
-  EXPECT_FALSE(isSatisfiable(P));
+  EXPECT_FALSE(isSatisfiable(P, Ctx));
 
   // With bound 4 it becomes possible (4+3+3).
   Problem Q;
@@ -181,7 +192,7 @@ TEST(Satisfiability, ThreeVarCoupled) {
     Q.addGEQ({{V, 1}}, 0);
     Q.addGEQ({{V, -1}}, 4);
   }
-  EXPECT_TRUE(isSatisfiable(Q));
+  EXPECT_TRUE(isSatisfiable(Q, Ctx));
 }
 
 //===----------------------------------------------------------------------===//
@@ -210,12 +221,13 @@ class SatisfiabilityProperty
 } // namespace
 
 TEST_P(SatisfiabilityProperty, AgreesWithBruteForce) {
+  OmegaContext Ctx;
   const SatPropertyParam &Param = GetParam();
   std::mt19937 Rng(Param.Seed);
   for (unsigned T = 0; T != Param.Trials; ++T) {
     Problem P = randomProblem(Rng, Param.Cfg);
     bool Expected = bruteForceSat(P, -Param.Cfg.Box, Param.Cfg.Box);
-    bool Actual = isSatisfiable(P);
+    bool Actual = isSatisfiable(P, Ctx);
     ASSERT_EQ(Actual, Expected)
         << "trial " << T << ": " << P.toString();
   }

@@ -578,36 +578,6 @@ TEST(Serve, SessionRequestsCoalesce) {
   Server.stop();
 }
 
-// With coalescing disabled, every request is its own solve: nothing
-// coalesces and engine analyses equal analyze_ok.
-TEST(Serve, CoalescingDisabledByConfig) {
-  api::Server::Config Cfg = basicConfig(2);
-  Cfg.MaxQueue = 64;
-  Cfg.Coalesce = false;
-  api::Server Server(Cfg);
-  const std::string Source = kernels::corpus().front().Source;
-
-  std::mutex Mu;
-  std::condition_variable CV;
-  unsigned Done = 0;
-  constexpr unsigned K = 6;
-  for (unsigned I = 0; I != K; ++I)
-    Server.submit(requestLine(I, Source), [&](std::string) {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++Done;
-      CV.notify_one();
-    });
-  {
-    std::unique_lock<std::mutex> Lock(Mu);
-    CV.wait(Lock, [&] { return Done == K; });
-  }
-  std::string M = ask(Server, "{\"id\": 9, \"op\": \"metrics\"}");
-  EXPECT_EQ(counterOf(M, "omega_serve_requests_coalesced_total"), 0);
-  EXPECT_EQ(counterOf(M, "omega_engine_analyses_total"),
-            counterOf(M, "omega_serve_analyze_ok_total"));
-  Server.stop();
-}
-
 // The metrics op with "reset": true answers with the pre-reset snapshot,
 // then zeroes counters and histograms; a non-bool "reset" is rejected.
 TEST(Serve, MetricsResetOp) {

@@ -134,11 +134,11 @@ TEST(SmallCoeffVector, SatisfiabilityOnSmallProblemsIsRowAllocationFree) {
               P.addGEQ({{J, 2}, {I, -1}}, 0);
               P.addGEQ({{J, -3}, {I, 1}}, 50);
               P.addEQ({{K, 1}, {I, -1}, {J, -2}}, 4);
-              EXPECT_TRUE(isSatisfiable(P, SatOptions(), Ctx));
+              EXPECT_TRUE(isSatisfiable(P, Ctx));
 
               Problem Q = P;
               Q.addGEQ({{K, 5}, {J, -7}}, -3);
-              isSatisfiable(std::move(Q), SatOptions(), Ctx);
+              isSatisfiable(std::move(Q), Ctx);
             }),
             0u);
 }

@@ -46,7 +46,8 @@ bool conditionAllows(const SymbolicCondition &C,
       continue; // unconstrained symbol: any value fits
     P.addEQ({{V, 1}}, -Value);
   }
-  return isSatisfiable(P);
+  OmegaContext Ctx;
+  return isSatisfiable(P, Ctx);
 }
 
 AnalyzedProgram makeExample7() {
@@ -80,6 +81,7 @@ AssertionDB makeExample7DB() {
 //===----------------------------------------------------------------------===//
 
 TEST(Section5, Example7OuterCarriedCondition) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = makeExample7();
   ASSERT_TRUE(AP.ok());
   const Access *W = findAccess(AP, "A", true);
@@ -90,7 +92,7 @@ TEST(Section5, Example7OuterCarriedCondition) {
   // Restraint (+,*): carried by the outer loop. The paper's result:
   // the dependence exists iff 1 <= x <= 50.
   SymbolicCondition C =
-      dependenceCondition(AP, *W, *R, /*Level=*/1, DB, {"x", "y", "m"});
+      dependenceCondition(AP, *W, *R, /*Level=*/1, DB, {"x", "y", "m"}, Ctx);
   ASSERT_FALSE(C.Impossible);
   EXPECT_TRUE(conditionAllows(C, {{"x", 1}}));
   EXPECT_TRUE(conditionAllows(C, {{"x", 30}}));
@@ -101,6 +103,7 @@ TEST(Section5, Example7OuterCarriedCondition) {
 }
 
 TEST(Section5, Example7InnerCarriedCondition) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = makeExample7();
   ASSERT_TRUE(AP.ok());
   const Access *W = findAccess(AP, "A", true);
@@ -109,7 +112,7 @@ TEST(Section5, Example7InnerCarriedCondition) {
 
   // Restraint (0,+): exists iff x == 0 and y < m.
   SymbolicCondition C =
-      dependenceCondition(AP, *W, *R, /*Level=*/2, DB, {"x", "y", "m"});
+      dependenceCondition(AP, *W, *R, /*Level=*/2, DB, {"x", "y", "m"}, Ctx);
   ASSERT_FALSE(C.Impossible);
   EXPECT_TRUE(conditionAllows(C, {{"x", 0}, {"y", 3}, {"m", 9}}));
   EXPECT_FALSE(conditionAllows(C, {{"x", 1}}));
@@ -117,6 +120,7 @@ TEST(Section5, Example7InnerCarriedCondition) {
 }
 
 TEST(Section5, Example7AssertionChangesAnswer) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = makeExample7();
   const Access *W = findAccess(AP, "A", true);
   const Access *R = findAccess(AP, "A", false);
@@ -125,7 +129,7 @@ TEST(Section5, Example7AssertionChangesAnswer) {
   // Assert x > 50: the outer-carried dependence becomes impossible.
   DB.assertRelation(SymExpr::name("x"), SymRelation::Rel::GT,
                     SymExpr::constant(50));
-  EXPECT_FALSE(dependencePossible(AP, *W, *R, 1, DB));
+  EXPECT_FALSE(dependencePossible(AP, *W, *R, 1, DB, Ctx));
 
   // Assert 1 <= x <= 10 instead: it stays possible.
   AssertionDB DB2 = makeExample7DB();
@@ -133,7 +137,7 @@ TEST(Section5, Example7AssertionChangesAnswer) {
                      SymExpr::name("x"));
   DB2.assertRelation(SymExpr::name("x"), SymRelation::Rel::LE,
                      SymExpr::constant(10));
-  EXPECT_TRUE(dependencePossible(AP, *W, *R, 1, DB2));
+  EXPECT_TRUE(dependencePossible(AP, *W, *R, 1, DB2, Ctx));
 }
 
 //===----------------------------------------------------------------------===//
@@ -163,28 +167,31 @@ AssertionDB makeExample8DB() {
 } // namespace
 
 TEST(Section5, Example8OutputDepWithoutAssertions) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = makeExample8();
   ASSERT_TRUE(AP.ok());
   const Access *W = findAccess(AP, "A", true);
   ASSERT_NE(W, nullptr);
   AssertionDB DB = makeExample8DB();
   // Nothing known about Q: the output dependence must be assumed.
-  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB));
+  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
 }
 
 TEST(Section5, Example8PermutationKillsOutputDep) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = makeExample8();
   const Access *W = findAccess(AP, "A", true);
   AssertionDB DB = makeExample8DB();
   DB.assertPermutation("Q");
-  EXPECT_FALSE(dependencePossible(AP, *W, *W, 1, DB));
+  EXPECT_FALSE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
 }
 
 TEST(Section5, Example8QueryGenerated) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = makeExample8();
   const Access *W = findAccess(AP, "A", true);
   AssertionDB DB = makeExample8DB();
-  std::vector<UserQuery> Qs = generateQueries(AP, *W, *W, 1, DB);
+  std::vector<UserQuery> Qs = generateQueries(AP, *W, *W, 1, DB, Ctx);
   ASSERT_EQ(Qs.size(), 1u);
   EXPECT_EQ(Qs.front().Array, "Q");
   // The offending relation is Q[a] == Q[b] (up to orientation).
@@ -194,6 +201,7 @@ TEST(Section5, Example8QueryGenerated) {
 }
 
 TEST(Section5, Example8FlowQueryGenerated) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = makeExample8();
   const Access *W = findAccess(AP, "A", true);
   const Access *R = findAccess(AP, "A", false, "A(Q(L1+1)-1)");
@@ -201,26 +209,28 @@ TEST(Section5, Example8FlowQueryGenerated) {
   AssertionDB DB = makeExample8DB();
   // Checking for a carried flow dependence produces the paper's second
   // query: can Q[a] == Q[b] - 1 happen?
-  std::vector<UserQuery> Qs = generateQueries(AP, *W, *R, 1, DB);
+  std::vector<UserQuery> Qs = generateQueries(AP, *W, *R, 1, DB, Ctx);
   ASSERT_EQ(Qs.size(), 1u);
   EXPECT_NE(Qs.front().Offending.find("Q["), std::string::npos);
 }
 
 TEST(Section5, Example8IncreasingKillsFlowDep) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = makeExample8();
   const Access *W = findAccess(AP, "A", true);
   const Access *R = findAccess(AP, "A", false, "A(Q(L1+1)-1)");
   ASSERT_TRUE(W && R);
   AssertionDB DB = makeExample8DB();
-  EXPECT_TRUE(dependencePossible(AP, *W, *R, 1, DB));
+  EXPECT_TRUE(dependencePossible(AP, *W, *R, 1, DB, Ctx));
   // "The user might tell us that the array is strictly increasing":
   // Q[a] == Q[b] - 1 needs b == a + 1, but the carried dependence has
   // b >= a + 2 and increasing arrays then give Q[b] - Q[a] >= 2.
   DB.assertStrictlyIncreasing("Q");
-  EXPECT_FALSE(dependencePossible(AP, *W, *R, 1, DB));
+  EXPECT_FALSE(dependencePossible(AP, *W, *R, 1, DB, Ctx));
 }
 
 TEST(Section5, Example8LoopIndependentFlowSurvivesIncreasing) {
+  OmegaContext Ctx;
   // The loop-independent "flow" from the write to the read of the same
   // statement instance does not exist (the read precedes the write), but
   // the anti direction does; sanity-check that symbolic analysis agrees
@@ -231,16 +241,16 @@ TEST(Section5, Example8LoopIndependentFlowSurvivesIncreasing) {
   const Access *R = findAccess(AP, "A", false, "A(Q(L1+1)-1)");
   AssertionDB DB = makeExample8DB();
   // Write -> read loop-independent: textually impossible.
-  EXPECT_FALSE(dependencePossible(AP, *W, *R, 0, DB));
+  EXPECT_FALSE(dependencePossible(AP, *W, *R, 0, DB, Ctx));
   // Read -> write loop-independent (anti direction): Q[a]-1 == Q[a],
   // impossible regardless of assertions... actually requires
   // Q(L1+1)-1 == Q(L1) for the same L1, which unconstrained Q allows.
-  EXPECT_TRUE(dependencePossible(AP, *R, *W, 0, DB));
+  EXPECT_TRUE(dependencePossible(AP, *R, *W, 0, DB, Ctx));
   // With Q strictly increasing it stays possible: Q[b] - Q[a] >= b - a
   // gives Q[b]-1 >= Q[a] + b - a - 1 = Q[a] (b == a+1 here), and equality
   // Q[b]-1 == Q[a] is consistent.
   DB.assertStrictlyIncreasing("Q");
-  EXPECT_TRUE(dependencePossible(AP, *R, *W, 0, DB));
+  EXPECT_TRUE(dependencePossible(AP, *R, *W, 0, DB, Ctx));
 }
 
 //===----------------------------------------------------------------------===//
@@ -248,6 +258,7 @@ TEST(Section5, Example8LoopIndependentFlowSurvivesIncreasing) {
 //===----------------------------------------------------------------------===//
 
 TEST(Section5, NonLinearTermTreatedAsOpaque) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 1 to n do\n"
                                      "  for j := i to n do\n"
@@ -259,7 +270,7 @@ TEST(Section5, NonLinearTermTreatedAsOpaque) {
   const Access *R = findAccess(AP, "A", false);
   AssertionDB DB;
   // Without any knowledge the dependence must be assumed possible.
-  EXPECT_TRUE(dependencePossible(AP, *W, *R, 1, DB));
+  EXPECT_TRUE(dependencePossible(AP, *W, *R, 1, DB, Ctx));
 }
 
 //===----------------------------------------------------------------------===//
@@ -267,6 +278,7 @@ TEST(Section5, NonLinearTermTreatedAsOpaque) {
 //===----------------------------------------------------------------------===//
 
 TEST(Section5, Example9IndexArrayBounds) {
+  OmegaContext Ctx;
   // for j := B(i) to B(i+1)-1 with body A(i,j) := 0: the bounds are
   // uninterpreted terms, yet the iteration space remains analyzable.
   // The subscript (i, j) includes both loop variables, so the write
@@ -277,11 +289,12 @@ TEST(Section5, Example9IndexArrayBounds) {
   const Access *W = findAccess(AP, "A", true);
   ASSERT_NE(W, nullptr);
   AssertionDB DB;
-  EXPECT_FALSE(dependencePossible(AP, *W, *W, 1, DB));
-  EXPECT_FALSE(dependencePossible(AP, *W, *W, 2, DB));
+  EXPECT_FALSE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
+  EXPECT_FALSE(dependencePossible(AP, *W, *W, 2, DB, Ctx));
 }
 
 TEST(Section5, Example9FlattenedBoundsAssumeOverlap) {
+  OmegaContext Ctx;
   // With a 1-D (flattened) subscript A(j) the rows CAN overlap unless B
   // partitions them: the outer-carried output dependence is assumed.
   AnalyzedProgram AP = analyzeSource("symbolic maxB;\n"
@@ -294,12 +307,13 @@ TEST(Section5, Example9FlattenedBoundsAssumeOverlap) {
   const Access *W = findAccess(AP, "A", true);
   ASSERT_NE(W, nullptr);
   AssertionDB DB;
-  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB));
+  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
   // Within one i the j loop never repeats a value:
-  EXPECT_FALSE(dependencePossible(AP, *W, *W, 2, DB));
+  EXPECT_FALSE(dependencePossible(AP, *W, *W, 2, DB, Ctx));
 }
 
 TEST(Section5, ScalarReadsNeverShareAcrossInstances) {
+  OmegaContext Ctx;
   // Regression for the mutable-term sharing bug: two instances of a read
   // of a written scalar must use distinct variables, so the dependence
   // cannot be disproven by accidental value sharing -- nor invented.
@@ -314,10 +328,11 @@ TEST(Section5, ScalarReadsNeverShareAcrossInstances) {
   AssertionDB DB;
   // k is arbitrary per iteration: the carried output dependence must be
   // assumed.
-  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB));
+  EXPECT_TRUE(dependencePossible(AP, *W, *W, 1, DB, Ctx));
 }
 
 TEST(Section5, ConditionIsTrueWhenUnconditional) {
+  OmegaContext Ctx;
   AnalyzedProgram AP = analyzeSource("symbolic n;\n"
                                      "for i := 2 to n do\n"
                                      "  a(i) := a(i - 1);\n"
@@ -326,7 +341,7 @@ TEST(Section5, ConditionIsTrueWhenUnconditional) {
   const Access *W = findAccess(AP, "a", true);
   const Access *R = findAccess(AP, "a", false);
   AssertionDB DB;
-  SymbolicCondition C = dependenceCondition(AP, *W, *R, 1, DB, {"n"});
+  SymbolicCondition C = dependenceCondition(AP, *W, *R, 1, DB, {"n"}, Ctx);
   ASSERT_FALSE(C.Impossible);
   // Relative to the restraint's own context ("the loop iterates at least
   // twice", which already forces n >= 3), the dependence adds no new

@@ -60,11 +60,11 @@ TEST(Tracer, DisabledTracerRecordsNothing) {
   P.addGEQ({{X, -7}, {Y, 9}}, 4);
 
   // Warm anything lazily initialized, then measure.
-  (void)isSatisfiable(P, SatOptions(), Ctx);
+  (void)isSatisfiable(P, Ctx);
 
   uint64_t EventsBefore = obs::TraceBuffer::eventsRecordedThisThread();
   uint64_t AllocsBefore = SmallCoeffVector::heapAllocationsThisThread();
-  EXPECT_FALSE(isSatisfiable(P, SatOptions(), Ctx));
+  EXPECT_FALSE(isSatisfiable(P, Ctx));
   EXPECT_EQ(obs::TraceBuffer::eventsRecordedThisThread(), EventsBefore);
   EXPECT_EQ(SmallCoeffVector::heapAllocationsThisThread(), AllocsBefore);
 }

@@ -335,8 +335,8 @@ interchange(i, j): illegal
 endfor
 )"},
     {"examples/programs/killed_flow.tiny",
-     R"(loop L1 (depth 1): parallelizable
-loop L1 (depth 1): parallelizable
+     R"(loop L1@2 (depth 1): parallelizable
+loop L1@3 (depth 1): parallelizable
 )",
      R"(a(n) := 0;
 parallel for L1 := n to n+10 do
@@ -388,16 +388,16 @@ interchange(i, j): legal
 endfor
 )"},
     {"tests/corpus/edits/base.tiny",
-     R"(loop i (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
-loop i (depth 1): serial; carried: c(i,j)->c(i-1,j)
-loop j (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-1)
-loop i (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
-loop j (depth 2): parallelizable
-interchange(i, j): legal
-interchange(i, j): legal
-distribute i: {1}* {2}*
-distribute i: {3}* {4}*
-distribute j: {3}* {4}*
+     R"(loop i@1 (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
+loop i@3 (depth 1): serial; carried: c(i,j)->c(i-1,j)
+loop j@3 (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-1)
+loop i@5 (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
+loop j@5 (depth 2): parallelizable
+interchange(i@3, j@3): legal
+interchange(i@5, j@5): legal
+distribute i@1: {1}* {2}*
+distribute i@3: {3}* {4}*
+distribute j@3: {3}* {4}*
 )",
      R"(for i := 1 to n do
   a(i) := a(i-1)+1;
@@ -416,16 +416,16 @@ for i := 1 to n do
 endfor
 )"},
     {"tests/corpus/edits/bound.tiny",
-     R"(loop i (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
-loop i (depth 1): serial; carried: c(i,j)->c(i-1,j)
-loop j (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-1)
-loop i (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
-loop j (depth 2): parallelizable
-interchange(i, j): legal
-interchange(i, j): legal
-distribute i: {1}* {2}*
-distribute i: {3}* {4}*
-distribute j: {3}* {4}*
+     R"(loop i@1 (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
+loop i@3 (depth 1): serial; carried: c(i,j)->c(i-1,j)
+loop j@3 (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-1)
+loop i@5 (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
+loop j@5 (depth 2): parallelizable
+interchange(i@3, j@3): legal
+interchange(i@5, j@5): legal
+distribute i@1: {1}* {2}*
+distribute i@3: {3}* {4}*
+distribute j@3: {3}* {4}*
 )",
      R"(for i := 1 to n do
   a(i) := a(i-1)+1;
@@ -444,14 +444,14 @@ for i := 1 to n do
 endfor
 )"},
     {"tests/corpus/edits/interchange.tiny",
-     R"(loop i (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
+     R"(loop i@1 (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
 loop j (depth 1): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-1)
 loop i (depth 2): serial; carried: c(i,j)->c(i-1,j)
-loop i (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
+loop i@5 (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
 loop j (depth 2): parallelizable
 interchange(j, i): legal
-interchange(i, j): legal
-distribute i: {1}* {2}*
+interchange(i@5, j): legal
+distribute i@1: {1}* {2}*
 distribute j: {3}* {4}*
 distribute i: {3}* {4}
 )",
@@ -472,12 +472,12 @@ for i := 1 to n do
 endfor
 )"},
     {"tests/corpus/edits/loop-del.tiny",
-     R"(loop i (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
-loop i (depth 1): serial; carried: c(i,j)->c(i-1,j)
+     R"(loop i@1 (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
+loop i@3 (depth 1): serial; carried: c(i,j)->c(i-1,j)
 loop j (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-1)
-interchange(i, j): legal
-distribute i: {1}* {2}*
-distribute i: {3}* {4}*
+interchange(i@3, j): legal
+distribute i@1: {1}* {2}*
+distribute i@3: {3}* {4}*
 distribute j: {3}* {4}*
 )",
      R"(for i := 1 to n do
@@ -492,16 +492,16 @@ for i := 2 to n do
 endfor
 )"},
     {"tests/corpus/edits/rename-reorder.tiny",
-     R"(loop q (depth 1): serial; carried: a(q)->a(q-1) b(q)->b(q-1)
-loop q (depth 1): serial; carried: c(q,p)->c(q-1,p)
-loop p (depth 2): serial; carried: c(q,p)->c(q,p-1) d(q,p)->d(q,p-1)
-loop q (depth 1): serial; carried: e(p)->e(p) e(p)->e(p) e(p)->e(p)
-loop p (depth 2): parallelizable
-interchange(q, p): legal
-interchange(q, p): legal
-distribute q: {1}* {2}*
-distribute q: {3}* {4}*
-distribute p: {3}* {4}*
+     R"(loop q@1 (depth 1): serial; carried: a(q)->a(q-1) b(q)->b(q-1)
+loop q@3 (depth 1): serial; carried: c(q,p)->c(q-1,p)
+loop p@3 (depth 2): serial; carried: c(q,p)->c(q,p-1) d(q,p)->d(q,p-1)
+loop q@5 (depth 1): serial; carried: e(p)->e(p) e(p)->e(p) e(p)->e(p)
+loop p@5 (depth 2): parallelizable
+interchange(q@3, p@3): legal
+interchange(q@5, p@5): legal
+distribute q@1: {1}* {2}*
+distribute q@3: {3}* {4}*
+distribute p@3: {3}* {4}*
 )",
      R"(for q := 1 to zz do
   a(q) := a(q-1)+1;
@@ -520,14 +520,14 @@ for q := 1 to zz do
 endfor
 )"},
     {"tests/corpus/edits/rename.tiny",
-     R"(loop i (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
+     R"(loop i@1 (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
 loop ii (depth 1): serial; carried: c(ii,jj)->c(ii-1,jj)
 loop jj (depth 2): serial; carried: c(ii,jj)->c(ii,jj-1) d(ii,jj)->d(ii,jj-1)
-loop i (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
+loop i@5 (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
 loop j (depth 2): parallelizable
 interchange(ii, jj): legal
-interchange(i, j): legal
-distribute i: {1}* {2}*
+interchange(i@5, j): legal
+distribute i@1: {1}* {2}*
 distribute ii: {3}* {4}*
 distribute jj: {3}* {4}*
 )",
@@ -548,16 +548,16 @@ for i := 1 to n do
 endfor
 )"},
     {"tests/corpus/edits/stmt-edit.tiny",
-     R"(loop i (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
-loop i (depth 1): serial; carried: c(i,j)->c(i-1,j)
-loop j (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-2)
-loop i (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
-loop j (depth 2): parallelizable
-interchange(i, j): legal
-interchange(i, j): legal
-distribute i: {1}* {2}*
-distribute i: {3}* {4}*
-distribute j: {3}* {4}*
+     R"(loop i@1 (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
+loop i@3 (depth 1): serial; carried: c(i,j)->c(i-1,j)
+loop j@3 (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-2)
+loop i@5 (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
+loop j@5 (depth 2): parallelizable
+interchange(i@3, j@3): legal
+interchange(i@5, j@5): legal
+distribute i@1: {1}* {2}*
+distribute i@3: {3}* {4}*
+distribute j@3: {3}* {4}*
 )",
      R"(for i := 1 to n do
   a(i) := a(i-1)+1;
@@ -576,16 +576,16 @@ for i := 1 to n do
 endfor
 )"},
     {"tests/corpus/edits/stmt-new.tiny",
-     R"(loop i (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
-loop i (depth 1): serial; carried: c(i,j)->c(i-1,j)
-loop j (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-1)
-loop i (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
-loop j (depth 2): parallelizable
-interchange(i, j): legal
-interchange(i, j): legal
-distribute i: {1}* {2}* {3}
-distribute i: {4}* {5}*
-distribute j: {4}* {5}*
+     R"(loop i@1 (depth 1): serial; carried: a(i)->a(i-1) b(i)->b(i-1)
+loop i@4 (depth 1): serial; carried: c(i,j)->c(i-1,j)
+loop j@4 (depth 2): serial; carried: c(i,j)->c(i,j-1) d(i,j)->d(i,j-1)
+loop i@6 (depth 1): serial; carried: e(j)->e(j) e(j)->e(j) e(j)->e(j)
+loop j@6 (depth 2): parallelizable
+interchange(i@4, j@4): legal
+interchange(i@6, j@6): legal
+distribute i@1: {1}* {2}* {3}
+distribute i@4: {4}* {5}*
+distribute j@4: {4}* {5}*
 )",
      R"(for i := 1 to n do
   a(i) := a(i-1)+1;

@@ -23,13 +23,14 @@ namespace {
 /// Membership of a full point in a problem with existential wildcards:
 /// pin the protected variables, leave the rest to the solver.
 bool containsPoint(const Problem &P, const std::vector<int64_t> &Point) {
+  OmegaContext Ctx;
   Problem Pinned = P;
   for (VarId V = 0; V != static_cast<VarId>(Point.size()); ++V) {
     if (static_cast<unsigned>(V) >= P.getNumVars() || !P.isProtected(V))
       continue;
     Pinned.addEQ({{V, 1}}, -Point[V]);
   }
-  return isSatisfiable(std::move(Pinned));
+  return isSatisfiable(std::move(Pinned), Ctx);
 }
 
 } // namespace
@@ -411,6 +412,7 @@ INSTANTIATE_TEST_SUITE_P(
 //===----------------------------------------------------------------------===//
 
 TEST(ConjoinExtending, RemapsWildcardsApart) {
+  OmegaContext Ctx;
   Problem Layout;
   VarId X = Layout.addVar("x");
 
@@ -428,19 +430,20 @@ TEST(ConjoinExtending, RemapsWildcardsApart) {
   // Without remapping the two wildcards would conflate and the result
   // would wrongly be satisfiable.
   Problem Both = conjoinExtending(A, B, Layout.getNumVars());
-  EXPECT_FALSE(isSatisfiable(Both));
+  EXPECT_FALSE(isSatisfiable(Both, Ctx));
 }
 
 TEST(ConjoinExtending, SharedProtectedColumnsJoin) {
+  OmegaContext Ctx;
   Problem Layout;
   VarId X = Layout.addVar("x");
   Problem A = Layout.cloneLayout();
   A.addGEQ({{X, 1}}, -3); // x >= 3
   Problem B = Layout.cloneLayout();
   B.addGEQ({{X, -1}}, 2); // x <= 2
-  EXPECT_FALSE(isSatisfiable(conjoinExtending(A, B, 1)));
+  EXPECT_FALSE(isSatisfiable(conjoinExtending(A, B, 1), Ctx));
 
   Problem C = Layout.cloneLayout();
   C.addGEQ({{X, -1}}, 9); // x <= 9
-  EXPECT_TRUE(isSatisfiable(conjoinExtending(A, C, 1)));
+  EXPECT_TRUE(isSatisfiable(conjoinExtending(A, C, 1), Ctx));
 }

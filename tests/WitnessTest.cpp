@@ -16,27 +16,30 @@ using namespace omega;
 using namespace omega::testutil;
 
 TEST(FindSolution, SimpleBox) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addGEQ({{X, 1}}, -2);
   P.addGEQ({{X, -1}}, 7);
   P.addGEQ({{Y, 1}, {X, -1}}, 0); // y >= x
-  auto Sol = findSolution(P);
+  auto Sol = findSolution(P, Ctx);
   ASSERT_TRUE(Sol.has_value());
   EXPECT_TRUE(evalProblem(P, *Sol));
   EXPECT_EQ((*Sol)[X], 2); // pinned to the minimum
 }
 
 TEST(FindSolution, UnsatisfiableReturnsNothing) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   P.addGEQ({{X, 1}}, -5);
   P.addGEQ({{X, -1}}, 2);
-  EXPECT_FALSE(findSolution(P).has_value());
+  EXPECT_FALSE(findSolution(P, Ctx).has_value());
 }
 
 TEST(FindSolution, RespectsStrides) {
+  OmegaContext Ctx;
   // 3x == y, 7 <= y <= 8: only y == ... 3x in [7,8] has no multiple of
   // 3... adjust: 6 <= y <= 8 gives y == 6, x == 2.
   Problem P;
@@ -45,23 +48,25 @@ TEST(FindSolution, RespectsStrides) {
   P.addEQ({{X, 3}, {Y, -1}}, 0);
   P.addGEQ({{Y, 1}}, -6);
   P.addGEQ({{Y, -1}}, 8);
-  auto Sol = findSolution(P);
+  auto Sol = findSolution(P, Ctx);
   ASSERT_TRUE(Sol.has_value());
   EXPECT_TRUE(evalProblem(P, *Sol));
   EXPECT_EQ((*Sol)[Y] % 3, 0);
 }
 
 TEST(FindSolution, UnboundedDirections) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
   P.addEQ({{X, 1}, {Y, -2}}, -1); // x == 2y + 1: no finite bounds at all
-  auto Sol = findSolution(P);
+  auto Sol = findSolution(P, Ctx);
   ASSERT_TRUE(Sol.has_value());
   EXPECT_TRUE(evalProblem(P, *Sol));
 }
 
 TEST(FindSolution, EqualityChain) {
+  OmegaContext Ctx;
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
@@ -73,7 +78,7 @@ TEST(FindSolution, EqualityChain) {
   P.addGEQ({{X, -1}}, 4);
   P.addGEQ({{Y, -1}}, 4);
   P.addGEQ({{Z, -1}}, 4);
-  auto Sol = findSolution(P);
+  auto Sol = findSolution(P, Ctx);
   ASSERT_TRUE(Sol.has_value());
   EXPECT_TRUE(evalProblem(P, *Sol));
   EXPECT_EQ((*Sol)[X] + (*Sol)[Y] + (*Sol)[Z], 10);
@@ -86,7 +91,6 @@ TEST(FindSolution, DarkShadowOnlyElimination) {
   // the dark shadow decides SAT without splintering. The witness path
   // must still surface a concrete point through the inexact elimination.
   OmegaContext Ctx;
-  OmegaContextScope Scope(Ctx);
   Problem P;
   VarId Y = P.addVar("y");
   VarId X = P.addVar("x", /*Protected=*/false);
@@ -94,7 +98,7 @@ TEST(FindSolution, DarkShadowOnlyElimination) {
   P.addGEQ({{Y, 2}, {X, -3}}, 5);     // 2y + 5 >= 3x
   P.addGEQ({{Y, 1}}, 0);              // y >= 0
   P.addGEQ({{Y, -1}}, 10);            // y <= 10
-  EXPECT_TRUE(isSatisfiable(P, SatOptions(), Ctx));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
   EXPECT_GT(Ctx.Stats.DarkShadowDecided, 0u)
       << "expected the dark-shadow test to decide this elimination";
   auto Sol = findSolution(P, Ctx);
@@ -110,7 +114,6 @@ TEST(FindSolution, SplinteredElimination) {
   // dark shadows are empty, so the witness path must survive splinter
   // exploration -- and the point it returns must check out.
   OmegaContext Ctx;
-  OmegaContextScope Scope(Ctx);
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
@@ -118,7 +121,7 @@ TEST(FindSolution, SplinteredElimination) {
   P.addGEQ({{X, -11}, {Y, -13}}, 45);
   P.addGEQ({{X, 7}, {Y, -9}}, 10);
   P.addGEQ({{X, -7}, {Y, 9}}, 6);
-  EXPECT_TRUE(isSatisfiable(P, SatOptions(), Ctx));
+  EXPECT_TRUE(isSatisfiable(P, Ctx));
   auto Sol = findSolution(P, Ctx);
   ASSERT_TRUE(Sol.has_value());
   EXPECT_TRUE(evalProblem(P, *Sol));
@@ -132,7 +135,6 @@ TEST(FindSolution, SplinteredUnsatHasNoWitness) {
   // integer point. Every splinter comes up empty and no witness may be
   // fabricated.
   OmegaContext Ctx;
-  OmegaContextScope Scope(Ctx);
   Problem P;
   VarId X = P.addVar("x");
   VarId Y = P.addVar("y");
@@ -140,12 +142,13 @@ TEST(FindSolution, SplinteredUnsatHasNoWitness) {
   P.addGEQ({{X, -11}, {Y, -13}}, 45);
   P.addGEQ({{X, 7}, {Y, -9}}, 10);
   P.addGEQ({{X, -7}, {Y, 9}}, 4);
-  EXPECT_FALSE(isSatisfiable(P, SatOptions(), Ctx));
+  EXPECT_FALSE(isSatisfiable(P, Ctx));
   EXPECT_GT(Ctx.Stats.SplintersExplored, 0u);
   EXPECT_FALSE(findSolution(P, Ctx).has_value());
 }
 
 TEST(FindSolutionProperty, AgreesWithEvaluation) {
+  OmegaContext Ctx;
   std::mt19937 Rng(404);
   RandomProblemConfig Cfg;
   Cfg.NumVars = 3;
@@ -153,8 +156,8 @@ TEST(FindSolutionProperty, AgreesWithEvaluation) {
   Cfg.NumGEQs = 3;
   for (unsigned T = 0; T != 150; ++T) {
     Problem P = randomProblem(Rng, Cfg);
-    auto Sol = findSolution(P);
-    bool Sat = isSatisfiable(P);
+    auto Sol = findSolution(P, Ctx);
+    bool Sat = isSatisfiable(P, Ctx);
     ASSERT_EQ(Sol.has_value(), Sat) << P.toString();
     if (Sol)
       EXPECT_TRUE(evalProblem(P, *Sol)) << P.toString();

@@ -258,12 +258,13 @@ int main(int Argc, char **Argv) {
 
   if (Opts.Restraints) {
     std::printf("\nrestraint vectors (Section 2.1.2):\n");
+    OmegaContext Ctx; // not reported: --stats covers the analysis only
     for (const deps::Dependence &D : R.Flow) {
       deps::DepSpace Space(AP, {D.Src, D.Dst});
       Problem Pair = deps::buildPairProblem(Space);
       std::string Vectors;
       for (const deps::DepSpace::RestraintVector &V :
-           Space.computeRestraintVectors(Pair, 0, 1)) {
+           Space.computeRestraintVectors(Pair, 0, 1, Ctx)) {
         if (!Vectors.empty())
           Vectors += " ";
         Vectors += V.toString();

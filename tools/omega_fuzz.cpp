@@ -176,7 +176,6 @@ oracle::ModelReport checkOneProblem(const Problem &P, const Problem &Given,
                                     int64_t Box, std::mt19937 &Rng) {
   oracle::ModelReport Report;
   OmegaContext Ctx; // fresh stats: each check independent
-  OmegaContextScope Scope(Ctx);
   oracle::checkSatisfiability(P, Box, Report, Ctx);
   if (P.getNumVars() > 1)
     oracle::checkProjection(P, P.getNumVars() - 1, Box, Report, Ctx);
@@ -227,7 +226,8 @@ unsigned fuzzFormulas(const Options &Opt, const Clock &Clock,
     pres::FormulaContext Ctx;
     pres::Formula F = oracle::randomFormula(Rng, Ctx, Cfg);
     oracle::ModelReport Report;
-    oracle::checkFormula(F, Ctx, Cfg.Box, Report);
+    OmegaContext OC;
+    oracle::checkFormula(F, Ctx, Cfg.Box, Report, OC);
     Checked += Report.Checked;
     if (Report.ok())
       continue;

@@ -75,13 +75,11 @@ int main(int Argc, char **Argv) {
   Cfg.ResultCacheFile = Parsed.Options.ResultCacheFile;
   Cfg.ResultStoreCap =
       static_cast<std::size_t>(Parsed.Options.ResultStoreCap);
-  Cfg.Coalesce = Parsed.Options.Coalesce;
   Cfg.MetricsFile = Parsed.Options.MetricsFile;
   Cfg.AccessLog = Parsed.Options.AccessLogFile;
   Cfg.SlowMs = Parsed.Options.SlowMs;
   Cfg.SlowTraceDir = Parsed.Options.SlowTraceDir;
   Cfg.AccessLogMaxMB = Parsed.Options.AccessLogMaxMB;
-  Cfg.LatencyBoundsUs = Parsed.Options.LatencyBucketsUs;
 
   api::Server Server(Cfg);
   if (!Server.startupNote().empty())
