@@ -72,9 +72,10 @@ struct AnalysisOptions {
 
   // -- result store (the one cross-run reuse path) -----------------------
   /// Persist the pair-result store: load from PATH at startup
-  /// (corruption -> warned cold start), save back on exit. Re-analyzing
-  /// an edited program against the file solves only what the edit
-  /// touched.
+  /// (corruption -> warned cold start), save back atomically on exit
+  /// (omega-serve: at stop). Re-analyzing an edited program against the
+  /// file solves only what the edit touched. Empty disables persistence;
+  /// the in-memory store still runs.
   std::string ResultCacheFile; ///< --result-cache-file=PATH
   /// Result-store bound: at most N solved pair/kill-group outcomes stay
   /// resident, LRU-evicted beyond that (0 = unbounded).
@@ -104,21 +105,38 @@ struct AnalysisOptions {
   bool Pipeline = false; ///< --pipeline / "pipeline": true
 
   // -- serve-only --------------------------------------------------------
-  std::string SocketPath;        ///< --socket=PATH (default: stdin JSONL)
-  unsigned ServeWorkers = 4;     ///< --workers N concurrent requests
-  unsigned MaxQueue = 64;        ///< --max-queue N admission bound
-  uint64_t DeadlineMs = 0;       ///< --deadline-ms N (0 = none)
+  std::string SocketPath; ///< --socket=PATH (default: stdin JSONL)
+  /// Concurrent worker engines, each owning one engine (= requests in
+  /// flight).
+  unsigned ServeWorkers = 4; ///< --workers N
+  /// Admission bound: queued-but-unstarted requests beyond this are shed
+  /// with an "overloaded" error.
+  unsigned MaxQueue = 64; ///< --max-queue N
+  /// Default per-request deadline in milliseconds, measured from
+  /// admission (0 = none); a request's "deadlineMs" overrides it.
+  uint64_t DeadlineMs = 0; ///< --deadline-ms N
 
-  // -- serve-only telemetry ---------------------------------------------
-  std::string MetricsFile;   ///< --metrics-file=PATH Prometheus exposition
-  std::string AccessLogFile; ///< --access-log=PATH JSONL request records
-  /// Requests at or above this wall time are flagged slow (and traced
-  /// when SlowTraceDir is set). 0 disables slow-request capture.
-  uint64_t SlowMs = 0;          ///< --slow-ms MS
-  std::string SlowTraceDir;     ///< --slow-trace-dir=DIR Chrome traces
-  /// Rotate the access log (rename to PATH.1) when it exceeds this many
-  /// megabytes; 0 disables rotation.
-  uint64_t AccessLogMaxMB = 0;  ///< --access-log-max-mb MB
+  // -- serve-only telemetry (the metrics registry itself is always on) ---
+  /// Prometheus text-format exposition, rewritten atomically (tmp +
+  /// rename) on every metrics op, every 64th completed request, and at
+  /// stop. Empty disables the file.
+  std::string MetricsFile; ///< --metrics-file=PATH
+  /// JSONL access log: one record per request that reached a worker
+  /// (latency decomposition, sat calls, response code). Empty disables
+  /// it.
+  std::string AccessLogFile; ///< --access-log=PATH
+  /// Requests at or above this wall time are traced (a per-request
+  /// obs::Tracer on the worker's engine) and flagged slow in the access
+  /// log. 0 disables slow-request capture.
+  uint64_t SlowMs = 0; ///< --slow-ms MS
+  /// Where slow-request Chrome traces land (slow-<seq>-<id>.trace.json);
+  /// empty keeps the flag-only behavior.
+  std::string SlowTraceDir; ///< --slow-trace-dir=DIR
+  /// Rotate the access log when it exceeds this many megabytes: the file
+  /// is flushed and renamed to PATH.1 (replacing any previous rotation)
+  /// and a fresh file is opened. Records are written whole under one
+  /// lock, so rotation never tears a line. 0 disables rotation.
+  uint64_t AccessLogMaxMB = 0; ///< --access-log-max-mb MB
 
   /// Lowers the option set into the engine's request struct.
   engine::AnalysisRequest toEngineRequest() const;

@@ -92,14 +92,14 @@ std::string renderDocument(const std::string &Result,
 std::string renderServerOk(uint64_t Id, const std::string &Result,
                            const std::string &Metrics);
 
-/// A typed error response line: {"schema": 7, "id": ..., "ok": false,
+/// A typed error response line: {"schema": 8, "id": ..., "ok": false,
 /// "error": {"code": ..., "message": ...}}. \p HasId distinguishes a
 /// request whose id never parsed (id becomes null).
 std::string renderServerError(bool HasId, uint64_t Id, const std::string &Code,
                               const std::string &Message);
 
 /// An operational response line (the telemetry ops: metrics, health, and
-/// the shutdown acknowledgment): {"schema": 7, "id": ..., "ok": true,
+/// the shutdown acknowledgment): {"schema": 8, "id": ..., "ok": true,
 /// "op": OP, BODYKEY: BODY}. \p Body is pre-rendered JSON
 /// (schema/metrics_response.schema.json describes the three documents).
 std::string renderServerOp(bool HasId, uint64_t Id, const std::string &Op,

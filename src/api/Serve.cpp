@@ -65,8 +65,9 @@ std::string msField(uint64_t Micros) {
 /// registry is always on -- recording is a handful of relaxed atomics per
 /// request -- and the accounting discipline mirrors the paper's Figure 6:
 /// every submit() increments requests_total and exactly one per-op
-/// counter, every response increments exactly one per-code counter, and
-/// the engine-fed counters accumulate each request's own attribution.
+/// counter, every response goes through finish() and increments exactly
+/// one per-code counter there, and the engine-fed counters accumulate
+/// each request's own attribution.
 struct Server::Telemetry {
   obs::MetricsRegistry Registry;
   std::chrono::steady_clock::time_point Epoch =
@@ -197,11 +198,36 @@ struct Server::Telemetry {
   }
 };
 
+/// What one response is charged, and its access-log record.
+struct Server::AccessRecord {
+  /// How far the request got, which decides what finish() records.
+  enum Stage : uint8_t {
+    Admission, ///< answered in submit(): counted only
+    Dequeued,  ///< reached a worker past its deadline: also access-logged
+    Parsed,    ///< analysis_error: also queue-wait, parse and total latency
+    Solved,    ///< ok: also solve and serialize latency, and analyze_ok
+  };
+  const char *Code = "ok";
+  Stage Reached = Admission;
+  unsigned Worker = 0;
+  unsigned Jobs = 0;
+  uint64_t SatCalls = 0;
+  bool Coalesced = false;
+  bool Slow = false;
+  std::string TraceFile;
+  uint64_t QueueWaitUs = 0;
+  uint64_t ParseUs = 0;
+  uint64_t SolveUs = 0;
+  uint64_t SerializeUs = 0;
+  uint64_t TotalUs = 0;
+};
+
 //===----------------------------------------------------------------------===//
 // Lifecycle
 //===----------------------------------------------------------------------===//
 
-Server::Server(const Config &C) : Cfg(C), Store(C.ResultStoreCap) {
+Server::Server(const AnalysisOptions &Opts)
+    : Cfg(Opts), Store(static_cast<std::size_t>(Opts.ResultStoreCap)) {
   Tele = std::make_unique<Telemetry>();
   auto Note = [&](const std::string &S) {
     if (!StartupNote.empty())
@@ -209,24 +235,20 @@ Server::Server(const Config &C) : Cfg(C), Store(C.ResultStoreCap) {
     StartupNote += S;
   };
   if (!Cfg.ResultCacheFile.empty()) {
-    // A missing file is the normal first boot; anything else that fails
-    // to load is corruption or version skew, warned and cold-started
-    // (deserialize left the store empty -- never a wrong answer).
-    std::ifstream Probe(Cfg.ResultCacheFile, std::ios::binary);
+    // A missing file is the normal first boot; a corrupt or version-skewed
+    // one cold-starts too (the store stays empty -- never a wrong answer).
     std::string Err;
-    if (!Probe.is_open())
-      Note("result store cold start: no file at " + Cfg.ResultCacheFile);
-    else if (Probe.close(), Store.loadFile(Cfg.ResultCacheFile, &Err))
+    if (Store.loadFile(Cfg.ResultCacheFile, &Err))
       Note("result store warm start: loaded " + std::to_string(Store.size()) +
            " entries from " + Cfg.ResultCacheFile);
     else
       Note("result store cold start: " + Err);
   }
 
-  if (!Cfg.AccessLog.empty()) {
-    Tele->AccessLog.open(Cfg.AccessLog, std::ios::app);
+  if (!Cfg.AccessLogFile.empty()) {
+    Tele->AccessLog.open(Cfg.AccessLogFile, std::ios::app);
     if (!Tele->AccessLog.is_open()) {
-      Note("access log unavailable: cannot open " + Cfg.AccessLog);
+      Note("access log unavailable: cannot open " + Cfg.AccessLogFile);
     } else {
       // Appending to an existing file: rotation measures total file size,
       // so start the byte counter at the current end.
@@ -236,16 +258,16 @@ Server::Server(const Config &C) : Cfg(C), Store(C.ResultStoreCap) {
     }
   }
 
-  if (Cfg.Workers == 0)
-    Cfg.Workers = 1;
-  engine::AnalysisRequest Base = Cfg.Defaults.toEngineRequest();
+  if (Cfg.ServeWorkers == 0)
+    Cfg.ServeWorkers = 1;
+  engine::AnalysisRequest Base = Cfg.toEngineRequest();
   // The engines run side by side, so "every usable core" means an equal
   // share of them each.
-  Base.Jobs = engine::resolveJobs(Base.Jobs, Cfg.Workers);
+  Base.Jobs = engine::resolveJobs(Base.Jobs, Cfg.ServeWorkers);
   Base.Store = &Store;
-  for (unsigned I = 0; I != Cfg.Workers; ++I)
+  for (unsigned I = 0; I != Cfg.ServeWorkers; ++I)
     Engines.push_back(std::make_unique<engine::DependenceEngine>(Base));
-  for (unsigned I = 0; I != Cfg.Workers; ++I)
+  for (unsigned I = 0; I != Cfg.ServeWorkers; ++I)
     Workers.emplace_back([this, I] { workerLoop(I); });
 }
 
@@ -300,15 +322,8 @@ void Server::stop() {
   for (std::thread &T : Workers)
     T.join();
   Workers.clear();
-  if (!Cfg.ResultCacheFile.empty()) {
-    // tmp+rename: a crash mid-save leaves the previous generation intact,
-    // never a torn file.
-    std::string Tmp = Cfg.ResultCacheFile + ".tmp";
-    if (Store.saveFile(Tmp, nullptr))
-      std::rename(Tmp.c_str(), Cfg.ResultCacheFile.c_str());
-    else
-      std::remove(Tmp.c_str());
-  }
+  if (!Cfg.ResultCacheFile.empty())
+    Store.saveFile(Cfg.ResultCacheFile, nullptr);
   writeMetricsFile(); // final exposition reflects the fully drained state
   if (Tele->AccessLog.is_open())
     Tele->AccessLog.flush();
@@ -321,37 +336,34 @@ void Server::stop() {
 void Server::submit(std::string Line,
                     std::function<void(std::string)> Respond) {
   Tele->RequestsTotal->add();
+  Request R;
+  R.Respond = std::move(Respond);
+  // A response decided here is counted, never timed or access-logged.
+  auto Fail = [&](const char *Code, const std::string &Message) {
+    AccessRecord Rec;
+    Rec.Code = Code;
+    finish(R, Rec,
+           [&] { return renderServerError(R.HasId, R.Id, Code, Message); });
+  };
 
   json::Value Doc;
   std::string Err;
   if (!json::parse(Line, Doc, Err) || !Doc.isObject()) {
     Tele->ReqInvalid->add();
-    Tele->RespParseError->add();
-    Respond(renderServerError(false, 0, "parse_error",
-                              Err.empty() ? "request is not a JSON object"
-                                          : Err));
-    return;
+    return Fail("parse_error",
+                Err.empty() ? "request is not a JSON object" : Err);
   }
 
-  bool HasId = false;
-  uint64_t Id = 0;
   if (const json::Value *V = Doc.get("id")) {
     // Range-check before the cast: a double beyond 2^64 has no uint64_t.
     if (!V->isNumber() || !(V->asNumber() >= 0 && V->asNumber() < 0x1p64)) {
       Tele->ReqInvalid->add();
-      Tele->RespBadRequest->add();
-      Respond(renderServerError(false, 0, "bad_request",
-                                "\"id\" must be a non-negative number "
-                                "below 2^64"));
-      return;
+      return Fail("bad_request",
+                  "\"id\" must be a non-negative number below 2^64");
     }
-    HasId = true;
-    Id = static_cast<uint64_t>(V->asNumber());
+    R.HasId = true;
+    R.Id = static_cast<uint64_t>(V->asNumber());
   }
-  auto Fail = [&](const char *Code, const std::string &Message) {
-    Tele->codeCounter(Code)->add();
-    Respond(renderServerError(HasId, Id, Code, Message));
-  };
 
   std::string Op = "analyze";
   if (const json::Value *V = Doc.get("op")) {
@@ -362,15 +374,15 @@ void Server::submit(std::string Line,
     Op = V->asString();
   }
   // The telemetry ops answer synchronously, bypassing the queue: an
-  // operator probing a saturated server still gets an answer. Each op
-  // counts its own request and response before snapshotting, so the
-  // numbers it reports already include it and the per-op/per-code sums
-  // equal requests_total inside every snapshot.
+  // operator probing a saturated server still gets an answer. finish()
+  // counts each op's response before rendering it, so the numbers it
+  // reports already include it and the per-op/per-code sums equal
+  // requests_total inside every snapshot.
   if (Op == "health") {
     Tele->ReqHealth->add();
-    Tele->RespOk->add();
-    Respond(renderServerOp(HasId, Id, "health", "health", healthBody()));
-    return;
+    return finish(R, AccessRecord(), [&] {
+      return renderServerOp(R.HasId, R.Id, "health", "health", healthBody());
+    });
   }
   if (Op == "metrics") {
     Tele->ReqMetrics->add();
@@ -380,26 +392,29 @@ void Server::submit(std::string Line,
         return Fail("bad_request", "\"reset\" must be a boolean");
       Reset = V->asBool();
     }
-    Tele->RespOk->add();
     // The response always carries the PRE-reset snapshot (including this
     // request's own counts), so a measurement window reads its totals and
     // zeroes the instruments in one round trip. Gauges are levels and
     // survive the reset; the exposition file is rewritten after it, so
     // scrapers see the fresh window.
-    std::string Body = metricsBody();
-    if (Reset)
-      Tele->Registry.reset();
-    Respond(renderServerOp(HasId, Id, "metrics", "metrics", Body));
+    finish(R, AccessRecord(), [&] {
+      std::string Body = metricsBody();
+      if (Reset)
+        Tele->Registry.reset();
+      return renderServerOp(R.HasId, R.Id, "metrics", "metrics", Body);
+    });
     writeMetricsFile();
     return;
   }
   if (Op == "shutdown") {
     Tele->ReqShutdown->add();
-    Tele->RespOk->add();
     // The acknowledgment carries the final metrics snapshot: a client
     // that stops the server gets the process totals with the last
     // response line.
-    Respond(renderServerOp(HasId, Id, "shutdown", "metrics", metricsBody()));
+    finish(R, AccessRecord(), [&] {
+      return renderServerOp(R.HasId, R.Id, "shutdown", "metrics",
+                            metricsBody());
+    });
     requestStop();
     return;
   }
@@ -409,9 +424,6 @@ void Server::submit(std::string Line,
   }
   Tele->ReqAnalyze->add();
 
-  Request R;
-  R.HasId = HasId;
-  R.Id = Id;
   const json::Value *Src = Doc.get("source");
   if (!Src || !Src->isString())
     return Fail("bad_request", "\"source\" must be a string");
@@ -426,7 +438,7 @@ void Server::submit(std::string Line,
       return Fail("bad_request", "\"session\" must be non-empty");
   }
 
-  R.Opts = Cfg.Defaults;
+  R.Opts = Cfg;
   if (const json::Value *O = Doc.get("options")) {
     if (!O->isObject())
       return Fail("bad_request", "\"options\" must be an object");
@@ -447,26 +459,21 @@ void Server::submit(std::string Line,
     R.Deadline = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(DeadlineMs);
   }
-  R.Respond = std::move(Respond);
   R.Admitted = std::chrono::steady_clock::now();
 
-  {
-    std::lock_guard<std::mutex> Lock(QueueMu);
-    if (Draining || StopFlag.load()) {
-      Tele->RespShutdown->add();
-      R.Respond(renderServerError(HasId, Id, "shutdown", "server stopping"));
-      return;
-    }
-    if (Queue.size() >= Cfg.MaxQueue) {
-      Tele->RespOverloaded->add();
-      R.Respond(renderServerError(
-          HasId, Id, "overloaded",
-          "queue full (" + std::to_string(Cfg.MaxQueue) + " requests)"));
-      return;
-    }
-    Queue.push_back(std::move(R));
-    Tele->QueueDepth->add(1);
+  std::unique_lock<std::mutex> Lock(QueueMu);
+  if (Draining || StopFlag.load()) {
+    Lock.unlock();
+    return Fail("shutdown", "server stopping");
   }
+  if (Queue.size() >= Cfg.MaxQueue) {
+    Lock.unlock();
+    return Fail("overloaded", "queue full (" + std::to_string(Cfg.MaxQueue) +
+                                  " requests)");
+  }
+  Queue.push_back(std::move(R));
+  Tele->QueueDepth->add(1);
+  Lock.unlock();
   QueueCV.notify_one();
 }
 
@@ -497,24 +504,6 @@ void Server::workerLoop(unsigned Index) {
 }
 
 namespace {
-
-struct RequestTimings {
-  uint64_t QueueWaitUs = 0;
-  uint64_t ParseUs = 0;
-  uint64_t SolveUs = 0;
-  uint64_t SerializeUs = 0;
-  uint64_t TotalUs = 0;
-};
-
-struct AccessRecord {
-  const char *Code = "ok";
-  unsigned Worker = 0;
-  unsigned Jobs = 0;
-  uint64_t SatCalls = 0;
-  bool Coalesced = false;
-  bool Slow = false;
-  std::string TraceFile;
-};
 
 uint64_t elapsedUs(std::chrono::steady_clock::time_point From,
                    std::chrono::steady_clock::time_point To) {
@@ -548,48 +537,18 @@ std::string coalesceKey(const AnalysisOptions &O, const std::string &Source) {
 
 void Server::runOne(Request &R, unsigned Index) {
   using Clock = std::chrono::steady_clock;
-  RequestTimings T;
   AccessRecord Rec;
   Rec.Worker = Index;
-  T.QueueWaitUs = elapsedUs(R.Admitted, Clock::now());
-
-  // One access-log line per request that reached a worker (coalesced
-  // followers included), written (like all accounting) before Respond so
-  // a client that has seen the response can rely on the record existing.
-  auto LogAccess = [&](const Request &Req, const AccessRecord &Rc,
-                       const RequestTimings &Tm) {
-    if (!Tele->AccessLog.is_open())
-      return;
-    std::string L = "{\"ts\": \"" + isoTimestamp() + "\", \"id\": " +
-                    (Req.HasId ? std::to_string(Req.Id) : "null") +
-                    ", \"session\": ";
-    L += Req.Session.empty() ? "null"
-                             : "\"" + json::escape(Req.Session) + "\"";
-    L += std::string(", \"code\": \"") + Rc.Code + "\"";
-    L += ", \"worker\": " + std::to_string(Rc.Worker);
-    L += ", \"jobs\": " + std::to_string(Rc.Jobs);
-    L += ", \"queueWaitMs\": " + msField(Tm.QueueWaitUs);
-    L += ", \"parseMs\": " + msField(Tm.ParseUs);
-    L += ", \"solveMs\": " + msField(Tm.SolveUs);
-    L += ", \"serializeMs\": " + msField(Tm.SerializeUs);
-    L += ", \"totalMs\": " + msField(Tm.TotalUs);
-    L += ", \"satCalls\": " + std::to_string(Rc.SatCalls);
-    L += std::string(", \"coalesced\": ") + (Rc.Coalesced ? "true" : "false");
-    L += std::string(", \"slow\": ") + (Rc.Slow ? "true" : "false");
-    if (!Rc.TraceFile.empty())
-      L += ", \"traceFile\": \"" + json::escape(Rc.TraceFile) + "\"";
-    L += "}";
-    logAccessLine(L);
-  };
+  Rec.QueueWaitUs = elapsedUs(R.Admitted, Clock::now());
 
   if (R.HasDeadline && Clock::now() >= R.Deadline) {
-    T.TotalUs = elapsedUs(R.Admitted, Clock::now());
     Rec.Code = "deadline_exceeded";
-    Tele->RespDeadline->add();
-    LogAccess(R, Rec, T);
-    R.Respond(renderServerError(R.HasId, R.Id, "deadline_exceeded",
-                                "deadline passed while queued"));
-    return;
+    Rec.Reached = AccessRecord::Dequeued;
+    Rec.TotalUs = elapsedUs(R.Admitted, Clock::now());
+    return finish(R, Rec, [&] {
+      return renderServerError(R.HasId, R.Id, Rec.Code,
+                               "deadline passed while queued");
+    });
   }
 
   // Singleflight: an analyze request that matches a solve already in
@@ -601,162 +560,167 @@ void Server::runOne(Request &R, unsigned Index) {
     std::lock_guard<std::mutex> Lock(CoalesceMu);
     auto It = Inflight.find(CKey);
     if (It != Inflight.end()) {
-      It->second.Waiters.push_back(Waiter{std::move(R), T.QueueWaitUs});
+      It->second.Waiters.push_back(Waiter{std::move(R), Rec.QueueWaitUs});
       return;
     }
     Inflight.emplace(CKey, InflightEntry{});
   }
-  // Collects (and detaches) the followers parked on this leader. Runs
-  // after the leader's outcome is known: a request arriving later finds
-  // no in-flight entry and becomes a fresh leader.
-  auto TakeFollowers = [&] {
-    std::vector<Waiter> Fs;
-    std::lock_guard<std::mutex> Lock(CoalesceMu);
-    auto It = Inflight.find(CKey);
-    if (It != Inflight.end()) {
-      Fs = std::move(It->second.Waiters);
-      Inflight.erase(It);
-    }
-    return Fs;
-  };
+
+  // The shared outcome: the diagnostics of a source that failed to
+  // analyze, or the leader's engine run and its rendered "result".
+  std::string Diags, ResultJson;
+  engine::AnalysisResult Result;
+  const engine::AnalysisResult Blank;
+  double WallMs = 0;
+  std::optional<obs::Tracer> Tracer;
+  Clock::time_point SerializeStart;
 
   auto ParseStart = Clock::now();
   ir::AnalyzedProgram AP = ir::analyzeSource(R.Source);
-  T.ParseUs = elapsedUs(ParseStart, Clock::now());
+  Rec.ParseUs = elapsedUs(ParseStart, Clock::now());
   if (!AP.ok()) {
-    std::string Msg;
-    for (const ir::Diagnostic &D : AP.Diags) {
-      if (!Msg.empty())
-        Msg += "; ";
-      Msg += D.toString();
-    }
-    T.TotalUs = elapsedUs(R.Admitted, Clock::now());
-    Rec.Code = "analysis_error";
-    Tele->QueueWaitUs->observe(T.QueueWaitUs);
-    Tele->ParseUs->observe(T.ParseUs);
-    Tele->RequestUs->observe(T.TotalUs);
-    Tele->RespAnalysisError->add();
-    LogAccess(R, Rec, T);
-    R.Respond(renderServerError(R.HasId, R.Id, "analysis_error", Msg));
     // Followers share the leader's verdict: the source is identical, so
-    // it fails identically. Each gets its own error line and accounting.
-    for (Waiter &W : TakeFollowers()) {
-      RequestTimings FT;
-      FT.QueueWaitUs = W.QueueWaitUs;
-      FT.TotalUs = elapsedUs(W.R.Admitted, Clock::now());
-      AccessRecord FRec;
-      FRec.Code = "analysis_error";
-      FRec.Worker = Index;
-      FRec.Coalesced = true;
-      Tele->ReqCoalesced->add();
-      Tele->QueueWaitUs->observe(FT.QueueWaitUs);
-      Tele->ParseUs->observe(FT.ParseUs);
-      Tele->RequestUs->observe(FT.TotalUs);
-      Tele->RespAnalysisError->add();
-      LogAccess(W.R, FRec, FT);
-      W.R.Respond(renderServerError(W.R.HasId, W.R.Id, "analysis_error",
-                                    Msg));
+    // it fails identically.
+    Rec.Code = "analysis_error";
+    Rec.Reached = AccessRecord::Parsed;
+    for (const ir::Diagnostic &D : AP.Diags) {
+      if (!Diags.empty())
+        Diags += "; ";
+      Diags += D.toString();
     }
-    return;
-  }
+  } else {
+    Rec.Reached = AccessRecord::Solved;
+    engine::DependenceEngine &Engine = *Engines[Index];
+    engine::AnalysisRequest EReq = R.Opts.toEngineRequest();
+    // Every run consults and feeds the result store.
+    EReq.Store = &Store;
+    Engine.applyOptions(EReq);
 
-  engine::DependenceEngine &Engine = *Engines[Index];
-  engine::AnalysisRequest EReq = R.Opts.toEngineRequest();
-  // Every run consults and feeds the result store.
-  EReq.Store = &Store;
-  Engine.applyOptions(EReq);
-
-  // Slow-request capture: attach a per-request tracer to the (otherwise
-  // trace-disabled) engine, keep the trace only when the request turns
-  // out slow. Tracing is result-invisible; it costs only when --slow-ms
-  // is set.
-  std::optional<obs::Tracer> Tracer;
-  if (Cfg.SlowMs > 0) {
-    Tracer.emplace();
-    Engine.setTracer(&*Tracer);
-  }
-
-  auto Start = Clock::now();
-  engine::AnalysisResult Result = Engine.analyze(AP);
-  T.SolveUs = elapsedUs(Start, Clock::now());
-  Tele->EngAnalyses->add();
-  if (Tracer)
-    Engine.setTracer(nullptr);
-  double WallMs = static_cast<double>(T.SolveUs) / 1000.0;
-
-  auto SerializeStart = Clock::now();
-  std::string ResultJson =
-      renderResult(Result, R.Opts.Pipeline ? &AP : nullptr);
-  std::string Metrics = renderMetrics(Result, Engine.jobs(), WallMs,
-                                      /*ProfileJson=*/"", /*ExplainLog=*/"");
-  std::string Line = renderServerOk(R.Id, ResultJson, Metrics);
-  T.SerializeUs = elapsedUs(SerializeStart, Clock::now());
-  T.TotalUs = elapsedUs(R.Admitted, Clock::now());
-
-  // Engine-fed attribution: this run's own counters, not global deltas
-  // (concurrent requests would otherwise charge each other).
-  Tele->EngSatCalls->add(Result.Stats.SatisfiabilityCalls);
-  Tele->StoreHits->add(Result.Stats.ResultStoreHits);
-  Tele->StoreMisses->add(Result.Stats.ResultStoreMisses);
-  Tele->StoreEvictions->add(Result.Stats.ResultStoreEvictions);
-
-  Tele->QueueWaitUs->observe(T.QueueWaitUs);
-  Tele->ParseUs->observe(T.ParseUs);
-  Tele->SolveUs->observe(T.SolveUs);
-  Tele->SerializeUs->observe(T.SerializeUs);
-  Tele->RequestUs->observe(T.TotalUs);
-  Tele->AnalyzeOk->add();
-  Tele->RespOk->add();
-
-  Rec.Jobs = Engine.jobs();
-  Rec.SatCalls = Result.Stats.SatisfiabilityCalls;
-  Rec.Slow = Cfg.SlowMs > 0 && T.TotalUs >= Cfg.SlowMs * 1000;
-  if (Rec.Slow && Tracer && !Cfg.SlowTraceDir.empty()) {
-    uint64_t Seq = Tele->SlowSeq.fetch_add(1, std::memory_order_relaxed);
-    std::string Path = Cfg.SlowTraceDir + "/slow-" + std::to_string(Seq) +
-                       "-" + std::to_string(R.HasId ? R.Id : 0) +
-                       ".trace.json";
-    std::ofstream Out(Path, std::ios::trunc);
-    if (Out.is_open()) {
-      Out << Tracer->chromeTraceJson();
-      Rec.TraceFile = Path;
+    // Slow-request capture: attach a per-request tracer to the (otherwise
+    // trace-disabled) engine, keep the trace only when the request turns
+    // out slow. Tracing is result-invisible; it costs only when --slow-ms
+    // is set.
+    if (Cfg.SlowMs > 0) {
+      Tracer.emplace();
+      Engine.setTracer(&*Tracer);
     }
-  }
-  LogAccess(R, Rec, T);
-  R.Respond(std::move(Line));
 
-  // Answer the coalesced followers from the shared solve. Each follower
-  // gets the leader's byte-identical "result" section under its own id,
-  // with a metrics block showing zero engine work (the leader already
-  // attributed it; double-counting would break the analyses + coalesced
-  // == analyze_ok witness).
-  for (Waiter &W : TakeFollowers()) {
-    auto FSerializeStart = Clock::now();
-    engine::AnalysisResult Blank;
-    std::string FMetrics =
-        renderMetrics(Blank, Rec.Jobs, WallMs, /*ProfileJson=*/"",
-                      /*ExplainLog=*/"");
-    std::string FLine = renderServerOk(W.R.Id, ResultJson, FMetrics);
-    RequestTimings FT;
-    FT.QueueWaitUs = W.QueueWaitUs;
-    FT.SolveUs = T.SolveUs; // the shared solve IS this request's solve
-    FT.SerializeUs = elapsedUs(FSerializeStart, Clock::now());
-    FT.TotalUs = elapsedUs(W.R.Admitted, Clock::now());
-    AccessRecord FRec;
-    FRec.Worker = Index;
-    FRec.Jobs = Rec.Jobs;
-    FRec.Coalesced = true;
+    auto Start = Clock::now();
+    Result = Engine.analyze(AP);
+    Rec.SolveUs = elapsedUs(Start, Clock::now());
+    if (Tracer)
+      Engine.setTracer(nullptr);
+    WallMs = static_cast<double>(Rec.SolveUs) / 1000.0;
+
+    // Engine-fed attribution: this run's own counters, not global deltas
+    // (concurrent requests would otherwise charge each other).
+    Tele->EngAnalyses->add();
+    Tele->EngSatCalls->add(Result.Stats.SatisfiabilityCalls);
+    Tele->StoreHits->add(Result.Stats.ResultStoreHits);
+    Tele->StoreMisses->add(Result.Stats.ResultStoreMisses);
+    Tele->StoreEvictions->add(Result.Stats.ResultStoreEvictions);
+    Rec.Jobs = Engine.jobs();
+    Rec.SatCalls = Result.Stats.SatisfiabilityCalls;
+
+    SerializeStart = Clock::now();
+    ResultJson = renderResult(Result, R.Opts.Pipeline ? &AP : nullptr);
+  }
+
+  // Answers one request -- the leader or a follower -- from the shared
+  // outcome. A follower gets the leader's byte-identical "result" section
+  // under its own id, with a metrics block showing zero engine work (the
+  // leader already attributed it; double-counting would break the
+  // analyses + coalesced == analyze_ok witness).
+  auto Answer = [&](Request &Q, AccessRecord QRec,
+                    Clock::time_point QSerializeStart) {
+    std::string Line;
+    if (QRec.Reached == AccessRecord::Solved) {
+      Line = renderServerOk(
+          Q.Id, ResultJson,
+          renderMetrics(QRec.Coalesced ? Blank : Result, QRec.Jobs, WallMs,
+                        /*ProfileJson=*/"", /*ExplainLog=*/""));
+      QRec.SerializeUs = elapsedUs(QSerializeStart, Clock::now());
+    } else {
+      Line = renderServerError(Q.HasId, Q.Id, QRec.Code, Diags);
+    }
+    QRec.TotalUs = elapsedUs(Q.Admitted, Clock::now());
+    QRec.Slow = Tracer && !QRec.Coalesced && QRec.TotalUs >= Cfg.SlowMs * 1000;
+    if (QRec.Slow && !Cfg.SlowTraceDir.empty()) {
+      uint64_t Seq = Tele->SlowSeq.fetch_add(1, std::memory_order_relaxed);
+      std::string Path = Cfg.SlowTraceDir + "/slow-" + std::to_string(Seq) +
+                         "-" + std::to_string(Q.HasId ? Q.Id : 0) +
+                         ".trace.json";
+      std::ofstream Out(Path, std::ios::trunc);
+      if (Out.is_open()) {
+        Out << Tracer->chromeTraceJson();
+        QRec.TraceFile = Path;
+      }
+    }
+    finish(Q, QRec, [&] { return std::move(Line); });
+  };
+
+  // The leader answers first; only then are its followers collected and
+  // detached. A request arriving after that finds no in-flight entry and
+  // becomes a fresh leader.
+  Answer(R, Rec, SerializeStart);
+  std::vector<Waiter> Followers;
+  {
+    std::lock_guard<std::mutex> Lock(CoalesceMu);
+    auto It = Inflight.find(CKey);
+    Followers = std::move(It->second.Waiters);
+    Inflight.erase(It);
+  }
+  Rec.Coalesced = true;
+  Rec.ParseUs = 0;
+  Rec.SatCalls = 0;
+  for (Waiter &W : Followers) {
+    Rec.QueueWaitUs = W.QueueWaitUs;
+    Answer(W.R, Rec, Clock::now());
+  }
+}
+
+void Server::finish(Request &R, const AccessRecord &Rec,
+                    const std::function<std::string()> &Render) {
+  Tele->codeCounter(Rec.Code)->add();
+  if (Rec.Coalesced)
     Tele->ReqCoalesced->add();
-    Tele->QueueWaitUs->observe(FT.QueueWaitUs);
-    Tele->ParseUs->observe(FT.ParseUs);
-    Tele->SolveUs->observe(FT.SolveUs);
-    Tele->SerializeUs->observe(FT.SerializeUs);
-    Tele->RequestUs->observe(FT.TotalUs);
-    Tele->AnalyzeOk->add();
-    Tele->RespOk->add();
-    LogAccess(W.R, FRec, FT);
-    W.R.Respond(std::move(FLine));
+  if (Rec.Reached >= AccessRecord::Parsed) {
+    Tele->QueueWaitUs->observe(Rec.QueueWaitUs);
+    Tele->ParseUs->observe(Rec.ParseUs);
+    Tele->RequestUs->observe(Rec.TotalUs);
   }
+  if (Rec.Reached == AccessRecord::Solved) {
+    Tele->SolveUs->observe(Rec.SolveUs);
+    Tele->SerializeUs->observe(Rec.SerializeUs);
+    Tele->AnalyzeOk->add();
+  }
+
+  // One access-log line per request that reached a worker (coalesced
+  // followers included), written (like all accounting) before Respond so
+  // a client that has seen the response can rely on the record existing.
+  if (Rec.Reached >= AccessRecord::Dequeued && !Cfg.AccessLogFile.empty()) {
+    std::string L = "{\"ts\": \"" + isoTimestamp() + "\", \"id\": " +
+                    (R.HasId ? std::to_string(R.Id) : "null") +
+                    ", \"session\": ";
+    L += R.Session.empty() ? "null" : "\"" + json::escape(R.Session) + "\"";
+    L += std::string(", \"code\": \"") + Rec.Code + "\"";
+    L += ", \"worker\": " + std::to_string(Rec.Worker);
+    L += ", \"jobs\": " + std::to_string(Rec.Jobs);
+    L += ", \"queueWaitMs\": " + msField(Rec.QueueWaitUs);
+    L += ", \"parseMs\": " + msField(Rec.ParseUs);
+    L += ", \"solveMs\": " + msField(Rec.SolveUs);
+    L += ", \"serializeMs\": " + msField(Rec.SerializeUs);
+    L += ", \"totalMs\": " + msField(Rec.TotalUs);
+    L += ", \"satCalls\": " + std::to_string(Rec.SatCalls);
+    L += std::string(", \"coalesced\": ") +
+         (Rec.Coalesced ? "true" : "false");
+    L += std::string(", \"slow\": ") + (Rec.Slow ? "true" : "false");
+    if (!Rec.TraceFile.empty())
+      L += ", \"traceFile\": \"" + json::escape(Rec.TraceFile) + "\"";
+    L += "}";
+    logAccessLine(L);
+  }
+  R.Respond(Render());
 }
 
 void Server::logAccessLine(const std::string &Line) {
@@ -778,9 +742,9 @@ void Server::logAccessLine(const std::string &Line) {
   // crashing the server.
   Tele->AccessLog.flush();
   Tele->AccessLog.close();
-  std::string Rotated = Cfg.AccessLog + ".1";
-  std::rename(Cfg.AccessLog.c_str(), Rotated.c_str());
-  Tele->AccessLog.open(Cfg.AccessLog, std::ios::trunc);
+  std::string Rotated = Cfg.AccessLogFile + ".1";
+  std::rename(Cfg.AccessLogFile.c_str(), Rotated.c_str());
+  Tele->AccessLog.open(Cfg.AccessLogFile, std::ios::trunc);
   Tele->AccessLogBytes = 0;
 }
 
@@ -792,7 +756,7 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   // Sampled gauge: refreshed here rather than maintained inline, since
   // store occupancy only changes inside engine runs that don't know about
   // the server's registry.
-  obs::set(Tele->ResultStoreEntries, static_cast<int64_t>(Store.size()));
+  Tele->ResultStoreEntries->set(static_cast<int64_t>(Store.size()));
   return Tele->Registry.snapshot();
 }
 
@@ -828,7 +792,7 @@ std::string Server::healthBody() const {
                       1000;
   std::string Out = std::string("{\"status\": \"") +
                     (Stopping ? "draining" : "ok") + "\"";
-  Out += ", \"workers\": " + std::to_string(Cfg.Workers);
+  Out += ", \"workers\": " + std::to_string(Cfg.ServeWorkers);
   Out += ", \"activeWorkers\": " +
          std::to_string(Tele->ActiveWorkers->value());
   Out += ", \"queueDepth\": " + std::to_string(Depth);

@@ -28,16 +28,16 @@
 /// "deadline_exceeded" instead of being run.
 ///
 /// Reuse: one engine::ResultStore (fingerprint-keyed solved outcomes,
-/// shared by all workers, persisted via Config::ResultCacheFile) lets any
-/// request -- a first request, an edit of an earlier program, or one
-/// after a restart -- materialize the pair and kill groups a structurally
-/// identical program solved before, so re-analyzing an edit solves only
-/// what the edit touched. In-flight request coalescing (singleflight)
-/// merges concurrent requests with identical source and options: one
-/// leader solves, the followers' worker slots are freed immediately, and
-/// the leader answers every follower with the shared result document
-/// under each follower's own id. Both are result-invisible by the same
-/// byte-identity gate.
+/// shared by all workers, persisted via AnalysisOptions::ResultCacheFile)
+/// lets any request -- a first request, an edit of an earlier program, or
+/// one after a restart -- materialize the pair and kill groups a
+/// structurally identical program solved before, so re-analyzing an edit
+/// solves only what the edit touched. In-flight request coalescing
+/// (singleflight) merges concurrent requests with identical source and
+/// options: one leader solves, the followers' worker slots are freed
+/// immediately, and the leader answers every follower with the shared
+/// result document under each follower's own id. Both are
+/// result-invisible by the same byte-identity gate.
 ///
 /// A request may carry a "session" string: a client label, validated
 /// (non-empty string) and written to the access log, with no effect on
@@ -72,52 +72,11 @@ namespace api {
 
 class Server {
 public:
-  struct Config {
-    /// Per-request option defaults (a request's "options" object overlays
-    /// these). Jobs is each worker engine's slot count; 0 gives each
-    /// engine max(1, usable cores / Workers).
-    AnalysisOptions Defaults;
-    /// Concurrent worker engines (= requests in flight).
-    unsigned Workers = 4;
-    /// Admission bound: queued-but-unstarted requests beyond this are shed
-    /// with an "overloaded" error.
-    std::size_t MaxQueue = 64;
-    /// Default per-request deadline in milliseconds, measured from
-    /// admission; 0 means none. A request's "deadlineMs" overrides it.
-    std::uint64_t DeadlineMs = 0;
-    /// Result-store persistence file: loaded (if present and valid) at
-    /// construction -- corruption warns and cold-starts -- and saved
-    /// atomically at stop(). Empty disables persistence (the in-memory
-    /// store still runs).
-    std::string ResultCacheFile;
-    /// Result-store entry bound (0 = unbounded), LRU-evicted beyond it.
-    std::size_t ResultStoreCap = engine::ResultStore::DefaultCapacity;
-
-    // -- telemetry sinks (the registry itself is always on; recording is
-    // -- a few relaxed atomics per request and never touches results) ----
-    /// Prometheus text-format exposition file, rewritten atomically
-    /// (tmp + rename) on every metrics op, every 64th completed request,
-    /// and at stop(). Empty disables the file.
-    std::string MetricsFile;
-    /// JSONL access log: one record per analyzed request (latency
-    /// decomposition, sat calls, response code). Empty disables it.
-    std::string AccessLog;
-    /// Slow-request threshold in milliseconds: requests at or above it
-    /// are traced (a per-request obs::Tracer attached to the worker's
-    /// engine) and flagged "slow" in the access log. 0 disables capture.
-    std::uint64_t SlowMs = 0;
-    /// Where slow-request Chrome traces land (slow-<seq>-<id>.trace.json);
-    /// empty keeps the flag-only behavior.
-    std::string SlowTraceDir;
-    /// Rotate the access log when it exceeds this many megabytes: the
-    /// current file is flushed and renamed to AccessLog + ".1" (replacing
-    /// any previous rotation) and a fresh file is opened. Records are
-    /// written whole under one lock, so rotation never tears a line.
-    /// 0 disables rotation.
-    std::uint64_t AccessLogMaxMB = 0;
-  };
-
-  explicit Server(const Config &C);
+  /// \p Opts configures the daemon: its serve-only fields (workers, queue
+  /// bound, deadline, result-store file and cap, telemetry sinks) set up
+  /// the server, and the whole struct is every request's option defaults
+  /// (a request's "options" object overlays them).
+  explicit Server(const AnalysisOptions &Opts);
   ~Server();
 
   Server(const Server &) = delete;
@@ -138,7 +97,7 @@ public:
   void requestStop();
   bool stopRequested() const { return StopFlag.load(); }
 
-  /// What happened to Config::ResultCacheFile (and the access log) at
+  /// What happened to the result-store file (and the access log) at
   /// construction ("result store warm start: ...", "result store cold
   /// start: ..."), empty when persistence is off.
   const std::string &startupNote() const { return StartupNote; }
@@ -179,6 +138,7 @@ private:
   };
   struct Conn;
   struct Telemetry;
+  struct AccessRecord;
 
   /// A coalesced follower parked on an in-flight leader: the original
   /// request plus its already-measured queue wait (observed when its
@@ -196,12 +156,21 @@ private:
   void workerLoop(unsigned Index);
   void runOne(Request &R, unsigned Index);
 
+  /// The one accounting path: every response goes through here. Counts
+  /// the response under its code, observes the latencies its path
+  /// measured and, for a request that reached a worker, writes its
+  /// access-log line; then renders the line and hands it to R.Respond.
+  /// Rendering comes after the counting so a telemetry op's snapshot
+  /// includes its own response.
+  void finish(Request &R, const AccessRecord &Rec,
+              const std::function<std::string()> &Render);
+
   /// Appends one access-log line (under the log lock) and rotates the
-  /// file when Config::AccessLogMaxMB is exceeded. No-op when the log is
-  /// not open.
+  /// file when AccessLogMaxMB is exceeded. No-op when the log is not
+  /// open.
   void logAccessLine(const std::string &Line);
 
-  /// Renders and atomically rewrites Config::MetricsFile (no-op when the
+  /// Renders and atomically rewrites the MetricsFile (no-op when the
   /// path is empty). Serialized internally; safe from any thread.
   void writeMetricsFile();
   /// The metrics-op response body (uptime + snapshot + the result store's
@@ -210,7 +179,7 @@ private:
   /// The health-op response body.
   std::string healthBody() const;
 
-  Config Cfg;
+  AnalysisOptions Cfg;
   std::string StartupNote;
   std::unique_ptr<Telemetry> Tele;
 

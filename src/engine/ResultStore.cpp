@@ -9,6 +9,7 @@
 #include "deps/Dependence.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -472,24 +473,35 @@ bool ResultStore::deserialize(const std::string &Bytes, std::string *Err) {
 
 bool ResultStore::saveFile(const std::string &Path, std::string *Err) const {
   std::string Bytes = serialize();
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
+  std::string Tmp = Path + ".tmp";
+  auto Fail = [&](std::string Why) {
+    std::remove(Tmp.c_str());
     if (Err)
-      *Err = "cannot open " + Path + " for writing";
+      *Err = std::move(Why);
     return false;
-  }
+  };
+  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
+  if (!F)
+    return Fail("cannot open " + Tmp + " for writing");
   bool Ok = std::fwrite(Bytes.data(), 1, Bytes.size(), F) == Bytes.size();
   Ok &= std::fclose(F) == 0;
-  if (!Ok && Err)
-    *Err = "short write to " + Path;
-  return Ok;
+  if (!Ok)
+    return Fail("short write to " + Tmp);
+  if (std::rename(Tmp.c_str(), Path.c_str()) != 0)
+    return Fail("cannot rename " + Tmp + " to " + Path);
+  return true;
 }
 
-bool ResultStore::loadFile(const std::string &Path, std::string *Err) {
+bool ResultStore::loadFile(const std::string &Path, std::string *Err,
+                           bool *NoFile) {
+  clear();
   std::FILE *F = std::fopen(Path.c_str(), "rb");
+  bool Missing = !F && errno == ENOENT;
+  if (NoFile)
+    *NoFile = Missing;
   if (!F) {
     if (Err)
-      *Err = "cannot open " + Path;
+      *Err = (Missing ? "no file at " : "cannot open ") + Path;
     return false;
   }
   std::string Bytes;

@@ -211,8 +211,18 @@ public:
   /// version skew, checksum mismatch, truncation) leaves the store
   /// empty and reports why via \p Err.
   bool deserialize(const std::string &Bytes, std::string *Err);
+  /// Writes the store to \p Path atomically: to PATH.tmp, renamed over
+  /// PATH, so a crash mid-save leaves the previous generation intact,
+  /// never a torn file. On failure PATH is untouched, the tmp file is
+  /// removed, and \p Err says why.
   bool saveFile(const std::string &Path, std::string *Err) const;
-  bool loadFile(const std::string &Path, std::string *Err);
+  /// Replaces the contents with the store saved at \p Path. Returns false,
+  /// leaving the store empty (a cold start), when there is no file --
+  /// \p Err reads "no file at PATH" and \p NoFile is set: the normal first
+  /// run -- or the file is unreadable, corrupt or version-skewed (\p Err
+  /// says why).
+  bool loadFile(const std::string &Path, std::string *Err,
+                bool *NoFile = nullptr);
 
 private:
   static constexpr unsigned NumShards = 16;

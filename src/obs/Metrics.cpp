@@ -14,51 +14,9 @@
 namespace omega {
 namespace obs {
 
-namespace detail {
-
-unsigned threadShard() {
-  static std::atomic<unsigned> Next{0};
-  thread_local unsigned Shard =
-      Next.fetch_add(1, std::memory_order_relaxed) % MetricShards;
-  return Shard;
-}
-
-} // namespace detail
-
 //===----------------------------------------------------------------------===//
 // Snapshot
 //===----------------------------------------------------------------------===//
-
-bool MetricsSnapshot::merge(const MetricsSnapshot &Other) {
-  if (Counters.size() != Other.Counters.size() ||
-      Gauges.size() != Other.Gauges.size() ||
-      Histograms.size() != Other.Histograms.size())
-    return false;
-  for (std::size_t I = 0; I != Counters.size(); ++I)
-    if (Counters[I].Name != Other.Counters[I].Name)
-      return false;
-  for (std::size_t I = 0; I != Gauges.size(); ++I)
-    if (Gauges[I].Name != Other.Gauges[I].Name)
-      return false;
-  for (std::size_t I = 0; I != Histograms.size(); ++I)
-    if (Histograms[I].Name != Other.Histograms[I].Name ||
-        Histograms[I].Bounds != Other.Histograms[I].Bounds)
-      return false;
-
-  for (std::size_t I = 0; I != Counters.size(); ++I)
-    Counters[I].Value += Other.Counters[I].Value;
-  for (std::size_t I = 0; I != Gauges.size(); ++I)
-    Gauges[I].Value += Other.Gauges[I].Value;
-  for (std::size_t I = 0; I != Histograms.size(); ++I) {
-    HistogramView &H = Histograms[I];
-    const HistogramView &O = Other.Histograms[I];
-    for (std::size_t B = 0; B != H.Buckets.size(); ++B)
-      H.Buckets[B] += O.Buckets[B];
-    H.Count += O.Count;
-    H.Sum += O.Sum;
-  }
-  return true;
-}
 
 const MetricsSnapshot::CounterView *
 MetricsSnapshot::counter(const std::string &Name) const {

@@ -17,18 +17,13 @@
 ///    bucket counts (no decay, no approximation), plus an exact sum.
 ///
 /// Registration happens once, at startup, and may allocate; after that
-/// the recording path is allocation-free and lock-free. Every instrument
-/// is sharded over cache-line-padded atomic cells indexed by a per-thread
-/// shard id, so concurrent workers never contend on one line; add() and
-/// observe() are a few relaxed fetch_adds. Snapshots sum the shards in
-/// registration order, which makes two snapshots of equal registries
-/// field-for-field comparable and merge() well defined.
-///
-/// The disabled path mirrors obs/Trace.h: instrumentation sites hold
-/// nullable pointers and the inc()/observe()/set() helpers are one null
-/// check -- nothing recorded, nothing allocated. MetricsTest pins this
-/// down with samplesRecordedThisThread(), the same thread-local-counter
-/// trick TraceBuffer uses for its zero-event property.
+/// the recording path is allocation-free and lock-free. Every cell is one
+/// shared atomic: a counter or gauge is one, a histogram one per bucket
+/// plus one for the sum, and add() and observe() are relaxed fetch_adds.
+/// An ok omega-serve analyze request makes about two dozen of them, a
+/// microsecond at worst under contention, which is well under 1% of its
+/// latency. Snapshots read the instruments in registration order, which
+/// makes two snapshots of equal registries field-for-field comparable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,50 +39,17 @@
 namespace omega {
 namespace obs {
 
-/// Concurrency shards per instrument. A small power of two: enough that
-/// a handful of server workers land on distinct cells, cheap to sum.
-constexpr unsigned MetricShards = 8;
-
-namespace detail {
-
-/// One cache-line-padded atomic cell (the unit of sharding).
-struct alignas(64) MetricCell {
-  std::atomic<uint64_t> V{0};
-};
-
-/// The calling thread's shard index, assigned round-robin on first use.
-unsigned threadShard();
-
-/// Samples recorded by this thread through any instrument since thread
-/// start. Tests diff it around an operation to prove the disabled path
-/// records nothing (the TraceBuffer::eventsRecordedThisThread() trick).
-inline uint64_t &samplesRecordedThisThread() {
-  thread_local uint64_t Count = 0;
-  return Count;
-}
-
-} // namespace detail
-
 /// Monotonic counter. add() is allocation-free and wait-free.
 class Counter {
 public:
   void add(uint64_t N = 1) noexcept {
-    ++detail::samplesRecordedThisThread();
-    Cells[detail::threadShard()].V.fetch_add(N, std::memory_order_relaxed);
+    V.fetch_add(N, std::memory_order_relaxed);
   }
-  uint64_t value() const {
-    uint64_t Sum = 0;
-    for (const detail::MetricCell &C : Cells)
-      Sum += C.V.load(std::memory_order_relaxed);
-    return Sum;
-  }
-  /// Zeroes every cell. Not atomic with respect to concurrent add()s: a
-  /// racing increment lands before or after the reset, never torn. Meant
-  /// for quiescent test rigs via {"op":"metrics","reset":true}.
-  void reset() noexcept {
-    for (detail::MetricCell &C : Cells)
-      C.V.store(0, std::memory_order_relaxed);
-  }
+  uint64_t value() const { return V.load(std::memory_order_relaxed); }
+  /// Zeroes the counter. A racing increment lands before or after the
+  /// reset, never torn. Meant for quiescent test rigs via
+  /// {"op":"metrics","reset":true}.
+  void reset() noexcept { V.store(0, std::memory_order_relaxed); }
   const std::string &name() const { return Name; }
 
 private:
@@ -96,29 +58,18 @@ private:
       : Name(std::move(Name)), Help(std::move(Help)) {}
 
   std::string Name, Help;
-  detail::MetricCell Cells[MetricShards];
+  std::atomic<uint64_t> V{0};
 };
 
-/// A signed level. Sharded like Counter: each thread adjusts its own cell
-/// and value() sums them, so set() from one owner thread or add()/sub()
-/// from many both work.
+/// A signed level: set() from one owner thread or add()/sub() from many.
 class Gauge {
 public:
-  void add(int64_t N) noexcept {
-    ++detail::samplesRecordedThisThread();
-    Cells[detail::threadShard()].V.fetch_add(static_cast<uint64_t>(N),
-                                             std::memory_order_relaxed);
-  }
+  void add(int64_t N) noexcept { V.fetch_add(N, std::memory_order_relaxed); }
   void sub(int64_t N) noexcept { add(-N); }
-  /// Sets the summed value to \p V by adjusting the caller's cell. Callers
-  /// that race set() see *a* consistent level, not a torn one.
-  void set(int64_t V) noexcept { add(V - value()); }
-  int64_t value() const {
-    uint64_t Sum = 0;
-    for (const detail::MetricCell &C : Cells)
-      Sum += C.V.load(std::memory_order_relaxed);
-    return static_cast<int64_t>(Sum);
+  void set(int64_t Level) noexcept {
+    V.store(Level, std::memory_order_relaxed);
   }
+  int64_t value() const { return V.load(std::memory_order_relaxed); }
   const std::string &name() const { return Name; }
 
 private:
@@ -127,7 +78,7 @@ private:
       : Name(std::move(Name)), Help(std::move(Help)) {}
 
   std::string Name, Help;
-  detail::MetricCell Cells[MetricShards];
+  std::atomic<int64_t> V{0};
 };
 
 /// Fixed-boundary histogram with exact integer bucket counts. Boundaries
@@ -138,44 +89,30 @@ private:
 class Histogram {
 public:
   void observe(uint64_t V) noexcept {
-    ++detail::samplesRecordedThisThread();
     unsigned B = 0;
     while (B != Bounds.size() && V > Bounds[B])
       ++B;
-    unsigned Shard = detail::threadShard();
-    BucketCells[B * MetricShards + Shard].V.fetch_add(
-        1, std::memory_order_relaxed);
-    SumCells[Shard].V.fetch_add(V, std::memory_order_relaxed);
+    Buckets[B].fetch_add(1, std::memory_order_relaxed);
+    Sum.fetch_add(V, std::memory_order_relaxed);
   }
   const std::vector<uint64_t> &bounds() const { return Bounds; }
   /// Exact count of observations in bucket \p B (B == bounds().size() is
   /// the overflow bucket).
   uint64_t bucketCount(unsigned B) const {
-    uint64_t Sum = 0;
-    for (unsigned S = 0; S != MetricShards; ++S)
-      Sum += BucketCells[B * MetricShards + S].V.load(
-          std::memory_order_relaxed);
-    return Sum;
+    return Buckets[B].load(std::memory_order_relaxed);
   }
   uint64_t count() const {
-    uint64_t Sum = 0;
+    uint64_t N = 0;
     for (unsigned B = 0; B != Bounds.size() + 1; ++B)
-      Sum += bucketCount(B);
-    return Sum;
+      N += bucketCount(B);
+    return N;
   }
-  uint64_t sum() const {
-    uint64_t Sum = 0;
-    for (const detail::MetricCell &C : SumCells)
-      Sum += C.V.load(std::memory_order_relaxed);
-    return Sum;
-  }
+  uint64_t sum() const { return Sum.load(std::memory_order_relaxed); }
   /// Zeroes every bucket and the sum; same caveats as Counter::reset().
   void reset() noexcept {
-    for (unsigned B = 0; B != (unsigned)(Bounds.size() + 1) * MetricShards;
-         ++B)
-      BucketCells[B].V.store(0, std::memory_order_relaxed);
-    for (detail::MetricCell &C : SumCells)
-      C.V.store(0, std::memory_order_relaxed);
+    for (unsigned B = 0; B != Bounds.size() + 1; ++B)
+      Buckets[B].store(0, std::memory_order_relaxed);
+    Sum.store(0, std::memory_order_relaxed);
   }
   const std::string &name() const { return Name; }
 
@@ -184,13 +121,13 @@ private:
   Histogram(std::string Name, std::string Help, std::vector<uint64_t> Bounds)
       : Name(std::move(Name)), Help(std::move(Help)),
         Bounds(std::move(Bounds)),
-        BucketCells(std::make_unique<detail::MetricCell[]>(
-            (this->Bounds.size() + 1) * MetricShards)) {}
+        Buckets(std::make_unique<std::atomic<uint64_t>[]>(
+            this->Bounds.size() + 1)) {}
 
   std::string Name, Help;
   std::vector<uint64_t> Bounds;
-  std::unique_ptr<detail::MetricCell[]> BucketCells;
-  detail::MetricCell SumCells[MetricShards];
+  std::unique_ptr<std::atomic<uint64_t>[]> Buckets;
+  std::atomic<uint64_t> Sum{0};
 };
 
 //===----------------------------------------------------------------------===//
@@ -220,11 +157,6 @@ struct MetricsSnapshot {
   std::vector<CounterView> Counters;
   std::vector<GaugeView> Gauges;
   std::vector<HistogramView> Histograms;
-
-  /// Adds \p Other into this snapshot instrument-by-instrument. Both must
-  /// come from identically registered registries (same names, same order,
-  /// same boundaries); returns false (leaving this unchanged) otherwise.
-  bool merge(const MetricsSnapshot &Other);
 
   const CounterView *counter(const std::string &Name) const;
   const GaugeView *gauge(const std::string &Name) const;
@@ -259,12 +191,13 @@ public:
   MetricsSnapshot snapshot() const;
 
   /// Zeroes every counter and histogram; gauges are levels (queue depth,
-  /// live sessions) and are left alone -- their owners keep set()ing
-  /// them. Not a barrier: increments racing the reset land wholly before
-  /// or after it. Backs {"op":"metrics","reset":true}, which is meant
-  /// for per-window measurement on otherwise quiescent rigs; note that
-  /// cross-source invariants against non-registry totals (the result
-  /// store's own lifetime counters) only hold over a full process lifetime.
+  /// active workers, store occupancy) and are left alone -- their owners
+  /// keep moving them. Not a barrier: increments racing the reset land
+  /// wholly before or after it. Backs {"op":"metrics","reset":true}, which
+  /// is meant for per-window measurement on otherwise quiescent rigs; note
+  /// that cross-source invariants against non-registry totals (the result
+  /// store's own lifetime counters) only hold over a full process
+  /// lifetime.
   void reset();
 
 private:
@@ -287,27 +220,6 @@ std::string prometheusText(const MetricsSnapshot &S);
 /// [...], "count": N, "sumUs": N}}}. String-built like api/Response.h so
 /// the bytes are reproducible.
 std::string metricsJson(const MetricsSnapshot &S);
-
-//===----------------------------------------------------------------------===//
-// Zero-overhead instrumentation helpers (the disabled path)
-//===----------------------------------------------------------------------===//
-
-inline void inc(Counter *C, uint64_t N = 1) noexcept {
-  if (C)
-    C->add(N);
-}
-inline void observe(Histogram *H, uint64_t V) noexcept {
-  if (H)
-    H->observe(V);
-}
-inline void set(Gauge *G, int64_t V) noexcept {
-  if (G)
-    G->set(V);
-}
-inline void add(Gauge *G, int64_t N) noexcept {
-  if (G)
-    G->add(N);
-}
 
 } // namespace obs
 } // namespace omega

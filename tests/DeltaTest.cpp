@@ -752,10 +752,10 @@ std::string resultBytes(const std::string &Response) {
 TEST(ServeSessions, LabelledRequestsReuseThroughTheStore) {
   std::string Log = ::testing::TempDir() + "delta_test.access.log";
   std::remove(Log.c_str());
-  api::Server::Config Cfg;
-  Cfg.Workers = 1;
-  Cfg.Defaults.Jobs = 1;
-  Cfg.AccessLog = Log;
+  api::AnalysisOptions Cfg;
+  Cfg.ServeWorkers = 1;
+  Cfg.Jobs = 1;
+  Cfg.AccessLogFile = Log;
   api::Server Server(Cfg);
 
   std::string Base = readEdit("base");
@@ -808,9 +808,9 @@ TEST(ServeSessions, LabelledRequestsReuseThroughTheStore) {
 // Per-request jobs are honored but clamped to the worker's pool; the
 // effective value is what metrics reports.
 TEST(ServeSessions, PerRequestJobsClamped) {
-  api::Server::Config Cfg;
-  Cfg.Workers = 1;
-  Cfg.Defaults.Jobs = 2;
+  api::AnalysisOptions Cfg;
+  Cfg.ServeWorkers = 1;
+  Cfg.Jobs = 2;
   api::Server Server(Cfg);
 
   std::string Source = readEdit("base");
@@ -840,9 +840,9 @@ TEST(ServeSessions, PerRequestJobsClamped) {
 TEST(ServeSessions, DefaultJobsShareTheCores) {
   const std::string Source = readEdit("base");
   for (unsigned Workers : {1u, 4u, 16u}) {
-    api::Server::Config Cfg;
-    Cfg.Workers = Workers;
-    ASSERT_EQ(Cfg.Defaults.Jobs, 0u);
+    api::AnalysisOptions Cfg;
+    Cfg.ServeWorkers = Workers;
+    ASSERT_EQ(Cfg.Jobs, 0u);
     api::Server Server(Cfg);
     const int64_t Share = engine::resolveJobs(0, Workers);
     EXPECT_EQ(Share, std::max<int64_t>(1, engine::usableCores() / Workers));

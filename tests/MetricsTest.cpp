@@ -4,9 +4,8 @@
 // "Eliminating False Data Dependences using the Omega Test" (PLDI 1992).
 //
 // Two layers under test. The obs/Metrics.h registry itself: exact bucket
-// counts, deterministic snapshot/merge, and the zero-overhead disabled
-// path (no samples, no allocations -- TracerTest's property, proven here
-// with a counting global operator new). And the serving stack's
+// counts, deterministic snapshots, and an allocation-free hot path
+// (proven with a counting global operator new). And the serving stack's
 // accounting invariants, in the spirit of the paper's Figure 6: per-op
 // counters sum to requests_total, histogram counts match the request
 // counters that feed them, engine analyses plus coalesced followers equal
@@ -26,6 +25,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <new>
 #include <sstream>
@@ -96,7 +96,7 @@ TEST(Metrics, HistogramExactBucketCounts) {
   EXPECT_EQ(H->sum(), 0u + 10 + 11 + 100 + 999 + 5000);
 }
 
-TEST(Metrics, SnapshotIsDeterministicAndMergeable) {
+TEST(Metrics, SnapshotIsDeterministic) {
   auto Populate = [](obs::MetricsRegistry &R) {
     obs::Counter *C = R.counter("requests_total", "requests");
     obs::Gauge *G = R.gauge("depth", "queue depth");
@@ -117,19 +117,6 @@ TEST(Metrics, SnapshotIsDeterministicAndMergeable) {
   EXPECT_EQ(SA.Counters[0].Value, SB.Counters[0].Value);
   EXPECT_EQ(SA.Gauges[0].Value, SB.Gauges[0].Value);
   EXPECT_EQ(SA.Histograms[0].Buckets, SB.Histograms[0].Buckets);
-
-  // Merge doubles every number.
-  ASSERT_TRUE(SA.merge(SB));
-  EXPECT_EQ(SA.counter("requests_total")->Value, 6u);
-  EXPECT_EQ(SA.gauge("depth")->Value, 4);
-  EXPECT_EQ(SA.histogram("lat_us")->Count, 4u);
-  EXPECT_EQ(SA.histogram("lat_us")->Sum, 1100u);
-
-  // Shape mismatches refuse to merge.
-  obs::MetricsRegistry C2;
-  C2.counter("other_total", "different");
-  obs::MetricsSnapshot SC = C2.snapshot();
-  EXPECT_FALSE(SA.merge(SC));
 }
 
 TEST(Metrics, PrometheusTextFormat) {
@@ -171,32 +158,12 @@ TEST(Metrics, JsonRenderingParses) {
   EXPECT_EQ(H->get("buckets")->asArray().size(), 2u);
 }
 
-//===----------------------------------------------------------------------===//
-// The zero-overhead disabled path
-//===----------------------------------------------------------------------===//
-
-TEST(Metrics, DisabledPathRecordsNothingAndAllocatesNothing) {
-  uint64_t SamplesBefore = obs::detail::samplesRecordedThisThread();
-  uint64_t AllocsBefore = allocationsNow();
-  for (int I = 0; I != 1000; ++I) {
-    obs::inc(nullptr);
-    obs::inc(nullptr, 5);
-    obs::observe(nullptr, 123);
-    obs::set(nullptr, 7);
-    obs::add(nullptr, -1);
-  }
-  EXPECT_EQ(obs::detail::samplesRecordedThisThread(), SamplesBefore);
-  EXPECT_EQ(allocationsNow(), AllocsBefore);
-}
-
 TEST(Metrics, EnabledHotPathAllocatesNothing) {
   obs::MetricsRegistry R;
   obs::Counter *C = R.counter("c_total", "c");
   obs::Gauge *G = R.gauge("g", "g");
   obs::Histogram *H =
       R.histogram("h_us", "h", {100, 250, 500, 1000, 10000, 100000});
-  // Warm the thread-shard assignment, then measure.
-  C->add(0);
   uint64_t AllocsBefore = allocationsNow();
   for (uint64_t I = 0; I != 1000; ++I) {
     C->add(1);
@@ -285,8 +252,8 @@ void runMixedWorkload(api::Server &Server, uint64_t &AnalyzeOkWant,
 }
 
 TEST(ServeTelemetry, AccountingInvariantsHold) {
-  api::Server::Config Cfg;
-  Cfg.Workers = 2;
+  api::AnalysisOptions Cfg;
+  Cfg.ServeWorkers = 2;
   api::Server Server(Cfg);
   uint64_t OkWant = 0, ErrWant = 0;
   runMixedWorkload(Server, OkWant, ErrWant);
@@ -355,10 +322,128 @@ TEST(ServeTelemetry, AccountingInvariantsHold) {
             static_cast<int64_t>(Server.resultStore().size()));
 }
 
+/// The response code of a response line: its error code, or "ok".
+std::string responseCode(const std::string &Response) {
+  api::json::Value Doc;
+  std::string Err;
+  if (!api::json::parse(Response, Doc, Err))
+    return "<unparseable: " + Err + ">";
+  const api::json::Value *E = Doc.get("error");
+  return E ? E->get("code")->asString() : "ok";
+}
+
+// Every response code the server can send is counted exactly once per
+// response, including the paths decided at admission (overloaded,
+// shutdown) and at dequeue (deadline_exceeded), and exactly the requests
+// that reached a worker get one access-log line each.
+TEST(ServeTelemetry, EveryResponseCodeCountsOnce) {
+  std::string Log = testing::TempDir() + "metrics_test_codes.jsonl";
+  std::remove(Log.c_str());
+  api::AnalysisOptions Cfg;
+  Cfg.ServeWorkers = 1;
+  Cfg.MaxQueue = 1;
+  Cfg.Jobs = 1;
+  Cfg.AccessLogFile = Log;
+  api::Server Server(Cfg);
+
+  std::mutex Mu;
+  std::condition_variable CV;
+  std::map<std::string, uint64_t> Seen;
+  unsigned Answered = 0;
+  bool Wedged = false, Release = false;
+  auto Record = [&](std::string Resp) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    ++Seen[responseCode(Resp)];
+    ++Answered;
+    CV.notify_all();
+  };
+  auto Ask = [&](const std::string &Line) { Record(ask(Server, Line)); };
+
+  Ask("this is not json");                         // parse_error
+  Ask("{\"id\": 1, \"source\": 17}");              // bad_request
+  Ask("{\"id\": 2, \"op\": \"reticulate\"}");      // bad_request
+  Ask(analyzeLine(3, "for i := broken"));          // analysis_error
+  Ask("{\"id\": 4, \"op\": \"health\"}");          // ok, never logged
+  const unsigned Sync = 5;
+
+  // Wedge the one worker: request 10's response callback blocks until the
+  // rest is submitted, so the worker dequeues nothing meanwhile.
+  const std::string Source =
+      "for i := 1 to 8 do\n  t(i) := t(i-1) + 1;\nendfor\n";
+  Server.submit(analyzeLine(10, Source), [&](std::string Resp) {
+    Record(std::move(Resp));
+    std::unique_lock<std::mutex> Lock(Mu);
+    Wedged = true;
+    CV.notify_all();
+    CV.wait(Lock, [&] { return Release; });
+  });
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    CV.wait(Lock, [&] { return Wedged; });
+  }
+  // Request 11 takes the one queue slot and expires in it; the burst
+  // behind it finds the queue full.
+  std::string Deadlined = analyzeLine(11, Source);
+  Deadlined.insert(Deadlined.size() - 1, ", \"deadlineMs\": 1");
+  Server.submit(Deadlined, Record);
+  constexpr unsigned Burst = 4;
+  for (unsigned I = 0; I != Burst; ++I)
+    Server.submit(analyzeLine(12 + I, Source), Record);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Release = true;
+    CV.notify_all();
+    CV.wait(Lock, [&] { return Answered == Sync + 2 + Burst; });
+  }
+  Server.stop();
+  Ask(analyzeLine(20, Source)); // shutdown
+
+  EXPECT_EQ(Seen["parse_error"], 1u);
+  EXPECT_EQ(Seen["bad_request"], 2u);
+  EXPECT_EQ(Seen["analysis_error"], 1u);
+  EXPECT_EQ(Seen["ok"], 2u);
+  EXPECT_EQ(Seen["overloaded"], Burst);
+  EXPECT_EQ(Seen["deadline_exceeded"], 1u);
+  EXPECT_EQ(Seen["shutdown"], 1u);
+
+  obs::MetricsSnapshot S = Server.metricsSnapshot();
+  uint64_t PerCode = 0;
+  for (const char *Code : {"ok", "parse_error", "bad_request",
+                           "analysis_error", "overloaded",
+                           "deadline_exceeded", "shutdown"}) {
+    uint64_t N = counterOf(
+        S, std::string("omega_serve_responses_") + Code + "_total");
+    EXPECT_EQ(N, Seen[Code]) << Code;
+    PerCode += N;
+  }
+  EXPECT_EQ(PerCode, counterOf(S, "omega_serve_requests_total"));
+
+  // One access-log line, with its response's code, per request that
+  // reached a worker: the analysis error, the wedging request and the
+  // expired one.
+  std::map<int64_t, std::string> Logged;
+  std::ifstream In(Log);
+  for (std::string Line; std::getline(In, Line);) {
+    api::json::Value V;
+    std::string Err;
+    ASSERT_TRUE(api::json::parse(Line, V, Err)) << Line << " -> " << Err;
+    EXPECT_TRUE(Logged.emplace(V.get("id")->asInt(),
+                               V.get("code")->asString())
+                    .second)
+        << Line;
+  }
+  EXPECT_EQ(Logged, (std::map<int64_t, std::string>{
+                        {3, "analysis_error"},
+                        {10, "ok"},
+                        {11, "deadline_exceeded"}}));
+  std::remove(Log.c_str());
+}
+
 TEST(ServeTelemetry, DeterministicCountersMatchAcrossWorkerCounts) {
   auto Run = [](unsigned Workers) {
-    api::Server::Config Cfg;
-    Cfg.Workers = Workers;
+    api::AnalysisOptions Cfg;
+    Cfg.ServeWorkers = Workers;
     api::Server Server(Cfg);
     uint64_t OkWant = 0, ErrWant = 0;
     runMixedWorkload(Server, OkWant, ErrWant);
@@ -390,8 +475,8 @@ TEST(ServeTelemetry, DeterministicCountersMatchAcrossWorkerCounts) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServeTelemetry, HealthAndMetricsOpDocuments) {
-  api::Server::Config Cfg;
-  Cfg.Workers = 1;
+  api::AnalysisOptions Cfg;
+  Cfg.ServeWorkers = 1;
   api::Server Server(Cfg);
   ask(Server, analyzeLine(1, kernels::corpus().front().Source));
 
@@ -439,8 +524,8 @@ TEST(ServeTelemetry, HealthAndMetricsOpDocuments) {
 }
 
 TEST(ServeTelemetry, ShutdownAckCarriesFinalSnapshot) {
-  api::Server::Config Cfg;
-  Cfg.Workers = 1;
+  api::AnalysisOptions Cfg;
+  Cfg.ServeWorkers = 1;
   api::Server Server(Cfg);
   ask(Server, analyzeLine(1, kernels::corpus().front().Source));
   api::json::Value A;
@@ -468,9 +553,9 @@ TEST(ServeTelemetry, AccessLogDecomposesLatency) {
   std::string Log = testing::TempDir() + "metrics_test_access.jsonl";
   std::remove(Log.c_str());
   {
-    api::Server::Config Cfg;
-    Cfg.Workers = 2;
-    Cfg.AccessLog = Log;
+    api::AnalysisOptions Cfg;
+    Cfg.ServeWorkers = 2;
+    Cfg.AccessLogFile = Log;
     api::Server Server(Cfg);
     ask(Server, analyzeLine(1, kernels::corpus().front().Source));
     ask(Server, analyzeLine(2, "for i := broken"));
@@ -507,9 +592,9 @@ TEST(ServeTelemetry, SlowRequestsAreTracedAndFlagged) {
   ASSERT_EQ(std::system(Cmd.c_str()), 0);
   std::string TraceFile;
   {
-    api::Server::Config Cfg;
-    Cfg.Workers = 1;
-    Cfg.AccessLog = Log;
+    api::AnalysisOptions Cfg;
+    Cfg.ServeWorkers = 1;
+    Cfg.AccessLogFile = Log;
     Cfg.SlowMs = 1; // a cold CHOLSKY analysis takes well over 1ms
     Cfg.SlowTraceDir = Dir;
     api::Server Server(Cfg);
@@ -539,8 +624,8 @@ TEST(ServeTelemetry, MetricsFileIsWrittenAtomically) {
   std::string File = testing::TempDir() + "metrics_test.prom";
   std::remove(File.c_str());
   {
-    api::Server::Config Cfg;
-    Cfg.Workers = 1;
+    api::AnalysisOptions Cfg;
+    Cfg.ServeWorkers = 1;
     Cfg.MetricsFile = File;
     api::Server Server(Cfg);
     ask(Server, analyzeLine(1, kernels::corpus().front().Source));

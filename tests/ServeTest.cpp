@@ -114,10 +114,10 @@ std::string oneShotResult(const ir::AnalyzedProgram &AP, unsigned Jobs) {
   return api::renderResult(Engine.analyze(AP));
 }
 
-api::Server::Config basicConfig(unsigned Workers = 4) {
-  api::Server::Config Cfg;
-  Cfg.Workers = Workers;
-  Cfg.Defaults.Jobs = 1;
+api::AnalysisOptions basicConfig(unsigned Workers = 4) {
+  api::AnalysisOptions Cfg;
+  Cfg.ServeWorkers = Workers;
+  Cfg.Jobs = 1;
   return Cfg;
 }
 
@@ -272,8 +272,8 @@ TEST(Serve, ConcurrentClientsMatchOneShotByteForByte) {
 
   const std::string Log = ::testing::TempDir() + "serve_test_clients.jsonl";
   const std::string Prom = ::testing::TempDir() + "serve_test_clients.prom";
-  api::Server::Config Cfg = basicConfig(4);
-  Cfg.AccessLog = Log;
+  api::AnalysisOptions Cfg = basicConfig(4);
+  Cfg.AccessLogFile = Log;
   Cfg.MetricsFile = Prom;
   api::Server Server(Cfg);
   constexpr unsigned Clients = 4;
@@ -426,7 +426,7 @@ TEST(Serve, WideStrideRequestLeavesTheDaemonUp) {
 // bounded at 2, a burst beyond capacity is shed with "overloaded" --
 // and the admitted requests still complete correctly.
 TEST(Serve, OverloadShedsWithTypedError) {
-  api::Server::Config Cfg = basicConfig(1);
+  api::AnalysisOptions Cfg = basicConfig(1);
   Cfg.MaxQueue = 2;
   api::Server Server(Cfg);
 
@@ -461,7 +461,7 @@ TEST(Serve, OverloadShedsWithTypedError) {
 // A request whose deadline expires while queued is answered with
 // "deadline_exceeded" instead of being run.
 TEST(Serve, ExpiredDeadlinesAreShed) {
-  api::Server::Config Cfg = basicConfig(1);
+  api::AnalysisOptions Cfg = basicConfig(1);
   Cfg.MaxQueue = 64;
   api::Server Server(Cfg);
   const std::string Source = kernels::corpus().front().Source;
@@ -526,7 +526,7 @@ TEST(Serve, PerRequestOptionsAreHonored) {
 // followers coalesced, and the accounting witness holds: engine analyses
 // performed plus requests coalesced equals analyze_ok.
 TEST(Serve, CoalescingSharesOneSolve) {
-  api::Server::Config Cfg = basicConfig(2);
+  api::AnalysisOptions Cfg = basicConfig(2);
   Cfg.MaxQueue = 64;
   api::Server Server(Cfg);
 
@@ -614,7 +614,7 @@ TEST(Serve, ResultStorePersistsAcrossRestart) {
 
   std::string First;
   {
-    api::Server::Config Cfg = basicConfig(1);
+    api::AnalysisOptions Cfg = basicConfig(1);
     Cfg.ResultCacheFile = Path;
     api::Server Server(Cfg);
     EXPECT_NE(Server.startupNote().find("result store cold start"),
@@ -631,7 +631,7 @@ TEST(Serve, ResultStorePersistsAcrossRestart) {
   ASSERT_FALSE(Saved.empty());
 
   {
-    api::Server::Config Cfg = basicConfig(1);
+    api::AnalysisOptions Cfg = basicConfig(1);
     Cfg.ResultCacheFile = Path;
     api::Server Server(Cfg);
     EXPECT_NE(Server.startupNote().find("result store warm start"),
@@ -656,7 +656,7 @@ TEST(Serve, ResultStorePersistsAcrossRestart) {
               static_cast<std::streamsize>(Saved.size() / 2));
   }
   {
-    api::Server::Config Cfg = basicConfig(1);
+    api::AnalysisOptions Cfg = basicConfig(1);
     Cfg.ResultCacheFile = Path;
     api::Server Server(Cfg);
     EXPECT_NE(Server.startupNote().find("result store cold start"),
@@ -679,8 +679,8 @@ TEST(Serve, AccessLogRotatesBySize) {
   std::remove(Path.c_str());
   std::remove(Rolled.c_str());
 
-  api::Server::Config Cfg = basicConfig(1);
-  Cfg.AccessLog = Path;
+  api::AnalysisOptions Cfg = basicConfig(1);
+  Cfg.AccessLogFile = Path;
   Cfg.AccessLogMaxMB = 1;
   api::Server Server(Cfg);
 

@@ -179,14 +179,11 @@ int main(int Argc, char **Argv) {
   engine::ResultStore Store(
       static_cast<std::size_t>(Opts.ResultStoreCap));
   if (!Opts.ResultCacheFile.empty()) {
-    std::ifstream Probe(Opts.ResultCacheFile, std::ios::binary);
-    if (Probe.is_open()) {
-      Probe.close();
-      std::string LoadErr;
-      if (!Store.loadFile(Opts.ResultCacheFile, &LoadErr))
-        std::fprintf(stderr, "warning: result store cold start: %s\n",
-                     LoadErr.c_str());
-    }
+    std::string LoadErr;
+    bool NoFile = false;
+    if (!Store.loadFile(Opts.ResultCacheFile, &LoadErr, &NoFile) && !NoFile)
+      std::fprintf(stderr, "warning: result store cold start: %s\n",
+                   LoadErr.c_str());
     Req.Store = &Store;
   }
 
@@ -198,16 +195,34 @@ int main(int Argc, char **Argv) {
                       std::chrono::steady_clock::now() - WallStart)
                       .count();
 
-  if (!Opts.ResultCacheFile.empty()) {
-    std::string Tmp = Opts.ResultCacheFile + ".tmp";
-    std::string SaveErr;
-    if (Store.saveFile(Tmp, &SaveErr)) {
-      std::rename(Tmp.c_str(), Opts.ResultCacheFile.c_str());
-    } else {
-      std::remove(Tmp.c_str());
-      std::fprintf(stderr, "warning: cannot write %s: %s\n",
-                   Opts.ResultCacheFile.c_str(), SaveErr.c_str());
+  std::string SaveErr;
+  if (!Opts.ResultCacheFile.empty() &&
+      !Store.saveFile(Opts.ResultCacheFile, &SaveErr))
+    std::fprintf(stderr, "warning: cannot write %s: %s\n",
+                 Opts.ResultCacheFile.c_str(), SaveErr.c_str());
+
+  // The restraint vectors are solved after the analysis, on a context of
+  // their own whose work is charged to the run: its counters join
+  // R.Stats, its spans and decisions the trace, profile and explain log.
+  std::string Restraints;
+  if (Opts.Restraints && !Opts.Json) {
+    OmegaContext Ctx;
+    if (Tracer)
+      Ctx.Trace = &Tracer->registerBuffer("restraints", &Ctx.Stats);
+    for (const deps::Dependence &D : R.Flow) {
+      deps::DepSpace Space(AP, {D.Src, D.Dst});
+      Problem Pair = deps::buildPairProblem(Space);
+      std::string Vectors;
+      for (const deps::DepSpace::RestraintVector &V :
+           Space.computeRestraintVectors(Pair, 0, 1, Ctx)) {
+        if (!Vectors.empty())
+          Vectors += " ";
+        Vectors += V.toString();
+      }
+      Restraints += "  " + D.Src->Text + " -> " + D.Dst->Text + ": " +
+                    (Vectors.empty() ? "(none)" : Vectors) + "\n";
     }
+    R.Stats.merge(Ctx.Stats);
   }
 
   if (!Opts.TraceFile.empty()) {
@@ -256,24 +271,8 @@ int main(int Argc, char **Argv) {
     std::printf("\npipeline partition:\n%s",
                 transform::renderPipelineSchedule(AP, R).c_str());
 
-  if (Opts.Restraints) {
-    std::printf("\nrestraint vectors (Section 2.1.2):\n");
-    OmegaContext Ctx; // not reported: --stats covers the analysis only
-    for (const deps::Dependence &D : R.Flow) {
-      deps::DepSpace Space(AP, {D.Src, D.Dst});
-      Problem Pair = deps::buildPairProblem(Space);
-      std::string Vectors;
-      for (const deps::DepSpace::RestraintVector &V :
-           Space.computeRestraintVectors(Pair, 0, 1, Ctx)) {
-        if (!Vectors.empty())
-          Vectors += " ";
-        Vectors += V.toString();
-      }
-      std::printf("  %s -> %s: %s\n", D.Src->Text.c_str(),
-                  D.Dst->Text.c_str(),
-                  Vectors.empty() ? "(none)" : Vectors.c_str());
-    }
-  }
+  if (Opts.Restraints)
+    std::printf("\nrestraint vectors (Section 2.1.2):\n%s", Restraints.c_str());
 
   if (Opts.Stats) {
     std::printf("\nper-pair analysis costs:\n%-24s%-24s%12s%12s%10s\n",

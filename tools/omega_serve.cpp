@@ -9,7 +9,7 @@
 //
 //   $ omega-serve --workers 4 --result-cache-file /tmp/omega.rs
 //   {"id": 1, "source": "for i = 1 to n { a[i] = a[i-1]; }"}
-//   {"schema": 5, "id": 1, "ok": true, "result": {...}, "metrics": {...}}
+//   {"schema": 8, "id": 1, "ok": true, "result": {...}, "metrics": {...}}
 //
 // Every response's "result" section is byte-identical to a one-shot
 // `omega-analyze --json` run of the same program: the engine's structural
@@ -67,21 +67,7 @@ int main(int Argc, char **Argv) {
     return usage(stderr);
   }
 
-  api::Server::Config Cfg;
-  Cfg.Defaults = Parsed.Options;
-  Cfg.Workers = Parsed.Options.ServeWorkers;
-  Cfg.MaxQueue = Parsed.Options.MaxQueue;
-  Cfg.DeadlineMs = Parsed.Options.DeadlineMs;
-  Cfg.ResultCacheFile = Parsed.Options.ResultCacheFile;
-  Cfg.ResultStoreCap =
-      static_cast<std::size_t>(Parsed.Options.ResultStoreCap);
-  Cfg.MetricsFile = Parsed.Options.MetricsFile;
-  Cfg.AccessLog = Parsed.Options.AccessLogFile;
-  Cfg.SlowMs = Parsed.Options.SlowMs;
-  Cfg.SlowTraceDir = Parsed.Options.SlowTraceDir;
-  Cfg.AccessLogMaxMB = Parsed.Options.AccessLogMaxMB;
-
-  api::Server Server(Cfg);
+  api::Server Server(Parsed.Options);
   if (!Server.startupNote().empty())
     std::fprintf(stderr, "omega-serve: %s\n", Server.startupNote().c_str());
 
